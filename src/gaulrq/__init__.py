@@ -14,11 +14,10 @@ from .orchestrator import (AlgorithmKind, RoundRecord, RunTrace, Simulation,
 from .privacy import (ClipConfig, PrivacyBudget, SigmaSchedule, clip_update,
                       epsilon_from_sigmas, median_clip_bound, per_round_epsilon,
                       sigma_fixed, sigma_schedule_dynamic)
-from .quantizers import (MIN_STEP_FACTOR, DitheredCodec, EncodedVector,
-                         GauLrqCodec, LayerSample, bit_width, lrq_decode,
-                         lrq_encode, lrq_quantize_vector,
-                         lrq_reconstruct_vector, sample_layer,
-                         stochastic_quantize)
+from .quantizers import (MIN_STEP_FACTOR, EncodedVector, LayerSample,
+                         bit_width, lrq_decode, lrq_encode,
+                         lrq_quantize_vector, lrq_reconstruct_vector,
+                         sample_layer, stochastic_quantize)
 from .streams import (DrawStream, SeedMaterial, StreamCursor,
                       derive_uniform_pair, element_pairs, parse_seed_spec,
                       seed_handshake, uniform_pair_block)

@@ -40,7 +40,6 @@ class ExperimentConfig:
     batch_size: int = 0  # 0 means full batch
     seed: int = 0
     run_id: str = ""
-    stop_on_budget: bool = False
     divergence_ceiling: float = 1e6
 
     @classmethod
@@ -128,8 +127,7 @@ def build_simulation(config: ExperimentConfig) -> Simulation:
     return Simulation(algorithm, objective, theta0, seed,
                       K=config.K, B=config.B, Q=config.Q, eta=config.eta,
                       batch_size=batch, budget=budget, clip=clip,
-                      tau=config.tau, stop_on_budget=config.stop_on_budget,
-                      divergence_ceiling=config.divergence_ceiling)
+                      tau=config.tau, divergence_ceiling=config.divergence_ceiling)
 
 
 def run_experiment(config: ExperimentConfig) -> RunTrace:

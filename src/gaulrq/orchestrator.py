@@ -20,9 +20,10 @@ from .errors import ConfigError, InvalidParameterError
 from .normal import inv_norm_cdf
 from .privacy import (ClipConfig, PrivacyBudget, SigmaSchedule, clip_update,
                       median_clip_bound, sigma_fixed, sigma_schedule_dynamic)
-from .quantizers import (EncodedVector, bit_width, lrq_quantize_vector,
-                         lrq_reconstruct_vector, sample_layer,
-                         stochastic_dequantize, stochastic_quantize_indices)
+from .quantizers import (EncodedVector, bit_width, lrq_decode, lrq_encode,
+                         lrq_quantize_vector, lrq_reconstruct_vector,
+                         sample_layer, stochastic_dequantize,
+                         stochastic_quantize_indices)
 from .streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
 from .training import ModelState, Objective, local_rounds, weighted_error
 
@@ -217,7 +218,6 @@ class Simulation:
                  theta0, seed: SeedMaterial, *, K: int, B: int, Q: int,
                  eta: float, batch_size: int, budget: PrivacyBudget | None,
                  clip: ClipConfig, tau: float = 1.0,
-                 stop_on_budget: bool = False,
                  divergence_ceiling: float = 1e6):
         self.algorithm = algorithm
         self.objective = objective
@@ -230,7 +230,6 @@ class Simulation:
         self.budget = budget
         self.clip = clip
         self.tau = tau
-        self.stop_on_budget = stop_on_budget
         self.divergence_ceiling = divergence_ceiling
         self.N = len(objective.datasets)
         self.d = objective.dimension
@@ -287,8 +286,7 @@ class Simulation:
                               pack_indices(centered, b), scale=scale)
             return msg, inf_norm, 0
         uniforms = element_pairs(self.seed.lane("quant"), client_id, k, self.d)
-        enc = lrq_quantize_vector(clipped, sigma, uniforms,
-                                  stream_tag=f"c{client_id}/r{k}")
+        enc = lrq_quantize_vector(clipped, sigma, uniforms)
         msg = WireMessage(client_id, k, self.d, enc.bits_per_element, algo,
                           pack_indices(enc.indices, enc.bits_per_element),
                           scale=enc.scale)
@@ -385,10 +383,7 @@ class Simulation:
 
     def run(self) -> RunTrace:
         for _ in range(self.K):
-            record = self.run_round()
-            if (self.stop_on_budget and self.algorithm.private
-                    and record.epsilon_spent_cumulative > self.budget.epsilon):
-                break
+            self.run_round()
         grad_norms = [r.grad_sq_norm for r in self.records]
         total_bits = sum(r.bits_sent for r in self.records)
         summary = {
@@ -424,6 +419,5 @@ def quantization_replicates(clipped_updates: dict, sigma: float,
         v = np.asarray(clipped_updates[cid], dtype=np.float64)
         u1, u2 = uniform_pair_block(lane, cid, 0, elem, ctr)
         layer = sample_layer(sigma, (u1.reshape(n_rep, d), u2.reshape(n_rep, d)))
-        m = np.floor((v[None, :] + layer.R - layer.x) / layer.q_step)
-        total += m * layer.q_step + layer.x
+        total += lrq_decode(lrq_encode(v[None, :], layer), layer)
     return total / len(ids)

@@ -45,20 +45,19 @@ class LayerSample:
 class EncodedVector:
     """Fixed-width integer encoding of one quantized vector.
 
-    ``stream_tag`` binds the vector to the (client, round) stream whose
-    uniforms produced the per-element layers; the decoder must replay the
-    same stream. ``indices`` are unsigned offsets from a per-element base
-    index that both sides derive from the shared layer and ``scale`` (the
-    vector's inf-norm, pre-rounded to float32 so the wire loses nothing);
-    offsets outside [0, 2^bits - 1] were clamped, ``clamp_count`` says how
-    many (essentially impossible by the step lower bound, kept as a guard).
+    The decoder must replay the (client, round) stream whose uniforms
+    produced the per-element layers. ``indices`` are unsigned offsets from a
+    per-element base index that both sides derive from the shared layer and
+    ``scale`` (the vector's inf-norm, pre-rounded to float32 so the wire
+    loses nothing); offsets outside [0, 2^bits - 1] were clamped,
+    ``clamp_count`` says how many (essentially impossible by the step lower
+    bound, kept as a guard).
     """
 
     indices: np.ndarray
     dim: int
     bits_per_element: int
     scale: float = 0.0
-    stream_tag: str = ""
     clamp_count: int = 0
 
 
@@ -114,22 +113,6 @@ def bit_width(a1: float, a2: float, sigma: float) -> int:
     return max(1, int(np.ceil(np.log2(levels))))
 
 
-@dataclass(frozen=True)
-class GauLrqCodec:
-    """Layered randomized quantizer with target noise std ``sigma``."""
-
-    sigma: float
-
-    def __post_init__(self):
-        _check_sigma(self.sigma)
-
-    def encode_vector(self, v, uniforms, stream_tag: str = "") -> EncodedVector:
-        return lrq_quantize_vector(v, self.sigma, uniforms, stream_tag)
-
-    def decode_vector(self, encoded: EncodedVector, uniforms) -> np.ndarray:
-        return lrq_reconstruct_vector(encoded, self.sigma, uniforms)
-
-
 def _vector_uniforms(uniforms, dim):
     u1 = np.asarray(uniforms[0], dtype=np.float64).reshape(-1)
     u2 = np.asarray(uniforms[1], dtype=np.float64).reshape(-1)
@@ -147,10 +130,10 @@ def _base_indices(layer: LayerSample, scale: float) -> np.ndarray:
     for the signalled width b, which is what makes fixed-length coding
     clamp-free.
     """
-    return np.floor((-scale + layer.R - layer.x) / layer.q_step).astype(np.int64)
+    return lrq_encode(-scale, layer)
 
 
-def lrq_quantize_vector(v, sigma: float, uniforms, stream_tag: str = "") -> EncodedVector:
+def lrq_quantize_vector(v, sigma: float, uniforms) -> EncodedVector:
     """Element-wise layered quantization with fixed-width index coding.
 
     The signalled width is driven by the vector's inf-norm range; indices go
@@ -164,7 +147,7 @@ def lrq_quantize_vector(v, sigma: float, uniforms, stream_tag: str = "") -> Enco
     u1, u2 = _vector_uniforms(uniforms, v.size)
 
     layer = sample_layer(sigma, (u1, u2))
-    m = np.floor((v + layer.R - layer.x) / layer.q_step).astype(np.int64)
+    m = lrq_encode(v, layer)
 
     # The decoder sees the scale as a float32, so quantize it up front and
     # use the identical value on both sides.
@@ -173,33 +156,14 @@ def lrq_quantize_vector(v, sigma: float, uniforms, stream_tag: str = "") -> Enco
     rel = m - _base_indices(layer, a)
     clamped = np.clip(rel, 0, (1 << b) - 1)
     return EncodedVector(indices=clamped, dim=v.size, bits_per_element=b,
-                         scale=a, stream_tag=stream_tag,
-                         clamp_count=int(np.count_nonzero(clamped != rel)))
+                         scale=a, clamp_count=int(np.count_nonzero(clamped != rel)))
 
 
 def lrq_reconstruct_vector(encoded: EncodedVector, sigma: float, uniforms) -> np.ndarray:
     """Decoder side: replay the stream's layers and invert the index coding."""
     u1, u2 = _vector_uniforms(uniforms, encoded.dim)
     layer = sample_layer(sigma, (u1, u2))
-    m = encoded.indices + _base_indices(layer, encoded.scale)
-    return m.astype(np.float64) * layer.q_step + layer.x
-
-
-@dataclass(frozen=True)
-class DitheredCodec:
-    """Uniform quantizer with a shared subtractive dither x ~ U(-q/2, q/2]."""
-
-    q_step: float
-
-    def __post_init__(self):
-        if not np.isfinite(self.q_step) or self.q_step <= 0.0:
-            raise InvalidParameterError("q_step must be finite and > 0")
-
-    def encode(self, u, x):
-        return dithered_encode(u, self.q_step, x)
-
-    def decode(self, m, x):
-        return dithered_decode(m, self.q_step, x)
+    return lrq_decode(encoded.indices + _base_indices(layer, encoded.scale), layer)
 
 
 def _check_dither(q_step, x):

@@ -142,13 +142,6 @@ class DrawStream:
                                    np.zeros(n, dtype=np.uint64), ctr)
         return u1
 
-    def next_pairs(self, n: int):
-        """n uniform pairs in (0, 1)^2."""
-        ctr = np.arange(self._counter, self._counter + n, dtype=np.uint64)
-        self._counter += n
-        return uniform_pair_block(self._seed, self._client_id, self._round,
-                                  np.zeros(n, dtype=np.uint64), ctr)
-
 
 _SEED_RE = re.compile(r"seed\s*=\s*(\d+)")
 _RUN_RE = re.compile(r"run\s*=\s*([A-Za-z0-9_.\-]+)")

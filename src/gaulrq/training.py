@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import minimize
+from scipy.special import expit
 
 from .errors import DivergedError, InvalidParameterError
 
@@ -56,15 +57,6 @@ class ObjectiveSpec:
     grad_variance: float
     optimum_gap: float
     ridge: float = 0.0
-
-
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
 
 
 class Objective:
@@ -110,7 +102,7 @@ class Objective:
     def full_gradient(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
         z = self._X @ theta
-        resid = (z - self._y) if self.kind == "least_squares" else (_sigmoid(z) - self._y)
+        resid = (z - self._y) if self.kind == "least_squares" else (expit(z) - self._y)
         return self._X.T @ (self._w * resid) + self.ridge * theta
 
     def sample_gradients(self, theta, dataset, indices):
@@ -119,7 +111,7 @@ class Objective:
         X = dataset.features[indices]
         y = dataset.targets[indices]
         z = X @ theta
-        resid = (z - y) if self.kind == "least_squares" else (_sigmoid(z) - y)
+        resid = (z - y) if self.kind == "least_squares" else (expit(z) - y)
         return X * resid[:, None] + self.ridge * theta
 
     # -- certified constants ------------------------------------------------
@@ -272,6 +264,6 @@ def synth_partition(global_seed: int, N: int, d: int, n_per_client: int,
         if kind == "least_squares":
             y = z + noise_std * rng.standard_normal(n_per_client)
         else:
-            y = (rng.random(n_per_client) < _sigmoid(z)).astype(np.float64)
+            y = (rng.random(n_per_client) < expit(z)).astype(np.float64)
         datasets.append(LocalDataset(features=X, targets=y, client_id=i))
     return datasets

@@ -1,0 +1,70 @@
+"""Golden trace fixtures: pinned trace CSVs for fixed configs.
+
+Integer columns (round, algo, bits_cum, clamps) must match exactly; float
+columns may drift by at most 1e-9 relative. Rewrite the fixtures, after a
+deliberate change of behaviour only, with
+
+    PYTHONPATH=src python tests/test_golden_trace.py
+"""
+
+import csv
+import math
+from pathlib import Path
+
+import pytest
+
+from gaulrq.config import ExperimentConfig, run_experiment
+
+GOLDEN = Path(__file__).parent / "golden"
+EXACT = ("round", "algo", "bits_cum", "clamps")
+REL_TOL = 1e-9
+
+# Criterion 9's configuration cut to K=10 at seed 0, for every algorithm.
+_CRITERION_9 = dict(N=100, B=10, Q=5, K=10, eta=0.05, epsilon=2.0,
+                    delta=1e-5, tau=0.9, s2=1.0, objective="least_squares",
+                    d=20, n_per_client=20, label_noise=0.0, batch_size=5,
+                    seed=0, run_id="acc9")
+_LOGISTIC = dict(N=50, B=10, Q=20, K=10, eta=0.5, epsilon=4.0, delta=1e-5,
+                 tau=0.9, s2=1.0, objective="logistic", d=100,
+                 n_per_client=400, label_noise=0.0, batch_size=0, seed=0,
+                 run_id="local", algorithm="dynamic_gau_lrq_sgd",
+                 clip_mode="median_adaptive")
+
+CASES = {f"criterion9_{algo}": dict(_CRITERION_9, algorithm=algo)
+         for algo in ("local_sgd", "gau_sgd", "qg_sgd", "gau_lrq_sgd",
+                      "dynamic_gau_lrq_sgd")}
+CASES["logistic_dynamic_gau_lrq_sgd_median"] = _LOGISTIC
+
+
+def _write_trace(name, path):
+    cfg = ExperimentConfig.from_dict(CASES[name])
+    run_experiment(cfg).to_csv(path, cfg.algorithm)
+
+
+def _rows(path):
+    with open(path, newline="", encoding="utf-8") as fh:
+        return list(csv.DictReader(fh))
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trace_matches_golden(name, tmp_path):
+    path = tmp_path / f"{name}.csv"
+    _write_trace(name, path)
+    golden = GOLDEN / f"{name}.csv"
+    with open(path, encoding="utf-8") as fh, open(golden, encoding="utf-8") as gh:
+        assert fh.readline() == gh.readline(), "trace header changed"
+    got, want = _rows(path), _rows(golden)
+    assert len(got) == len(want)
+    for row, ref in zip(got, want):
+        for col, value in ref.items():
+            if col in EXACT:
+                assert row[col] == value, (row["round"], col)
+            else:
+                assert math.isclose(float(row[col]), float(value),
+                                    rel_tol=REL_TOL, abs_tol=0.0), (row["round"], col)
+
+
+if __name__ == "__main__":
+    GOLDEN.mkdir(exist_ok=True)
+    for case in sorted(CASES):
+        _write_trace(case, GOLDEN / f"{case}.csv")

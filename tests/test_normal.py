@@ -30,12 +30,19 @@ def test_random_uniforms_match_reference():
     p = rng.random(100000)
     p = p[(p > 0) & (p < 1)]
     assert np.max(np.abs(inv_norm_cdf(p) - ndtri(p))) < 1e-9
+    grid = p[:12].reshape(3, 4)
+    out = inv_norm_cdf(grid)
+    assert out.shape == (3, 4)
+    assert np.array_equal(out, ndtri(grid))
 
 
 def test_scalar_in_scalar_out():
     out = inv_norm_cdf(0.975)
     assert isinstance(out, float)
     assert out == pytest.approx(1.959963984540054, abs=1e-9)
+    zero_d = inv_norm_cdf(np.float64(0.975))
+    assert type(zero_d) is float and zero_d == out
+    assert type(inv_norm_cdf(np.array(0.975))) is float
 
 
 def test_median_is_zero():
@@ -53,7 +60,7 @@ def test_monotone():
     assert np.all(np.diff(x) > 0)
 
 
-@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, np.nan])
+@pytest.mark.parametrize("p", [0.0, 1.0, -0.1, 1.1, np.nan, np.inf, -np.inf])
 def test_rejects_out_of_domain(p):
     with pytest.raises(InvalidParameterError):
         inv_norm_cdf(p)

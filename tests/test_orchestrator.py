@@ -194,13 +194,11 @@ def test_median_adaptive_mode_runs():
     assert all(s > 0 for s in sigmas)
 
 
-def test_stop_on_budget():
-    cfg = _config(algorithm="gau_lrq_sgd", s2=1.0, K=50,
-                  stop_on_budget=True, epsilon=0.5)
+def test_accountant_within_budget():
+    cfg = _config(algorithm="gau_lrq_sgd", s2=1.0, K=50, epsilon=0.5)
     trace = run_experiment(cfg)
-    # The fixed split spends exactly eps over K rounds, so with tracking the
-    # run completes; shrink sigma artificially via smaller config K? Instead
-    # assert the accountant never exceeds the budget before the last round.
+    # The fixed split spends exactly eps over K rounds: cumulative spend
+    # never falls and ends within the budget.
     cums = [r.epsilon_spent_cumulative for r in trace.records]
     assert all(b >= a for a, b in zip(cums, cums[1:]))
     assert cums[-1] <= cfg.epsilon * (1 + 1e-9)
