@@ -61,7 +61,7 @@ def cmd_run(args) -> int:
         config.validate()
         sim = build_simulation(config)
         trace = sim.run()
-    except ConfigError as exc:
+    except (ConfigError, InvalidParameterError) as exc:
         for line in getattr(exc, "errors", None) or [str(exc)]:
             print(f"config error: {line}", file=sys.stderr)
         return 2

@@ -13,17 +13,19 @@ import enum
 import json
 import struct
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
 from .normal import inv_norm_cdf
-from .privacy import (ClipConfig, PrivacyBudget, SigmaSchedule, clip_update,
-                      median_clip_bound, sigma_fixed, sigma_schedule_dynamic)
-from .quantizers import (EncodedVector, bit_width, lrq_decode, lrq_encode,
-                         lrq_quantize_vector, lrq_reconstruct_vector,
-                         sample_layer, stochastic_dequantize,
-                         stochastic_quantize_indices)
+from .privacy import (ClipConfig, PrivacyBudget, clip_update, median_clip_bound,
+                      sigma_schedule_dynamic)
+from .quantizers import (MAX_BITS, EncodedVector, bit_width, lrq_decode,
+                         lrq_encode, lrq_quantize_vector,
+                         lrq_reconstruct_vector, sample_layer,
+                         stochastic_dequantize, stochastic_quantize_indices,
+                         wire_scale)
 from .streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
 from .training import ModelState, Objective, local_rounds, weighted_error
 
@@ -41,8 +43,7 @@ class AlgorithmKind(enum.Enum):
 
     @property
     def quantized(self):
-        return self in (AlgorithmKind.QG_SGD, AlgorithmKind.GAU_LRQ_SGD,
-                        AlgorithmKind.DYNAMIC_GAU_LRQ_SGD)
+        return PIPELINES[self].encode is not _encode_float
 
     @property
     def private(self):
@@ -114,16 +115,84 @@ def serialize_message(msg: WireMessage) -> bytes:
 
 
 def parse_message(data: bytes) -> WireMessage:
+    """Inverse of serialize_message; malformed bytes raise InvalidParameterError."""
+    if len(data) < _HEADER.size:
+        raise InvalidParameterError(f"{len(data)}-byte message is shorter than its header")
     client_id, rnd, dim, bits, tag = _HEADER.unpack_from(data)
-    algorithm = AlgorithmKind(tag)
-    offset = _HEADER.size
-    scale = 0.0
-    if algorithm.quantized:
-        (scale,) = struct.unpack_from("<f", data, offset)
-        offset += 4
+    try:
+        algorithm = AlgorithmKind(tag)
+    except ValueError:
+        raise InvalidParameterError(f"unknown algorithm tag {tag}") from None
+    if not (1 <= bits <= MAX_BITS if algorithm.quantized else bits == FLOAT_BITS):
+        raise InvalidParameterError(f"{bits}-bit elements are invalid for {algorithm.name}")
+    offset = _HEADER.size + (4 if algorithm.quantized else 0)
+    if len(data) != offset + (dim * bits + 7) // 8:
+        raise InvalidParameterError(
+            f"{len(data)}-byte message cannot hold {dim} elements of {bits} bits")
+    scale = struct.unpack_from("<f", data, _HEADER.size)[0] if algorithm.quantized else 0.0
+    if not (np.isfinite(scale) and scale >= 0.0):
+        raise InvalidParameterError(f"scale {scale} is not finite and >= 0")
     return WireMessage(client_id=client_id, round=rnd, dim=dim,
                        bits_per_element=bits, algorithm=algorithm,
                        payload=data[offset:], scale=scale)
+
+
+# -- codec pairs: encode(seed, client, round, v, sigma) -> (width, payload,
+# scale, clamps) and decode(seed, message, sigma) -> v. They look the layer
+# functions up as module globals, so rebinding one (as a tracer does) reaches them.
+
+def _encode_float(seed, client_id, k, v, sigma):
+    return FLOAT_BITS, v.astype("<f4").tobytes(), 0.0, 0
+
+
+def _decode_float(seed, msg, sigma):
+    return np.frombuffer(msg.payload, dtype="<f4").astype(np.float64)
+
+
+def _encode_stochastic(seed, client_id, k, v, sigma):
+    a = wire_scale(np.max(np.abs(v)))
+    b = 1 if a == 0.0 else bit_width(-a, a, sigma)
+    u = DrawStream(seed.lane("sq"), client_id, k).next(v.size)
+    idx, scale = stochastic_quantize_indices(v, b, u)
+    return b, pack_indices(idx - (1 << (b - 1)), b), scale, 0
+
+
+def _decode_stochastic(seed, msg, sigma):
+    b = msg.bits_per_element
+    idx = unpack_indices(msg.payload, msg.dim, b)
+    return stochastic_dequantize(idx + (1 << (b - 1)), b, msg.scale)
+
+
+def _encode_layered(seed, client_id, k, v, sigma):
+    uniforms = element_pairs(seed.lane("quant"), client_id, k, v.size)
+    enc = lrq_quantize_vector(v, sigma, uniforms)
+    b = enc.bits_per_element
+    return b, pack_indices(enc.indices, b), enc.scale, enc.clamp_count
+
+
+def _decode_layered(seed, msg, sigma):
+    idx = unpack_indices(msg.payload, msg.dim, msg.bits_per_element, signed=False)
+    uniforms = element_pairs(seed.lane("quant"), msg.client_id, msg.round, msg.dim)
+    enc = EncodedVector(idx, msg.dim, msg.bits_per_element, scale=msg.scale)
+    return lrq_reconstruct_vector(enc, sigma, uniforms)
+
+
+class Pipeline(NamedTuple):
+    """What sets one algorithm apart from the others."""
+    noisy: bool      # adds sigma * N(0, 1) from the "noise" lane before coding
+    decaying: bool   # sigma_k follows the tau^{k/4} schedule, not the even split
+    encode: Callable
+    decode: Callable
+
+
+PIPELINES = {
+    AlgorithmKind.LOCAL_SGD: Pipeline(False, False, _encode_float, _decode_float),
+    AlgorithmKind.GAU_SGD: Pipeline(True, False, _encode_float, _decode_float),
+    AlgorithmKind.QG_SGD: Pipeline(True, False, _encode_stochastic, _decode_stochastic),
+    AlgorithmKind.GAU_LRQ_SGD: Pipeline(False, False, _encode_layered, _decode_layered),
+    AlgorithmKind.DYNAMIC_GAU_LRQ_SGD: Pipeline(False, True, _encode_layered,
+                                                _decode_layered),
+}
 
 
 def sample_clients(N: int, B: int, weights, u: float) -> list[int]:
@@ -164,7 +233,7 @@ class RoundRecord:
     loss: float
     grad_sq_norm: float
     clamp_count: int
-    inf_norms: list[float] = field(default_factory=list)  # clipped-update inf-norms
+    inf_norms: list[float] = field(default_factory=list)  # wire scales of clipped updates
 
 
 @dataclass
@@ -236,83 +305,20 @@ class Simulation:
         self.round = 0
         self.records: list[RoundRecord] = []
         self._eps_sq_spent = 0.0  # sum over rounds of (per-round epsilon)^2
-        self._schedule = self._build_schedule()
+        self._pipeline = PIPELINES[algorithm]
+        if algorithm.private:  # median-adaptive rounds rescale the S2=1 schedule
+            self._sigmas = sigma_schedule_dynamic(
+                clip.s2 if clip.mode == "fixed" else 1.0, K, B, self.N, budget,
+                tau if self._pipeline.decaying else 1.0).sigmas
 
-    def _build_schedule(self) -> SigmaSchedule | None:
-        if not self.algorithm.private:
-            return None
-        s2 = self.clip.s2 if self.clip.mode == "fixed" else 1.0
-        if self.algorithm is AlgorithmKind.DYNAMIC_GAU_LRQ_SGD:
-            return sigma_schedule_dynamic(s2, self.K, self.B, self.N,
-                                          self.budget, self.tau)
-        value = sigma_fixed(s2, self.K, self.B, self.N, self.budget)
-        return SigmaSchedule(kind="fixed", sigmas=np.full(self.K, value))
-
-    def _sigma_for_round(self, k: int, s2: float) -> float:
-        # Median-adaptive clipping rescales the precomputed (S2=1) schedule
-        # by the round's clip bound; fixed mode uses the schedule as built.
-        base = float(self._schedule.sigmas[k])
-        return base * s2 if self.clip.mode == "median_adaptive" else base
-
-    def _gaussian_noise(self, client_id: int, k: int, sigma: float) -> np.ndarray:
-        u1, _ = element_pairs(self.seed.lane("noise"), client_id, k, self.d)
-        return sigma * np.asarray(inv_norm_cdf(u1))
-
-    # -- pipelines ----------------------------------------------------------
-
-    def _encode(self, client_id: int, k: int, update: np.ndarray,
-                s2: float, sigma: float):
-        """Client side; returns (message, clipped-update inf-norm, clamps)."""
-        algo = self.algorithm
-        if algo is AlgorithmKind.LOCAL_SGD:
-            msg = WireMessage(client_id, k, self.d, FLOAT_BITS, algo,
-                              update.astype("<f4").tobytes())
-            return msg, 0.0, 0
-        clipped = clip_update(update, s2)
-        inf_norm = float(np.max(np.abs(clipped)))
-        if algo is AlgorithmKind.GAU_SGD:
-            noisy = clipped + self._gaussian_noise(client_id, k, sigma)
-            msg = WireMessage(client_id, k, self.d, FLOAT_BITS, algo,
-                              noisy.astype("<f4").tobytes())
-            return msg, inf_norm, 0
-        if algo is AlgorithmKind.QG_SGD:
-            noisy = clipped + self._gaussian_noise(client_id, k, sigma)
-            a = float(np.max(np.abs(noisy)))
-            b = 1 if a == 0.0 else bit_width(-a, a, sigma)
-            u = DrawStream(self.seed.lane("sq"), client_id, k).next(self.d)
-            idx, scale = stochastic_quantize_indices(noisy, b, u)
-            centered = idx - (1 << (b - 1))
-            msg = WireMessage(client_id, k, self.d, b, algo,
-                              pack_indices(centered, b), scale=scale)
-            return msg, inf_norm, 0
-        uniforms = element_pairs(self.seed.lane("quant"), client_id, k, self.d)
-        enc = lrq_quantize_vector(clipped, sigma, uniforms)
-        msg = WireMessage(client_id, k, self.d, enc.bits_per_element, algo,
-                          pack_indices(enc.indices, enc.bits_per_element),
-                          scale=enc.scale)
-        # Report the scale the codec signed onto the wire, so the cost
-        # formula reproduces the meter exactly.
-        return msg, enc.scale, enc.clamp_count
-
-    def _decode(self, msg: WireMessage, sigma: float) -> np.ndarray:
-        """Server side: reconstruct one client's update from its bytes."""
-        algo = msg.algorithm
-        if algo in (AlgorithmKind.LOCAL_SGD, AlgorithmKind.GAU_SGD):
-            return np.frombuffer(msg.payload, dtype="<f4").astype(np.float64)
-        if algo is AlgorithmKind.QG_SGD:
-            idx = unpack_indices(msg.payload, msg.dim, msg.bits_per_element)
-            levels = idx + (1 << (msg.bits_per_element - 1))
-            return stochastic_dequantize(levels, msg.bits_per_element, msg.scale)
-        idx = unpack_indices(msg.payload, msg.dim, msg.bits_per_element,
-                             signed=False)
-        uniforms = element_pairs(self.seed.lane("quant"), msg.client_id,
-                                 msg.round, msg.dim)
-        enc = EncodedVector(indices=idx, dim=msg.dim,
-                            bits_per_element=msg.bits_per_element,
-                            scale=msg.scale)
-        return lrq_reconstruct_vector(enc, sigma, uniforms)
-
-    # -- round loop ---------------------------------------------------------
+    def _encode(self, cid: int, k: int, v: np.ndarray, sigma: float):
+        """Client side; returns (message, clamps)."""
+        if self._pipeline.noisy:
+            u1, _ = element_pairs(self.seed.lane("noise"), cid, k, self.d)
+            v = v + sigma * np.asarray(inv_norm_cdf(u1))
+        bits, payload, scale, clamps = self._pipeline.encode(self.seed, cid, k, v, sigma)
+        msg = WireMessage(cid, k, self.d, bits, self.algorithm, payload, scale=scale)
+        return msg, clamps
 
     def run_round(self) -> RoundRecord:
         if self.round >= self.K:
@@ -333,46 +339,38 @@ class Simulation:
                                         self.Q, self.eta, self.batch_size,
                                         stream, self.divergence_ceiling)
 
+        sigma, inf_norms, eps_cum = 0.0, [], float("inf")
         if self.algorithm.private:
+            sigma = float(self._sigmas[k])
             if self.clip.mode == "median_adaptive":
-                s2 = median_clip_bound(
-                    [float(np.linalg.norm(updates[c])) for c in clients])
-                s2 = max(s2, 1e-12)
+                s2 = max(median_clip_bound(
+                    [float(np.linalg.norm(updates[c])) for c in clients]), 1e-12)
+                sigma *= s2
             else:
                 s2 = self.clip.s2
-            sigma = self._sigma_for_round(k, s2)
-        else:
-            s2, sigma = 0.0, 0.0
-
-        messages = []
-        clamp_count = 0
-        inf_norms = []
-        for cid in clients:
-            msg, inf_norm, clamps = self._encode(cid, k, updates[cid], s2, sigma)
-            messages.append(serialize_message(msg))
-            clamp_count += clamps
-            if self.algorithm.private:
-                inf_norms.append(inf_norm)
-
-        decoded = {}
-        bits = 0
-        for raw in messages:
-            msg = parse_message(raw)
-            decoded[msg.client_id] = self._decode(msg, sigma)
-            bits += msg.payload_bits
-
-        self.theta = aggregate_and_step(decoded, self.theta)
-
-        if self.algorithm.private:
+            updates = {c: clip_update(updates[c], s2) for c in clients}
+            inf_norms = [wire_scale(np.max(np.abs(updates[c]))) for c in clients]
             # Lemma-4-style composition, valid per-round even when the clip
             # bound (and hence sigma) changes across rounds.
             per_round = (2.0 * s2 * np.sqrt(self.B * np.log(1.0 / self.budget.delta))
                          / (self.N * sigma))
             self._eps_sq_spent += per_round**2
-            eps_cum = float(np.sqrt(self._eps_sq_spent))
-        else:
-            eps_cum = float("inf")
+            # The schedules spend exactly epsilon: never report the rounding excess.
+            eps_cum = min(float(np.sqrt(self._eps_sq_spent)), self.budget.epsilon)
 
+        messages, clamp_count = [], 0
+        for cid in clients:
+            msg, clamps = self._encode(cid, k, updates[cid], sigma)
+            messages.append(serialize_message(msg))
+            clamp_count += clamps
+
+        decoded, bits = {}, 0
+        for raw in messages:
+            msg = parse_message(raw)
+            decoded[msg.client_id] = PIPELINES[msg.algorithm].decode(self.seed, msg, sigma)
+            bits += msg.payload_bits
+
+        self.theta = aggregate_and_step(decoded, self.theta)
         record = RoundRecord(round=k, clients=clients, bits_sent=bits,
                              sigma_used=sigma, epsilon_spent_cumulative=eps_cum,
                              loss=loss, grad_sq_norm=float(grad @ grad),

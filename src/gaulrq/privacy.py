@@ -34,9 +34,7 @@ class PrivacyBudget:
 class SigmaSchedule:
     """Per-round noise scales sigma_0..sigma_{K-1} (clipped-update units)."""
 
-    kind: str  # "fixed" or "dynamic"
     sigmas: np.ndarray
-    tau: float = 1.0
 
     def __post_init__(self):
         sig = np.asarray(self.sigmas, dtype=np.float64)
@@ -90,12 +88,12 @@ def sigma_schedule_dynamic(s2: float, K: int, B: int, N: int,
         raise InvalidParameterError("tau must lie in (0, 1]")
     if tau == 1.0:
         value = sigma_fixed(s2, K, B, N, budget)
-        return SigmaSchedule(kind="dynamic", sigmas=np.full(K, value), tau=1.0)
+        return SigmaSchedule(sigmas=np.full(K, value))
     k = np.arange(K, dtype=np.float64)
     base = 4.0 * s2 * s2 * B * np.log(1.0 / budget.delta) / (N * budget.epsilon) ** 2
     total = np.sum(tau ** (-k / 2.0))
     sigmas = np.sqrt(base * total * tau ** (k / 2.0))
-    return SigmaSchedule(kind="dynamic", sigmas=sigmas, tau=tau)
+    return SigmaSchedule(sigmas=sigmas)
 
 
 def epsilon_from_sigmas(s2: float, B: int, N: int, delta: float, sigmas) -> float:

@@ -23,6 +23,8 @@ from .normal import inv_norm_cdf
 
 # Minimum step of the layered quantizer, in units of sigma.
 MIN_STEP_FACTOR = 2.0 * np.sqrt(2.0 * np.log(2.0))
+# Widest index the wire carries: offsets and their sums stay inside int64.
+MAX_BITS = 62
 
 
 @dataclass(frozen=True)
@@ -48,10 +50,10 @@ class EncodedVector:
     The decoder must replay the (client, round) stream whose uniforms
     produced the per-element layers. ``indices`` are unsigned offsets from a
     per-element base index that both sides derive from the shared layer and
-    ``scale`` (the vector's inf-norm, pre-rounded to float32 so the wire
+    ``scale`` (the vector's inf-norm, rounded up to float32 so the wire
     loses nothing); offsets outside [0, 2^bits - 1] were clamped,
-    ``clamp_count`` says how many (essentially impossible by the step lower
-    bound, kept as a guard).
+    ``clamp_count`` says how many (unreachable by the step lower bound and
+    the rounded-up scale, kept as a guard).
     """
 
     indices: np.ndarray
@@ -105,12 +107,32 @@ def lrq_decode(m, layer: LayerSample):
 
 
 def bit_width(a1: float, a2: float, sigma: float) -> int:
-    """Bits needed to index steps of minimum size across [a1, a2], floored at 1."""
+    """Bits needed to index steps of minimum size across [a1, a2], floored at 1.
+
+    Raises InvalidParameterError above MAX_BITS, where int64 indices overflow.
+    """
     if not (np.isfinite(a1) and np.isfinite(a2)) or a2 <= a1:
         raise InvalidParameterError("range must satisfy a2 > a1 and be finite")
     _check_sigma(sigma)
-    levels = (a2 - a1) / (MIN_STEP_FACTOR * sigma) + 1.0
-    return max(1, int(np.ceil(np.log2(levels))))
+    bits = np.ceil(np.log2((a2 - a1) / (MIN_STEP_FACTOR * sigma) + 1.0))
+    if not bits <= MAX_BITS:
+        raise InvalidParameterError(
+            f"range {a2 - a1:g} at sigma={sigma:g} needs {bits:g} bits per element, "
+            f"above the {MAX_BITS}-bit cap")
+    return max(1, int(bits))
+
+
+def wire_scale(a: float) -> float:
+    """Smallest float32 >= a: the scale the wire carries for inf-norm ``a``.
+
+    Rounding up (not to nearest) keeps every element inside [-scale, scale],
+    the range the signalled width covers.
+    """
+    s = np.float32(a)
+    # Compare in float64: under NEP 50, np.float32(a) < a compares in float32.
+    if float(s) < a:
+        s = np.nextafter(s, np.float32(np.inf))
+    return float(s)
 
 
 def _vector_uniforms(uniforms, dim):
@@ -142,18 +164,15 @@ def lrq_quantize_vector(v, sigma: float, uniforms) -> EncodedVector:
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.size == 0:
         raise InvalidParameterError("cannot quantize an empty vector")
-    if not np.all(np.isfinite(v)):
-        raise InvalidParameterError("vector elements must be finite")
     u1, u2 = _vector_uniforms(uniforms, v.size)
 
-    layer = sample_layer(sigma, (u1, u2))
-    m = lrq_encode(v, layer)
-
     # The decoder sees the scale as a float32, so quantize it up front and
-    # use the identical value on both sides.
-    a = float(np.float32(np.max(np.abs(v))))
+    # use the identical value on both sides. bit_width rejects non-finite
+    # elements and widths above the cap before any index is computed.
+    a = wire_scale(np.max(np.abs(v)))
     b = 1 if a == 0.0 else bit_width(-a, a, sigma)
-    rel = m - _base_indices(layer, a)
+    layer = sample_layer(sigma, (u1, u2))
+    rel = lrq_encode(v, layer) - _base_indices(layer, a)
     clamped = np.clip(rel, 0, (1 << b) - 1)
     return EncodedVector(indices=clamped, dim=v.size, bits_per_element=b,
                          scale=a, clamp_count=int(np.count_nonzero(clamped != rel)))
@@ -208,8 +227,9 @@ def stochastic_quantize_indices(v, b: int, uniforms):
     """Unbiased stochastic rounding to level indices.
 
     Returns (indices, scale): level j sits at -scale + j * spacing with
-    spacing = 2*scale/(levels-1). Each element rounds to a neighboring level
-    with probability proportional to proximity, so the expectation is exact.
+    spacing = 2*scale/(levels-1), and scale is the inf-norm's wire_scale.
+    Each element rounds to a neighboring level with probability
+    proportional to proximity, so the expectation is exact.
     """
     v = np.asarray(v, dtype=np.float64).reshape(-1)
     if v.size and not np.all(np.isfinite(v)):
@@ -218,7 +238,7 @@ def stochastic_quantize_indices(v, b: int, uniforms):
     if u.shape != v.shape:
         raise StreamExhaustedError("need one uniform per element")
 
-    scale = float(np.max(np.abs(v))) if v.size else 0.0
+    scale = wire_scale(np.max(np.abs(v))) if v.size else 0.0
     n_lev = stochastic_levels(b)
     if scale == 0.0:
         return np.zeros(v.size, dtype=np.int64), 0.0

@@ -84,6 +84,7 @@ class Objective:
         self._X = np.vstack([ds.features for ds in self.datasets])
         self._y = np.concatenate([ds.targets for ds in self.datasets])
         self._w = w
+        self._gram = None
         self._nu = None
         self._optimum = None
 
@@ -116,11 +117,25 @@ class Objective:
 
     # -- certified constants ------------------------------------------------
 
+    def _weighted_gram(self):
+        """The mean Gram matrix on its smaller side, built once.
+
+        X^T W X (d x d), or A A^T with A = W^(1/2) X when there are fewer
+        samples than dimensions: the two share their nonzero eigenvalues,
+        and wide models never form a d x d array.
+        """
+        if self._gram is None:
+            if self._X.shape[0] < self.dimension:
+                a = self._X * np.sqrt(self._w)[:, None]
+                self._gram = a @ a.T
+            else:
+                self._gram = (self._X * self._w[:, None]).T @ self._X
+        return self._gram
+
     def smoothness(self):
         """Largest eigenvalue of the mean Gram matrix (1/4-scaled for logistic)."""
         if self._nu is None:
-            gram = (self._X * self._w[:, None]).T @ self._X
-            lam = float(np.linalg.eigvalsh(gram)[-1])
+            lam = float(np.linalg.eigvalsh(self._weighted_gram())[-1])
             factor = 1.0 if self.kind == "least_squares" else 0.25
             self._nu = factor * lam + self.ridge
         return self._nu
@@ -129,10 +144,17 @@ class Objective:
         """(theta*, F(theta*)); analytic for least squares, converged otherwise."""
         if self._optimum is None:
             if self.kind == "least_squares":
-                gram = (self._X * self._w[:, None]).T @ self._X
-                gram = gram + self.ridge * np.eye(self.dimension)
-                rhs = self._X.T @ (self._w * self._y)
-                theta = np.linalg.solve(gram, rhs)
+                gram = self._weighted_gram()
+                gram = gram + self.ridge * np.eye(gram.shape[0])
+                if gram.shape[0] < self.dimension:
+                    # Push-through: (A^T A + rI)^-1 A^T b = A^T (A A^T + rI)^-1 b,
+                    # the minimum-norm interpolant at ridge r = 0.
+                    root_w = np.sqrt(self._w)
+                    alpha = np.linalg.solve(gram, root_w * self._y)
+                    theta = (self._X * root_w[:, None]).T @ alpha
+                else:
+                    rhs = self._X.T @ (self._w * self._y)
+                    theta = np.linalg.solve(gram, rhs)
             else:
                 res = minimize(self.full_loss, np.zeros(self.dimension),
                                jac=self.full_gradient, method="L-BFGS-B",

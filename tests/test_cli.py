@@ -78,6 +78,29 @@ def test_cmd_run_invalid_config_exit_status(tmp_path, capsys):
     assert "B" in err
 
 
+def test_cmd_run_parameter_errors_exit_status(tmp_path, capsys):
+    # K=0 passes validation but leaves no rounds to spread the budget over;
+    # epsilon=1e30 makes sigma so small that indices would need > 62 bits.
+    for overrides, text in (({"K": 0}, "K, B, N must be positive"),
+                            ({"epsilon": 1e30}, "62-bit cap")):
+        cfg = _write_config(tmp_path, overrides)
+        out = tmp_path / "never"
+        assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and text in err
+        assert not out.exists()
+
+
+def test_cmd_run_wide_model_writes_bounds(tmp_path):
+    # d=20000 with 8 samples: the d x d Gram alone would take 3.2 GB.
+    cfg = _write_config(tmp_path, {"algorithm": "local_sgd", "d": 20000, "N": 2,
+                                   "B": 1, "n_per_client": 4, "K": 1, "Q": 1,
+                                   "eta": 1e-5})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    bounds = json.loads((tmp_path / "cli-test_bounds.json").read_text())
+    assert bounds["inputs"]["d"] == 20000 and bounds["inputs"]["nu"] > 0
+
+
 def test_cmd_run_deterministic(tmp_path):
     cfg = _write_config(tmp_path)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

@@ -68,7 +68,7 @@ def test_schedule_validation():
     with pytest.raises(InvalidParameterError):
         sigma_schedule_dynamic(1.0, 10, 5, 20, BUDGET, 1.5)
     with pytest.raises(InvalidParameterError):
-        SigmaSchedule(kind="fixed", sigmas=np.array([1.0, -1.0]))
+        SigmaSchedule(sigmas=np.array([1.0, -1.0]))
 
 
 # -- epsilon round trip -----------------------------------------------------

@@ -2,15 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from gaulrq.errors import InvalidParameterError, StreamExhaustedError
-from gaulrq.quantizers import (MIN_STEP_FACTOR, LayerSample, bit_width,
-                               dithered_decode, dithered_encode, lrq_decode,
-                               lrq_encode, lrq_quantize_vector,
+from gaulrq.quantizers import (MAX_BITS, MIN_STEP_FACTOR, LayerSample,
+                               bit_width, dithered_decode, dithered_encode,
+                               lrq_decode, lrq_encode, lrq_quantize_vector,
                                lrq_reconstruct_vector, sample_layer,
                                stochastic_dequantize, stochastic_quantize,
-                               stochastic_quantize_indices)
+                               stochastic_quantize_indices, wire_scale)
 from gaulrq.streams import SeedMaterial, element_pairs, uniform_pair_block
 
 SEED = SeedMaterial(7, "quantizer-tests")
@@ -146,6 +148,28 @@ def test_bit_width_floor_and_errors():
         bit_width(-1.0, 1.0, 0.0)
 
 
+def test_bit_width_cap():
+    # 3 * 2^60 levels need 62 bits; 3 * 2^61 need 63.
+    assert bit_width(0.0, 3.0 * 2.0**60 * MIN_STEP_FACTOR, 1.0) == MAX_BITS
+    for a2, sigma in ((3.0 * 2.0**61 * MIN_STEP_FACTOR, 1.0),
+                      (1.0, 1e-22),          # 73 bits
+                      (1e300, 1e-300)):      # infinitely many levels
+        with pytest.raises(InvalidParameterError, match="62-bit cap"):
+            bit_width(-a2, a2, sigma)
+
+
+# -- wire scale -------------------------------------------------------------
+
+def test_wire_scale_is_smallest_float32_above():
+    for a in (0.1, 1.0 / 3.0, 2.0 / 3.0, 1e-30, 1e30, 12345.678):
+        s = wire_scale(a)
+        assert s >= a and float(np.float32(s)) == s
+        below = np.nextafter(np.float32(s), np.float32(0.0))
+        assert float(below) < a
+    for a in (0.0, 0.5, 1.0, float(np.float32(0.1))):  # already float32
+        assert wire_scale(a) == a
+
+
 # -- vector codec -----------------------------------------------------------
 
 def test_quantize_zero_vector():
@@ -168,6 +192,54 @@ def test_quantize_bit_width_example():
     uniforms = element_pairs(SEED, 0, 11, 3)
     enc = lrq_quantize_vector(v, sigma, uniforms)
     assert enc.bits_per_element == 2
+
+
+def test_quantize_rejects_width_above_cap():
+    # sigma=1e-22 on a unit vector would need 73-bit indices.
+    uniforms = element_pairs(SEED, 0, 14, 2)
+    with pytest.raises(InvalidParameterError, match="62-bit cap"):
+        lrq_quantize_vector(np.array([1.0, -0.5]), 1e-22, uniforms)
+
+
+def test_quantize_rejects_nonfinite():
+    uniforms = element_pairs(SEED, 0, 15, 2)
+    with pytest.raises(InvalidParameterError):
+        lrq_quantize_vector(np.array([1.0, np.nan]), 0.1, uniforms)
+
+
+def test_small_sigma_vectors_never_clamp():
+    # A scale rounded to the nearest float32 can fall below max|v|; the top
+    # element then lands one index below the base and is clamped. This
+    # regime clamped about 1% of unit vectors before the scale rounded up.
+    rng = np.random.default_rng(0)
+    clamps = 0
+    for i in range(1000):
+        sigma = 10.0 ** rng.uniform(-8.0, -5.0)
+        v = rng.standard_normal(64)
+        enc = lrq_quantize_vector(v / np.linalg.norm(v), sigma,
+                                  element_pairs(SEED, i, 16, 64))
+        clamps += enc.clamp_count
+    assert clamps == 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_sigma=st.floats(-12.0, 3.0), log_scale=st.floats(-12.0, 30.0),
+       d=st.integers(1, 32), client=st.integers(0, 2**32 - 1))
+def test_layered_coding_never_clamps(log_sigma, log_scale, d, client):
+    sigma = 10.0 ** log_sigma
+    v = 10.0 ** log_scale * np.random.default_rng(client).uniform(-1.0, 1.0, d)
+    uniforms = element_pairs(SEED, client, 17, d)
+    a = wire_scale(np.max(np.abs(v)))
+    try:
+        b = 1 if a == 0.0 else bit_width(-a, a, sigma)
+    except InvalidParameterError:
+        with pytest.raises(InvalidParameterError, match="62-bit cap"):
+            lrq_quantize_vector(v, sigma, uniforms)
+        return
+    enc = lrq_quantize_vector(v, sigma, uniforms)
+    assert enc.bits_per_element == b and enc.scale == a
+    assert enc.clamp_count == 0
+    assert np.all((enc.indices >= 0) & (enc.indices <= (1 << b) - 1))
 
 
 def test_codec_round_trip_error_statistics():
@@ -280,6 +352,12 @@ def test_stochastic_squared_error_bound():
         u = rng.random(64)
         err = stochastic_quantize(v, b, u) - v
         assert np.all(np.abs(err) <= spacing + 1e-12)
+
+
+def test_stochastic_scale_is_wire_scale():
+    v = np.array([0.1, -0.05])
+    idx, scale = stochastic_quantize_indices(v, 4, np.array([0.5, 0.5]))
+    assert scale == wire_scale(0.1) and float(np.float32(scale)) == scale
 
 
 def test_stochastic_index_round_trip():

@@ -108,6 +108,30 @@ def test_smoothness_certificate():
         assert lhs <= nu * np.linalg.norm(a - b) + 1e-9
 
 
+def test_thin_gram_matches_wide():
+    # Fewer samples (6) than dimensions (10), with unequal shards: the thin
+    # N*n x N*n path must reproduce the d x d arithmetic.
+    rng = np.random.default_rng(12)
+    data = [LocalDataset(rng.standard_normal((n, 10)), rng.standard_normal(n), i)
+            for i, n in enumerate((2, 4))]
+    X = np.vstack([ds.features for ds in data])
+    y = np.concatenate([ds.targets for ds in data])
+    w = np.concatenate([np.full(ds.n, 1.0 / (2 * ds.n)) for ds in data])
+    gram = (X * w[:, None]).T @ X
+    for ridge in (0.0, 0.1):
+        obj = Objective(data, ridge=ridge)
+        nu = float(np.linalg.eigvalsh(gram)[-1]) + ridge
+        assert obj.smoothness() == pytest.approx(nu, rel=1e-9)
+        if ridge:
+            want = np.linalg.solve(gram + ridge * np.eye(10), X.T @ (w * y))
+        else:  # minimum-norm interpolant
+            want = np.linalg.lstsq(X * np.sqrt(w)[:, None], np.sqrt(w) * y,
+                                   rcond=None)[0]
+        theta, f_star = obj.optimum()
+        assert np.allclose(theta, want, rtol=1e-9, atol=1e-12)
+        assert f_star == pytest.approx(obj.full_loss(want), rel=1e-9, abs=1e-15)
+
+
 def test_empty_batch_rejected():
     obj = _objective()
     model = ModelState(theta=np.zeros(3), round=0, objective=obj)
