@@ -14,7 +14,8 @@ from scipy.special import erfc
 from .analysis import BoundInputs, bound_bq, bound_dynamic, bound_gau_lrq, \
     bound_lsgd, bound_qg, ks_statistic
 from .config import ExperimentConfig, build_simulation, load_config
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError, DivergedError, InvalidParameterError
+from .orchestrator import RunTrace
 from .quantizers import MIN_STEP_FACTOR, bit_width, lrq_decode, lrq_encode, \
     sample_layer
 from .streams import SeedMaterial, uniform_pair_block
@@ -65,9 +66,16 @@ def cmd_run(args) -> int:
         for line in getattr(exc, "errors", None) or [str(exc)]:
             print(f"config error: {line}", file=sys.stderr)
         return 2
+    except DivergedError as exc:
+        print(f"run error: {exc}", file=sys.stderr)
+        trace = None
     out = _out_dir(args)
     stem = config.run_id or config.algorithm
     csv_path = os.path.join(out, f"{stem}_trace.csv")
+    if trace is None:  # keep the rounds that completed before the divergence
+        RunTrace(sim.records, sim.theta, {}).to_csv(csv_path, config.algorithm)
+        print(f"wrote {csv_path}")
+        return 1
     summary_path = os.path.join(out, f"{stem}_summary.json")
     bounds_path = os.path.join(out, f"{stem}_bounds.json")
     trace.to_csv(csv_path, config.algorithm)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -53,7 +55,9 @@ class ExperimentConfig:
         return cfg
 
     def validate(self):
-        errors = []
+        errors = self._type_errors()
+        if errors:  # the range checks below assume well-typed fields
+            raise ConfigError(errors)
         names = [a.name.lower() for a in AlgorithmKind]
         if self.algorithm not in names:
             errors.append(f"algorithm: must be one of {names}")
@@ -86,8 +90,24 @@ class ExperimentConfig:
             errors.append("batch_size: must be >= 0 (0 = full batch)")
         if not (0 <= int(self.seed) < 2**64):
             errors.append("seed: must fit in 64 unsigned bits")
+        if os.path.isabs(self.run_id) or any(s in self.run_id for s in ("/", "\\", "..")):
+            errors.append("run_id: must name a file inside the output directory "
+                          "(no '/', '\\' or '..')")
         if errors:
             raise ConfigError(errors)
+
+    def _type_errors(self) -> list[str]:
+        """One message per field whose value is not of its default's type
+        (ints count as floats; bools count as neither)."""
+        wanted = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+                  str: (str, "a string")}
+        errors = []
+        for f in dataclasses.fields(self):
+            kind, noun = wanted[type(f.default)]
+            value = getattr(self, f.name)
+            if not isinstance(value, kind) or isinstance(value, bool):
+                errors.append(f"{f.name}: must be {noun}, got {value!r}")
+        return errors
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)

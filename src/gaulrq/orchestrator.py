@@ -85,24 +85,29 @@ class WireMessage:
 
 
 def pack_indices(indices, bits: int) -> bytes:
-    """Pack signed integers into ``bits``-wide two's-complement fields."""
-    mask = (1 << bits) - 1
-    word = 0
-    for j, v in enumerate(np.asarray(indices, dtype=np.int64)):
-        word |= (int(v) & mask) << (j * bits)
-    n = len(indices) * bits
-    return word.to_bytes((n + 7) // 8, "little")
+    """Pack signed integers into ``bits``-wide two's-complement fields.
+
+    Field j occupies stream bits [j*bits, (j+1)*bits), LSB-first, so the low
+    ``bits`` of each int64's little-endian bit row are concatenated as is.
+    """
+    words = np.ascontiguousarray(indices, dtype="<i8")
+    rows = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
+    return np.packbits(rows[:, :bits], bitorder="little").tobytes()
 
 
 def unpack_indices(payload: bytes, dim: int, bits: int, signed: bool = True) -> np.ndarray:
-    """Inverse of pack_indices, with optional sign extension."""
-    word = int.from_bytes(payload, "little")
-    mask = (1 << bits) - 1
-    sign = 1 << (bits - 1)
-    out = np.empty(dim, dtype=np.int64)
-    for j in range(dim):
-        v = (word >> (j * bits)) & mask
-        out[j] = v - (1 << bits) if signed and v & sign else v
+    """Inverse of pack_indices, with optional sign extension.
+
+    Reads the first ``dim * bits`` stream bits; a shorter payload reads as
+    zero-padded, so callers check its length first (parse_message does).
+    """
+    stream = np.unpackbits(np.frombuffer(payload, dtype=np.uint8),
+                           count=dim * bits, bitorder="little")
+    rows = np.zeros((dim, 64), dtype=np.uint8)
+    rows[:, :bits] = stream.reshape(dim, bits)
+    out = np.packbits(rows, axis=1, bitorder="little").view("<i8").ravel()
+    if signed:
+        out = np.where(out >= 1 << (bits - 1), out - (1 << bits), out)
     return out
 
 

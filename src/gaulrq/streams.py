@@ -12,6 +12,7 @@ out of band, before training starts.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import re
@@ -33,18 +34,32 @@ _INTERIOR_HI = np.nextafter(1.0, 0.0)
 
 
 def _splitmix64(z):
-    """SplitMix64 avalanche on uint64 scalars or arrays (wrapping)."""
-    with np.errstate(over="ignore"):
-        z = z + _GAMMA
-        z = (z ^ (z >> np.uint64(30))) * _M1
-        z = (z ^ (z >> np.uint64(27))) * _M2
-        return z ^ (z >> np.uint64(31))
+    """SplitMix64 avalanche on uint64 arrays (wrapping; numpy scalars need
+    ``np.errstate(over="ignore")`` around the call)."""
+    z = z + _GAMMA
+    z = (z ^ (z >> np.uint64(30))) * _M1
+    z = (z ^ (z >> np.uint64(27))) * _M2
+    return z ^ (z >> np.uint64(31))
+
+
+def _splitmix64_int(z: int) -> int:
+    """The same avalanche on one Python int, masked to 64 bits."""
+    z = (z + 0x9E3779B97F4A7C15) & _U64_MAX
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64_MAX
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64_MAX
+    return z ^ (z >> 31)
 
 
 def _to_unit(v):
     """Map uint64 words to doubles strictly inside (0, 1)."""
     u = (v.astype(np.float64) + 1.0) * _TO_UNIT
     return np.clip(u, _INTERIOR_LO, _INTERIOR_HI)
+
+
+@functools.lru_cache(maxsize=4096)
+def _seed_key(root_seed: int, run_id: str) -> np.uint64:
+    h = hashlib.blake2b(run_id.encode("utf-8"), digest_size=8).digest()
+    return np.uint64(_splitmix64_int(root_seed ^ int.from_bytes(h, "little")))
 
 
 @dataclass(frozen=True)
@@ -60,10 +75,7 @@ class SeedMaterial:
 
     def key(self) -> np.uint64:
         """Effective 64-bit key: root seed folded with a stable run_id hash."""
-        h = hashlib.blake2b(self.run_id.encode("utf-8"), digest_size=8).digest()
-        label = int.from_bytes(h, "little")
-        with np.errstate(over="ignore"):
-            return _splitmix64(np.uint64(self.root_seed) ^ np.uint64(label))
+        return _seed_key(int(self.root_seed), self.run_id)
 
     def lane(self, label: str) -> "SeedMaterial":
         """Independent sub-stream family (quantization, batching, noise, ...)."""
@@ -85,20 +97,21 @@ class StreamCursor:
                 raise InvalidParameterError(f"cursor field {name} must be >= 0")
 
 
-def _pair_base(key, client_id, rnd, element_index, draw_counter):
-    h = key
-    for field in (client_id, rnd, element_index, draw_counter):
-        h = _splitmix64(h ^ field)
-    return h
-
-
 def uniform_pair_block(seed: SeedMaterial, client_id: int, rnd: int,
                        element_index, draw_counter):
-    """Vectorized derive_uniform_pair: element/counter may be uint64 arrays."""
-    base = _pair_base(seed.key(), np.uint64(client_id), np.uint64(rnd),
-                      np.asarray(element_index, dtype=np.uint64),
-                      np.asarray(draw_counter, dtype=np.uint64))
+    """Vectorized derive_uniform_pair: element/counter may be uint64 arrays.
+
+    The key is folded with client_id and then rnd, element_index and
+    draw_counter, one SplitMix64 round each; the two scalar folds run on
+    Python ints, the per-element ones in numpy.
+    """
+    client_id, rnd = int(client_id), int(rnd)
+    if not (0 <= client_id <= _U64_MAX and 0 <= rnd <= _U64_MAX):
+        raise InvalidParameterError("client_id and round must fit in 64 unsigned bits")
+    h = _splitmix64_int(_splitmix64_int(int(seed.key()) ^ client_id) ^ rnd)
     with np.errstate(over="ignore"):
+        base = _splitmix64(np.uint64(h) ^ np.asarray(element_index, dtype=np.uint64))
+        base = _splitmix64(base ^ np.asarray(draw_counter, dtype=np.uint64))
         u1 = _to_unit(_splitmix64(base))
         u2 = _to_unit(_splitmix64(base + np.uint64(1)))
     return u1, u2

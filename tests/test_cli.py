@@ -91,6 +91,42 @@ def test_cmd_run_parameter_errors_exit_status(tmp_path, capsys):
         assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value", [("N", "ten"), ("eta", "fast"), ("seed", None)])
+def test_cmd_run_mistyped_value_exit_status(tmp_path, capsys, field, value):
+    cfg = _write_config(tmp_path, {field: value})
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("run_id", ["../../x", "<tmp>/abs", "a/b", "a\\b", ".."])
+def test_cmd_run_run_id_stays_in_out_dir(tmp_path, capsys, run_id):
+    cfg = _write_config(tmp_path, {"run_id": run_id.replace("<tmp>", str(tmp_path))})
+    out = tmp_path / "a" / "b"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err.startswith("config error: run_id: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["cfg.json"]
+
+
+# The first config diverges in round 0, the second after three rounds.
+@pytest.mark.parametrize("overrides, rounds", [({"eta": 1e6, "K": 3}, 0),
+                                               ({"eta": 50.0, "K": 8}, 3)])
+def test_cmd_run_diverged_writes_partial_trace(tmp_path, capsys, overrides, rounds):
+    base = {"algorithm": "local_sgd", "N": 4, "B": 2, "K": 3, "d": 3,
+            "n_per_client": 8}
+    cfg = tmp_path / "div.json"
+    cfg.write_text(json.dumps(dict(base, **overrides)))
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
+    assert capsys.readouterr().err == "run error: local model norm exceeded ceiling 1e+06\n"
+    assert sorted(p.name for p in out.iterdir()) == ["local_sgd_trace.csv"]
+    lines = (out / "local_sgd_trace.csv").read_text().splitlines()
+    assert lines[0].startswith("round,algo,") and len(lines) == 1 + rounds
+    assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(rounds))
+
+
 def test_cmd_run_wide_model_writes_bounds(tmp_path):
     # d=20000 with 8 samples: the d x d Gram alone would take 3.2 GB.
     cfg = _write_config(tmp_path, {"algorithm": "local_sgd", "d": 20000, "N": 2,

@@ -9,6 +9,7 @@ from gaulrq.orchestrator import (AlgorithmKind, WireMessage,
                                  aggregate_and_step, pack_indices,
                                  parse_message, sample_clients,
                                  serialize_message, unpack_indices)
+from gaulrq.quantizers import MAX_BITS
 from gaulrq.streams import SeedMaterial, uniform_pair_block
 
 
@@ -35,6 +36,54 @@ def test_pack_unpack_round_trip():
 def test_pack_is_byte_aligned_lsb_first():
     # Two 4-bit fields: 0b0011 then 0b0001 -> byte 0x13.
     assert pack_indices([3, 1], 4) == bytes([0x13])
+
+
+# Reference codec: the whole stream as one Python int, one shift per field.
+
+def _ref_pack(indices, bits):
+    mask = (1 << bits) - 1
+    word = 0
+    for j, v in enumerate(np.asarray(indices, dtype=np.int64)):
+        word |= (int(v) & mask) << (j * bits)
+    return word.to_bytes((len(indices) * bits + 7) // 8, "little")
+
+
+def _ref_unpack(payload, dim, bits, signed=True):
+    word = int.from_bytes(payload, "little")
+    mask, sign = (1 << bits) - 1, 1 << (bits - 1)
+    out = np.empty(dim, dtype=np.int64)
+    for j in range(dim):
+        v = (word >> (j * bits)) & mask
+        out[j] = v - (1 << bits) if signed and v & sign else v
+    return out
+
+
+@st.composite
+def _index_vectors(draw):
+    bits = draw(st.integers(1, MAX_BITS))
+    signed = draw(st.booleans())
+    lo, hi = (-(1 << (bits - 1)), (1 << (bits - 1)) - 1) if signed else (0, (1 << bits) - 1)
+    dim = draw(st.integers(0, 300))
+    idx = draw(st.lists(st.integers(lo, hi), min_size=dim, max_size=dim))
+    return np.array(idx, dtype=np.int64), bits, signed
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=_index_vectors())
+def test_pack_unpack_match_reference(case):
+    idx, bits, signed = case
+    payload = pack_indices(idx, bits)
+    assert payload == _ref_pack(idx, bits)
+    out = unpack_indices(payload, idx.size, bits, signed=signed)
+    assert out.dtype == np.int64 and np.array_equal(out, idx)
+    assert np.array_equal(out, _ref_unpack(payload, idx.size, bits, signed))
+
+
+def test_pack_matches_reference_at_d1e5():
+    idx = np.random.default_rng(4).integers(-4, 4, size=100_000)
+    payload = pack_indices(idx, 3)
+    assert payload == _ref_pack(idx, 3)
+    assert np.array_equal(unpack_indices(payload, idx.size, 3), idx)
 
 
 def test_serialize_parse_round_trip():

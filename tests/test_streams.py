@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -109,3 +111,63 @@ def test_seed_handshake_file_and_literal(tmp_path):
     path.write_text("seed=7 run=exp1\n")
     assert seed_handshake(str(path)) == seed_handshake("seed=7 run=exp1")
     assert seed_handshake(str(path)) == SeedMaterial(7, "exp1")
+
+
+# -- reference formula ------------------------------------------------------
+# The PRF as first written: every fold in numpy, the key rehashed per call.
+
+def _ref_splitmix64(z):
+    with np.errstate(over="ignore"):
+        z = z + np.uint64(0x9E3779B97F4A7C15)
+        z = (z ^ (z >> np.uint64(30))) * np.uint64(0xBF58476D1CE4E5B9)
+        z = (z ^ (z >> np.uint64(27))) * np.uint64(0x94D049BB133111EB)
+        return z ^ (z >> np.uint64(31))
+
+
+def _ref_key(seed):
+    h = hashlib.blake2b(seed.run_id.encode("utf-8"), digest_size=8).digest()
+    with np.errstate(over="ignore"):
+        return _ref_splitmix64(np.uint64(seed.root_seed)
+                               ^ np.uint64(int.from_bytes(h, "little")))
+
+
+def _ref_to_unit(v):
+    u = (v.astype(np.float64) + 1.0) * (1.0 / (2.0**64 + 1.0))
+    return np.clip(u, np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0))
+
+
+def _ref_pair_block(seed, client_id, rnd, element_index, draw_counter):
+    h = _ref_key(seed)
+    for field in (np.uint64(client_id), np.uint64(rnd),
+                  np.asarray(element_index, dtype=np.uint64),
+                  np.asarray(draw_counter, dtype=np.uint64)):
+        h = _ref_splitmix64(h ^ field)
+    with np.errstate(over="ignore"):
+        return (_ref_to_unit(_ref_splitmix64(h)),
+                _ref_to_unit(_ref_splitmix64(h + np.uint64(1))))
+
+
+def test_prf_matches_reference_formula():
+    top = 2**32 - 1
+    elem = np.array([0, 1, 2, 12345, top - 1, top], dtype=np.uint64)
+    ctr = np.array([top, 0, 7, 1, top, 3], dtype=np.uint64)
+    cursors = [(0, 0, 0, 0), (top, top, top, top), (3, 7, 11, 13),
+               (5, 9, elem, ctr), (top, 0, elem, 0), (0, top, 0, ctr)]
+    for root in (0, 1, 2**64 - 1):
+        for seed in (SeedMaterial(root), SeedMaterial(root, "run"),
+                     SeedMaterial(root, "run").lane("quant").lane("noise"),
+                     SeedMaterial(root).lane("batch")):
+            assert seed.key() == _ref_key(seed)
+            assert type(seed.key()) is np.uint64
+            for cid, rnd, e, c in cursors:
+                got = uniform_pair_block(seed, cid, rnd, e, c)
+                want = _ref_pair_block(seed, cid, rnd, e, c)
+                for g, w in zip(got, want):
+                    assert type(g) is type(w) and np.shape(g) == np.shape(w)
+                    assert np.array_equal(g, w)
+
+
+def test_pair_block_rejects_out_of_range_client_and_round():
+    for cid, rnd in ((-1, 0), (0, -1), (2**64, 0)):
+        with pytest.raises(InvalidParameterError):
+            uniform_pair_block(SEED, cid, rnd, 0, 0)
