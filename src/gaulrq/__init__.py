@@ -17,12 +17,10 @@ from .privacy import (ClipConfig, PrivacyBudget, SigmaSchedule, clip_update,
 from .quantizers import (MIN_STEP_FACTOR, EncodedVector, LayerSample,
                          bit_width, lrq_decode, lrq_encode,
                          lrq_quantize_vector, lrq_reconstruct_vector,
-                         sample_layer, stochastic_quantize)
-from .streams import (DrawStream, SeedMaterial, StreamCursor,
-                      derive_uniform_pair, element_pairs, parse_seed_spec,
-                      seed_handshake, uniform_pair_block)
+                         sample_layer)
+from .streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
 from .training import (LocalDataset, ModelState, Objective, ObjectiveSpec,
-                       estimate_tau, local_rounds, stochastic_gradient,
-                       synth_partition, weighted_error)
+                       local_rounds, stochastic_gradient, synth_partition,
+                       weighted_error)
 
 __version__ = "0.1.0"

@@ -143,8 +143,7 @@ def comm_cost(d: int, inf_norms_per_round, sigmas) -> int:
     total = 0
     for norms, sigma in zip(inf_norms_per_round, sig):
         for a in norms:
-            b = 1 if a == 0.0 else bit_width(-a, a, float(sigma))
-            total += d * b
+            total += d * bit_width(a, float(sigma))
     return total
 
 

@@ -15,7 +15,6 @@ from .analysis import BoundInputs, bound_bq, bound_dynamic, bound_gau_lrq, \
     bound_lsgd, bound_qg, ks_statistic
 from .config import ExperimentConfig, build_simulation, load_config
 from .errors import ConfigError, DivergedError, InvalidParameterError
-from .orchestrator import RunTrace
 from .quantizers import MIN_STEP_FACTOR, bit_width, lrq_decode, lrq_encode, \
     sample_layer
 from .streams import SeedMaterial, uniform_pair_block
@@ -66,16 +65,12 @@ def cmd_run(args) -> int:
         for line in getattr(exc, "errors", None) or [str(exc)]:
             print(f"config error: {line}", file=sys.stderr)
         return 2
-    except DivergedError as exc:
+    except DivergedError as exc:  # keep the rounds that completed before it
         print(f"run error: {exc}", file=sys.stderr)
-        trace = None
+        trace = sim.trace(f"diverged in round {sim.round}")
     out = _out_dir(args)
     stem = config.run_id or config.algorithm
     csv_path = os.path.join(out, f"{stem}_trace.csv")
-    if trace is None:  # keep the rounds that completed before the divergence
-        RunTrace(sim.records, sim.theta, {}).to_csv(csv_path, config.algorithm)
-        print(f"wrote {csv_path}")
-        return 1
     summary_path = os.path.join(out, f"{stem}_summary.json")
     bounds_path = os.path.join(out, f"{stem}_bounds.json")
     trace.to_csv(csv_path, config.algorithm)
@@ -86,7 +81,7 @@ def cmd_run(args) -> int:
     print(f"wrote {csv_path}")
     print(f"wrote {summary_path}")
     print(f"wrote {bounds_path}")
-    return 0
+    return 0 if trace.summary["stop_reason"] == "completed" else 1
 
 
 def noise_checks(sigma: float, n: int, seed: int, value: float = 0.25):
@@ -181,7 +176,7 @@ def cmd_quantizer_demo(args) -> int:
     v = rng.standard_normal(8)
     m = lrq_encode(v, layer)
     v_hat = lrq_decode(m, layer)
-    b = bit_width(float(-np.max(np.abs(v))), float(np.max(np.abs(v))), sigma)
+    b = bit_width(float(np.max(np.abs(v))), sigma)
     print(f"sigma = {sigma}, minimum step = {MIN_STEP_FACTOR * sigma:.6f}, "
           f"bit width for this vector = {b}")
     print(f"{'value':>10} {'index':>6} {'decoded':>10} {'error':>10} {'step':>8}")

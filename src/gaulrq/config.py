@@ -139,7 +139,7 @@ def build_simulation(config: ExperimentConfig) -> Simulation:
                                heterogeneity=config.heterogeneity)
     objective = Objective(datasets, kind=config.objective, ridge=config.ridge)
     theta0 = initial_point(seed, config.d)
-    algorithm = AlgorithmKind.from_name(config.algorithm)
+    algorithm = AlgorithmKind[config.algorithm.upper()]
     budget = (PrivacyBudget(config.epsilon, config.delta)
               if algorithm.private else None)
     clip = ClipConfig(s2=config.s2, mode=config.clip_mode)

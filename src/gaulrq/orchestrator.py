@@ -17,7 +17,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError
+from .errors import InvalidParameterError
 from .normal import inv_norm_cdf
 from .privacy import (ClipConfig, PrivacyBudget, clip_update, median_clip_bound,
                       sigma_schedule_dynamic)
@@ -48,13 +48,6 @@ class AlgorithmKind(enum.Enum):
     @property
     def private(self):
         return self is not AlgorithmKind.LOCAL_SGD
-
-    @classmethod
-    def from_name(cls, name: str) -> "AlgorithmKind":
-        try:
-            return cls[name.upper()]
-        except KeyError:
-            raise ConfigError(f"algorithm: unknown value {name!r}") from None
 
 
 _HEADER = struct.Struct("<IIIBB")  # client_id, round, dim, bits_per_element, tag
@@ -156,7 +149,7 @@ def _decode_float(seed, msg, sigma):
 
 def _encode_stochastic(seed, client_id, k, v, sigma):
     a = wire_scale(np.max(np.abs(v)))
-    b = 1 if a == 0.0 else bit_width(-a, a, sigma)
+    b = bit_width(a, sigma)
     u = DrawStream(seed.lane("sq"), client_id, k).next(v.size)
     idx, scale = stochastic_quantize_indices(v, b, u)
     return b, pack_indices(idx - (1 << (b - 1)), b), scale, 0
@@ -387,6 +380,10 @@ class Simulation:
     def run(self) -> RunTrace:
         for _ in range(self.K):
             self.run_round()
+        return self.trace()
+
+    def trace(self, stop_reason: str = "completed") -> RunTrace:
+        """The rounds run so far, with a summary that says why they stopped."""
         grad_norms = [r.grad_sq_norm for r in self.records]
         total_bits = sum(r.bits_sent for r in self.records)
         summary = {
@@ -398,6 +395,7 @@ class Simulation:
             "epsilon_spent": (self.records[-1].epsilon_spent_cumulative
                               if self.records else 0.0),
             "total_clamps": sum(r.clamp_count for r in self.records),
+            "stop_reason": stop_reason,
         }
         return RunTrace(records=self.records, final_theta=self.theta,
                         summary=summary)

@@ -42,9 +42,6 @@ class SigmaSchedule:
             raise InvalidParameterError("all sigma_k must be finite and > 0")
         object.__setattr__(self, "sigmas", sig)
 
-    def __len__(self):
-        return self.sigmas.size
-
 
 @dataclass(frozen=True)
 class ClipConfig:

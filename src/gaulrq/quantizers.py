@@ -23,8 +23,10 @@ from .normal import inv_norm_cdf
 
 # Minimum step of the layered quantizer, in units of sigma.
 MIN_STEP_FACTOR = 2.0 * np.sqrt(2.0 * np.log(2.0))
-# Widest index the wire carries: offsets and their sums stay inside int64.
-MAX_BITS = 62
+# Widest index the wire carries. Above it the error law fails before int64
+# does: float64 spacing at the largest coded value nears sigma (at 40 bits
+# it is about sigma/3500).
+MAX_BITS = 40
 
 
 @dataclass(frozen=True)
@@ -106,18 +108,23 @@ def lrq_decode(m, layer: LayerSample):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def bit_width(a1: float, a2: float, sigma: float) -> int:
-    """Bits needed to index steps of minimum size across [a1, a2], floored at 1.
+def bit_width(scale: float, sigma: float) -> int:
+    """Bits needed to index steps of minimum size across [-scale, scale].
 
-    Raises InvalidParameterError above MAX_BITS, where int64 indices overflow.
+    Floored at 1 bit, which is also the width at scale 0. Raises
+    InvalidParameterError above MAX_BITS, where float64 no longer resolves
+    sigma next to the largest coded value.
     """
-    if not (np.isfinite(a1) and np.isfinite(a2)) or a2 <= a1:
-        raise InvalidParameterError("range must satisfy a2 > a1 and be finite")
+    if not (np.isfinite(scale) and scale >= 0.0):
+        raise InvalidParameterError(f"scale must be finite and >= 0, got {scale}")
     _check_sigma(sigma)
-    bits = np.ceil(np.log2((a2 - a1) / (MIN_STEP_FACTOR * sigma) + 1.0))
+    if scale == 0.0:
+        return 1
+    with np.errstate(over="ignore"):  # an infinite level count fails the cap below
+        bits = np.ceil(np.log2(2.0 * scale / (MIN_STEP_FACTOR * sigma) + 1.0))
     if not bits <= MAX_BITS:
         raise InvalidParameterError(
-            f"range {a2 - a1:g} at sigma={sigma:g} needs {bits:g} bits per element, "
+            f"range {2.0 * scale:g} at sigma={sigma:g} needs {bits:g} bits per element, "
             f"above the {MAX_BITS}-bit cap")
     return max(1, int(bits))
 
@@ -170,7 +177,7 @@ def lrq_quantize_vector(v, sigma: float, uniforms) -> EncodedVector:
     # use the identical value on both sides. bit_width rejects non-finite
     # elements and widths above the cap before any index is computed.
     a = wire_scale(np.max(np.abs(v)))
-    b = 1 if a == 0.0 else bit_width(-a, a, sigma)
+    b = bit_width(a, sigma)
     layer = sample_layer(sigma, (u1, u2))
     rel = lrq_encode(v, layer) - _base_indices(layer, a)
     clamped = np.clip(rel, 0, (1 << b) - 1)
@@ -256,11 +263,3 @@ def stochastic_dequantize(indices, b: int, scale: float) -> np.ndarray:
         return np.zeros(np.asarray(indices).size, dtype=np.float64)
     spacing = 2.0 * scale / (n_lev - 1)
     return np.asarray(indices, dtype=np.float64) * spacing - scale
-
-
-def stochastic_quantize(v, b: int, uniforms) -> np.ndarray:
-    """Unbiased uniform-level quantization of v at b bits."""
-    idx, scale = stochastic_quantize_indices(v, b, uniforms)
-    if scale == 0.0:
-        return np.zeros_like(np.asarray(v, dtype=np.float64).reshape(-1))
-    return stochastic_dequantize(idx, b, scale)

@@ -14,13 +14,11 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import os
-import re
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, InvalidParameterError
+from .errors import InvalidParameterError
 
 _U64_MAX = 2**64 - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
@@ -82,28 +80,15 @@ class SeedMaterial:
         return SeedMaterial(self.root_seed, f"{self.run_id}/{label}")
 
 
-@dataclass(frozen=True)
-class StreamCursor:
-    """Address of one draw: (client, round, element, counter), all >= 0."""
-
-    client_id: int
-    round: int
-    element_index: int = 0
-    draw_counter: int = 0
-
-    def __post_init__(self):
-        for name in ("client_id", "round", "element_index", "draw_counter"):
-            if int(getattr(self, name)) < 0:
-                raise InvalidParameterError(f"cursor field {name} must be >= 0")
-
-
 def uniform_pair_block(seed: SeedMaterial, client_id: int, rnd: int,
                        element_index, draw_counter):
-    """Vectorized derive_uniform_pair: element/counter may be uint64 arrays.
+    """Two uniforms in (0, 1) at cursor (client_id, rnd, element_index, draw_counter).
 
-    The key is folded with client_id and then rnd, element_index and
-    draw_counter, one SplitMix64 round each; the two scalar folds run on
-    Python ints, the per-element ones in numpy.
+    A pure function of (seed, cursor); element_index and draw_counter may
+    be uint64 arrays, one pair per broadcast cursor. The key is folded with
+    client_id and then rnd, element_index and draw_counter, one SplitMix64
+    round each; the two scalar folds run on Python ints, the per-element
+    ones in numpy.
     """
     client_id, rnd = int(client_id), int(rnd)
     if not (0 <= client_id <= _U64_MAX and 0 <= rnd <= _U64_MAX):
@@ -115,13 +100,6 @@ def uniform_pair_block(seed: SeedMaterial, client_id: int, rnd: int,
         u1 = _to_unit(_splitmix64(base))
         u2 = _to_unit(_splitmix64(base + np.uint64(1)))
     return u1, u2
-
-
-def derive_uniform_pair(seed: SeedMaterial, cursor: StreamCursor):
-    """Two uniforms in (0, 1), a pure function of (seed, cursor)."""
-    u1, u2 = uniform_pair_block(seed, cursor.client_id, cursor.round,
-                                cursor.element_index, cursor.draw_counter)
-    return float(u1), float(u2)
 
 
 def element_pairs(seed: SeedMaterial, client_id: int, rnd: int, dim: int):
@@ -154,33 +132,3 @@ class DrawStream:
         u1, _ = uniform_pair_block(self._seed, self._client_id, self._round,
                                    np.zeros(n, dtype=np.uint64), ctr)
         return u1
-
-
-_SEED_RE = re.compile(r"seed\s*=\s*(\d+)")
-_RUN_RE = re.compile(r"run\s*=\s*([A-Za-z0-9_.\-]+)")
-
-
-def parse_seed_spec(text: str) -> SeedMaterial:
-    """Parse a one-line seed spec like ``seed=42 run=a`` (comma tolerated)."""
-    m = _SEED_RE.search(text)
-    if m is None:
-        raise ConfigError("seed spec: missing required field 'seed'")
-    value = int(m.group(1))
-    if value > _U64_MAX:
-        raise ConfigError("seed spec: seed exceeds 64 unsigned bits")
-    run = _RUN_RE.search(text)
-    return SeedMaterial(value, run.group(1) if run else "")
-
-
-def seed_handshake(source: str) -> SeedMaterial:
-    """Obtain the shared SeedMaterial from a file path or a literal spec.
-
-    The same call on server and client sides yields identical material, which
-    is all the coupling protocol requires.
-    """
-    if os.path.exists(source):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.readline()
-    else:
-        text = source
-    return parse_seed_spec(text)

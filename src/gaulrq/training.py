@@ -9,7 +9,6 @@ vector.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,20 +229,6 @@ def local_rounds(model: ModelState, dataset: LocalDataset, Q: int, eta: float,
             raise DivergedError(
                 f"local model norm exceeded ceiling {divergence_ceiling:g}")
     return local.theta - model.theta
-
-
-def estimate_tau(F_k: float, F_0: float, k: int) -> float:
-    """Per-round decay estimate (F_k / F_0)^(1/k), clamped into (0, 1]."""
-    if k < 1:
-        raise InvalidParameterError("k must be >= 1")
-    if F_0 <= 0.0 or F_k <= 0.0:
-        raise InvalidParameterError("objective values must be > 0")
-    ratio = (F_k / F_0) ** (1.0 / k)
-    if ratio > 1.0:
-        warnings.warn("objective increased; tau estimate clamped to 1.0",
-                      stacklevel=2)
-        return 1.0
-    return ratio
 
 
 def weighted_error(grad_sq_norms, tau: float) -> float:

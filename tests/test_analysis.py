@@ -164,7 +164,7 @@ def test_comm_cost_trivial():
     # One client, one round, per-element width 2 at d=4 -> 8 bits.
     sigma = 0.5
     a = 3.0 * MIN_STEP_FACTOR * sigma / 2.0   # range 2a -> ratio 3 -> 2 bits
-    assert bit_width(-a, a, sigma) == 2
+    assert bit_width(a, sigma) == 2
     assert comm_cost(4, [[a]], [sigma]) == 8
 
 

@@ -5,6 +5,7 @@ import pytest
 from gaulrq.cli import main
 from gaulrq.config import ExperimentConfig, load_config
 from gaulrq.errors import ConfigError
+from gaulrq.quantizers import MAX_BITS
 
 MINIMAL = {
     "algorithm": "gau_lrq_sgd", "N": 6, "B": 3, "Q": 2, "K": 4,
@@ -66,7 +67,7 @@ def test_cmd_run_writes_three_artifacts(tmp_path, capsys):
     assert files == ["cli-test_bounds.json", "cli-test_summary.json",
                      "cli-test_trace.csv"]
     summary = json.loads((out / "cli-test_summary.json").read_text())
-    assert summary["rounds_run"] == 4
+    assert summary["rounds_run"] == 4 and summary["stop_reason"] == "completed"
     bounds = json.loads((out / "cli-test_bounds.json").read_text())
     assert bounds["bound_dynamic"] <= bounds["bound_gau_lrq"] <= bounds["bound_qg"]
 
@@ -80,9 +81,9 @@ def test_cmd_run_invalid_config_exit_status(tmp_path, capsys):
 
 def test_cmd_run_parameter_errors_exit_status(tmp_path, capsys):
     # K=0 passes validation but leaves no rounds to spread the budget over;
-    # epsilon=1e30 makes sigma so small that indices would need > 62 bits.
+    # epsilon=1e30 makes sigma so small that indices would need > MAX_BITS bits.
     for overrides, text in (({"K": 0}, "K, B, N must be positive"),
-                            ({"epsilon": 1e30}, "62-bit cap")):
+                            ({"epsilon": 1e30}, f"{MAX_BITS}-bit cap")):
         cfg = _write_config(tmp_path, overrides)
         out = tmp_path / "never"
         assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
@@ -121,10 +122,14 @@ def test_cmd_run_diverged_writes_partial_trace(tmp_path, capsys, overrides, roun
     out = tmp_path / "out"
     assert main(["run", "--config", str(cfg), "--out-dir", str(out)]) == 1
     assert capsys.readouterr().err == "run error: local model norm exceeded ceiling 1e+06\n"
-    assert sorted(p.name for p in out.iterdir()) == ["local_sgd_trace.csv"]
+    assert sorted(p.name for p in out.iterdir()) == [
+        "local_sgd_bounds.json", "local_sgd_summary.json", "local_sgd_trace.csv"]
     lines = (out / "local_sgd_trace.csv").read_text().splitlines()
     assert lines[0].startswith("round,algo,") and len(lines) == 1 + rounds
     assert [int(line.split(",")[0]) for line in lines[1:]] == list(range(rounds))
+    summary = json.loads((out / "local_sgd_summary.json").read_text())
+    assert summary["stop_reason"] == f"diverged in round {rounds}"
+    assert summary["rounds_run"] == rounds
 
 
 def test_cmd_run_wide_model_writes_bounds(tmp_path):

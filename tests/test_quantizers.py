@@ -1,17 +1,20 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import ndtri
+from scipy.special import erfc, ndtri
+
+from gaulrq.analysis import ks_statistic
 
 from gaulrq.errors import InvalidParameterError, StreamExhaustedError
 from gaulrq.quantizers import (MAX_BITS, MIN_STEP_FACTOR, LayerSample,
                                bit_width, dithered_decode, dithered_encode,
                                lrq_decode, lrq_encode, lrq_quantize_vector,
                                lrq_reconstruct_vector, sample_layer,
-                               stochastic_dequantize, stochastic_quantize,
+                               stochastic_dequantize,
                                stochastic_quantize_indices, wire_scale)
 from gaulrq.streams import SeedMaterial, element_pairs, uniform_pair_block
 
@@ -127,35 +130,39 @@ def test_step_equality_only_at_half():
 def test_bit_width_examples():
     sigma = 0.3
     unit = MIN_STEP_FACTOR * sigma
-    assert bit_width(0.0, unit, sigma) == 1          # ratio 1 -> log2(2)
-    assert bit_width(0.0, 3.0 * unit, sigma) == 2    # ratio 3 -> log2(4)
+    assert bit_width(0.5 * unit, sigma) == 1         # ratio 1 -> log2(2)
+    assert bit_width(1.5 * unit, sigma) == 2         # ratio 3 -> log2(4)
     expected = math.ceil(math.log2(2.0 / (MIN_STEP_FACTOR * 0.1) + 1.0))
-    assert bit_width(-1.0, 1.0, 0.1) == expected
+    assert bit_width(1.0, 0.1) == expected
+    assert bit_width(0.0, sigma) == 1
 
 
 def test_bit_width_monotone():
-    widths_sigma = [bit_width(-1, 1, s) for s in (0.05, 0.1, 0.2, 0.5, 1.0)]
+    widths_sigma = [bit_width(1, s) for s in (0.05, 0.1, 0.2, 0.5, 1.0)]
     assert widths_sigma == sorted(widths_sigma, reverse=True)
-    widths_range = [bit_width(-a, a, 0.1) for a in (0.5, 1.0, 2.0, 4.0)]
+    widths_range = [bit_width(a, 0.1) for a in (0.5, 1.0, 2.0, 4.0)]
     assert widths_range == sorted(widths_range)
 
 
 def test_bit_width_floor_and_errors():
-    assert bit_width(0.0, 1e-6, 10.0) == 1
+    assert bit_width(5e-7, 10.0) == 1
+    for scale in (-1.0, np.nan, np.inf):
+        with pytest.raises(InvalidParameterError):
+            bit_width(scale, 0.1)
     with pytest.raises(InvalidParameterError):
-        bit_width(1.0, 1.0, 0.1)
-    with pytest.raises(InvalidParameterError):
-        bit_width(-1.0, 1.0, 0.0)
+        bit_width(1.0, 0.0)
 
 
 def test_bit_width_cap():
-    # 3 * 2^60 levels need 62 bits; 3 * 2^61 need 63.
-    assert bit_width(0.0, 3.0 * 2.0**60 * MIN_STEP_FACTOR, 1.0) == MAX_BITS
-    for a2, sigma in ((3.0 * 2.0**61 * MIN_STEP_FACTOR, 1.0),
-                      (1.0, 1e-22),          # 73 bits
-                      (1e300, 1e-300)):      # infinitely many levels
-        with pytest.raises(InvalidParameterError, match="62-bit cap"):
-            bit_width(-a2, a2, sigma)
+    # 3 * 2^(MAX_BITS-2) levels need MAX_BITS bits; 3 * 2^(MAX_BITS-1) one more.
+    assert bit_width(1.5 * 2.0**(MAX_BITS - 2) * MIN_STEP_FACTOR, 1.0) == MAX_BITS
+    for scale, sigma in ((1.5 * 2.0**(MAX_BITS - 1) * MIN_STEP_FACTOR, 1.0),
+                         (1.0, 1e-22),          # 73 bits
+                         (1e300, 1e-300)):      # infinitely many levels
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # the typed error alone, no RuntimeWarning
+            with pytest.raises(InvalidParameterError, match=f"{MAX_BITS}-bit cap"):
+                bit_width(scale, sigma)
 
 
 # -- wire scale -------------------------------------------------------------
@@ -197,8 +204,31 @@ def test_quantize_bit_width_example():
 def test_quantize_rejects_width_above_cap():
     # sigma=1e-22 on a unit vector would need 73-bit indices.
     uniforms = element_pairs(SEED, 0, 14, 2)
-    with pytest.raises(InvalidParameterError, match="62-bit cap"):
+    with pytest.raises(InvalidParameterError, match=f"{MAX_BITS}-bit cap"):
         lrq_quantize_vector(np.array([1.0, -0.5]), 1e-22, uniforms)
+
+
+def test_error_law_holds_at_width_cap():
+    # v = +-1 at the smallest sigma coded in MAX_BITS bits, where float64
+    # spacing next to |v| comes closest to sigma: the error is still N(0, s^2).
+    d = 200_000
+    v = np.where(np.arange(d) % 2 == 0, 1.0, -1.0)
+    sigma = 2.0 / (MIN_STEP_FACTOR * (2.0**MAX_BITS - 2.0))
+    uniforms = element_pairs(SEED, 0, 18, d)
+    enc = lrq_quantize_vector(v, sigma, uniforms)
+    assert enc.bits_per_element == MAX_BITS and enc.clamp_count == 0
+    err = lrq_reconstruct_vector(enc, sigma, uniforms) - v
+    _, reject = ks_statistic(err, lambda t: 0.5 * erfc(-t / (sigma * math.sqrt(2.0))))
+    assert not reject
+
+
+def test_width_above_cap_raises():
+    sigma = 2.0 / (MIN_STEP_FACTOR * (2.0**MAX_BITS - 2.0))
+    assert bit_width(1.0, sigma) == MAX_BITS
+    with pytest.raises(InvalidParameterError, match=f"{MAX_BITS}-bit cap"):
+        bit_width(1.0, 0.5 * sigma)
+    with pytest.raises(InvalidParameterError, match=f"{MAX_BITS}-bit cap"):
+        lrq_quantize_vector(np.array([1.0, -1.0]), 0.5 * sigma, element_pairs(SEED, 0, 19, 2))
 
 
 def test_quantize_rejects_nonfinite():
@@ -231,9 +261,9 @@ def test_layered_coding_never_clamps(log_sigma, log_scale, d, client):
     uniforms = element_pairs(SEED, client, 17, d)
     a = wire_scale(np.max(np.abs(v)))
     try:
-        b = 1 if a == 0.0 else bit_width(-a, a, sigma)
+        b = bit_width(a, sigma)
     except InvalidParameterError:
-        with pytest.raises(InvalidParameterError, match="62-bit cap"):
+        with pytest.raises(InvalidParameterError, match=f"{MAX_BITS}-bit cap"):
             lrq_quantize_vector(v, sigma, uniforms)
         return
     enc = lrq_quantize_vector(v, sigma, uniforms)
@@ -315,19 +345,24 @@ def test_dithered_validation():
 
 # -- stochastic quantizer ---------------------------------------------------
 
+def _stochastic(v, b, uniforms):
+    idx, scale = stochastic_quantize_indices(v, b, uniforms)
+    return stochastic_dequantize(idx, b, scale)
+
+
 def test_stochastic_on_level_input():
     # b=2 over [-0.5, 0.5]: levels {-0.5, 0, 0.5}; an on-level input is exact.
-    out = stochastic_quantize(np.array([0.5]), 2, np.array([0.77]))
+    out = _stochastic(np.array([0.5]), 2, np.array([0.77]))
     assert out[0] == pytest.approx(0.5)
 
 
 def test_stochastic_one_bit_endpoints():
-    out = stochastic_quantize(np.array([1.0, -1.0]), 1, np.array([0.3, 0.9]))
+    out = _stochastic(np.array([1.0, -1.0]), 1, np.array([0.3, 0.9]))
     assert np.array_equal(out, [1.0, -1.0])
 
 
 def test_stochastic_zero_vector():
-    out = stochastic_quantize(np.zeros(4), 3, np.full(4, 0.5))
+    out = _stochastic(np.zeros(4), 3, np.full(4, 0.5))
     assert np.array_equal(out, np.zeros(4))
 
 
@@ -338,7 +373,7 @@ def test_stochastic_unbiased():
     u, _ = uniform_pair_block(SEED, 3, 0, 0, ctr)
     v = np.full(n, 0.25)
     v[0] = 0.5  # pins the scale to 0.5
-    out = stochastic_quantize(v, 2, u)
+    out = _stochastic(v, 2, u)
     assert set(np.unique(out[1:])) <= {0.0, 0.5}
     assert abs(float(np.mean(out[1:])) - 0.25) < 0.01
 
@@ -350,7 +385,7 @@ def test_stochastic_squared_error_bound():
         scale = float(np.max(np.abs(v)))
         spacing = 2.0 * scale / ((1 << b) - 2)
         u = rng.random(64)
-        err = stochastic_quantize(v, b, u) - v
+        err = _stochastic(v, b, u) - v
         assert np.all(np.abs(err) <= spacing + 1e-12)
 
 
@@ -366,5 +401,6 @@ def test_stochastic_index_round_trip():
     u = rng.random(32)
     idx, scale = stochastic_quantize_indices(v, 3, u)
     out = stochastic_dequantize(idx, 3, scale)
-    assert np.array_equal(out, stochastic_quantize(v, 3, u))
+    assert idx.dtype == np.int64 and np.all((idx >= 0) & (idx <= 6))
+    assert np.all(np.abs(out - v) <= 2.0 * scale / 6 + 1e-12)   # a neighbouring level
     assert np.all(np.abs(out) <= scale + 1e-12)

@@ -3,18 +3,20 @@ import hashlib
 import numpy as np
 import pytest
 
-from gaulrq.errors import ConfigError, InvalidParameterError
-from gaulrq.streams import (DrawStream, SeedMaterial, StreamCursor,
-                            derive_uniform_pair, element_pairs,
-                            parse_seed_spec, seed_handshake,
+from gaulrq.errors import InvalidParameterError
+from gaulrq.streams import (DrawStream, SeedMaterial, element_pairs,
                             uniform_pair_block)
 
 SEED = SeedMaterial(42, "test")
 
 
+def _pair(seed, client_id, rnd, element_index=0, draw_counter=0):
+    u1, u2 = uniform_pair_block(seed, client_id, rnd, element_index, draw_counter)
+    return float(u1), float(u2)
+
+
 def test_purity():
-    cur = StreamCursor(3, 7, 11, 13)
-    assert derive_uniform_pair(SEED, cur) == derive_uniform_pair(SEED, cur)
+    assert _pair(SEED, 3, 7, 11, 13) == _pair(SEED, 3, 7, 11, 13)
 
 
 def test_client_and_server_sides_bitwise_equal():
@@ -37,10 +39,10 @@ def test_no_collisions_along_counter():
 
 
 def test_distinct_cursors_distinct_pairs():
-    p1 = derive_uniform_pair(SEED, StreamCursor(0, 0, 0, 0))
-    p2 = derive_uniform_pair(SEED, StreamCursor(0, 0, 0, 1))
-    p3 = derive_uniform_pair(SEED, StreamCursor(0, 1, 0, 0))
-    p4 = derive_uniform_pair(SEED, StreamCursor(1, 0, 0, 0))
+    p1 = _pair(SEED, 0, 0, 0, 0)
+    p2 = _pair(SEED, 0, 0, 0, 1)
+    p3 = _pair(SEED, 0, 1, 0, 0)
+    p4 = _pair(SEED, 1, 0, 0, 0)
     assert len({p1, p2, p3, p4}) == 4
 
 
@@ -63,8 +65,7 @@ def test_lanes_are_independent_streams():
     a = SEED.lane("quant")
     b = SEED.lane("noise")
     assert a.key() != b.key()
-    assert derive_uniform_pair(a, StreamCursor(0, 0)) != \
-        derive_uniform_pair(b, StreamCursor(0, 0))
+    assert _pair(a, 0, 0) != _pair(b, 0, 0)
 
 
 def test_element_pairs_contract():
@@ -72,7 +73,7 @@ def test_element_pairs_contract():
     assert u1.shape == (7,) and u2.shape == (7,)
     # Element j must read cursor (client, round, j, 0).
     for j in range(7):
-        assert (u1[j], u2[j]) == derive_uniform_pair(SEED, StreamCursor(2, 3, j, 0))
+        assert (u1[j], u2[j]) == _pair(SEED, 2, 3, j, 0)
 
 
 def test_draw_stream_advances():
@@ -85,32 +86,10 @@ def test_draw_stream_advances():
     assert np.array_equal(s2.next(20), np.concatenate([first, second]))
 
 
-def test_negative_cursor_rejected():
-    with pytest.raises(InvalidParameterError):
-        StreamCursor(-1, 0)
-
-
 def test_seed_material_bounds():
     SeedMaterial(2**64 - 1)  # boundary accepted
     with pytest.raises(InvalidParameterError):
         SeedMaterial(2**64)
-
-
-def test_parse_seed_spec():
-    m = parse_seed_spec("seed=42, run=a")
-    assert m == SeedMaterial(42, "a")
-    assert parse_seed_spec(f"seed={2**64 - 1}") == SeedMaterial(2**64 - 1, "")
-    with pytest.raises(ConfigError):
-        parse_seed_spec("run=a")
-    with pytest.raises(ConfigError):
-        parse_seed_spec(f"seed={2**64}")
-
-
-def test_seed_handshake_file_and_literal(tmp_path):
-    path = tmp_path / "seed.txt"
-    path.write_text("seed=7 run=exp1\n")
-    assert seed_handshake(str(path)) == seed_handshake("seed=7 run=exp1")
-    assert seed_handshake(str(path)) == SeedMaterial(7, "exp1")
 
 
 # -- reference formula ------------------------------------------------------

@@ -4,7 +4,7 @@ import pytest
 from gaulrq.errors import DivergedError, InvalidParameterError
 from gaulrq.streams import DrawStream, SeedMaterial
 from gaulrq.training import (LocalDataset, ModelState, Objective,
-                             estimate_tau, local_rounds, stochastic_gradient,
+                             local_rounds, stochastic_gradient,
                              synth_partition, weighted_error)
 
 
@@ -189,16 +189,7 @@ def test_divergence_guard():
                      None, divergence_ceiling=1e3)
 
 
-# -- tau estimate & weighted error ------------------------------------------
-
-def test_estimate_tau_examples():
-    assert estimate_tau(0.81, 1.0, 2) == pytest.approx(0.9, rel=1e-12)
-    assert estimate_tau(1.0, 1.0, 5) == 1.0
-    with pytest.warns(UserWarning):
-        assert estimate_tau(2.0, 1.0, 3) == 1.0
-    with pytest.raises(InvalidParameterError):
-        estimate_tau(-1.0, 1.0, 1)
-
+# -- weighted error ---------------------------------------------------------
 
 def test_weighted_error_examples():
     assert weighted_error([3.0, 3.0, 3.0], 0.5) == pytest.approx(3.0)
