@@ -8,9 +8,8 @@ from .errors import (ConfigError, DivergedError, InvalidParameterError,
                      StreamExhaustedError)
 from .normal import inv_norm_cdf
 from .orchestrator import (AlgorithmKind, RoundRecord, RunTrace, Simulation,
-                           WireMessage, aggregate_and_step, pack_indices,
-                           parse_message, sample_clients, serialize_message,
-                           unpack_indices)
+                           WireMessage, pack_indices, parse_message,
+                           sample_clients, serialize_message, unpack_indices)
 from .privacy import (ClipConfig, PrivacyBudget, SigmaSchedule, clip_update,
                       epsilon_from_sigmas, median_clip_bound, per_round_epsilon,
                       sigma_fixed, sigma_schedule_dynamic)
@@ -20,7 +19,6 @@ from .quantizers import (MIN_STEP_FACTOR, EncodedVector, LayerSample,
                          sample_layer)
 from .streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
 from .training import (LocalDataset, ModelState, Objective, ObjectiveSpec,
-                       local_rounds, stochastic_gradient, synth_partition,
-                       weighted_error)
+                       local_rounds, synth_partition, weighted_error)
 
 __version__ = "0.1.0"

@@ -109,9 +109,6 @@ class ExperimentConfig:
                 errors.append(f"{f.name}: must be {noun}, got {value!r}")
         return errors
 
-    def to_json(self) -> str:
-        return json.dumps(dataclasses.asdict(self), indent=2, sort_keys=True)
-
 
 def load_config(path: str) -> ExperimentConfig:
     with open(path, "r", encoding="utf-8") as fh:

@@ -193,28 +193,25 @@ PIPELINES = {
 }
 
 
-def sample_clients(N: int, B: int, weights, u: float) -> list[int]:
-    """Systematic weighted sampling of B distinct client ids.
+def sample_clients(N: int, B: int, u: float) -> list[int]:
+    """Systematic sampling of B distinct client ids, each included with
+    probability B/N.
 
-    ``u`` in [0, 1) positions the sampling comb. Inclusion probability is
-    exactly B * p_i whenever every B * p_i <= 1; heavier clients are
-    deduplicated and the gap filled with the largest-weight leftovers.
+    ``u`` in [0, 1) positions the sampling comb. Where float rounding in
+    the comb edges puts two teeth on one client (seen only at B = N), the
+    gap is filled with the lowest unsampled ids.
     """
     if B > N:
         raise InvalidParameterError(f"B={B} exceeds N={N}")
     if B < 1:
         raise InvalidParameterError("B must be >= 1")
-    p = np.asarray(weights, dtype=np.float64)
-    if p.shape != (N,) or np.any(p < 0.0) or abs(p.sum() - 1.0) > 1e-9:
-        raise InvalidParameterError("weights must be N nonnegative values summing to 1")
-    edges = np.cumsum(p) * B
+    edges = np.cumsum(np.full(N, 1.0 / N)) * B
     points = (u % 1.0) + np.arange(B)
     ids = np.searchsorted(edges, points, side="right")
     ids = np.minimum(ids, N - 1)
     chosen = sorted(set(int(i) for i in ids))
     if len(chosen) < B:
-        leftovers = sorted(set(range(N)) - set(chosen),
-                           key=lambda i: (-p[i], i))
+        leftovers = sorted(set(range(N)) - set(chosen))
         chosen = sorted(chosen + leftovers[:B - len(chosen)])
     return chosen
 
@@ -232,6 +229,7 @@ class RoundRecord:
     grad_sq_norm: float
     clamp_count: int
     inf_norms: list[float] = field(default_factory=list)  # wire scales of clipped updates
+    wire_scales: list[float] = field(default_factory=list)  # scales the quantized uploads carried
 
 
 @dataclass
@@ -261,21 +259,6 @@ class RunTrace:
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(self.summary, fh, indent=2, sort_keys=True)
             fh.write("\n")
-
-
-def aggregate_and_step(decoded_updates: dict, theta: np.ndarray) -> np.ndarray:
-    """theta + mean of updates, summed in ascending client-id order."""
-    if not decoded_updates:
-        raise InvalidParameterError("no updates to aggregate")
-    ids = sorted(decoded_updates)
-    dim = np.asarray(decoded_updates[ids[0]]).size
-    total = np.zeros(dim, dtype=np.float64)
-    for cid in ids:
-        upd = np.asarray(decoded_updates[cid], dtype=np.float64)
-        if upd.size != dim:
-            raise InvalidParameterError("update dimension mismatch")
-        total = total + upd
-    return np.asarray(theta, dtype=np.float64) + total / len(ids)
 
 
 class Simulation:
@@ -327,27 +310,25 @@ class Simulation:
         grad = self.objective.full_gradient(self.theta)
 
         u_sample, _ = uniform_pair_block(self.seed.lane("sample"), 0, k, 0, 0)
-        weights = np.full(self.N, 1.0 / self.N)
-        clients = sample_clients(self.N, self.B, weights, float(u_sample))
+        clients = sample_clients(self.N, self.B, float(u_sample))
 
-        updates = {}
-        for cid in clients:
-            stream = DrawStream(self.seed.lane("batch"), cid, k)
-            updates[cid] = local_rounds(model, self.objective.datasets[cid],
-                                        self.Q, self.eta, self.batch_size,
-                                        stream, self.divergence_ceiling)
+        # Per-client values stay aligned with the ascending `clients`.
+        updates = [local_rounds(model, self.objective.datasets[cid], self.Q, self.eta,
+                                self.batch_size, DrawStream(self.seed.lane("batch"), cid, k),
+                                self.divergence_ceiling)
+                   for cid in clients]
 
         sigma, inf_norms, eps_cum = 0.0, [], float("inf")
         if self.algorithm.private:
             sigma = float(self._sigmas[k])
             if self.clip.mode == "median_adaptive":
                 s2 = max(median_clip_bound(
-                    [float(np.linalg.norm(updates[c])) for c in clients]), 1e-12)
+                    [float(np.linalg.norm(upd)) for upd in updates]), 1e-12)
                 sigma *= s2
             else:
                 s2 = self.clip.s2
-            updates = {c: clip_update(updates[c], s2) for c in clients}
-            inf_norms = [wire_scale(np.max(np.abs(updates[c]))) for c in clients]
+            updates = [clip_update(upd, s2) for upd in updates]
+            inf_norms = [wire_scale(np.max(np.abs(upd))) for upd in updates]
             # Lemma-4-style composition, valid per-round even when the clip
             # bound (and hence sigma) changes across rounds.
             per_round = (2.0 * s2 * np.sqrt(self.B * np.log(1.0 / self.budget.delta))
@@ -357,22 +338,25 @@ class Simulation:
             eps_cum = min(float(np.sqrt(self._eps_sq_spent)), self.budget.epsilon)
 
         messages, clamp_count = [], 0
-        for cid in clients:
-            msg, clamps = self._encode(cid, k, updates[cid], sigma)
+        for cid, upd in zip(clients, updates):
+            msg, clamps = self._encode(cid, k, upd, sigma)
             messages.append(serialize_message(msg))
             clamp_count += clamps
 
-        decoded, bits = {}, 0
+        # A running sum in client-id order: one decoded row is live at a time.
+        total, bits, wire_scales = 0.0, 0, []
         for raw in messages:
             msg = parse_message(raw)
-            decoded[msg.client_id] = PIPELINES[msg.algorithm].decode(self.seed, msg, sigma)
+            total = total + PIPELINES[msg.algorithm].decode(self.seed, msg, sigma)
             bits += msg.payload_bits
-
-        self.theta = aggregate_and_step(decoded, self.theta)
+            if msg.algorithm.quantized:
+                wire_scales.append(msg.scale)
+        self.theta = self.theta + total / len(messages)
         record = RoundRecord(round=k, clients=clients, bits_sent=bits,
                              sigma_used=sigma, epsilon_spent_cumulative=eps_cum,
                              loss=loss, grad_sq_norm=float(grad @ grad),
-                             clamp_count=clamp_count, inf_norms=inf_norms)
+                             clamp_count=clamp_count, inf_norms=inf_norms,
+                             wire_scales=wire_scales)
         self.records.append(record)
         self.round += 1
         return record

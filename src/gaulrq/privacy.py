@@ -5,6 +5,17 @@ quantization noise: a fixed per-round noise scale for an even budget
 split, a geometrically decaying schedule that minimizes the convergence
 error under the same total budget, and the inverse map from noise scales
 back to the budget actually spent.
+
+Privacy model. Neighbouring datasets differ by adding or removing one
+client's whole shard (client-level add/remove). One clipped upload moves
+the aggregate by at most S2 in L2 norm, so the sensitivity is S2. sigma is
+the moments-accountant closed form (Abadi et al., "Deep Learning with
+Differential Privacy", CCS'16), whose theorem assumes a small sampling
+rate q = B/N and large noise; nothing here checks that region. The theorem
+also assumes Poisson sampling at rate q, while the simulator samples
+exactly B clients per round, systematically. The median clip bound and
+each upload's wire scale are treated as public. No numeric audit of the
+reported epsilon exists yet.
 """
 
 from __future__ import annotations

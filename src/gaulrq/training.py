@@ -193,42 +193,35 @@ class ModelState:
             raise InvalidParameterError("model parameters must be finite")
 
 
-def stochastic_gradient(model: ModelState, dataset: LocalDataset, batch_indices):
-    """Mini-batch gradient of one client's local objective at the model."""
-    idx = np.asarray(batch_indices, dtype=np.int64)
-    if idx.size == 0:
-        raise InvalidParameterError("batch must be nonempty")
-    if np.any(idx < 0) or np.any(idx >= dataset.n):
-        raise InvalidParameterError("batch index out of range")
-    grads = model.objective.sample_gradients(model.theta, dataset, idx)
-    return grads.mean(axis=0)
-
-
 def local_rounds(model: ModelState, dataset: LocalDataset, Q: int, eta: float,
                  batch_size: int, stream, divergence_ceiling: float = 1e6):
     """Run Q local SGD steps and return the resulting model update.
 
     The caller's model is never mutated; batches are drawn with replacement
     from ``stream`` (one uniform per index), or deterministically full-batch
-    when batch_size covers the shard.
+    when batch_size covers the shard. All Q batches come from one draw of
+    Q * batch_size uniforms: the stream is counter-based, so step q reads
+    the same uniforms it would from a draw of its own.
     """
     if Q < 1:
         raise InvalidParameterError("Q must be >= 1")
     if eta < 0.0:
         raise InvalidParameterError("eta must be >= 0")
-    theta = model.theta.copy()
-    local = ModelState(theta=theta, round=model.round, objective=model.objective)
-    for _ in range(Q):
-        if batch_size >= dataset.n:
-            idx = np.arange(dataset.n)
-        else:
-            idx = np.floor(stream.next(batch_size) * dataset.n).astype(np.int64)
-        g = stochastic_gradient(local, dataset, idx)
-        local.theta = local.theta - eta * g
-        if float(np.linalg.norm(local.theta)) > divergence_ceiling:
+    if batch_size < 1:
+        raise InvalidParameterError("batch_size must be >= 1")
+    if batch_size >= dataset.n:
+        batches = [np.arange(dataset.n)] * Q
+    else:
+        u = stream.next(Q * batch_size).reshape(Q, batch_size)
+        batches = np.floor(u * dataset.n).astype(np.int64)
+    theta = model.theta
+    for idx in batches:
+        g = model.objective.sample_gradients(theta, dataset, idx).mean(axis=0)
+        theta = theta - eta * g
+        if float(np.linalg.norm(theta)) > divergence_ceiling:
             raise DivergedError(
                 f"local model norm exceeded ceiling {divergence_ceiling:g}")
-    return local.theta - model.theta
+    return theta - model.theta
 
 
 def weighted_error(grad_sq_norms, tau: float) -> float:

@@ -34,6 +34,13 @@ CASES = {f"criterion9_{algo}": dict(_CRITERION_9, algorithm=algo)
          for algo in ("local_sgd", "gau_sgd", "qg_sgd", "gau_lrq_sgd",
                       "dynamic_gau_lrq_sgd")}
 CASES["logistic_dynamic_gau_lrq_sgd_median"] = _LOGISTIC
+# Minibatch logistic with ridge, heterogeneity and label noise, through the
+# median-clipped stochastic quantizer.
+CASES["mix_qg_sgd_median"] = dict(
+    algorithm="qg_sgd", clip_mode="median_adaptive", objective="logistic",
+    N=20, B=7, Q=3, K=15, eta=0.1, epsilon=3.0, delta=1e-5, tau=0.8, s2=0.7,
+    d=13, n_per_client=9, batch_size=4, ridge=0.01, heterogeneity=0.5,
+    label_noise=0.1, seed=5, run_id="mix")
 
 
 def _write_trace(name, path):

@@ -1,12 +1,12 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gaulrq.analysis import comm_cost
 from gaulrq.config import ExperimentConfig, build_simulation, run_experiment
 from gaulrq.errors import ConfigError, InvalidParameterError
-from gaulrq.orchestrator import (AlgorithmKind, WireMessage,
-                                 aggregate_and_step, pack_indices,
+from gaulrq.orchestrator import (AlgorithmKind, WireMessage, pack_indices,
                                  parse_message, sample_clients,
                                  serialize_message, unpack_indices)
 from gaulrq.quantizers import MAX_BITS
@@ -193,65 +193,40 @@ def test_algorithm_kind_lookup():
 # -- client sampling --------------------------------------------------------
 
 def test_sample_all_clients():
-    assert sample_clients(5, 5, np.full(5, 0.2), 0.37) == [0, 1, 2, 3, 4]
-
-
-def test_sample_degenerate_weights():
-    p = np.array([1.0, 0.0, 0.0])
-    assert sample_clients(3, 1, p, 0.9) == [0]
+    assert sample_clients(5, 5, 0.37) == [0, 1, 2, 3, 4]
 
 
 def test_sample_validation():
     with pytest.raises(InvalidParameterError):
-        sample_clients(3, 4, np.full(3, 1 / 3), 0.1)
+        sample_clients(3, 4, 0.1)
     with pytest.raises(InvalidParameterError):
-        sample_clients(3, 1, np.array([0.5, 0.2, 0.2]), 0.1)
+        sample_clients(3, 0, 0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 1000).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       st.floats(0.0, 1.0, exclude_max=True))
+@example((5, 5), 0.0)  # rounding puts two comb teeth on one client: the gap fill runs
+def test_sample_returns_b_distinct_sorted_ids(nb, u):
+    N, B = nb
+    ids = sample_clients(N, B, u)
+    assert len(ids) == B
+    assert ids == sorted(set(ids))
+    assert 0 <= ids[0] and ids[-1] < N
 
 
 def test_sample_inclusion_frequency():
     N, B, reps = 5, 2, 100000
-    p = np.full(N, 1.0 / N)
     u, _ = uniform_pair_block(SeedMaterial(3, "freq"), 0, 0, 0,
                               np.arange(reps, dtype=np.uint64))
     counts = np.zeros(N)
     for ui in u:
-        for cid in sample_clients(N, B, p, float(ui)):
+        for cid in sample_clients(N, B, float(ui)):
             counts[cid] += 1
     freq = counts / reps
     target = B / N
     se = np.sqrt(target * (1 - target) / reps)
     assert np.all(np.abs(freq - target) <= 3 * se)
-
-
-# -- aggregation ------------------------------------------------------------
-
-def test_aggregate_single_client():
-    theta = np.array([1.0, 2.0])
-    out = aggregate_and_step({3: np.array([0.5, -0.5])}, theta)
-    assert np.array_equal(out, [1.5, 1.5])
-
-
-def test_aggregate_cancellation():
-    theta = np.zeros(2)
-    out = aggregate_and_step({0: np.array([1.0, -2.0]),
-                              1: np.array([-1.0, 2.0])}, theta)
-    assert np.array_equal(out, np.zeros(2))
-
-
-def test_aggregate_order_canonicalized():
-    rng = np.random.default_rng(1)
-    ups = {i: rng.standard_normal(6) for i in range(10)}
-    theta = rng.standard_normal(6)
-    a = aggregate_and_step(dict(sorted(ups.items())), theta)
-    b = aggregate_and_step(dict(sorted(ups.items(), reverse=True)), theta)
-    assert np.array_equal(a, b)
-
-
-def test_aggregate_validation():
-    with pytest.raises(InvalidParameterError):
-        aggregate_and_step({}, np.zeros(2))
-    with pytest.raises(InvalidParameterError):
-        aggregate_and_step({0: np.zeros(2), 1: np.zeros(3)}, np.zeros(2))
 
 
 # -- end-to-end rounds ------------------------------------------------------
@@ -302,6 +277,27 @@ def test_quantized_algorithms_meter_positive_and_budget_spent():
         assert trace.summary["total_bits"] < 6 * 2 * 3 * 32  # beats raw floats
         assert trace.summary["epsilon_spent"] == pytest.approx(cfg.epsilon,
                                                                rel=1e-9)
+
+
+@pytest.mark.parametrize("clip_mode", ["fixed", "median_adaptive"])
+@pytest.mark.parametrize("algo", ["gau_sgd", "qg_sgd", "gau_lrq_sgd", "dynamic_gau_lrq_sgd"])
+def test_wire_scales_price_the_meter(algo, clip_mode):
+    # Criterion 9's config at K=5: qg_sgd sizes its width from the noisy
+    # vector, so only the transmitted scales reproduce its meter.
+    cfg = ExperimentConfig.from_dict(dict(
+        algorithm=algo, clip_mode=clip_mode, N=100, B=10, Q=5, K=5, eta=0.05,
+        epsilon=2.0, delta=1e-5, tau=0.9, s2=1.0, objective="least_squares",
+        d=20, n_per_client=20, label_noise=0.0, batch_size=5, seed=0,
+        run_id="acc9"))
+    trace = run_experiment(cfg)
+    scales = [r.wire_scales for r in trace.records]
+    if not AlgorithmKind[algo.upper()].quantized:
+        assert scales == [[]] * cfg.K
+        return
+    sigmas = [r.sigma_used for r in trace.records]
+    assert comm_cost(cfg.d, scales, sigmas) == trace.summary["total_bits"]
+    if algo != "qg_sgd":
+        assert scales == [r.inf_norms for r in trace.records]
 
 
 def test_gau_sgd_costs_full_precision():

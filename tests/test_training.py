@@ -4,8 +4,7 @@ import pytest
 from gaulrq.errors import DivergedError, InvalidParameterError
 from gaulrq.streams import DrawStream, SeedMaterial
 from gaulrq.training import (LocalDataset, ModelState, Objective,
-                             local_rounds, stochastic_gradient,
-                             synth_partition, weighted_error)
+                             local_rounds, synth_partition, weighted_error)
 
 
 def _objective(seed=0, N=4, d=3, n=6, noise=0.0, kind="least_squares", **kw):
@@ -54,25 +53,14 @@ def test_dataset_validation():
 
 # -- gradients --------------------------------------------------------------
 
-def test_full_batch_equals_local_gradient():
-    obj = _objective()
-    ds = obj.datasets[1]
-    theta = np.array([0.5, -1.0, 0.2])
-    model = ModelState(theta=theta, round=0, objective=obj)
-    g = stochastic_gradient(model, ds, np.arange(ds.n))
-    # Local gradient = mean of the per-sample gradients (enumeration oracle).
-    grads = obj.sample_gradients(theta, ds, np.arange(ds.n))
-    assert np.allclose(g, grads.mean(axis=0), atol=1e-14)
-
-
 def test_singleton_batches_average_to_full_gradient():
     obj = _objective()
     ds = obj.datasets[0]
     theta = np.array([0.1, 0.7, -0.4])
-    model = ModelState(theta=theta, round=0, objective=obj)
-    singles = [stochastic_gradient(model, ds, [i]) for i in range(ds.n)]
-    full = stochastic_gradient(model, ds, np.arange(ds.n))
-    assert np.allclose(np.mean(singles, axis=0), full, atol=1e-12)
+    singles = [obj.sample_gradients(theta, ds, [i])[0] for i in range(ds.n)]
+    # One-shard objective: its full gradient is that client's local gradient.
+    local = Objective([ds], kind=obj.kind)
+    assert np.allclose(np.mean(singles, axis=0), local.full_gradient(theta), atol=1e-12)
 
 
 def test_zero_gradient_at_optimum():
@@ -135,10 +123,10 @@ def test_thin_gram_matches_wide():
 def test_empty_batch_rejected():
     obj = _objective()
     model = ModelState(theta=np.zeros(3), round=0, objective=obj)
-    with pytest.raises(InvalidParameterError):
-        stochastic_gradient(model, obj.datasets[0], [])
-    with pytest.raises(InvalidParameterError):
-        stochastic_gradient(model, obj.datasets[0], [99])
+    for batch_size in (0, -1):
+        with pytest.raises(InvalidParameterError, match="batch_size"):
+            local_rounds(model, obj.datasets[0], 1, 0.1, batch_size,
+                         DrawStream(SeedMaterial(0), 0, 0))
 
 
 # -- local rounds -----------------------------------------------------------
