@@ -5,6 +5,10 @@ serialized to bytes and parsed back, so the communication meter counts
 bits that exist. All randomness is cursor-addressed through the shared
 streams, which makes runs bitwise reproducible and lets the server replay
 each client's dither draws without transmission.
+
+A round runs its B clients as one (B, d) pipeline: one stream call per
+lane, with a client axis, from the batch draw to the server's sum. Clipping,
+widths and packing stay per row and the wire carries one message per client.
 """
 
 from __future__ import annotations
@@ -21,13 +25,11 @@ from .errors import InvalidParameterError
 from .normal import inv_norm_cdf
 from .privacy import (ClipConfig, PrivacyBudget, clip_update, median_clip_bound,
                       sigma_schedule_dynamic)
-from .quantizers import (MAX_BITS, EncodedVector, bit_width, lrq_decode,
-                         lrq_encode, lrq_quantize_vector,
-                         lrq_reconstruct_vector, sample_layer,
-                         stochastic_dequantize, stochastic_quantize_indices,
-                         wire_scale)
-from .streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
-from .training import ModelState, Objective, local_rounds, weighted_error
+from .quantizers import (MAX_BITS, bit_width, lrq_quantize_rows,
+                         lrq_reconstruct_rows, stochastic_dequantize,
+                         stochastic_quantize_indices, wire_scale)
+from .streams import SeedMaterial, element_pairs, uniform_pair_block
+from .training import Objective, stacked_local_rounds, weighted_error
 
 FLOAT_BITS = 32
 
@@ -135,44 +137,51 @@ def parse_message(data: bytes) -> WireMessage:
                        payload=data[offset:], scale=scale)
 
 
-# -- codec pairs: encode(seed, client, round, v, sigma) -> (width, payload,
-# scale, clamps) and decode(seed, message, sigma) -> v. They look the layer
+# -- codec pairs: encode(seed, client_ids, round, V, sigma) -> one (width,
+# payload, scale, clamps) per row of V, and decode(seed, messages, sigma) ->
+# (B, d), one row per message, all of one round. They look the layer
 # functions up as module globals, so rebinding one (as a tracer does) reaches them.
 
-def _encode_float(seed, client_id, k, v, sigma):
-    return FLOAT_BITS, v.astype("<f4").tobytes(), 0.0, 0
+def _encode_float(seed, client_ids, k, V, sigma):
+    return [(FLOAT_BITS, row.tobytes(), 0.0, 0) for row in V.astype("<f4")]
 
 
-def _decode_float(seed, msg, sigma):
-    return np.frombuffer(msg.payload, dtype="<f4").astype(np.float64)
+def _decode_float(seed, msgs, sigma):
+    return np.stack([np.frombuffer(m.payload, "<f4") for m in msgs]).astype(np.float64)
 
 
-def _encode_stochastic(seed, client_id, k, v, sigma):
-    a = wire_scale(np.max(np.abs(v)))
-    b = bit_width(a, sigma)
-    u = DrawStream(seed.lane("sq"), client_id, k).next(v.size)
-    idx, scale = stochastic_quantize_indices(v, b, u)
-    return b, pack_indices(idx - (1 << (b - 1)), b), scale, 0
+def _encode_stochastic(seed, client_ids, k, V, sigma):
+    U, _ = uniform_pair_block(seed.lane("sq"), client_ids, k, 0,
+                              np.arange(V.shape[1], dtype=np.uint64))
+    rows = []
+    for v, u in zip(V, U):
+        b = bit_width(wire_scale(np.max(np.abs(v))), sigma)
+        idx, scale = stochastic_quantize_indices(v, b, u)
+        rows.append((b, pack_indices(idx - (1 << (b - 1)), b), scale, 0))
+    return rows
 
 
-def _decode_stochastic(seed, msg, sigma):
-    b = msg.bits_per_element
-    idx = unpack_indices(msg.payload, msg.dim, b)
-    return stochastic_dequantize(idx + (1 << (b - 1)), b, msg.scale)
+def _decode_stochastic(seed, msgs, sigma):
+    rows = []
+    for m in msgs:
+        b = m.bits_per_element
+        idx = unpack_indices(m.payload, m.dim, b)
+        rows.append(stochastic_dequantize(idx + (1 << (b - 1)), b, m.scale))
+    return np.stack(rows)
 
 
-def _encode_layered(seed, client_id, k, v, sigma):
-    uniforms = element_pairs(seed.lane("quant"), client_id, k, v.size)
-    enc = lrq_quantize_vector(v, sigma, uniforms)
-    b = enc.bits_per_element
-    return b, pack_indices(enc.indices, b), enc.scale, enc.clamp_count
+def _encode_layered(seed, client_ids, k, V, sigma):
+    uniforms = element_pairs(seed.lane("quant"), client_ids, k, V.shape[1])
+    return [(b, pack_indices(idx, b), a, int(c))
+            for idx, b, a, c in zip(*lrq_quantize_rows(V, sigma, uniforms))]
 
 
-def _decode_layered(seed, msg, sigma):
-    idx = unpack_indices(msg.payload, msg.dim, msg.bits_per_element, signed=False)
-    uniforms = element_pairs(seed.lane("quant"), msg.client_id, msg.round, msg.dim)
-    enc = EncodedVector(idx, msg.dim, msg.bits_per_element, scale=msg.scale)
-    return lrq_reconstruct_vector(enc, sigma, uniforms)
+def _decode_layered(seed, msgs, sigma):
+    idx = np.stack([unpack_indices(m.payload, m.dim, m.bits_per_element, signed=False)
+                    for m in msgs])
+    uniforms = element_pairs(seed.lane("quant"), [m.client_id for m in msgs],
+                             msgs[0].round, msgs[0].dim)
+    return lrq_reconstruct_rows(idx, [m.scale for m in msgs], sigma, uniforms)
 
 
 class Pipeline(NamedTuple):
@@ -287,36 +296,33 @@ class Simulation:
         self.records: list[RoundRecord] = []
         self._eps_sq_spent = 0.0  # sum over rounds of (per-round epsilon)^2
         self._pipeline = PIPELINES[algorithm]
+        if objective.shards is None:
+            raise InvalidParameterError("the round engine needs equal shard sizes")
         if algorithm.private:  # median-adaptive rounds rescale the S2=1 schedule
             self._sigmas = sigma_schedule_dynamic(
                 clip.s2 if clip.mode == "fixed" else 1.0, K, B, self.N, budget,
                 tau if self._pipeline.decaying else 1.0).sigmas
 
-    def _encode(self, cid: int, k: int, v: np.ndarray, sigma: float):
-        """Client side; returns (message, clamps)."""
-        if self._pipeline.noisy:
-            u1, _ = element_pairs(self.seed.lane("noise"), cid, k, self.d)
-            v = v + sigma * np.asarray(inv_norm_cdf(u1))
-        bits, payload, scale, clamps = self._pipeline.encode(self.seed, cid, k, v, sigma)
-        msg = WireMessage(cid, k, self.d, bits, self.algorithm, payload, scale=scale)
-        return msg, clamps
-
     def run_round(self) -> RoundRecord:
         if self.round >= self.K:
             raise InvalidParameterError("all configured rounds already run")
         k = self.round
-        model = ModelState(theta=self.theta, round=k, objective=self.objective)
         loss = self.objective.full_loss(self.theta)
         grad = self.objective.full_gradient(self.theta)
 
         u_sample, _ = uniform_pair_block(self.seed.lane("sample"), 0, k, 0, 0)
         clients = sample_clients(self.N, self.B, float(u_sample))
 
-        # Per-client values stay aligned with the ascending `clients`.
-        updates = [local_rounds(model, self.objective.datasets[cid], self.Q, self.eta,
-                                self.batch_size, DrawStream(self.seed.lane("batch"), cid, k),
-                                self.divergence_ceiling)
-                   for cid in clients]
+        # Row i of every (B, ...) array below belongs to clients[i], ascending.
+        X, y = self.objective.shards
+        u_batch = None
+        if self.batch_size < y.shape[1]:
+            u_batch, _ = uniform_pair_block(
+                self.seed.lane("batch"), clients, k, 0,
+                np.arange(self.Q * self.batch_size, dtype=np.uint64))
+        updates = stacked_local_rounds(self.objective, self.theta, X, y, clients, self.Q,
+                                       self.eta, self.batch_size, u_batch,
+                                       self.divergence_ceiling)
 
         sigma, inf_norms, eps_cum = 0.0, [], float("inf")
         if self.algorithm.private:
@@ -327,7 +333,8 @@ class Simulation:
                 sigma *= s2
             else:
                 s2 = self.clip.s2
-            updates = [clip_update(upd, s2) for upd in updates]
+            # Per row: a batched norm differs from np.linalg.norm in the last bit.
+            updates = np.array([clip_update(upd, s2) for upd in updates])
             inf_norms = [wire_scale(np.max(np.abs(upd))) for upd in updates]
             # Lemma-4-style composition, valid per-round even when the clip
             # bound (and hence sigma) changes across rounds.
@@ -337,26 +344,28 @@ class Simulation:
             # The schedules spend exactly epsilon: never report the rounding excess.
             eps_cum = min(float(np.sqrt(self._eps_sq_spent)), self.budget.epsilon)
 
+        if self._pipeline.noisy:
+            u_noise, _ = element_pairs(self.seed.lane("noise"), clients, k, self.d)
+            updates = updates + sigma * np.asarray(inv_norm_cdf(u_noise))
         messages, clamp_count = [], 0
-        for cid, upd in zip(clients, updates):
-            msg, clamps = self._encode(cid, k, upd, sigma)
-            messages.append(serialize_message(msg))
+        for cid, (bits, payload, scale, clamps) in zip(
+                clients, self._pipeline.encode(self.seed, clients, k, updates, sigma)):
+            messages.append(serialize_message(
+                WireMessage(cid, k, self.d, bits, self.algorithm, payload, scale=scale)))
             clamp_count += clamps
 
-        # A running sum in client-id order: one decoded row is live at a time.
-        total, bits, wire_scales = 0.0, 0, []
-        for raw in messages:
-            msg = parse_message(raw)
-            total = total + PIPELINES[msg.algorithm].decode(self.seed, msg, sigma)
-            bits += msg.payload_bits
-            if msg.algorithm.quantized:
-                wire_scales.append(msg.scale)
-        self.theta = self.theta + total / len(messages)
-        record = RoundRecord(round=k, clients=clients, bits_sent=bits,
+        parsed = [parse_message(raw) for raw in messages]
+        # A running sum in client-id order, as B separate decodes would give.
+        total = 0.0
+        for row in PIPELINES[parsed[0].algorithm].decode(self.seed, parsed, sigma):
+            total = total + row
+        self.theta = self.theta + total / len(parsed)
+        record = RoundRecord(round=k, clients=clients,
+                             bits_sent=sum(m.payload_bits for m in parsed),
                              sigma_used=sigma, epsilon_spent_cumulative=eps_cum,
                              loss=loss, grad_sq_norm=float(grad @ grad),
                              clamp_count=clamp_count, inf_norms=inf_norms,
-                             wire_scales=wire_scales)
+                             wire_scales=[m.scale for m in parsed if m.algorithm.quantized])
         self.records.append(record)
         self.round += 1
         return record
@@ -383,26 +392,3 @@ class Simulation:
         }
         return RunTrace(records=self.records, final_theta=self.theta,
                         summary=summary)
-
-
-def quantization_replicates(clipped_updates: dict, sigma: float,
-                            seed: SeedMaterial, n_rep: int) -> np.ndarray:
-    """Aggregated reconstructions over n_rep fresh quantization draws.
-
-    Holds the participant set and their clipped updates fixed and redraws
-    only the codec randomness (replicate r uses round index r of a dedicated
-    lane). Returns an (n_rep, d) array of aggregated updates; indices are
-    left unclamped so the result isolates the codec's own statistics.
-    """
-    ids = sorted(clipped_updates)
-    d = np.asarray(clipped_updates[ids[0]]).size
-    lane = seed.lane("replicates")
-    total = np.zeros((n_rep, d))
-    elem = np.tile(np.arange(d, dtype=np.uint64), n_rep)
-    ctr = np.repeat(np.arange(n_rep, dtype=np.uint64), d)
-    for cid in ids:
-        v = np.asarray(clipped_updates[cid], dtype=np.float64)
-        u1, u2 = uniform_pair_block(lane, cid, 0, elem, ctr)
-        layer = sample_layer(sigma, (u1.reshape(n_rep, d), u2.reshape(n_rep, d)))
-        total += lrq_decode(lrq_encode(v[None, :], layer), layer)
-    return total / len(ids)

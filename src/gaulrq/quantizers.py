@@ -142,54 +142,68 @@ def wire_scale(a: float) -> float:
     return float(s)
 
 
-def _vector_uniforms(uniforms, dim):
-    u1 = np.asarray(uniforms[0], dtype=np.float64).reshape(-1)
-    u2 = np.asarray(uniforms[1], dtype=np.float64).reshape(-1)
-    if u1.shape != (dim,) or u2.shape != (dim,):
-        raise StreamExhaustedError(
-            f"need one uniform pair per element ({dim}), got {u1.size}/{u2.size}")
-    return u1, u2
-
-
-def _base_indices(layer: LayerSample, scale: float) -> np.ndarray:
+def _base_indices(layer: LayerSample, scales) -> np.ndarray:
     """Smallest index any input in [-scale, scale] can produce, per element.
 
     Both sides compute this from the shared layer, so the wire only needs
     the offset from it. By the step lower bound, at most 2^b offsets occur
     for the signalled width b, which is what makes fixed-length coding
-    clamp-free.
+    clamp-free. ``scales`` holds one scale per row of the layer.
     """
-    return lrq_encode(-scale, layer)
+    return lrq_encode(-np.asarray(scales, dtype=np.float64)[:, None], layer)
+
+
+def _row_layers(sigma: float, uniforms, shape) -> LayerSample:
+    u1, u2 = (np.asarray(u, dtype=np.float64) for u in uniforms)
+    if u1.shape != shape or u2.shape != shape:
+        raise StreamExhaustedError(
+            f"need one uniform pair per element ({shape[-1]}), got {u1.size}/{u2.size}")
+    return sample_layer(sigma, (u1, u2))
+
+
+def lrq_quantize_rows(V, sigma: float, uniforms):
+    """Layered quantization of each row of V (B, d), with fixed-width index coding.
+
+    Returns (indices, widths, scales, clamps): the (B, d) unsigned offsets
+    and, per row, the signalled width, the wire scale and the clamp count.
+    A row's width is driven by its inf-norm range; its indices go on the
+    wire as offsets from the per-element base (see _base_indices).
+    """
+    V = np.asarray(V, dtype=np.float64)
+    if V.size == 0:
+        raise InvalidParameterError("cannot quantize an empty vector")
+    # The decoder sees each scale as a float32, so quantize it up front and
+    # use the identical value on both sides. bit_width rejects non-finite
+    # elements and widths above the cap before any index is computed.
+    scales = [wire_scale(np.max(np.abs(v))) for v in V]
+    widths = [bit_width(a, sigma) for a in scales]
+    layer = _row_layers(sigma, uniforms, V.shape)
+    rel = lrq_encode(V, layer) - _base_indices(layer, scales)
+    clamped = np.clip(rel, 0, (np.left_shift(1, widths, dtype=np.int64) - 1)[:, None])
+    return clamped, widths, scales, np.count_nonzero(clamped != rel, axis=1)
+
+
+def lrq_reconstruct_rows(indices, scales, sigma: float, uniforms) -> np.ndarray:
+    """Decoder side: replay each row's layers and invert the index coding."""
+    indices = np.asarray(indices)
+    layer = _row_layers(sigma, uniforms, indices.shape)
+    return lrq_decode(indices + _base_indices(layer, scales), layer)
 
 
 def lrq_quantize_vector(v, sigma: float, uniforms) -> EncodedVector:
-    """Element-wise layered quantization with fixed-width index coding.
-
-    The signalled width is driven by the vector's inf-norm range; indices go
-    on the wire as offsets from the per-element base (see _base_indices).
-    """
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
-    if v.size == 0:
-        raise InvalidParameterError("cannot quantize an empty vector")
-    u1, u2 = _vector_uniforms(uniforms, v.size)
-
-    # The decoder sees the scale as a float32, so quantize it up front and
-    # use the identical value on both sides. bit_width rejects non-finite
-    # elements and widths above the cap before any index is computed.
-    a = wire_scale(np.max(np.abs(v)))
-    b = bit_width(a, sigma)
-    layer = sample_layer(sigma, (u1, u2))
-    rel = lrq_encode(v, layer) - _base_indices(layer, a)
-    clamped = np.clip(rel, 0, (1 << b) - 1)
-    return EncodedVector(indices=clamped, dim=v.size, bits_per_element=b,
-                         scale=a, clamp_count=int(np.count_nonzero(clamped != rel)))
+    """lrq_quantize_rows for one vector."""
+    v = np.asarray(v, dtype=np.float64).reshape(1, -1)
+    (idx,), (b,), (a,), (c,) = lrq_quantize_rows(
+        v, sigma, [np.reshape(u, (1, -1)) for u in uniforms])
+    return EncodedVector(indices=idx, dim=v.size, bits_per_element=b, scale=a,
+                         clamp_count=int(c))
 
 
 def lrq_reconstruct_vector(encoded: EncodedVector, sigma: float, uniforms) -> np.ndarray:
-    """Decoder side: replay the stream's layers and invert the index coding."""
-    u1, u2 = _vector_uniforms(uniforms, encoded.dim)
-    layer = sample_layer(sigma, (u1, u2))
-    return lrq_decode(encoded.indices + _base_indices(layer, encoded.scale), layer)
+    """lrq_reconstruct_rows for one encoded vector."""
+    indices = np.reshape(encoded.indices, (1, encoded.dim))
+    return lrq_reconstruct_rows(indices, [encoded.scale], sigma,
+                                [np.reshape(u, (1, -1)) for u in uniforms])[0]
 
 
 def _check_dither(q_step, x):

@@ -4,7 +4,10 @@ Every draw is a pure function of (seed material, cursor), so the server
 can regenerate exactly the dither values each client consumed without any
 state synchronization: both sides evaluate the same keyed mixing function
 at the same counters. Streams for distinct (client, round) pairs use
-disjoint counter domains and are statistically independent.
+disjoint counter domains and are statistically independent. Because a
+draw depends on nothing but its cursor, one call serves a whole round: an
+array of client ids adds a leading client axis, row i holding exactly what
+the call for client i alone returns.
 
 Not cryptographic. The shared seed is assumed to be distributed once,
 out of band, before training starts.
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,14 +44,6 @@ def _splitmix64(z):
     return z ^ (z >> np.uint64(31))
 
 
-def _splitmix64_int(z: int) -> int:
-    """The same avalanche on one Python int, masked to 64 bits."""
-    z = (z + 0x9E3779B97F4A7C15) & _U64_MAX
-    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _U64_MAX
-    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _U64_MAX
-    return z ^ (z >> 31)
-
-
 def _to_unit(v):
     """Map uint64 words to doubles strictly inside (0, 1)."""
     u = (v.astype(np.float64) + 1.0) * _TO_UNIT
@@ -57,7 +53,8 @@ def _to_unit(v):
 @functools.lru_cache(maxsize=4096)
 def _seed_key(root_seed: int, run_id: str) -> np.uint64:
     h = hashlib.blake2b(run_id.encode("utf-8"), digest_size=8).digest()
-    return np.uint64(_splitmix64_int(root_seed ^ int.from_bytes(h, "little")))
+    with np.errstate(over="ignore"):
+        return _splitmix64(np.uint64(root_seed ^ int.from_bytes(h, "little")))
 
 
 @dataclass(frozen=True)
@@ -80,36 +77,47 @@ class SeedMaterial:
         return SeedMaterial(self.root_seed, f"{self.run_id}/{label}")
 
 
-def uniform_pair_block(seed: SeedMaterial, client_id: int, rnd: int,
+def _client_ids(client_id) -> np.ndarray:
+    """client_id (an int or a 1-D sequence of ints) as uint64, range-checked."""
+    ids = np.asarray(client_id, dtype=object)
+    if ids.ndim > 1 or not all(isinstance(i, numbers.Integral) and 0 <= i <= _U64_MAX
+                               for i in ids.flat):
+        raise InvalidParameterError("client ids must be integers in [0, 2^64 - 1]")
+    return ids.astype(np.uint64)
+
+
+def uniform_pair_block(seed: SeedMaterial, client_id, rnd: int,
                        element_index, draw_counter):
     """Two uniforms in (0, 1) at cursor (client_id, rnd, element_index, draw_counter).
 
     A pure function of (seed, cursor); element_index and draw_counter may
-    be uint64 arrays, one pair per broadcast cursor. The key is folded with
-    client_id and then rnd, element_index and draw_counter, one SplitMix64
-    round each; the two scalar folds run on Python ints, the per-element
-    ones in numpy.
+    be uint64 arrays, one pair per broadcast cursor. client_id is an int or
+    a 1-D integer array, which adds a leading client axis. The key is folded
+    with client_id and then rnd, element_index and draw_counter, one
+    SplitMix64 round each.
     """
-    client_id, rnd = int(client_id), int(rnd)
-    if not (0 <= client_id <= _U64_MAX and 0 <= rnd <= _U64_MAX):
-        raise InvalidParameterError("client_id and round must fit in 64 unsigned bits")
-    h = _splitmix64_int(_splitmix64_int(int(seed.key()) ^ client_id) ^ rnd)
+    ids, rnd = _client_ids(client_id), int(rnd)
+    if not 0 <= rnd <= _U64_MAX:
+        raise InvalidParameterError("round must fit in 64 unsigned bits")
+    element_index = np.asarray(element_index, dtype=np.uint64)
+    draw_counter = np.asarray(draw_counter, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        base = _splitmix64(np.uint64(h) ^ np.asarray(element_index, dtype=np.uint64))
-        base = _splitmix64(base ^ np.asarray(draw_counter, dtype=np.uint64))
+        h = _splitmix64(_splitmix64(seed.key() ^ ids) ^ np.uint64(rnd))
+        h = h.reshape(ids.shape + (1,) * max(element_index.ndim, draw_counter.ndim))
+        base = _splitmix64(_splitmix64(h ^ element_index) ^ draw_counter)
         u1 = _to_unit(_splitmix64(base))
         u2 = _to_unit(_splitmix64(base + np.uint64(1)))
     return u1, u2
 
 
-def element_pairs(seed: SeedMaterial, client_id: int, rnd: int, dim: int):
+def element_pairs(seed: SeedMaterial, client_id, rnd: int, dim: int):
     """The per-element uniform pairs a d-dimensional quantization consumes.
 
     Element j reads cursor (client_id, rnd, j, 0); exactly two uniforms per
-    element, which is the consumption contract the decoder relies on.
+    element, which is the consumption contract the decoder relies on. An
+    array of client ids gives (B, dim) arrays.
     """
-    idx = np.arange(dim, dtype=np.uint64)
-    return uniform_pair_block(seed, client_id, rnd, idx, np.zeros(dim, dtype=np.uint64))
+    return uniform_pair_block(seed, client_id, rnd, np.arange(dim, dtype=np.uint64), 0)
 
 
 class DrawStream:

@@ -83,6 +83,10 @@ class Objective:
         self._X = np.vstack([ds.features for ds in self.datasets])
         self._y = np.concatenate([ds.targets for ds in self.datasets])
         self._w = w
+        # The round engine's zero-copy (N, n, d) and (N, n) views; None if sizes differ.
+        n = self.datasets[0].n
+        self.shards = ((self._X.reshape(len(datasets), n, -1), self._y.reshape(-1, n))
+                       if all(ds.n == n for ds in self.datasets) else None)
         self._gram = None
         self._nu = None
         self._optimum = None
@@ -195,13 +199,23 @@ class ModelState:
 
 def local_rounds(model: ModelState, dataset: LocalDataset, Q: int, eta: float,
                  batch_size: int, stream, divergence_ceiling: float = 1e6):
-    """Run Q local SGD steps and return the resulting model update.
+    """Q local SGD steps for one client: stacked_local_rounds with B = 1, its
+    Q batches drawn from ``stream`` in one draw of Q * batch_size uniforms."""
+    u = stream.next(Q * batch_size)[None] if 0 < batch_size < dataset.n else None
+    return stacked_local_rounds(model.objective, model.theta, dataset.features[None],
+                                dataset.targets[None], [0], Q, eta, batch_size, u,
+                                divergence_ceiling)[0]
 
-    The caller's model is never mutated; batches are drawn with replacement
-    from ``stream`` (one uniform per index), or deterministically full-batch
-    when batch_size covers the shard. All Q batches come from one draw of
-    Q * batch_size uniforms: the stream is counter-based, so step q reads
-    the same uniforms it would from a draw of its own.
+
+def stacked_local_rounds(objective: Objective, theta, X, y, rows, Q: int, eta: float,
+                         batch_size: int, u, divergence_ceiling: float = 1e6):
+    """Q local SGD steps for B clients at once; returns their (B, d) updates.
+
+    X (M, n, d) and y (M, n) stack equal-size shards; ``rows`` names the B
+    that train, each from ``theta``, without mutating it. Step q of row i
+    takes the batch floor(u[i, q*batch_size:(q+1)*batch_size] * n), drawn
+    with replacement, or the whole shard (u unused) when batch_size covers
+    it. Any row's norm above divergence_ceiling, or NaN, raises DivergedError.
     """
     if Q < 1:
         raise InvalidParameterError("Q must be >= 1")
@@ -209,19 +223,24 @@ def local_rounds(model: ModelState, dataset: LocalDataset, Q: int, eta: float,
         raise InvalidParameterError("eta must be >= 0")
     if batch_size < 1:
         raise InvalidParameterError("batch_size must be >= 1")
-    if batch_size >= dataset.n:
-        batches = [np.arange(dataset.n)] * Q
+    rows, n = np.asarray(rows), X.shape[1]
+    if batch_size >= n:
+        batches = [(X[rows], y[rows])] * Q
     else:
-        u = stream.next(Q * batch_size).reshape(Q, batch_size)
-        batches = np.floor(u * dataset.n).astype(np.int64)
-    theta = model.theta
-    for idx in batches:
-        g = model.objective.sample_gradients(theta, dataset, idx).mean(axis=0)
-        theta = theta - eta * g
-        if float(np.linalg.norm(theta)) > divergence_ceiling:
+        idx = np.floor(u * n).astype(np.int64).reshape(rows.size, Q, batch_size)
+        batches = ((X[rows[:, None], idx[:, q]], y[rows[:, None], idx[:, q]])
+                   for q in range(Q))
+    local = np.tile(theta, (rows.size, 1))
+    for Xb, yb in batches:
+        z = np.matmul(Xb, local[:, :, None])[:, :, 0]
+        resid = (z - yb) if objective.kind == "least_squares" else (expit(z) - yb)
+        g = Xb * resid[:, :, None]
+        g += objective.ridge * local[:, None, :]  # in place: one (B, b, d) temporary
+        local = local - eta * g.mean(axis=1)
+        if not np.all(np.linalg.norm(local, axis=1) <= divergence_ceiling):
             raise DivergedError(
                 f"local model norm exceeded ceiling {divergence_ceiling:g}")
-    return theta - model.theta
+    return local - theta
 
 
 def weighted_error(grad_sq_norms, tau: float) -> float:

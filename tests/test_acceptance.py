@@ -10,7 +10,6 @@ from scipy.special import erfc
 from gaulrq.analysis import BoundInputs, am_qm_factor, bound_dynamic, \
     bound_gau_lrq, bound_qg, comm_cost, full_precision_cost, ks_statistic
 from gaulrq.config import ExperimentConfig, build_simulation, run_experiment
-from gaulrq.orchestrator import quantization_replicates
 from gaulrq.privacy import (PrivacyBudget, clip_update, epsilon_from_sigmas,
                             per_round_epsilon, sigma_fixed,
                             sigma_schedule_dynamic)
@@ -202,7 +201,17 @@ def test_criterion_8_aggregation_statistics():
     seed = SeedMaterial(2024, "acc8")
     clipped = {cid: clip_update(rng.standard_normal(d) * 0.3, 1.0)
                for cid in range(B)}
-    agg = quantization_replicates(clipped, sigma, seed, n_rep)
+    # Participants and updates fixed; replicate r redraws only the codec's
+    # randomness, at counter r of every element. Indices are unclamped, so
+    # the aggregate isolates the codec's own statistics.
+    elem = np.arange(d, dtype=np.uint64)
+    ctr = np.arange(n_rep, dtype=np.uint64)[:, None]
+    total = 0.0
+    for cid in sorted(clipped):
+        layer = sample_layer(sigma, uniform_pair_block(seed.lane("replicates"), cid, 0,
+                                                       elem, ctr))
+        total = total + lrq_decode(lrq_encode(clipped[cid], layer), layer)
+    agg = total / B
     target = np.mean([clipped[c] for c in sorted(clipped)], axis=0)
     se = sigma / math.sqrt(B * n_rep)  # per-coordinate noise std is sigma/sqrt(B)
     mean_ok = bool(np.all(np.abs(agg.mean(axis=0) - target) <= 3.0 * se))

@@ -132,6 +132,17 @@ def test_cmd_run_diverged_writes_partial_trace(tmp_path, capsys, overrides, roun
     assert summary["rounds_run"] == rounds
 
 
+@pytest.mark.parametrize("ceiling", [-1, 0, float("nan"), float("inf")])
+def test_cmd_run_rejects_bad_divergence_ceiling(tmp_path, capsys, ceiling):
+    # A NaN or infinite ceiling would switch the guard off; <= 0 trips it at once.
+    cfg = _write_config(tmp_path, {"divergence_ceiling": ceiling})
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == \
+        "config error: divergence_ceiling: must be finite and > 0\n"
+    assert not out.exists()
+
+
 def test_cmd_run_wide_model_writes_bounds(tmp_path):
     # d=20000 with 8 samples: the d x d Gram alone would take 3.2 GB.
     cfg = _write_config(tmp_path, {"algorithm": "local_sgd", "d": 20000, "N": 2,

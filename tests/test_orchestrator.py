@@ -3,14 +3,17 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gaulrq import orchestrator
 from gaulrq.analysis import comm_cost
 from gaulrq.config import ExperimentConfig, build_simulation, run_experiment
 from gaulrq.errors import ConfigError, InvalidParameterError
-from gaulrq.orchestrator import (AlgorithmKind, WireMessage, pack_indices,
-                                 parse_message, sample_clients,
+from gaulrq.orchestrator import (AlgorithmKind, Simulation, WireMessage,
+                                 pack_indices, parse_message, sample_clients,
                                  serialize_message, unpack_indices)
-from gaulrq.quantizers import MAX_BITS
-from gaulrq.streams import SeedMaterial, uniform_pair_block
+from gaulrq.privacy import ClipConfig, clip_update
+from gaulrq.quantizers import MAX_BITS, lrq_quantize_vector
+from gaulrq.streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
+from gaulrq.training import LocalDataset, ModelState, Objective, local_rounds
 
 
 def _config(**kw):
@@ -240,6 +243,65 @@ def test_local_sgd_is_gradient_descent_step():
     # Equal shards: mean of client updates = -eta * global gradient, up to
     # the float32 payload rounding.
     assert np.allclose(sim.theta, theta0 - cfg.eta * grad, atol=1e-6)
+
+
+_ENGINE_CASES = {
+    # Criterion 9: minibatch least squares.
+    "criterion9": dict(N=100, B=10, Q=5, K=50, eta=0.05, epsilon=2.0, delta=1e-5,
+                       tau=0.9, s2=1.0, objective="least_squares", d=20,
+                       n_per_client=20, label_noise=0.0, batch_size=5, seed=0,
+                       run_id="acc9"),
+    # The benchmark's local-heavy workload: full-batch logistic, Q=20.
+    "local-heavy": dict(N=50, B=10, Q=20, K=10, eta=0.5, epsilon=4.0, delta=1e-5,
+                        tau=0.9, s2=1.0, objective="logistic", d=100,
+                        n_per_client=400, label_noise=0.0, batch_size=0, seed=0,
+                        run_id="local"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ENGINE_CASES))
+def test_round_engine_matches_per_client_oracle(case, monkeypatch):
+    """The stacked round equals B one-client pipelines, bit for bit."""
+    cfg = ExperimentConfig.from_dict(dict(_ENGINE_CASES[case], algorithm="gau_lrq_sgd"))
+    sim = build_simulation(cfg)
+    theta, seed, k = sim.theta.copy(), sim.seed, 0
+    stacked, wire = [], []
+
+    def spy(fn, out):
+        def wrapper(*args, **kwargs):
+            out.append(fn(*args, **kwargs))
+            return out[-1]
+        return wrapper
+
+    monkeypatch.setattr(orchestrator, "stacked_local_rounds",
+                        spy(orchestrator.stacked_local_rounds, stacked))
+    monkeypatch.setattr(orchestrator, "serialize_message",
+                        spy(orchestrator.serialize_message, wire))
+    record = sim.run_round()
+    (updates,) = stacked
+    assert updates.shape == (cfg.B, cfg.d) and len(wire) == cfg.B
+    for row, raw, cid in zip(updates, wire, record.clients):
+        model = ModelState(theta=theta, round=k, objective=sim.objective)
+        want = local_rounds(model, sim.objective.datasets[cid], cfg.Q, cfg.eta,
+                            sim.batch_size, DrawStream(seed.lane("batch"), cid, k))
+        assert np.array_equal(row, want)
+        clipped = clip_update(row, cfg.s2)
+        enc = lrq_quantize_vector(clipped, record.sigma_used,
+                                  element_pairs(seed.lane("quant"), cid, k, cfg.d))
+        b = enc.bits_per_element
+        msg = WireMessage(cid, k, cfg.d, b, AlgorithmKind.GAU_LRQ_SGD,
+                          pack_indices(enc.indices, b), scale=enc.scale)
+        assert raw == serialize_message(msg)
+
+
+def test_round_engine_rejects_unequal_shards():
+    rng = np.random.default_rng(0)
+    datasets = [LocalDataset(rng.standard_normal((n, 2)), rng.standard_normal(n), i)
+                for i, n in enumerate((3, 4))]
+    with pytest.raises(InvalidParameterError, match="equal shard sizes"):
+        Simulation(AlgorithmKind.LOCAL_SGD, Objective(datasets), np.zeros(2),
+                   SeedMaterial(0), K=1, B=1, Q=1, eta=0.1, batch_size=3,
+                   budget=None, clip=ClipConfig())
 
 
 def test_local_sgd_converges_on_noiseless_problem():

@@ -2,6 +2,8 @@ import hashlib
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaulrq.errors import InvalidParameterError
 from gaulrq.streams import (DrawStream, SeedMaterial, element_pairs,
@@ -150,3 +152,36 @@ def test_pair_block_rejects_out_of_range_client_and_round():
     for cid, rnd in ((-1, 0), (0, -1), (2**64, 0)):
         with pytest.raises(InvalidParameterError):
             uniform_pair_block(SEED, cid, rnd, 0, 0)
+
+
+# -- client axis ------------------------------------------------------------
+
+_U64 = st.integers(0, 2**64 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(ids=st.lists(_U64, max_size=6), rnd=_U64,
+       cursors=st.lists(st.tuples(_U64, _U64), min_size=1, max_size=5),
+       scalar=st.booleans())
+def test_client_axis_stacks_scalar_calls(ids, rnd, cursors, scalar):
+    e, c = (np.array(x, dtype=np.uint64) for x in zip(*cursors))
+    if scalar:
+        e, c = e[0], c[0]
+    rows = [uniform_pair_block(SEED, cid, rnd, e, c) for cid in ids]
+    for given_ids in (ids, np.array(ids, dtype=np.uint64)):
+        got = uniform_pair_block(SEED, given_ids, rnd, e, c)
+        for g, j in zip(got, (0, 1)):
+            assert g.shape == (len(ids),) + np.shape(e)
+            for i, row in enumerate(rows):
+                assert np.array_equal(g[i], row[j])
+
+
+@settings(max_examples=200, deadline=None)
+@given(bad=st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64),
+                     st.floats(allow_nan=True, allow_infinity=True)),
+       ids=st.lists(_U64, max_size=4), pos=st.integers(0, 4))
+def test_client_axis_rejects_bad_ids(bad, ids, pos):
+    ids = ids[:pos] + [bad] + ids[pos:]
+    for given_ids in (ids, np.array(ids)):
+        with pytest.raises(InvalidParameterError):
+            uniform_pair_block(SEED, given_ids, 0, 0, 0)

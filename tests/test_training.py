@@ -177,6 +177,14 @@ def test_divergence_guard():
                      None, divergence_ceiling=1e3)
 
 
+def test_divergence_guard_catches_nan():
+    # NaN fails every comparison, so a `norm > ceiling` test would let it through.
+    obj = _objective()
+    model = ModelState(theta=np.ones(3), round=0, objective=obj)
+    with pytest.raises(DivergedError, match="exceeded ceiling 1e\\+06"):
+        local_rounds(model, obj.datasets[0], 2, float("nan"), obj.datasets[0].n, None)
+
+
 # -- weighted error ---------------------------------------------------------
 
 def test_weighted_error_examples():
