@@ -9,7 +9,9 @@ also lives here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import numbers
+import sys
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from .errors import InvalidParameterError
 from .quantizers import bit_width
 
 LN2 = np.log(2.0)
+MAX_BOUND_ROUNDS = 10**7  # the tau-weight sums hold K floats
 
 
 @dataclass(frozen=True)
@@ -25,7 +28,7 @@ class BoundInputs:
 
     delta_inf_norm is a representative inf-norm of the clipped update, used
     by the bit-count and coupling-error terms; take it from an actual run
-    when one is available.
+    when one is available. Values are finite, counts integers, K <= MAX_BOUND_ROUNDS.
     """
 
     F_gap: float
@@ -44,6 +47,15 @@ class BoundInputs:
     delta_inf_norm: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if f.name in ("Q", "K", "B", "N", "d"):
+                if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+                    raise InvalidParameterError(f"{f.name} must be an integer, got {value!r}")
+            # abs(x) <= max float rejects NaN, infinities and ints beyond float range.
+            elif (not isinstance(value, numbers.Real) or isinstance(value, bool)
+                  or not abs(value) <= sys.float_info.max):
+                raise InvalidParameterError(f"{f.name} must be a finite number, got {value!r}")
         positive = {"eta": self.eta, "Q": self.Q, "K": self.K, "B": self.B,
                     "N": self.N, "d": self.d, "nu": self.nu, "S2": self.S2,
                     "epsilon": self.epsilon, "delta_inf_norm": self.delta_inf_norm}
@@ -58,6 +70,8 @@ class BoundInputs:
             raise InvalidParameterError("tau must lie in (0, 1]")
         if self.B > self.N:
             raise InvalidParameterError("B cannot exceed N")
+        if self.K > MAX_BOUND_ROUNDS:
+            raise InvalidParameterError(f"K must be <= {MAX_BOUND_ROUNDS}")
 
     def step_size_ok(self) -> bool:
         """The step-size condition under which the bounds are derived."""

@@ -11,11 +11,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .normal import inv_norm_cdf
 from .orchestrator import AlgorithmKind, RunTrace, Simulation
-from .privacy import ClipConfig, PrivacyBudget
-from .streams import SeedMaterial, element_pairs
-from .training import OBJECTIVE_KINDS, Objective, synth_partition
+from .training import OBJECTIVE_KINDS
 
 
 @dataclass
@@ -66,6 +63,9 @@ class ExperimentConfig:
                 errors.append(f"{name}: must be >= 1")
         if self.K < 0:
             errors.append("K: must be >= 0")
+        for name in ("eta", "epsilon", "s2", "label_noise", "ridge", "heterogeneity"):
+            if not np.isfinite(getattr(self, name)):
+                errors.append(f"{name}: must be finite")
         if self.B > self.N:
             errors.append(f"B: participants ({self.B}) cannot exceed N ({self.N})")
         if self.eta <= 0:
@@ -112,41 +112,28 @@ class ExperimentConfig:
         return errors
 
 
-def load_config(path: str) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+def load_json_object(path: str, name: str) -> dict:
+    """The JSON object in file ``path``; any failure is a ConfigError about ``name``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config: invalid JSON ({exc})") from None
+    except OSError as exc:
+        raise ConfigError(f"{name}: cannot read {path} ({exc.strerror})") from None
+    except ValueError as exc:  # invalid JSON or UTF-8
+        raise ConfigError(f"{name}: invalid JSON ({exc})") from None
     if not isinstance(data, dict):
-        raise ConfigError("config: top level must be a JSON object")
-    return ExperimentConfig.from_dict(data)
+        raise ConfigError(f"{name}: top level must be a JSON object")
+    return data
 
 
-def initial_point(seed: SeedMaterial, d: int) -> np.ndarray:
-    """Shared nonzero starting point, drawn from the init lane."""
-    u1, _ = element_pairs(seed.lane("init"), 0, 0, d)
-    return np.asarray(inv_norm_cdf(u1))
+def load_config(path: str) -> ExperimentConfig:
+    return ExperimentConfig.from_dict(load_json_object(path, "config"))
 
 
 def build_simulation(config: ExperimentConfig) -> Simulation:
+    """Validate ``config`` and build its Simulation (data, start point, schedule)."""
     config.validate()
-    seed = SeedMaterial(config.seed, config.run_id)
-    datasets = synth_partition(config.seed, config.N, config.d,
-                               config.n_per_client, config.label_noise,
-                               kind=config.objective,
-                               heterogeneity=config.heterogeneity)
-    objective = Objective(datasets, kind=config.objective, ridge=config.ridge)
-    theta0 = initial_point(seed, config.d)
-    algorithm = AlgorithmKind[config.algorithm.upper()]
-    budget = (PrivacyBudget(config.epsilon, config.delta)
-              if algorithm.private else None)
-    clip = ClipConfig(s2=config.s2, mode=config.clip_mode)
-    batch = config.batch_size if config.batch_size > 0 else config.n_per_client
-    return Simulation(algorithm, objective, theta0, seed,
-                      K=config.K, B=config.B, Q=config.Q, eta=config.eta,
-                      batch_size=batch, budget=budget, clip=clip,
-                      tau=config.tau, divergence_ceiling=config.divergence_ceiling)
+    return Simulation(config)
 
 
 def run_experiment(config: ExperimentConfig) -> RunTrace:

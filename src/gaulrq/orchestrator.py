@@ -29,7 +29,7 @@ from .quantizers import (MAX_BITS, bit_width, lrq_quantize_rows,
                          lrq_reconstruct_rows, stochastic_dequantize,
                          stochastic_quantize_indices, wire_scale)
 from .streams import SeedMaterial, element_pairs, uniform_pair_block
-from .training import Objective, stacked_local_rounds, weighted_error
+from .training import Objective, stacked_local_rounds, synth_partition, weighted_error
 
 FLOAT_BITS = 32
 
@@ -45,7 +45,7 @@ class AlgorithmKind(enum.Enum):
 
     @property
     def quantized(self):
-        return PIPELINES[self].encode is not _encode_float
+        return self in _QUANTIZED
 
     @property
     def private(self):
@@ -123,13 +123,14 @@ def parse_message(data: bytes) -> WireMessage:
         algorithm = AlgorithmKind(tag)
     except ValueError:
         raise InvalidParameterError(f"unknown algorithm tag {tag}") from None
-    if not (1 <= bits <= MAX_BITS if algorithm.quantized else bits == FLOAT_BITS):
+    quantized = algorithm.quantized
+    if not (1 <= bits <= MAX_BITS if quantized else bits == FLOAT_BITS):
         raise InvalidParameterError(f"{bits}-bit elements are invalid for {algorithm.name}")
-    offset = _HEADER.size + (4 if algorithm.quantized else 0)
+    offset = _HEADER.size + (4 if quantized else 0)
     if len(data) != offset + (dim * bits + 7) // 8:
         raise InvalidParameterError(
             f"{len(data)}-byte message cannot hold {dim} elements of {bits} bits")
-    scale = struct.unpack_from("<f", data, _HEADER.size)[0] if algorithm.quantized else 0.0
+    scale = struct.unpack_from("<f", data, _HEADER.size)[0] if quantized else 0.0
     if not (np.isfinite(scale) and scale >= 0.0):
         raise InvalidParameterError(f"scale {scale} is not finite and >= 0")
     return WireMessage(client_id=client_id, round=rnd, dim=dim,
@@ -200,6 +201,7 @@ PIPELINES = {
     AlgorithmKind.DYNAMIC_GAU_LRQ_SGD: Pipeline(False, True, _encode_layered,
                                                 _decode_layered),
 }
+_QUANTIZED = frozenset(kind for kind, p in PIPELINES.items() if p.encode is not _encode_float)
 
 
 def sample_clients(N: int, B: int, u: float) -> list[int]:
@@ -271,58 +273,53 @@ class RunTrace:
 
 
 class Simulation:
-    """Server state plus the per-round client pipelines for one algorithm."""
+    """One experiment, built from its validated ExperimentConfig: the seed, the
+    synthetic shards' Objective, the "init"-lane start point, the privacy
+    budget, clipping and sigma schedule, and the server state per round."""
 
-    def __init__(self, algorithm: AlgorithmKind, objective: Objective,
-                 theta0, seed: SeedMaterial, *, K: int, B: int, Q: int,
-                 eta: float, batch_size: int, budget: PrivacyBudget | None,
-                 clip: ClipConfig, tau: float = 1.0,
-                 divergence_ceiling: float = 1e6):
-        self.algorithm = algorithm
-        self.objective = objective
-        self.theta = np.asarray(theta0, dtype=np.float64).copy()
-        self.theta0 = self.theta.copy()
-        self.seed = seed
-        self.K, self.B, self.Q = K, B, Q
-        self.eta = eta
-        self.batch_size = batch_size
-        self.budget = budget
-        self.clip = clip
-        self.tau = tau
-        self.divergence_ceiling = divergence_ceiling
-        self.N = len(objective.datasets)
-        self.d = objective.dimension
+    def __init__(self, config):
+        self.config = config
+        self.seed = SeedMaterial(config.seed, config.run_id)
+        datasets = synth_partition(config.seed, config.N, config.d, config.n_per_client,
+                                   config.label_noise, kind=config.objective,
+                                   heterogeneity=config.heterogeneity)
+        self.objective = Objective(datasets, kind=config.objective, ridge=config.ridge)
+        u_init, _ = element_pairs(self.seed.lane("init"), 0, 0, config.d)
+        self.theta0 = np.asarray(inv_norm_cdf(u_init))
+        self.theta = self.theta0.copy()
+        self.algorithm = AlgorithmKind[config.algorithm.upper()]
+        self.budget = (PrivacyBudget(config.epsilon, config.delta)
+                       if self.algorithm.private else None)
+        self.clip = ClipConfig(s2=config.s2, mode=config.clip_mode)
+        self.batch_size = config.batch_size or config.n_per_client  # 0 is full batch
         self.round = 0
         self.records: list[RoundRecord] = []
         self._eps_sq_spent = 0.0  # sum over rounds of (per-round epsilon)^2
-        self._pipeline = PIPELINES[algorithm]
-        if objective.shards is None:
-            raise InvalidParameterError("the round engine needs equal shard sizes")
-        if algorithm.private:  # median-adaptive rounds rescale the S2=1 schedule
+        self._pipeline = PIPELINES[self.algorithm]
+        if self.algorithm.private:  # median-adaptive rounds rescale the S2=1 schedule
             self._sigmas = sigma_schedule_dynamic(
-                clip.s2 if clip.mode == "fixed" else 1.0, K, B, self.N, budget,
-                tau if self._pipeline.decaying else 1.0).sigmas
+                self.clip.s2 if self.clip.mode == "fixed" else 1.0, config.K, config.B,
+                config.N, self.budget, config.tau if self._pipeline.decaying else 1.0).sigmas
 
     def run_round(self) -> RoundRecord:
-        if self.round >= self.K:
+        cfg = self.config
+        if self.round >= cfg.K:
             raise InvalidParameterError("all configured rounds already run")
         k = self.round
         loss = self.objective.full_loss(self.theta)
         grad = self.objective.full_gradient(self.theta)
 
         u_sample, _ = uniform_pair_block(self.seed.lane("sample"), 0, k, 0, 0)
-        clients = sample_clients(self.N, self.B, float(u_sample))
+        clients = sample_clients(cfg.N, cfg.B, float(u_sample))
 
         # Row i of every (B, ...) array below belongs to clients[i], ascending.
-        X, y = self.objective.shards
-        u_batch = None
-        if self.batch_size < y.shape[1]:
+        u_batch = None  # full batch
+        if self.batch_size < cfg.n_per_client:
             u_batch, _ = uniform_pair_block(
                 self.seed.lane("batch"), clients, k, 0,
-                np.arange(self.Q * self.batch_size, dtype=np.uint64))
-        updates = stacked_local_rounds(self.objective, self.theta, X, y, clients, self.Q,
-                                       self.eta, self.batch_size, u_batch,
-                                       self.divergence_ceiling)
+                np.arange(cfg.Q * self.batch_size, dtype=np.uint64))
+        updates = stacked_local_rounds(self.objective, self.theta, clients, cfg.Q,
+                                       cfg.eta, u_batch, cfg.divergence_ceiling)
 
         sigma, inf_norms, eps_cum = 0.0, [], float("inf")
         if self.algorithm.private:
@@ -338,20 +335,20 @@ class Simulation:
             inf_norms = [wire_scale(np.max(np.abs(upd))) for upd in updates]
             # Lemma-4-style composition, valid per-round even when the clip
             # bound (and hence sigma) changes across rounds.
-            per_round = (2.0 * s2 * np.sqrt(self.B * np.log(1.0 / self.budget.delta))
-                         / (self.N * sigma))
+            per_round = (2.0 * s2 * np.sqrt(cfg.B * np.log(1.0 / self.budget.delta))
+                         / (cfg.N * sigma))
             self._eps_sq_spent += per_round**2
             # The schedules spend exactly epsilon: never report the rounding excess.
             eps_cum = min(float(np.sqrt(self._eps_sq_spent)), self.budget.epsilon)
 
         if self._pipeline.noisy:
-            u_noise, _ = element_pairs(self.seed.lane("noise"), clients, k, self.d)
+            u_noise, _ = element_pairs(self.seed.lane("noise"), clients, k, cfg.d)
             updates = updates + sigma * np.asarray(inv_norm_cdf(u_noise))
         messages, clamp_count = [], 0
         for cid, (bits, payload, scale, clamps) in zip(
                 clients, self._pipeline.encode(self.seed, clients, k, updates, sigma)):
             messages.append(serialize_message(
-                WireMessage(cid, k, self.d, bits, self.algorithm, payload, scale=scale)))
+                WireMessage(cid, k, cfg.d, bits, self.algorithm, payload, scale=scale)))
             clamp_count += clamps
 
         parsed = [parse_message(raw) for raw in messages]
@@ -365,13 +362,14 @@ class Simulation:
                              sigma_used=sigma, epsilon_spent_cumulative=eps_cum,
                              loss=loss, grad_sq_norm=float(grad @ grad),
                              clamp_count=clamp_count, inf_norms=inf_norms,
-                             wire_scales=[m.scale for m in parsed if m.algorithm.quantized])
+                             wire_scales=([m.scale for m in parsed]
+                                          if self.algorithm.quantized else []))
         self.records.append(record)
         self.round += 1
         return record
 
     def run(self) -> RunTrace:
-        for _ in range(self.K):
+        for _ in range(self.config.K):
             self.run_round()
         return self.trace()
 
@@ -382,7 +380,8 @@ class Simulation:
         summary = {
             "algorithm": self.algorithm.name.lower(),
             "rounds_run": len(self.records),
-            "weighted_error": weighted_error(grad_norms, self.tau) if grad_norms else None,
+            "weighted_error": (weighted_error(grad_norms, self.config.tau)
+                               if grad_norms else None),
             "final_loss": self.objective.full_loss(self.theta),
             "total_bits": total_bits,
             "epsilon_spent": (self.records[-1].epsilon_spent_cumulative

@@ -59,10 +59,11 @@ class ObjectiveSpec:
 
 
 class Objective:
-    """A differentiable objective over N client shards.
+    """A differentiable objective over N client shards of equal size n.
 
-    The global objective is the unweighted mean of per-client means plus an
-    optional ridge term. All evaluation paths are pure in (theta, data).
+    The global objective is the mean of per-client means plus an optional
+    ridge term. Shards of different sizes raise InvalidParameterError. All
+    evaluation paths are pure in (theta, data).
     """
 
     def __init__(self, datasets, kind="least_squares", ridge=0.0):
@@ -72,21 +73,19 @@ class Objective:
             raise InvalidParameterError("ridge must be >= 0")
         if not datasets:
             raise InvalidParameterError("need at least one client dataset")
+        self.datasets = list(datasets)
+        N, n = len(self.datasets), self.datasets[0].n
+        if any(ds.n != n for ds in self.datasets):
+            raise InvalidParameterError("client shards must have equal sizes")
         self.kind = kind
         self.ridge = float(ridge)
-        self.datasets = list(datasets)
         self.dimension = self.datasets[0].features.shape[1]
-        # Per-sample weight so that stacked evaluation equals the mean of
-        # per-client means even with unequal shard sizes.
-        w = np.concatenate([np.full(ds.n, 1.0 / (len(datasets) * ds.n))
-                            for ds in self.datasets])
+        # Every sample weighs 1/(N*n): the mean of equal-size per-client means.
+        self._w = 1.0 / (N * n)
         self._X = np.vstack([ds.features for ds in self.datasets])
         self._y = np.concatenate([ds.targets for ds in self.datasets])
-        self._w = w
-        # The round engine's zero-copy (N, n, d) and (N, n) views; None if sizes differ.
-        n = self.datasets[0].n
-        self.shards = ((self._X.reshape(len(datasets), n, -1), self._y.reshape(-1, n))
-                       if all(ds.n == n for ds in self.datasets) else None)
+        # Zero-copy (N, n, d) and (N, n) views of the same arrays, for the stepper.
+        self.shards = (self._X.reshape(N, n, -1), self._y.reshape(N, n))
         self._gram = None
         self._nu = None
         self._optimum = None
@@ -105,8 +104,7 @@ class Objective:
 
     def full_gradient(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
-        z = self._X @ theta
-        resid = (z - self._y) if self.kind == "least_squares" else (expit(z) - self._y)
+        resid = _residual(self.kind, self._X @ theta, self._y)
         return self._X.T @ (self._w * resid) + self.ridge * theta
 
     def sample_gradients(self, theta, dataset, indices):
@@ -114,9 +112,7 @@ class Objective:
         theta = np.asarray(theta, dtype=np.float64)
         X = dataset.features[indices]
         y = dataset.targets[indices]
-        z = X @ theta
-        resid = (z - y) if self.kind == "least_squares" else (expit(z) - y)
-        return X * resid[:, None] + self.ridge * theta
+        return X * _residual(self.kind, X @ theta, y)[:, None] + self.ridge * theta
 
     # -- certified constants ------------------------------------------------
 
@@ -129,10 +125,10 @@ class Objective:
         """
         if self._gram is None:
             if self._X.shape[0] < self.dimension:
-                a = self._X * np.sqrt(self._w)[:, None]
+                a = self._X * np.sqrt(self._w)
                 self._gram = a @ a.T
             else:
-                self._gram = (self._X * self._w[:, None]).T @ self._X
+                self._gram = (self._X * self._w).T @ self._X
         return self._gram
 
     def smoothness(self):
@@ -154,7 +150,7 @@ class Objective:
                     # the minimum-norm interpolant at ridge r = 0.
                     root_w = np.sqrt(self._w)
                     alpha = np.linalg.solve(gram, root_w * self._y)
-                    theta = (self._X * root_w[:, None]).T @ alpha
+                    theta = (self._X * root_w).T @ alpha
                 else:
                     rhs = self._X.T @ (self._w * self._y)
                     theta = np.linalg.solve(gram, rhs)
@@ -199,48 +195,54 @@ class ModelState:
 
 def local_rounds(model: ModelState, dataset: LocalDataset, Q: int, eta: float,
                  batch_size: int, stream, divergence_ceiling: float = 1e6):
-    """Q local SGD steps for one client: stacked_local_rounds with B = 1, its
-    Q batches drawn from ``stream`` in one draw of Q * batch_size uniforms."""
-    u = stream.next(Q * batch_size)[None] if 0 < batch_size < dataset.n else None
-    return stacked_local_rounds(model.objective, model.theta, dataset.features[None],
-                                dataset.targets[None], [0], Q, eta, batch_size, u,
+    """Q local SGD steps for one client: stacked_local_rounds on the one-shard
+    Objective of ``dataset``. A batch_size below the shard size draws the Q
+    batches from ``stream`` in one draw of Q * batch_size uniforms."""
+    if batch_size < 1:
+        raise InvalidParameterError("batch_size must be >= 1")
+    objective = Objective([dataset], model.objective.kind, model.objective.ridge)
+    u = stream.next(Q * batch_size)[None] if batch_size < dataset.n else None
+    return stacked_local_rounds(objective, model.theta, [0], Q, eta, u,
                                 divergence_ceiling)[0]
 
 
-def stacked_local_rounds(objective: Objective, theta, X, y, rows, Q: int, eta: float,
-                         batch_size: int, u, divergence_ceiling: float = 1e6):
+def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, u,
+                         divergence_ceiling: float):
     """Q local SGD steps for B clients at once; returns their (B, d) updates.
 
-    X (M, n, d) and y (M, n) stack equal-size shards; ``rows`` names the B
-    that train, each from ``theta``, without mutating it. Step q of row i
-    takes the batch floor(u[i, q*batch_size:(q+1)*batch_size] * n), drawn
-    with replacement, or the whole shard (u unused) when batch_size covers
-    it. Any row's norm above divergence_ceiling, or NaN, raises DivergedError.
+    ``rows`` names the B shards of ``objective.shards`` that train, each from
+    ``theta``, without mutating it. ``u`` is None for full-batch steps on the
+    whole shard; otherwise it is (B, Q * b) and step q of row i takes the
+    batch floor(u[i, q*b:(q+1)*b] * n), drawn with replacement. Any row's
+    norm above divergence_ceiling, or NaN, raises DivergedError.
     """
     if Q < 1:
         raise InvalidParameterError("Q must be >= 1")
     if eta < 0.0:
         raise InvalidParameterError("eta must be >= 0")
-    if batch_size < 1:
-        raise InvalidParameterError("batch_size must be >= 1")
+    X, y = objective.shards
     rows, n = np.asarray(rows), X.shape[1]
-    if batch_size >= n:
+    if u is None:
         batches = [(X[rows], y[rows])] * Q
     else:
-        idx = np.floor(u * n).astype(np.int64).reshape(rows.size, Q, batch_size)
+        idx = np.floor(u * n).astype(np.int64).reshape(rows.size, Q, -1)
         batches = ((X[rows[:, None], idx[:, q]], y[rows[:, None], idx[:, q]])
                    for q in range(Q))
     local = np.tile(theta, (rows.size, 1))
     for Xb, yb in batches:
         z = np.matmul(Xb, local[:, :, None])[:, :, 0]
-        resid = (z - yb) if objective.kind == "least_squares" else (expit(z) - yb)
-        g = Xb * resid[:, :, None]
+        g = Xb * _residual(objective.kind, z, yb)[:, :, None]
         g += objective.ridge * local[:, None, :]  # in place: one (B, b, d) temporary
         local = local - eta * g.mean(axis=1)
         if not np.all(np.linalg.norm(local, axis=1) <= divergence_ceiling):
             raise DivergedError(
                 f"local model norm exceeded ceiling {divergence_ceiling:g}")
     return local - theta
+
+
+def _residual(kind: str, z, y):
+    """dLoss/dz per sample: z - y for least squares, sigmoid(z) - y for logistic."""
+    return (z - y) if kind == "least_squares" else (expit(z) - y)
 
 
 def weighted_error(grad_sq_norms, tau: float) -> float:

@@ -1,11 +1,20 @@
+import contextlib
+import dataclasses
+import io
 import json
+import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from gaulrq.analysis import BoundInputs
 from gaulrq.cli import main
 from gaulrq.config import ExperimentConfig, load_config
 from gaulrq.errors import ConfigError
-from gaulrq.quantizers import MAX_BITS
+from gaulrq.quantizers import MAX_BITS, lrq_quantize_vector
+from gaulrq.streams import SeedMaterial, uniform_pair_block
 
 MINIMAL = {
     "algorithm": "gau_lrq_sgd", "N": 6, "B": 3, "Q": 2, "K": 4,
@@ -70,6 +79,13 @@ def test_cmd_run_writes_three_artifacts(tmp_path, capsys):
     assert summary["rounds_run"] == 4 and summary["stop_reason"] == "completed"
     bounds = json.loads((out / "cli-test_bounds.json").read_text())
     assert bounds["bound_dynamic"] <= bounds["bound_gau_lrq"] <= bounds["bound_qg"]
+
+
+def test_cmd_run_missing_config_file(tmp_path, capsys):
+    missing = str(tmp_path / "absent.json")
+    assert main(["run", "--config", missing, "--out-dir", str(tmp_path)]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: config: cannot read {missing} (No such file or directory)\n"
 
 
 def test_cmd_run_invalid_config_exit_status(tmp_path, capsys):
@@ -143,6 +159,20 @@ def test_cmd_run_rejects_bad_divergence_ceiling(tmp_path, capsys, ceiling):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides", [
+    {"eta": float("inf")}, {"eta": float("nan")}, {"ridge": float("inf")},
+    {"algorithm": "local_sgd", "epsilon": float("inf")},
+    {"clip_mode": "median_adaptive", "s2": float("inf")}])
+def test_cmd_run_rejects_non_finite_knobs(tmp_path, capsys, overrides):
+    # The bound report needs finite inputs, so a non-finite knob fails up front.
+    cfg = _write_config(tmp_path, overrides)
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    name = next(k for k in overrides if k not in ("algorithm", "clip_mode"))
+    assert capsys.readouterr().err == f"config error: {name}: must be finite\n"
+    assert not out.exists()
+
+
 def test_cmd_run_wide_model_writes_bounds(tmp_path):
     # d=20000 with 8 samples: the d x d Gram alone would take 3.2 GB.
     cfg = _write_config(tmp_path, {"algorithm": "local_sgd", "d": 20000, "N": 2,
@@ -187,8 +217,24 @@ def test_verify_noise_passes(capsys):
     assert out.count("PASS") == 3 and "FAIL" not in out
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_verify_noise_passes_at_small_n(capsys, seed):
+    # var/sigma^2 spreads as sqrt(2/n) = 0.045 here, so its tolerance scales with n.
+    assert main(["verify-noise", "--sigma", "1.0", "--n", "1000",
+                 "--seed", str(seed)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
 def test_verify_noise_bad_sigma(capsys):
     assert main(["verify-noise", "--sigma", "0"]) == 2
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "1e-300"])
+def test_verify_noise_sigma_outside_codec_domain(capsys, sigma):
+    # 1e-300 would need more than 40 bits for the test value.
+    assert main(["verify-noise", "--sigma", sigma]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_noise_too_few(capsys):
@@ -223,6 +269,61 @@ def test_compare_bounds_unknown_key(tmp_path, capsys):
     assert main(["compare-bounds", "--inputs", str(path)]) == 2
 
 
+def _compare_bounds(path):
+    """(exit status, stdout, stderr) of compare-bounds on one inputs file."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(["compare-bounds", "--inputs", str(path)])
+    return status, out.getvalue(), err.getvalue()
+
+
+@pytest.mark.parametrize("text, message", [
+    (None, "inputs: cannot read"),
+    ("{not json", "inputs: invalid JSON"),
+    ("[1, 2]", "inputs: top level must be a JSON object"),
+    ('{"eta": "x"}', "eta must be a finite number, got 'x'"),
+    ('{"F_gap": NaN}', "F_gap must be a finite number, got nan"),
+    ('{"epsilon": Infinity}', "epsilon must be a finite number, got inf"),
+    ('{"K": 1.5}', "K must be an integer, got 1.5"),
+    ('{"K": 100000000000}', "K must be <= 10000000"),
+    ('{"eta": 1e-300}', "a bound overflows at these inputs"),
+])
+def test_compare_bounds_rejects_bad_inputs(tmp_path, text, message):
+    path = tmp_path / "inputs.json"
+    if text is not None:
+        path.write_text(text)
+    status, out, err = _compare_bounds(path)
+    assert status == 2 and out == ""
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+_BOUND_FIELDS = [f.name for f in dataclasses.fields(BoundInputs)]
+# Well-typed objects, with values from tiny to huge so that some inputs
+# overflow a bound, and objects of any JSON values.
+_WELL_TYPED = st.fixed_dictionaries({}, optional={
+    name: st.integers(1, 10**8) if name in ("Q", "K", "B", "N", "d")
+    else st.floats(1e-300, 1e300) | st.floats(0.0, 1.0) for name in _BOUND_FIELDS})
+_ANY_JSON = st.dictionaries(st.sampled_from(_BOUND_FIELDS), st.one_of(
+    st.integers(), st.floats(allow_nan=True, allow_infinity=True), st.text(max_size=3),
+    st.none()))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_WELL_TYPED | _ANY_JSON)
+def test_compare_bounds_finite_or_exit_2(tmp_path_factory, data):
+    """Any object over the bound fields prints five finite bounds or exits 2."""
+    path = tmp_path_factory.getbasetemp() / "hypothesis_bound_inputs.json"
+    path.write_text(json.dumps(data))
+    status, out, err = _compare_bounds(path)
+    if status == 0:
+        values = [float(line.split()[1]) for line in out.splitlines()[:5]]
+        assert len(values) == 5 and all(math.isfinite(v) for v in values)
+        assert err == ""
+    else:
+        assert status == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
 # -- quantizer-demo ---------------------------------------------------------
 
 def test_quantizer_demo(capsys):
@@ -233,3 +334,22 @@ def test_quantizer_demo(capsys):
 
 def test_quantizer_demo_bad_sigma(capsys):
     assert main(["quantizer-demo", "--sigma", "-1"]) == 2
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "1e-300"])
+def test_quantizer_demo_sigma_outside_codec_domain(capsys, sigma):
+    assert main(["quantizer-demo", "--sigma", sigma]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_quantizer_demo_prints_the_width_the_codec_sends(capsys):
+    # max|v| needs 4 bits here, but its float32 wire scale, rounded up, needs 5.
+    sigma = 0.07383438039125718
+    assert main(["quantizer-demo", "--seed", "0", "--sigma", repr(sigma)]) == 0
+    out = capsys.readouterr().out
+    v = np.random.default_rng(0).standard_normal(8)
+    uniforms = uniform_pair_block(SeedMaterial(0, "demo"), 0, 0,
+                                  np.arange(8, dtype=np.uint64), 0)
+    sent = lrq_quantize_vector(v, sigma, uniforms).bits_per_element
+    assert sent == 5 and f"bit width for this vector = {sent}\n" in out

@@ -7,10 +7,10 @@ from gaulrq import orchestrator
 from gaulrq.analysis import comm_cost
 from gaulrq.config import ExperimentConfig, build_simulation, run_experiment
 from gaulrq.errors import ConfigError, InvalidParameterError
-from gaulrq.orchestrator import (AlgorithmKind, Simulation, WireMessage,
+from gaulrq.orchestrator import (AlgorithmKind, WireMessage,
                                  pack_indices, parse_message, sample_clients,
                                  serialize_message, unpack_indices)
-from gaulrq.privacy import ClipConfig, clip_update
+from gaulrq.privacy import clip_update
 from gaulrq.quantizers import MAX_BITS, lrq_quantize_vector
 from gaulrq.streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
 from gaulrq.training import LocalDataset, ModelState, Objective, local_rounds
@@ -295,13 +295,12 @@ def test_round_engine_matches_per_client_oracle(case, monkeypatch):
 
 
 def test_round_engine_rejects_unequal_shards():
+    # The round engine steps all shards as one (N, n, d) array.
     rng = np.random.default_rng(0)
     datasets = [LocalDataset(rng.standard_normal((n, 2)), rng.standard_normal(n), i)
                 for i, n in enumerate((3, 4))]
-    with pytest.raises(InvalidParameterError, match="equal shard sizes"):
-        Simulation(AlgorithmKind.LOCAL_SGD, Objective(datasets), np.zeros(2),
-                   SeedMaterial(0), K=1, B=1, Q=1, eta=0.1, batch_size=3,
-                   budget=None, clip=ClipConfig())
+    with pytest.raises(InvalidParameterError, match="equal sizes"):
+        Objective(datasets)
 
 
 def test_local_sgd_converges_on_noiseless_problem():

