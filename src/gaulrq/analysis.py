@@ -82,14 +82,17 @@ class BoundInputs:
 
 
 def _tau_weight_sum(tau, K):
+    """tau^{K-1} * sum_k tau^{-k}: weights renormalized to tau^{K-1-k} <= 1, as
+    weighted_error does, so that small tau and large K cannot overflow."""
     k = np.arange(K, dtype=np.float64)
-    return float(np.sum(tau ** (-k)))
+    return float(np.sum(tau ** (K - 1 - k)))
 
 
 def bound_lsgd(inp: BoundInputs) -> float:
     """Baseline local-SGD error: optimality-gap decay plus sampling variance."""
     q = float(inp.Q)
-    gap_term = 2.0 * inp.F_gap / (q * inp.eta * _tau_weight_sum(inp.tau, inp.K))
+    gap_term = (2.0 * inp.F_gap * inp.tau ** (inp.K - 1)  # underflows quietly to 0
+                / (q * inp.eta * _tau_weight_sum(inp.tau, inp.K)))
     var_term = (q * inp.alpha2 / inp.B) * ((2.0 * q - 1.0) * (q - 1.0) / (6.0 * q) + 1.0)
     return gap_term + var_term
 
@@ -105,16 +108,17 @@ def bound_gau_lrq(inp: BoundInputs) -> float:
 
 
 def am_qm_factor(tau: float, K: int) -> float:
-    """AM^2/QM^2 of the weights tau^{-k/2}; in (0, 1], and 1 iff tau=1 or K=1."""
+    """AM^2/QM^2 of the weights tau^{-k/2}; in (0, 1], and 1 iff tau=1 or K=1.
+    Scale-free, so computed from tau^{(K-1-k)/2} <= 1; clamped against rounding."""
     if not (0.0 < tau <= 1.0):
         raise InvalidParameterError("tau must lie in (0, 1]")
     if K < 1:
         raise InvalidParameterError("K must be >= 1")
     k = np.arange(K, dtype=np.float64)
-    terms = tau ** (-k / 2.0)
+    terms = tau ** ((K - 1 - k) / 2.0)
     am = np.mean(terms)
     qm_sq = np.mean(terms**2)
-    return float(am * am / qm_sq)
+    return min(float(am * am / qm_sq), 1.0)
 
 
 def bound_dynamic(inp: BoundInputs) -> float:

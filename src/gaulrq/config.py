@@ -6,6 +6,7 @@ import dataclasses
 import json
 import numbers
 import os
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -100,7 +101,7 @@ class ExperimentConfig:
 
     def _type_errors(self) -> list[str]:
         """One message per field whose value is not of its default's type
-        (ints count as floats; bools count as neither)."""
+        (ints within float range count as floats; bools count as neither)."""
         wanted = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
                   str: (str, "a string")}
         errors = []
@@ -109,6 +110,9 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if not isinstance(value, kind) or isinstance(value, bool):
                 errors.append(f"{f.name}: must be {noun}, got {value!r}")
+            elif (kind is numbers.Real and isinstance(value, numbers.Integral)
+                  and abs(value) > sys.float_info.max):  # np.isfinite raises on it
+                errors.append(f"{f.name}: must be a number within float range")
         return errors
 
 

@@ -306,8 +306,7 @@ class Simulation:
         if self.round >= cfg.K:
             raise InvalidParameterError("all configured rounds already run")
         k = self.round
-        loss = self.objective.full_loss(self.theta)
-        grad = self.objective.full_gradient(self.theta)
+        loss, grad = self.objective.loss_and_gradient(self.theta)
 
         u_sample, _ = uniform_pair_block(self.seed.lane("sample"), 0, k, 0, 0)
         clients = sample_clients(cfg.N, cfg.B, float(u_sample))

@@ -63,7 +63,8 @@ class Objective:
 
     The global objective is the mean of per-client means plus an optional
     ridge term. Shards of different sizes raise InvalidParameterError. All
-    evaluation paths are pure in (theta, data).
+    evaluation paths are pure in (theta, data); full_loss and
+    loss_and_gradient share one loss formula, so their losses agree bitwise.
     """
 
     def __init__(self, datasets, kind="least_squares", ridge=0.0):
@@ -94,18 +95,26 @@ class Objective:
 
     def full_loss(self, theta):
         theta = np.asarray(theta, dtype=np.float64)
+        return self._loss(theta, self._X @ theta)
+
+    def loss_and_gradient(self, theta):
+        """(F(theta), grad F(theta)) from one product z = X theta: one pass
+        over the N*n x d data, for the per-round evaluation and L-BFGS."""
+        theta = np.asarray(theta, dtype=np.float64)
         z = self._X @ theta
+        resid = _residual(self.kind, z, self._y)
+        return self._loss(theta, z), self._X.T @ (self._w * resid) + self.ridge * theta
+
+    def full_gradient(self, theta):
+        return self.loss_and_gradient(theta)[1]
+
+    def _loss(self, theta, z):
         if self.kind == "least_squares":
             data = 0.5 * np.sum(self._w * (z - self._y) ** 2)
         else:
             # Stable log(1 + exp(z)) - y*z.
             data = np.sum(self._w * (np.logaddexp(0.0, z) - self._y * z))
         return float(data + 0.5 * self.ridge * theta @ theta)
-
-    def full_gradient(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        resid = _residual(self.kind, self._X @ theta, self._y)
-        return self._X.T @ (self._w * resid) + self.ridge * theta
 
     def sample_gradients(self, theta, dataset, indices):
         """Per-sample gradients (len(indices) x d) of one client's loss."""
@@ -155,8 +164,8 @@ class Objective:
                     rhs = self._X.T @ (self._w * self._y)
                     theta = np.linalg.solve(gram, rhs)
             else:
-                res = minimize(self.full_loss, np.zeros(self.dimension),
-                               jac=self.full_gradient, method="L-BFGS-B",
+                res = minimize(self.loss_and_gradient, np.zeros(self.dimension),
+                               jac=True, method="L-BFGS-B",
                                options={"gtol": 1e-12, "maxiter": 2000})
                 theta = res.x
             self._optimum = (theta, self.full_loss(theta))
@@ -213,8 +222,11 @@ def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, 
     ``rows`` names the B shards of ``objective.shards`` that train, each from
     ``theta``, without mutating it. ``u`` is None for full-batch steps on the
     whole shard; otherwise it is (B, Q * b) and step q of row i takes the
-    batch floor(u[i, q*b:(q+1)*b] * n), drawn with replacement. Any row's
-    norm above divergence_ceiling, or NaN, raises DivergedError.
+    batch floor(u[i, q*b:(q+1)*b] * n), drawn with replacement. A step is two
+    stacked BLAS products, the (B, b) residuals r of z = X_b theta and then
+    the batch-mean gradient r X_b / b + ridge * theta: no (B, b, d) array, and
+    the per-sample gradients summed in another order than their mean. Any
+    row's norm above divergence_ceiling, or NaN, raises DivergedError.
     """
     if Q < 1:
         raise InvalidParameterError("Q must be >= 1")
@@ -230,10 +242,9 @@ def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, 
                    for q in range(Q))
     local = np.tile(theta, (rows.size, 1))
     for Xb, yb in batches:
-        z = np.matmul(Xb, local[:, :, None])[:, :, 0]
-        g = Xb * _residual(objective.kind, z, yb)[:, :, None]
-        g += objective.ridge * local[:, None, :]  # in place: one (B, b, d) temporary
-        local = local - eta * g.mean(axis=1)
+        r = _residual(objective.kind, np.matmul(Xb, local[:, :, None])[:, :, 0], yb)
+        g = np.matmul(r[:, None, :], Xb)[:, 0, :] / yb.shape[1] + objective.ridge * local
+        local = local - eta * g
         if not np.all(np.linalg.norm(local, axis=1) <= divergence_ceiling):
             raise DivergedError(
                 f"local model norm exceeded ceiling {divergence_ceiling:g}")

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from gaulrq.analysis import (BoundInputs, am_qm_factor, bound_bq,
@@ -79,6 +81,35 @@ def test_am_qm_range_and_monotone_in_k():
     vals = [am_qm_factor(0.8, k) for k in range(1, 201)]
     assert all(0.0 < v <= 1.0 for v in vals)
     assert all(b <= a + 1e-15 for a, b in zip(vals, vals[1:]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(0.0, 1.0, exclude_min=True), st.integers(1, 1000))
+def test_tau_weights_renormalized_match_the_direct_sums(tau, K):
+    # The bounds weigh round k by tau^{-k}, computed as tau^{K-1-k} so that
+    # nothing overflows; wherever the direct sums are finite, they agree.
+    k = np.arange(K, dtype=np.float64)
+    with np.errstate(all="ignore"):
+        weight_sum = np.sum(tau ** (-k))
+        terms = tau ** (-k / 2.0)
+        am_sq, qm_sq = np.mean(terms) ** 2, np.mean(terms**2)
+    gap = bound_lsgd(_inputs(eta=0.05, alpha2=0.0, K=K, tau=tau))  # the gap term alone
+    factor = am_qm_factor(tau, K)
+    assert math.isfinite(gap) and 0.0 < factor <= 1.0
+    if np.isfinite(weight_sum):
+        assert gap == pytest.approx(2.0 / (5 * 0.05 * weight_sum), rel=1e-12, abs=0.0)
+    if np.isfinite(am_sq) and np.isfinite(qm_sq):
+        assert factor == pytest.approx(am_sq / qm_sq, rel=1e-12, abs=0.0)
+
+
+def test_tau_weights_do_not_overflow_at_small_tau_and_large_k():
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        assert 0.0 < am_qm_factor(0.5, 2100) < 1.0
+        inp = _inputs(tau=0.5, K=5000)
+        # tau^{K-1} underflows to 0: the gap term vanishes, the variance term stays.
+        assert bound_lsgd(inp) == bound_lsgd(_inputs(tau=0.5, K=5000, F_gap=0.0))
+        assert all(math.isfinite(f(inp)) for f in (bound_lsgd, bound_gau_lrq,
+                                                    bound_dynamic, bound_qg, bound_bq))
 
 
 def test_dynamic_bound_relations():

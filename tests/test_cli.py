@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -173,6 +174,17 @@ def test_cmd_run_rejects_non_finite_knobs(tmp_path, capsys, overrides):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("name", ["divergence_ceiling", "eta"])
+def test_cmd_run_rejects_ints_beyond_float_range(tmp_path, capsys, name):
+    # A 401-digit JSON integer loads as an int that no float can hold.
+    cfg = _write_config(tmp_path, {name: 10**400})
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"config error: {name}: must be a number within float range\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_cmd_run_wide_model_writes_bounds(tmp_path):
     # d=20000 with 8 samples: the d x d Gram alone would take 3.2 GB.
     cfg = _write_config(tmp_path, {"algorithm": "local_sgd", "d": 20000, "N": 2,
@@ -295,6 +307,19 @@ def test_compare_bounds_rejects_bad_inputs(tmp_path, text, message):
     status, out, err = _compare_bounds(path)
     assert status == 2 and out == ""
     assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
+def test_compare_bounds_small_tau_large_k(tmp_path):
+    # sum_k tau^{-k} overflows from K=1025 on at tau=0.5; the renormalized
+    # weights do not, and the gap term underflows to 0.
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps({"tau": 0.5, "K": 5000}))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        status, out, err = _compare_bounds(path)
+    assert status == 0 and err == ""
+    values = [float(line.split()[1]) for line in out.splitlines()[:5]]
+    assert len(values) == 5 and all(math.isfinite(v) for v in values)
 
 
 _BOUND_FIELDS = [f.name for f in dataclasses.fields(BoundInputs)]

@@ -41,6 +41,13 @@ CASES["mix_qg_sgd_median"] = dict(
     N=20, B=7, Q=3, K=15, eta=0.1, epsilon=3.0, delta=1e-5, tau=0.8, s2=0.7,
     d=13, n_per_client=9, batch_size=4, ridge=0.01, heterogeneity=0.5,
     label_noise=0.1, seed=5, run_id="mix")
+# Full-batch least squares with ridge and heterogeneity: the ridge term of the
+# full-batch local step and of the per-round evaluation.
+CASES["ridge_gau_lrq_sgd_full_batch"] = dict(
+    algorithm="gau_lrq_sgd", objective="least_squares", N=20, B=5, Q=4, K=12,
+    eta=0.05, epsilon=3.0, delta=1e-5, tau=0.9, s2=1.0, d=30, n_per_client=50,
+    batch_size=0, ridge=0.05, heterogeneity=0.3, label_noise=0.2, seed=7,
+    run_id="ridge")
 
 
 def _write_trace(name, path):

@@ -1,3 +1,11 @@
+import csv
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -328,6 +336,45 @@ def test_determinism_bitwise(tmp_path):
         t1.to_csv(p1, algo)
         t2.to_csv(p2, algo)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+_REPLAY = """
+import json, sys
+from gaulrq.config import ExperimentConfig, run_experiment
+cfg = ExperimentConfig.from_dict(json.loads(sys.argv[1]))
+trace = run_experiment(cfg)
+trace.to_csv(sys.argv[2] + ".csv", cfg.algorithm)
+trace.final_theta.tofile(sys.argv[2] + ".theta")
+"""
+
+
+def test_replay_across_blas_threads(tmp_path):
+    # A local-heavy experiment: its (B, n, d) local steps and 20000 x 100
+    # evaluation run in BLAS. The thread count changes no bit of the final
+    # model or of any trace column but grad_sq_norm. That column reduces
+    # X^T r over all 20000 samples, a sum OpenBLAS splits across threads, so
+    # it may move in the last bits.
+    config = json.dumps(dict(algorithm="dynamic_gau_lrq_sgd", clip_mode="median_adaptive",
+                             objective="logistic", N=50, B=10, Q=20, K=10, eta=0.5,
+                             epsilon=4.0, delta=1e-5, tau=0.9, s2=1.0, d=100,
+                             n_per_client=400, batch_size=0, seed=3, run_id="local"))
+    src = str(Path(orchestrator.__file__).resolve().parents[1])
+    thetas, traces = [], []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        stem = tmp_path / f"threads{threads}"
+        subprocess.run([sys.executable, "-c", _REPLAY, config, str(stem)],
+                       env=env, check=True, timeout=120)
+        thetas.append(stem.with_suffix(".theta").read_bytes())
+        with open(stem.with_suffix(".csv"), newline="", encoding="utf-8") as fh:
+            traces.append(list(csv.DictReader(fh)))
+    assert len(thetas[0]) == 100 * 8 and thetas[0] == thetas[1]
+    assert len(traces[0]) == 10 and len(traces[1]) == 10
+    for one, two in zip(*traces):
+        assert math.isclose(float(one.pop("grad_sq_norm")), float(two.pop("grad_sq_norm")),
+                            rel_tol=1e-12, abs_tol=0.0)
+        assert one == two
 
 
 def test_quantized_algorithms_meter_positive_and_budget_spent():

@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaulrq.errors import DivergedError, InvalidParameterError
 from gaulrq.streams import DrawStream, SeedMaterial
-from gaulrq.training import (LocalDataset, ModelState, Objective,
-                             local_rounds, synth_partition, weighted_error)
+from gaulrq.training import (LocalDataset, ModelState, Objective, local_rounds,
+                             stacked_local_rounds, synth_partition, weighted_error)
 
 
 def _objective(seed=0, N=4, d=3, n=6, noise=0.0, kind="least_squares", **kw):
@@ -67,6 +69,16 @@ def test_zero_gradient_at_optimum():
     obj = _objective(noise=0.3)
     theta_star, _ = obj.optimum()
     assert np.linalg.norm(obj.full_gradient(theta_star)) < 1e-10
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+@pytest.mark.parametrize("ridge", [0.0, 0.05])
+def test_loss_and_gradient_is_full_loss_and_full_gradient(kind, ridge):
+    obj = _objective(seed=4, N=5, d=7, n=9, noise=0.2, kind=kind, ridge=ridge)
+    for theta in np.random.default_rng(6).standard_normal((5, 7)):
+        loss, grad = obj.loss_and_gradient(theta)
+        assert loss == obj.full_loss(theta)
+        assert np.array_equal(grad, obj.full_gradient(theta))
 
 
 def test_gradient_matches_finite_differences():
@@ -165,7 +177,45 @@ def test_unrolled_three_steps_oracle():
         idx = np.floor(stream.next(bs) * ds.n).astype(np.int64)
         g = obj.sample_gradients(theta, ds, idx).mean(axis=0)
         theta = theta - eta * g
-    assert np.array_equal(delta, theta - theta0)
+    # The stepper forms the batch mean as one matrix product, not as the mean
+    # of per-sample gradients: the same sum in another order.
+    np.testing.assert_allclose(delta, theta - theta0, rtol=1e-12, atol=0.0)
+
+
+def _oracle_rows(obj, theta0, rows, Q, eta, u):
+    """Per client, Q steps on the mean of per-sample gradients."""
+    out = []
+    for i, row in enumerate(rows):
+        ds, theta = obj.datasets[row], theta0.copy()
+        for q in range(Q):
+            if u is None:
+                idx = np.arange(ds.n)
+            else:
+                b = u.shape[1] // Q
+                idx = np.floor(u[i, q * b:(q + 1) * b] * ds.n).astype(np.int64)
+            theta = theta - eta * obj.sample_gradients(theta, ds, idx).mean(axis=0)
+        out.append(theta - theta0)
+    return np.array(out)
+
+
+@settings(max_examples=60, deadline=None)
+@given(kind=st.sampled_from(["least_squares", "logistic"]),
+       ridge=st.sampled_from([0.0, 0.01, 0.3]), B=st.integers(1, 6),
+       extra=st.integers(0, 3), n=st.integers(1, 12), d=st.integers(1, 8),
+       Q=st.integers(1, 4), batch=st.integers(0, 12), seed=st.integers(0, 2**16))
+def test_stacked_rows_match_per_sample_oracle(kind, ridge, B, extra, n, d, Q, batch, seed):
+    # batch 0 is full batch; otherwise b = batch samples per step, with replacement.
+    obj = _objective(seed=seed, N=B + extra, d=d, n=n, noise=0.1, kind=kind, ridge=ridge)
+    rng = np.random.default_rng(seed)
+    rows = np.sort(rng.choice(B + extra, size=B, replace=False))
+    theta0 = rng.standard_normal(d)
+    u = rng.random((B, Q * batch)) if batch else None
+    eta = 0.5 / obj.smoothness()
+    got = stacked_local_rounds(obj, theta0, rows, Q, eta, u, 1e6)
+    want = _oracle_rows(obj, theta0, rows, Q, eta, u)
+    assert got.shape == (B, d)
+    for g, w in zip(got, want):
+        assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
 
 
 def test_divergence_guard():
