@@ -18,6 +18,8 @@ from scipy.special import expit
 from .errors import DivergedError, InvalidParameterError
 
 OBJECTIVE_KINDS = ("least_squares", "logistic")
+# Batch bytes per block of stacked_local_rounds: half a 2 MiB per-core L2.
+_BLOCK_BYTES = 1 << 20
 
 
 @dataclass
@@ -65,6 +67,10 @@ class Objective:
     ridge term. Shards of different sizes raise InvalidParameterError. All
     evaluation paths are pure in (theta, data); full_loss and
     loss_and_gradient share one loss formula, so their losses agree bitwise.
+
+    ``shards`` holds the (N, n, d) features and (N, n) targets; ``_X``/``_y``
+    are reshapes of them. Datasets that are consecutive row views of one
+    base (synth_partition's) share it without a copy; others are stacked.
     """
 
     def __init__(self, datasets, kind="least_squares", ridge=0.0):
@@ -83,10 +89,10 @@ class Objective:
         self.dimension = self.datasets[0].features.shape[1]
         # Every sample weighs 1/(N*n): the mean of equal-size per-client means.
         self._w = 1.0 / (N * n)
-        self._X = np.vstack([ds.features for ds in self.datasets])
-        self._y = np.concatenate([ds.targets for ds in self.datasets])
-        # Zero-copy (N, n, d) and (N, n) views of the same arrays, for the stepper.
-        self.shards = (self._X.reshape(N, n, -1), self._y.reshape(N, n))
+        self.shards = (_rows_of([ds.features for ds in self.datasets]),
+                       _rows_of([ds.targets for ds in self.datasets]))
+        self._X = self.shards[0].reshape(N * n, -1)
+        self._y = self.shards[1].reshape(N * n)
         self._gram = None
         self._nu = None
         self._optimum = None
@@ -149,7 +155,12 @@ class Objective:
         return self._nu
 
     def optimum(self):
-        """(theta*, F(theta*)); analytic for least squares, converged otherwise."""
+        """(theta*, F(theta*)); analytic for least squares, converged otherwise.
+
+        Logistic runs L-BFGS-B to max|grad F| <= 1e-12 with ftol=0, whose
+        default stops it near 1e-6; a line-search stall at the float floor
+        is accepted.
+        """
         if self._optimum is None:
             if self.kind == "least_squares":
                 gram = self._weighted_gram()
@@ -166,7 +177,7 @@ class Objective:
             else:
                 res = minimize(self.loss_and_gradient, np.zeros(self.dimension),
                                jac=True, method="L-BFGS-B",
-                               options={"gtol": 1e-12, "maxiter": 2000})
+                               options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 2000})
                 theta = res.x
             self._optimum = (theta, self.full_loss(theta))
         return self._optimum
@@ -227,28 +238,45 @@ def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, 
     the batch-mean gradient r X_b / b + ridge * theta: no (B, b, d) array, and
     the per-sample gradients summed in another order than their mean. Any
     row's norm above divergence_ceiling, or NaN, raises DivergedError.
+
+    Rows run in blocks of about _BLOCK_BYTES of batch data, all Q steps on
+    one block before the next is gathered, so each step rereads its block
+    from L2, not the whole gather from memory. Rows never mix, so the
+    blocks change no result.
     """
     if Q < 1:
         raise InvalidParameterError("Q must be >= 1")
     if eta < 0.0:
         raise InvalidParameterError("eta must be >= 0")
     X, y = objective.shards
-    rows, n = np.asarray(rows), X.shape[1]
-    if u is None:
-        batches = [(X[rows], y[rows])] * Q
-    else:
-        idx = np.floor(u * n).astype(np.int64).reshape(rows.size, Q, -1)
-        batches = ((X[rows[:, None], idx[:, q]], y[rows[:, None], idx[:, q]])
-                   for q in range(Q))
-    local = np.tile(theta, (rows.size, 1))
-    for Xb, yb in batches:
-        r = _residual(objective.kind, np.matmul(Xb, local[:, :, None])[:, :, 0], yb)
-        g = np.matmul(r[:, None, :], Xb)[:, 0, :] / yb.shape[1] + objective.ridge * local
-        local = local - eta * g
-        if not np.all(np.linalg.norm(local, axis=1) <= divergence_ceiling):
-            raise DivergedError(
-                f"local model norm exceeded ceiling {divergence_ceiling:g}")
+    rows, (n, d) = np.asarray(rows), X.shape[1:]
+    b = n if u is None else u.shape[1] // Q
+    if u is not None:  # (Q, B, b) sample indices
+        idx = np.floor(u * n).astype(np.int64).reshape(rows.size, Q, b).swapaxes(0, 1)
+    step = max(1, _BLOCK_BYTES // (b * d * 8))
+    local = np.tile(np.asarray(theta, dtype=np.float64), (rows.size, 1))
+    for lo in range(0, rows.size, step):
+        part, w = rows[lo:lo + step], local[lo:lo + step]  # w: a view, stepped in place
+        batches = ([(X[part], y[part])] * Q if u is None else
+                   ((X[part[:, None], i], y[part[:, None], i]) for i in idx[:, lo:lo + step]))
+        for Xb, yb in batches:
+            r = _residual(objective.kind, np.matmul(Xb, w[:, :, None])[:, :, 0], yb)
+            w -= eta * (np.matmul(r[:, None, :], Xb)[:, 0, :] / b + objective.ridge * w)
+            if not np.all(np.linalg.norm(w, axis=1) <= divergence_ceiling):
+                raise DivergedError(
+                    f"local model norm exceeded ceiling {divergence_ceiling:g}")
     return local - theta
+
+
+def _rows_of(arrays):
+    """The base whose consecutive rows ``arrays`` are, else their stacked copy."""
+    base = arrays[0].base
+    if isinstance(base, np.ndarray) and base.shape[:1] == (len(arrays),) and all(
+            a.base is base and (a.shape, a.strides, a.ctypes.data)
+            == (base.shape[1:], base.strides[1:], base[i].ctypes.data)
+            for i, a in enumerate(arrays)):
+        return base
+    return np.stack(arrays)
 
 
 def _residual(kind: str, z, y):
@@ -281,6 +309,10 @@ def synth_partition(global_seed: int, N: int, d: int, n_per_client: int,
     vector (plus Gaussian label noise for least squares, Bernoulli labels
     through a sigmoid for logistic). ``heterogeneity`` shifts each client's
     planted vector independently; zero gives iid shards.
+
+    Each client's (n, d) block is drawn in place into one read-only
+    (N, n, d) features tensor and (N, n) targets array; the datasets are row
+    views of them, which Objective adopts as its shards without a copy.
     """
     if kind not in OBJECTIVE_KINDS:
         raise InvalidParameterError(f"unknown objective kind {kind!r}")
@@ -288,14 +320,14 @@ def synth_partition(global_seed: int, N: int, d: int, n_per_client: int,
         raise InvalidParameterError("all counts must be positive")
     rng = np.random.default_rng(global_seed)
     w_star = rng.standard_normal(d)
-    datasets = []
+    features, targets = np.empty((N, n_per_client, d)), np.empty((N, n_per_client))
     for i in range(N):
         w = w_star + heterogeneity * rng.standard_normal(d)
-        X = rng.standard_normal((n_per_client, d))
-        z = X @ w
+        z = rng.standard_normal(out=features[i]) @ w
         if kind == "least_squares":
-            y = z + noise_std * rng.standard_normal(n_per_client)
+            targets[i] = z + noise_std * rng.standard_normal(n_per_client)
         else:
-            y = (rng.random(n_per_client) < expit(z)).astype(np.float64)
-        datasets.append(LocalDataset(features=X, targets=y, client_id=i))
-    return datasets
+            targets[i] = rng.random(n_per_client) < expit(z)
+    features.flags.writeable = targets.flags.writeable = False
+    return [LocalDataset(features=features[i], targets=targets[i], client_id=i)
+            for i in range(N)]

@@ -1,14 +1,23 @@
 """Golden trace fixtures: pinned trace CSVs for fixed configs.
 
 Integer columns (round, algo, bits_cum, clamps) must match exactly; float
-columns may drift by at most 1e-9 relative. Rewrite the fixtures, after a
-deliberate change of behaviour only, with
+columns may drift by at most 1e-9 relative. Write the fixtures of new cases
+(every case with no fixture yet) with
 
     PYTHONPATH=src python tests/test_golden_trace.py
+
+and rewrite named ones, after a deliberate change of their behaviour only,
+with
+
+    PYTHONPATH=src python tests/test_golden_trace.py criterion9_gau_sgd ...
+
+Fixtures not named are left as they are: a rerun need not reproduce their
+float columns byte for byte.
 """
 
 import csv
 import math
+import sys
 from pathlib import Path
 
 import pytest
@@ -79,6 +88,11 @@ def test_trace_matches_golden(name, tmp_path):
 
 
 if __name__ == "__main__":
+    names = sys.argv[1:] or [c for c in sorted(CASES) if not (GOLDEN / f"{c}.csv").exists()]
+    unknown = sorted(set(names) - set(CASES))
+    if unknown:
+        sys.exit(f"unknown golden case(s): {', '.join(unknown)}")
     GOLDEN.mkdir(exist_ok=True)
-    for case in sorted(CASES):
+    for case in names:
         _write_trace(case, GOLDEN / f"{case}.csv")
+        print(f"wrote {GOLDEN / case}.csv")

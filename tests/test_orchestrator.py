@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -300,6 +301,19 @@ def test_round_engine_matches_per_client_oracle(case, monkeypatch):
         msg = WireMessage(cid, k, cfg.d, b, AlgorithmKind.GAU_LRQ_SGD,
                           pack_indices(enc.indices, b), scale=enc.scale)
         assert raw == serialize_message(msg)
+
+
+def test_simulation_holds_its_features_once():
+    # d = 2e4, N = 10, n = 8: 12.8 MB of features, far above everything else
+    # a built simulation holds.
+    cfg = _config(d=20_000, N=10, B=2, n_per_client=8)
+    tracemalloc.start()
+    try:
+        sim = build_simulation(cfg)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert held <= 1.25 * sim.objective.shards[0].nbytes
 
 
 def test_round_engine_rejects_unequal_shards():

@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import expit
 
+from gaulrq import training
 from gaulrq.errors import DivergedError, InvalidParameterError
 from gaulrq.streams import DrawStream, SeedMaterial
 from gaulrq.training import (LocalDataset, ModelState, Objective, local_rounds,
@@ -46,6 +48,45 @@ def test_logistic_targets_binary():
         assert set(np.unique(ds.targets)) <= {0.0, 1.0}
 
 
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+def test_synth_matches_per_client_draws(kind):
+    # The reference draws each client's block as its own (n, d) array.
+    N, d, n, noise, het = 4, 5, 7, 0.3, 0.8
+    rng = np.random.default_rng(11)
+    w_star = rng.standard_normal(d)
+    for ds in synth_partition(11, N, d, n, noise, kind=kind, heterogeneity=het):
+        w = w_star + het * rng.standard_normal(d)
+        X = rng.standard_normal((n, d))
+        z = X @ w
+        if kind == "least_squares":
+            y = z + noise * rng.standard_normal(n)
+        else:
+            y = (rng.random(n) < expit(z)).astype(np.float64)
+        assert np.array_equal(ds.features, X)
+        assert np.array_equal(ds.targets, y)
+
+
+def test_synth_shards_are_one_read_only_tensor():
+    data = synth_partition(2, 5, 4, 6, 0.1)
+    obj = Objective(data)
+    X, y = obj.shards
+    assert X.shape == (5, 6, 4) and y.shape == (5, 6)
+    for i, ds in enumerate(data):
+        assert np.shares_memory(X[i], ds.features)
+        assert np.shares_memory(y[i], ds.targets)
+    assert not X.flags.writeable and not y.flags.writeable
+    with pytest.raises(ValueError):
+        data[0].features[0, 0] = 1.0
+    # Hand-built datasets (here out of order) are stacked into a copy.
+    hand = [LocalDataset(ds.features.copy(), ds.targets.copy(), i)
+            for i, ds in enumerate(data)]
+    for datasets in (hand, data[::-1]):
+        X2, y2 = Objective(datasets).shards
+        assert np.array_equal(X2, np.stack([ds.features for ds in datasets]))
+        assert np.array_equal(y2, np.stack([ds.targets for ds in datasets]))
+        assert not any(np.shares_memory(X2, ds.features) for ds in datasets)
+
+
 def test_dataset_validation():
     with pytest.raises(InvalidParameterError):
         LocalDataset(np.zeros((3, 2)), np.zeros(4), 0)
@@ -69,6 +110,13 @@ def test_zero_gradient_at_optimum():
     obj = _objective(noise=0.3)
     theta_star, _ = obj.optimum()
     assert np.linalg.norm(obj.full_gradient(theta_star)) < 1e-10
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_logistic_optimum_meets_gradient_tolerance(seed):
+    obj = Objective(synth_partition(seed, 2, 3, 50, 0.0, kind="logistic"), kind="logistic")
+    theta_star, _ = obj.optimum()
+    assert np.linalg.norm(obj.full_gradient(theta_star)) <= 1e-8
 
 
 @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
@@ -216,6 +264,33 @@ def test_stacked_rows_match_per_sample_oracle(kind, ridge, B, extra, n, d, Q, ba
     assert got.shape == (B, d)
     for g, w in zip(got, want):
         assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
+
+
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+@pytest.mark.parametrize("batch", [0, 3])
+def test_row_blocks_change_no_update(kind, batch, monkeypatch):
+    # batch 0 is full batch (b = n = 6); d = 5.
+    obj = _objective(seed=3, N=9, d=5, n=6, noise=0.2, kind=kind, ridge=0.01)
+    rows, Q = np.array([0, 2, 3, 5, 6, 8]), 4
+    rng = np.random.default_rng(5)
+    theta0 = rng.standard_normal(5)
+    u = rng.random((rows.size, Q * batch)) if batch else None
+    want = stacked_local_rounds(obj, theta0, rows, Q, 0.1, u, 1e6)
+    row_bytes = (batch or 6) * 5 * 8
+    for block in (row_bytes, 2 * row_bytes):
+        monkeypatch.setattr(training, "_BLOCK_BYTES", block)
+        assert np.array_equal(stacked_local_rounds(obj, theta0, rows, Q, 0.1, u, 1e6), want)
+
+
+def test_divergence_in_last_block_raises(monkeypatch):
+    rng = np.random.default_rng(4)
+    data = [LocalDataset(rng.standard_normal((6, 3)) * (100.0 if i == 3 else 1.0),
+                         rng.standard_normal(6), i) for i in range(4)]
+    obj = Objective(data)
+    monkeypatch.setattr(training, "_BLOCK_BYTES", 6 * 3 * 8)  # one row per block
+    stacked_local_rounds(obj, np.zeros(3), [0, 1, 2], 20, 0.1, None, 1e6)
+    with pytest.raises(DivergedError):
+        stacked_local_rounds(obj, np.zeros(3), [0, 1, 2, 3], 20, 0.1, None, 1e6)
 
 
 def test_divergence_guard():
