@@ -177,6 +177,7 @@ def ks_statistic(samples, cdf):
     """One-sample Kolmogorov-Smirnov statistic and a reject flag at 0.01.
 
     Uses the asymptotic critical value 1.63/sqrt(n); requires n >= 100.
+    Samples with a NaN or an infinity are always rejected.
     """
     x = np.sort(np.asarray(samples, dtype=np.float64))
     n = x.size
@@ -187,4 +188,4 @@ def ks_statistic(samples, cdf):
     d_plus = np.max(i / n - F)
     d_minus = np.max(F - (i - 1.0) / n)
     stat = float(max(d_plus, d_minus))
-    return stat, stat > KS_CRITICAL_001 / np.sqrt(n)
+    return stat, not (np.all(np.isfinite(x)) and stat <= KS_CRITICAL_001 / np.sqrt(n))

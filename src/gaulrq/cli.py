@@ -28,6 +28,26 @@ def _out_dir(args) -> str:
     return path
 
 
+# Each closed-form bound: the algorithm it covers and its evaluator.
+_BOUNDS = (("local_sgd", bound_lsgd), ("gau_lrq_sgd", bound_gau_lrq),
+           ("dynamic_gau_lrq_sgd", bound_dynamic), ("qg_sgd", bound_qg),
+           ("bq_sgd", bound_bq))
+
+
+def _bound_values(inp: BoundInputs) -> dict:
+    """step_size_ok and every bound at ``inp``, the bounds keyed by evaluator
+    name; InvalidParameterError where a bound overflows or divides by zero."""
+    try:
+        with np.errstate(all="ignore"):  # an overflow fails the finiteness check below
+            values = {f.__name__: f(inp) for _, f in _BOUNDS}
+            step_size_ok = inp.step_size_ok()
+    except ArithmeticError as exc:
+        raise InvalidParameterError(f"a bound overflows at these inputs ({exc})") from None
+    if not all(np.isfinite(value) for value in values.values()):
+        raise InvalidParameterError("a bound overflows at these inputs")
+    return dict(values, step_size_ok=step_size_ok)
+
+
 def _bound_report(config: ExperimentConfig, sim, trace) -> dict:
     """Evaluate every closed-form bound at this run's measured constants."""
     obj = sim.objective
@@ -40,15 +60,7 @@ def _bound_report(config: ExperimentConfig, sim, trace) -> dict:
                       nu=spec.smoothness, S2=config.s2,
                       epsilon=config.epsilon, delta=config.delta,
                       tau=config.tau, delta_inf_norm=rep_inf)
-    return {
-        "inputs": dataclasses.asdict(inp),
-        "step_size_ok": inp.step_size_ok(),
-        "bound_lsgd": bound_lsgd(inp),
-        "bound_gau_lrq": bound_gau_lrq(inp),
-        "bound_dynamic": bound_dynamic(inp),
-        "bound_qg": bound_qg(inp),
-        "bound_bq": bound_bq(inp),
-    }
+    return dict(_bound_values(inp), inputs=dataclasses.asdict(inp))
 
 
 def cmd_run(args) -> int:
@@ -73,12 +85,17 @@ def cmd_run(args) -> int:
     summary_path = os.path.join(out, f"{stem}_summary.json")
     bounds_path = os.path.join(out, f"{stem}_bounds.json")
     trace.to_csv(csv_path, config.algorithm)
-    trace.to_summary_json(summary_path)
-    with open(bounds_path, "w", encoding="utf-8") as fh:
-        json.dump(_bound_report(config, sim, trace), fh, indent=2, sort_keys=True)
-        fh.write("\n")
     print(f"wrote {csv_path}")
+    trace.to_summary_json(summary_path)
     print(f"wrote {summary_path}")
+    try:  # built before the file opens, so a failed report leaves no partial file
+        report = _bound_report(config, sim, trace)
+    except InvalidParameterError as exc:
+        print(f"bound error: {exc}; {bounds_path} not written", file=sys.stderr)
+        return 1
+    with open(bounds_path, "w", encoding="utf-8") as fh:
+        json.dump(report, fh, indent=2, sort_keys=True)
+        fh.write("\n")
     print(f"wrote {bounds_path}")
     return 0 if trace.summary["stop_reason"] == "completed" else 1
 
@@ -128,26 +145,14 @@ def cmd_compare_bounds(args) -> int:
     if unknown:
         raise InvalidParameterError(f"unknown bound inputs {unknown}")
     inp = BoundInputs(**dict(defaults, **data))
-    try:
-        with np.errstate(all="ignore"):  # an overflow fails the finiteness check below
-            rows = [
-                ("local_sgd", bound_lsgd(inp)),
-                ("gau_lrq_sgd", bound_gau_lrq(inp)),
-                ("dynamic_gau_lrq_sgd", bound_dynamic(inp)),
-                ("qg_sgd", bound_qg(inp)),
-                ("bq_sgd", bound_bq(inp)),
-            ]
-            step_size_ok = inp.step_size_ok()
-    except ArithmeticError as exc:
-        raise InvalidParameterError(f"a bound overflows at these inputs ({exc})") from None
-    if not all(np.isfinite(value) for _, value in rows):
-        raise InvalidParameterError("a bound overflows at these inputs")
+    values = _bound_values(inp)
+    rows = [(name, values[f.__name__]) for name, f in _BOUNDS]
     width = max(len(name) for name, _ in rows)
     for name, value in rows:
         print(f"{name:<{width}}  {value:.6e}")
     order = " <= ".join(name for name, _ in sorted(rows, key=lambda r: r[1]))
     print(f"ordering: {order}")
-    print(f"step_size_ok: {step_size_ok}")
+    print(f"step_size_ok: {values['step_size_ok']}")
     return 0
 
 

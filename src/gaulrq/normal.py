@@ -18,8 +18,7 @@ def inv_norm_cdf(p):
     InvalidParameterError for non-finite input or values at/outside {0, 1}.
     """
     arr = np.asarray(p, dtype=np.float64)
-    if arr.size and (not np.all(np.isfinite(arr))
-                     or np.any(arr <= 0.0) or np.any(arr >= 1.0)):
+    if not ((arr > 0.0) & (arr < 1.0)).all():  # also false for NaN
         raise InvalidParameterError("probabilities must lie strictly inside (0, 1)")
     x = ndtri(arr)
     return float(x) if arr.ndim == 0 else x

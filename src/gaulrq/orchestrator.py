@@ -7,8 +7,9 @@ streams, which makes runs bitwise reproducible and lets the server replay
 each client's dither draws without transmission.
 
 A round runs its B clients as one (B, d) pipeline: one stream call per
-lane, with a client axis, from the batch draw to the server's sum. Clipping,
-widths and packing stay per row and the wire carries one message per client.
+lane, with a client axis, from the batch draw to the server's sum. Norms,
+clipping, scales and widths are row-wise array operations; packing stays per
+row and the wire carries one message per client.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ import numpy as np
 
 from .errors import InvalidParameterError
 from .normal import inv_norm_cdf
-from .privacy import (ClipConfig, PrivacyBudget, clip_update, median_clip_bound,
-                      sigma_schedule_dynamic)
+from .privacy import (ClipConfig, PrivacyBudget, clip_update, l2_norms,
+                      median_clip_bound, sigma_schedule_dynamic)
 from .quantizers import (MAX_BITS, bit_width, lrq_quantize_rows,
                          lrq_reconstruct_rows, stochastic_dequantize,
                          stochastic_quantize_indices, wire_scale)
@@ -154,9 +155,9 @@ def _decode_float(seed, msgs, sigma):
 def _encode_stochastic(seed, client_ids, k, V, sigma):
     U, _ = uniform_pair_block(seed.lane("sq"), client_ids, k, 0,
                               np.arange(V.shape[1], dtype=np.uint64))
+    widths = bit_width(wire_scale(np.max(np.abs(V), axis=1)), sigma).tolist()
     rows = []
-    for v, u in zip(V, U):
-        b = bit_width(wire_scale(np.max(np.abs(v))), sigma)
+    for v, u, b in zip(V, U, widths):
         idx, scale = stochastic_quantize_indices(v, b, u)
         rows.append((b, pack_indices(idx - (1 << (b - 1)), b), scale, 0))
     return rows
@@ -324,14 +325,12 @@ class Simulation:
         if self.algorithm.private:
             sigma = float(self._sigmas[k])
             if self.clip.mode == "median_adaptive":
-                s2 = max(median_clip_bound(
-                    [float(np.linalg.norm(upd)) for upd in updates]), 1e-12)
+                s2 = max(median_clip_bound(l2_norms(updates)), 1e-12)
                 sigma *= s2
             else:
                 s2 = self.clip.s2
-            # Per row: a batched norm differs from np.linalg.norm in the last bit.
-            updates = np.array([clip_update(upd, s2) for upd in updates])
-            inf_norms = [wire_scale(np.max(np.abs(upd))) for upd in updates]
+            updates = clip_update(updates, s2)
+            inf_norms = wire_scale(np.max(np.abs(updates), axis=1)).tolist()
             # Lemma-4-style composition, valid per-round even when the clip
             # bound (and hence sigma) changes across rounds.
             per_round = (2.0 * s2 * np.sqrt(cfg.B * np.log(1.0 / self.budget.delta))

@@ -133,13 +133,23 @@ def per_round_epsilon(k: int, K: int, tau: float, budget: PrivacyBudget) -> floa
     return budget.epsilon * np.sqrt(1.0 / total) * tau ** (-k / 4.0)
 
 
+def l2_norms(delta):
+    """L2 norm of each row of ``delta`` (of ``delta`` itself when 1-D).
+
+    One stacked (1, d) @ (d, 1) product per row: the ddot np.linalg.norm takes
+    of a vector, so each norm equals np.linalg.norm(row) bit for bit.
+    """
+    delta = np.asarray(delta, dtype=np.float64)
+    return np.sqrt(np.matmul(delta[..., None, :], delta[..., :, None])[..., 0, 0])
+
+
 def clip_update(delta, s2: float) -> np.ndarray:
-    """Scale the update so its L2 norm is at most s2 (direction preserved)."""
+    """Scale the update (each row of a (B, d) stack) so its L2 norm is at most
+    s2, direction preserved."""
     if not (np.isfinite(s2) and s2 > 0.0):
         raise InvalidParameterError("s2 must be finite and > 0")
     delta = np.asarray(delta, dtype=np.float64)
-    norm = float(np.linalg.norm(delta))
-    return delta / max(1.0, norm / s2)
+    return delta / np.maximum(1.0, l2_norms(delta) / s2)[..., None]
 
 
 def median_clip_bound(norms) -> float:

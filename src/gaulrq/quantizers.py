@@ -27,6 +27,16 @@ MIN_STEP_FACTOR = 2.0 * np.sqrt(2.0 * np.log(2.0))
 # does: float64 spacing at the largest coded value nears sigma (at 40 bits
 # it is about sigma/3500).
 MAX_BITS = 40
+# Bound on the step R - L of any layer with finite ends, in units of sigma:
+# R <= sigma * sqrt(-2 ln y) for the least double y > 0 (38.6 sigma) and
+# -L <= sigma * sqrt(-2 ln 2^-53) (8.6 sigma). Also |x| <= 38.5 sigma, as
+# |Phi^-1(u)| <= 38.5 for every double u in (0, 1).
+_MAX_STEP_FACTOR = (np.sqrt(-2.0 * np.log(np.nextafter(0.0, 1.0)))
+                    + np.sqrt(-2.0 * np.log(2.0**-53)))
+# Widest sigma the codec takes (about 3.5e294). Below it x, L and R are
+# finite, and so is every decode m * q_step + x: the width cap keeps
+# |m| <= 2^(MAX_BITS-1) + 1, half the 2^MAX_BITS this bound allows for.
+MAX_SIGMA = float(np.finfo(np.float64).max / (2.0**MAX_BITS * _MAX_STEP_FACTOR))
 
 
 @dataclass(frozen=True)
@@ -66,8 +76,8 @@ class EncodedVector:
 
 
 def _check_sigma(sigma):
-    if not np.isfinite(sigma) or sigma <= 0.0:
-        raise InvalidParameterError(f"sigma must be finite and > 0, got {sigma}")
+    if not 0.0 < sigma <= MAX_SIGMA:
+        raise InvalidParameterError(f"sigma must lie in (0, {MAX_SIGMA:.4g}], got {sigma}")
 
 
 def sample_layer(sigma: float, uniforms) -> LayerSample:
@@ -82,7 +92,7 @@ def sample_layer(sigma: float, uniforms) -> LayerSample:
     u1 = np.asarray(uniforms[0], dtype=np.float64)
     u2 = np.asarray(uniforms[1], dtype=np.float64)
     for u in (u1, u2):
-        if u.size and (not np.all(np.isfinite(u)) or np.any(u <= 0.0) or np.any(u >= 1.0)):
+        if not ((u > 0.0) & (u < 1.0)).all():  # also false for NaN
             raise InvalidParameterError("uniforms must lie strictly inside (0, 1)")
 
     x = sigma * np.asarray(inv_norm_cdf(u1))
@@ -108,38 +118,40 @@ def lrq_decode(m, layer: LayerSample):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def bit_width(scale: float, sigma: float) -> int:
+def bit_width(scale, sigma: float):
     """Bits needed to index steps of minimum size across [-scale, scale].
 
-    Floored at 1 bit, which is also the width at scale 0. Raises
+    Floored at 1 bit, which is also the width at scale 0. An array of scales
+    gives an int64 array of widths, one per scale. Raises
     InvalidParameterError above MAX_BITS, where float64 no longer resolves
     sigma next to the largest coded value.
     """
-    if not (np.isfinite(scale) and scale >= 0.0):
+    scale = np.asarray(scale, dtype=np.float64)
+    if not (np.isfinite(scale) & (scale >= 0.0)).all():
         raise InvalidParameterError(f"scale must be finite and >= 0, got {scale}")
     _check_sigma(sigma)
-    if scale == 0.0:
-        return 1
     with np.errstate(over="ignore"):  # an infinite level count fails the cap below
         bits = np.ceil(np.log2(2.0 * scale / (MIN_STEP_FACTOR * sigma) + 1.0))
-    if not bits <= MAX_BITS:
+    if not (bits <= MAX_BITS).all():
         raise InvalidParameterError(
-            f"range {2.0 * scale:g} at sigma={sigma:g} needs {bits:g} bits per element, "
-            f"above the {MAX_BITS}-bit cap")
-    return max(1, int(bits))
+            f"range {2.0 * np.max(scale):g} at sigma={sigma:g} needs {np.max(bits):g} bits "
+            f"per element, above the {MAX_BITS}-bit cap")
+    bits = np.maximum(bits, 1.0).astype(np.int64)
+    return int(bits) if bits.ndim == 0 else bits
 
 
-def wire_scale(a: float) -> float:
+def wire_scale(a):
     """Smallest float32 >= a: the scale the wire carries for inf-norm ``a``.
 
     Rounding up (not to nearest) keeps every element inside [-scale, scale],
-    the range the signalled width covers.
+    the range the signalled width covers. An array gives one scale per entry.
     """
-    s = np.float32(a)
-    # Compare in float64: under NEP 50, np.float32(a) < a compares in float32.
-    if float(s) < a:
-        s = np.nextafter(s, np.float32(np.inf))
-    return float(s)
+    a = np.asarray(a, dtype=np.float64)
+    s = a.astype(np.float32)
+    # s < a compares in float64, as both are arrays (NEP 50 would compare a
+    # float32 scalar with a Python float in float32).
+    np.nextafter(s, np.float32(np.inf), out=s, where=s < a)
+    return float(s) if s.ndim == 0 else s.astype(np.float64)
 
 
 def _base_indices(layer: LayerSample, scales) -> np.ndarray:
@@ -175,12 +187,13 @@ def lrq_quantize_rows(V, sigma: float, uniforms):
     # The decoder sees each scale as a float32, so quantize it up front and
     # use the identical value on both sides. bit_width rejects non-finite
     # elements and widths above the cap before any index is computed.
-    scales = [wire_scale(np.max(np.abs(v))) for v in V]
-    widths = [bit_width(a, sigma) for a in scales]
+    scales = wire_scale(np.max(np.abs(V), axis=1))
+    widths = bit_width(scales, sigma)
     layer = _row_layers(sigma, uniforms, V.shape)
     rel = lrq_encode(V, layer) - _base_indices(layer, scales)
-    clamped = np.clip(rel, 0, (np.left_shift(1, widths, dtype=np.int64) - 1)[:, None])
-    return clamped, widths, scales, np.count_nonzero(clamped != rel, axis=1)
+    clamped = np.clip(rel, 0, (np.left_shift(1, widths) - 1)[:, None])
+    clamps = np.count_nonzero(clamped != rel, axis=1)
+    return clamped, widths.tolist(), scales.tolist(), clamps
 
 
 def lrq_reconstruct_rows(indices, scales, sigma: float, uniforms) -> np.ndarray:

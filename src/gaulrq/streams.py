@@ -78,10 +78,22 @@ class SeedMaterial:
 
 
 def _client_ids(client_id) -> np.ndarray:
-    """client_id (an int or a 1-D sequence of ints) as uint64, range-checked."""
-    ids = np.asarray(client_id, dtype=object)
-    if ids.ndim > 1 or not all(isinstance(i, numbers.Integral) and 0 <= i <= _U64_MAX
-                               for i in ids.flat):
+    """client_id (an int or a 1-D sequence of ints) as uint64, range-checked.
+
+    What numpy reads as an integer array is checked with one reduction; the
+    rest (bools, ragged or mixed input, ints past 64 bits) element by element.
+    """
+    try:
+        ids = np.asarray(client_id)
+    except ValueError:  # ragged
+        ids = None
+    if ids is not None and ids.dtype.kind in "iu":
+        ok = ids.ndim <= 1 and (ids.dtype.kind == "u" or not (ids < 0).any())
+    else:
+        ids = np.asarray(client_id, dtype=object)
+        ok = ids.ndim <= 1 and all(isinstance(i, numbers.Integral) and 0 <= i <= _U64_MAX
+                                   for i in ids.flat)
+    if not ok:
         raise InvalidParameterError("client ids must be integers in [0, 2^64 - 1]")
     return ids.astype(np.uint64)
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 from scipy.special import expit
 
 from .errors import DivergedError, InvalidParameterError
@@ -175,6 +174,9 @@ class Objective:
                     rhs = self._X.T @ (self._w * self._y)
                     theta = np.linalg.solve(gram, rhs)
             else:
+                # Imported here, its only caller: scipy.optimize (with scipy.linalg
+                # and scipy.sparse) adds ~0.25 s to a process's start.
+                from scipy.optimize import minimize
                 res = minimize(self.loss_and_gradient, np.zeros(self.dimension),
                                jac=True, method="L-BFGS-B",
                                options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 2000})

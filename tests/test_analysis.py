@@ -242,3 +242,14 @@ def test_ks_needs_enough_samples():
         ks_statistic(np.zeros(10), norm.cdf)
     with pytest.raises(InvalidParameterError):
         ks_statistic([], norm.cdf)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_ks_rejects_non_finite_samples(bad):
+    # NaN made every comparison false, so the parent accepted a NaN sample.
+    x = np.random.default_rng(3).standard_normal(2000)
+    for count in (1, x.size):
+        y = x.copy()
+        y[:count] = bad
+        stat, reject = ks_statistic(y, norm.cdf)
+        assert reject

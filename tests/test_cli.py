@@ -14,7 +14,7 @@ from gaulrq.analysis import BoundInputs
 from gaulrq.cli import main
 from gaulrq.config import ExperimentConfig, load_config
 from gaulrq.errors import ConfigError
-from gaulrq.quantizers import MAX_BITS, lrq_quantize_vector
+from gaulrq.quantizers import MAX_BITS, MAX_SIGMA, lrq_quantize_vector
 from gaulrq.streams import SeedMaterial, uniform_pair_block
 
 MINIMAL = {
@@ -185,6 +185,22 @@ def test_cmd_run_rejects_ints_beyond_float_range(tmp_path, capsys, name):
     assert captured.out == "" and not out.exists()
 
 
+# At 1e-160, eps^4 underflows to 0 and bound_bq divides by zero; at 1e-100,
+# bound_qg overflows to inf. local_sgd adds no noise, so the run completes.
+@pytest.mark.parametrize("epsilon", [1e-160, 1e-100])
+def test_cmd_run_bound_overflow_writes_no_bounds_file(tmp_path, capsys, epsilon):
+    cfg = _write_config(tmp_path, {"algorithm": "local_sgd", "epsilon": epsilon})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("bound error: a bound overflows at these inputs")
+    assert err.endswith("cli-test_bounds.json not written\n") and err.count("\n") == 1
+    assert sorted(p.name for p in out.iterdir()) == ["cli-test_summary.json",
+                                                     "cli-test_trace.csv"]
+    summary = json.loads((out / "cli-test_summary.json").read_text())
+    assert summary["rounds_run"] == 4 and summary["stop_reason"] == "completed"
+
+
 def test_cmd_run_wide_model_writes_bounds(tmp_path):
     # d=20000 with 8 samples: the d x d Gram alone would take 3.2 GB.
     cfg = _write_config(tmp_path, {"algorithm": "local_sgd", "d": 20000, "N": 2,
@@ -247,6 +263,19 @@ def test_verify_noise_sigma_outside_codec_domain(capsys, sigma):
     assert main(["verify-noise", "--sigma", sigma]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_verify_noise_sigma_above_ceiling(capsys):
+    # At 1e308 the layer overflows: the parent printed "PASS ks: D=nan".
+    assert main(["verify-noise", "--sigma", "1e308", "--n", "200"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: sigma") and err.count("\n") == 1
+
+
+def test_verify_noise_at_sigma_ceiling(capsys):
+    assert main(["verify-noise", "--sigma", repr(MAX_SIGMA), "--n", "1000"]) == 0
+    out = capsys.readouterr().out
+    assert out.count("PASS") == 3 and "nan" not in out and "inf" not in out
 
 
 def test_verify_noise_too_few(capsys):
@@ -366,6 +395,23 @@ def test_quantizer_demo_sigma_outside_codec_domain(capsys, sigma):
     assert main(["quantizer-demo", "--sigma", sigma]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_quantizer_demo_sigma_above_ceiling(capsys):
+    # At 1e308 the parent printed index -2^63, decoded nan/-inf and step inf.
+    assert main(["quantizer-demo", "--sigma", "1e308"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: sigma") and err.count("\n") == 1
+
+
+def test_quantizer_demo_at_sigma_ceiling(capsys):
+    assert main(["quantizer-demo", "--sigma", repr(MAX_SIGMA)]) == 0
+    rows = capsys.readouterr().out.splitlines()[2:]
+    assert len(rows) == 8
+    for row in rows:
+        value, index, decoded, error, step = (float(x) for x in row.split())
+        assert all(math.isfinite(x) for x in (decoded, error, step))
+        assert abs(index) < 2**MAX_BITS
 
 
 def test_quantizer_demo_prints_the_width_the_codec_sends(capsys):

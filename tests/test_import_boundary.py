@@ -1,0 +1,80 @@
+"""What a fresh process loads: least squares never needs scipy.optimize.
+
+scipy.optimize (with the scipy.linalg and scipy.sparse it pulls in) adds
+about a quarter second to a process's start, so only the logistic optimum
+imports it. Each check runs in a new interpreter, since this one has
+imported everything already.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import gaulrq
+
+SRC = str(Path(gaulrq.__file__).resolve().parents[1])
+
+LEAST_SQUARES = r"""
+import sys
+
+import gaulrq
+from gaulrq import cli
+
+def check(stage):
+    assert "scipy.optimize" not in sys.modules, f"scipy.optimize loaded by {stage}"
+
+check("import gaulrq")
+config = gaulrq.ExperimentConfig.from_dict(dict(
+    algorithm="gau_lrq_sgd", N=100, B=10, Q=5, K=50, eta=0.05, epsilon=2.0,
+    delta=1e-5, tau=0.9, s2=1.0, objective="least_squares", d=20,
+    n_per_client=20, label_noise=0.0, batch_size=5, seed=1, run_id="acc9"))
+sim = gaulrq.build_simulation(config)
+check("build_simulation")
+trace = sim.run()
+check("the rounds")
+trace.to_csv(sys.argv[1], config.algorithm)
+check("the trace")
+report = cli._bound_report(config, sim, trace)
+check("the bound report")
+assert report["bound_lsgd"] > 0
+"""
+
+LOGISTIC = r"""
+import sys
+
+import numpy as np
+
+import gaulrq
+
+datasets = gaulrq.synth_partition(3, N=6, d=5, n_per_client=30, noise_std=0.0,
+                                  kind="logistic")
+objective = gaulrq.Objective(datasets, kind="logistic")
+assert "scipy.optimize" not in sys.modules
+theta, f_star = objective.optimum()
+assert "scipy.optimize" in sys.modules
+
+from scipy.optimize import minimize
+
+# The lazily imported minimize runs the same L-BFGS-B to the same bits.
+res = minimize(objective.loss_and_gradient, np.zeros(5), jac=True, method="L-BFGS-B",
+               options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 2000})
+assert theta.tobytes() == res.x.tobytes()
+assert f_star == objective.full_loss(res.x)
+"""
+
+
+def _fresh(script, *args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_least_squares_run_never_loads_scipy_optimize(tmp_path):
+    _fresh(LEAST_SQUARES, str(tmp_path / "trace.csv"))
+
+
+def test_logistic_optimum_loads_scipy_optimize():
+    _fresh(LOGISTIC)

@@ -1,9 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtri
 
 from gaulrq.errors import InvalidParameterError
 from gaulrq.normal import inv_norm_cdf
+from gaulrq.quantizers import sample_layer
 
 
 def test_matches_reference_inverse_cdf():
@@ -69,3 +72,45 @@ def test_rejects_out_of_domain(p):
 def test_rejects_out_of_domain_array():
     with pytest.raises(InvalidParameterError):
         inv_norm_cdf(np.array([0.5, 1.0]))
+
+
+# Edge values mixed with interior and arbitrary doubles, so that draws hit
+# both sides of the domain check often.
+PROBABILITIES = st.one_of(
+    st.sampled_from([0.0, 1.0, -0.0, np.nan, np.inf, -np.inf, 5e-324,
+                     float(np.nextafter(1.0, 0.0)), 0.5]),
+    st.floats(0.0, 1.0), st.floats(allow_nan=True, allow_infinity=True))
+
+
+def three_pass_domain_ok(arr):
+    """The check the single reduction replaced: finite, then > 0, then < 1."""
+    return not (arr.size and (not np.all(np.isfinite(arr))
+                              or np.any(arr <= 0.0) or np.any(arr >= 1.0)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.one_of(PROBABILITIES, st.lists(PROBABILITIES, max_size=6)))
+def test_domain_check_accepts_the_same_set(p):
+    arr = np.asarray(p, dtype=np.float64)
+    if three_pass_domain_ok(arr):
+        assert np.array_equal(inv_norm_cdf(arr), ndtri(arr))
+    else:
+        with pytest.raises(InvalidParameterError,
+                           match=r"^probabilities must lie strictly inside \(0, 1\)$"):
+            inv_norm_cdf(arr)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u1=st.lists(PROBABILITIES, min_size=1, max_size=4),
+       u2=st.lists(PROBABILITIES, min_size=1, max_size=4))
+def test_sample_layer_domain_check_accepts_the_same_set(u1, u2):
+    u1, u2 = np.asarray(u1), np.asarray(u2)
+    if u1.size != u2.size:
+        u2 = np.resize(u2, u1.shape)
+    if three_pass_domain_ok(u1) and three_pass_domain_ok(u2):
+        with np.errstate(divide="ignore"):  # y rounded to 0 or 1: an infinite end
+            sample_layer(1.0, (u1, u2))
+    else:
+        with pytest.raises(InvalidParameterError,
+                           match=r"^uniforms must lie strictly inside \(0, 1\)$"):
+            sample_layer(1.0, (u1, u2))

@@ -5,7 +5,7 @@ import pytest
 
 from gaulrq.errors import InvalidParameterError
 from gaulrq.privacy import (ClipConfig, PrivacyBudget, SigmaSchedule,
-                            clip_update, epsilon_from_sigmas,
+                            clip_update, epsilon_from_sigmas, l2_norms,
                             median_clip_bound, per_round_epsilon, sigma_fixed,
                             sigma_schedule_dynamic)
 
@@ -161,6 +161,29 @@ def test_clip_is_projection_and_contractive():
             # Direction preserved.
             assert np.allclose(once / np.linalg.norm(once),
                                v / np.linalg.norm(v))
+
+
+@pytest.mark.parametrize("d", [20, 100, 1000, 100_000])
+def test_row_norms_equal_linalg_norm_bitwise(d):
+    # The round clips all B updates at once; each row's norm, and so its
+    # clipped bits, must be what np.linalg.norm gives that row alone.
+    rng = np.random.default_rng(d)
+    rows = rng.standard_normal((10, d)) * 10.0 ** rng.uniform(-6, 3, (10, 1))
+    norms = l2_norms(rows)
+    assert norms.shape == (10,)
+    assert norms.tolist() == [float(np.linalg.norm(r)) for r in rows]
+    assert all(l2_norms(r) == np.linalg.norm(r) for r in rows)
+
+
+def test_clip_rows_equal_clip_of_each_row():
+    rng = np.random.default_rng(8)
+    rows = rng.standard_normal((12, 50)) * rng.uniform(0.01, 0.5, (12, 1))
+    for s2 in (0.5, 1.0, 3.0):  # some rows above the bound, some below
+        clipped = clip_update(rows, s2)
+        assert clipped.shape == rows.shape
+        one_by_one = [r / max(1.0, float(np.linalg.norm(r)) / s2) for r in rows]
+        assert np.array_equal(clipped, np.array(one_by_one))
+        assert np.array_equal(clipped[3], clip_update(rows[3], s2))
 
 
 def test_median_clip_bound():

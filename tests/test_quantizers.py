@@ -10,7 +10,7 @@ from scipy.special import erfc, ndtri
 from gaulrq.analysis import ks_statistic
 
 from gaulrq.errors import InvalidParameterError, StreamExhaustedError
-from gaulrq.quantizers import (MAX_BITS, MIN_STEP_FACTOR, LayerSample,
+from gaulrq.quantizers import (MAX_BITS, MAX_SIGMA, MIN_STEP_FACTOR, LayerSample,
                                bit_width, dithered_decode, dithered_encode,
                                lrq_decode, lrq_encode, lrq_quantize_vector,
                                lrq_reconstruct_vector, sample_layer,
@@ -79,6 +79,35 @@ def test_sample_layer_rejects_bad_sigma(sigma):
 def test_sample_layer_rejects_boundary_uniforms(u):
     with pytest.raises(InvalidParameterError):
         sample_layer(1.0, u)
+
+
+def test_sample_layer_rejects_sigma_above_ceiling():
+    # At 1e308, x = sigma * Phi^-1(u) alone overflows for |Phi^-1(u)| > 1.8.
+    for sigma in (1e308, float(np.nextafter(MAX_SIGMA, np.inf))):
+        with pytest.raises(InvalidParameterError, match="sigma must lie in"):
+            sample_layer(sigma, (0.5, 0.5))
+        with pytest.raises(InvalidParameterError, match="sigma must lie in"):
+            bit_width(0.25, sigma)
+
+
+def test_layer_and_decode_stay_finite_at_sigma_ceiling():
+    # The extreme doubles in (0, 1) give the largest |x|, R, -L and step.
+    tiny, top = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+    u1, u2 = np.meshgrid([tiny, 1e-300, 0.5, top], [tiny, 1e-300, 0.5, top])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no overflow anywhere
+        # y rounded to 0 or 1 leaves an infinite end at any sigma (log of 0);
+        # every other layer must be finite.
+        with np.errstate(divide="ignore"):
+            layer = sample_layer(MAX_SIGMA, (u1.ravel(), u2.ravel()))
+        inner = (layer.y > 0.0) & (layer.y < 1.0)
+        # u1 = 1/2, u2 = 5e-324 gives the widest finite step, about 38.6 sigma.
+        assert np.max(layer.q_step[inner]) > 38.5 * MAX_SIGMA
+        for field in (layer.x, layer.L, layer.R, layer.q_step):
+            assert np.all(np.isfinite(field[inner]))
+        for m in (-(2**MAX_BITS), 2**MAX_BITS):
+            assert np.all(np.isfinite(lrq_decode(np.full(u1.size, m), layer)[inner]))
+        assert bit_width(1.0, MAX_SIGMA) == 1
 
 
 def test_determinism():
@@ -175,6 +204,22 @@ def test_wire_scale_is_smallest_float32_above():
         assert float(below) < a
     for a in (0.0, 0.5, 1.0, float(np.float32(0.1))):  # already float32
         assert wire_scale(a) == a
+
+
+def test_row_scales_and_widths_match_the_scalar_calls():
+    rng = np.random.default_rng(5)
+    a = np.abs(rng.standard_normal(500)) * 10.0 ** rng.uniform(-30, 30, 500)
+    a[:3] = (0.0, 0.5, float(np.float32(0.1)))
+    scales = wire_scale(a)
+    assert scales.dtype == np.float64
+    assert scales.tolist() == [wire_scale(x) for x in a]
+    b = a[a < 1e6]
+    widths = bit_width(b, 1e-3)
+    assert widths.dtype == np.int64 and widths.tolist() == [bit_width(x, 1e-3) for x in b]
+    with pytest.raises(InvalidParameterError, match=f"{MAX_BITS}-bit cap"):
+        bit_width(a, 1e-3)
+    with pytest.raises(InvalidParameterError, match="scale"):
+        bit_width(np.array([0.5, np.nan]), 1.0)
 
 
 # -- vector codec -----------------------------------------------------------

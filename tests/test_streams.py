@@ -1,12 +1,14 @@
 import hashlib
+import numbers
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from gaulrq.errors import InvalidParameterError
-from gaulrq.streams import (DrawStream, SeedMaterial, element_pairs,
+from gaulrq.streams import (DrawStream, SeedMaterial, _client_ids, element_pairs,
                             uniform_pair_block)
 
 SEED = SeedMaterial(42, "test")
@@ -185,3 +187,36 @@ def test_client_axis_rejects_bad_ids(bad, ids, pos):
     for given_ids in (ids, np.array(ids)):
         with pytest.raises(InvalidParameterError):
             uniform_pair_block(SEED, given_ids, 0, 0, 0)
+
+
+def _object_walk_ids(client_id):
+    """The element-by-element check _client_ids replaced, as the reference."""
+    ids = np.asarray(client_id, dtype=object)
+    if ids.ndim > 1 or not all(isinstance(i, numbers.Integral) and 0 <= i <= 2**64 - 1
+                               for i in ids.flat):
+        raise InvalidParameterError("client ids must be integers in [0, 2^64 - 1]")
+    return ids.astype(np.uint64)
+
+
+_ID_ATOMS = st.one_of(st.integers(-3, 40), st.integers(-2**65, 2**65), st.booleans(),
+                      st.floats(allow_nan=True, allow_infinity=True))
+_ID_ARRAYS = hnp.arrays(
+    dtype=st.sampled_from([np.int8, np.int64, np.uint8, np.uint64, np.float64, np.bool_]),
+    shape=hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+
+
+@settings(max_examples=400, deadline=None)
+@given(client_id=st.one_of(_ID_ATOMS, st.lists(_ID_ATOMS, max_size=5),
+                           st.lists(st.lists(st.integers(0, 9), max_size=3), max_size=3),
+                           _ID_ARRAYS))
+def test_client_ids_accept_what_the_object_walk_accepted(client_id):
+    try:
+        want = _object_walk_ids(client_id)
+    except InvalidParameterError as exc:
+        with pytest.raises(InvalidParameterError, match="^client ids must be") as got:
+            _client_ids(client_id)
+        assert str(got.value) == str(exc)
+    else:
+        got = _client_ids(client_id)
+        assert got.dtype == np.uint64 and got.shape == want.shape
+        assert np.array_equal(got, want)
