@@ -8,21 +8,23 @@ each client's dither draws without transmission.
 
 A round runs its B clients as one (B, d) pipeline: one stream call per
 lane, with a client axis, from the batch draw to the server's sum. Norms,
-clipping, scales and widths are row-wise array operations; packing stays per
-row and the wire carries one message per client.
+clipping, scales, widths, codecs and bit packing are row-wise array
+operations (packing one per distinct width); the wire carries one message
+per client.
 """
 
 from __future__ import annotations
 
 import enum
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import DivergedError, InvalidParameterError
 from .normal import inv_norm_cdf
 from .privacy import (ClipConfig, PrivacyBudget, clip_update, l2_norms,
                       median_clip_bound, sigma_schedule_dynamic)
@@ -80,31 +82,50 @@ class WireMessage:
         return self.dim * self.bits_per_element
 
 
-def pack_indices(indices, bits: int) -> bytes:
+def pack_indices(indices, bits):
     """Pack signed integers into ``bits``-wide two's-complement fields.
 
     Field j occupies stream bits [j*bits, (j+1)*bits), LSB-first, so the low
     ``bits`` of each int64's little-endian bit row are concatenated as is.
+    A (B, d) array with one width per row gives B payloads, each padded on
+    its own: one bit split of all rows, then one pack per distinct width.
     """
-    words = np.ascontiguousarray(indices, dtype="<i8")
-    rows = np.unpackbits(words.view(np.uint8).reshape(-1, 8), axis=1, bitorder="little")
-    return np.packbits(rows[:, :bits], bitorder="little").tobytes()
+    widths = np.reshape(bits, -1)
+    words = np.ascontiguousarray(indices, dtype="<i8").reshape(widths.size, -1)
+    planes = np.unpackbits(words.view(np.uint8), bitorder="little").reshape(*words.shape, 64)
+    payloads = [b""] * widths.size
+    for b in set(widths.tolist()):
+        rows = np.flatnonzero(widths == b)
+        packed = np.packbits(planes[rows, :, :b].reshape(rows.size, -1), axis=1,
+                             bitorder="little")
+        for i, row in zip(rows.tolist(), packed):
+            payloads[i] = row.tobytes()
+    return payloads[0] if np.ndim(bits) == 0 else payloads
 
 
-def unpack_indices(payload: bytes, dim: int, bits: int, signed: bool = True) -> np.ndarray:
+def unpack_indices(payload, dim: int, bits, signed: bool = True) -> np.ndarray:
     """Inverse of pack_indices, with optional sign extension.
 
     Reads the first ``dim * bits`` stream bits; a shorter payload reads as
-    zero-padded, so callers check its length first (parse_message does).
+    zero-padded, so callers check its length first (parse_message does). B
+    payloads with one width each give (B, dim): one bit split per width.
     """
-    stream = np.unpackbits(np.frombuffer(payload, dtype=np.uint8),
-                           count=dim * bits, bitorder="little")
-    rows = np.zeros((dim, 64), dtype=np.uint8)
-    rows[:, :bits] = stream.reshape(dim, bits)
-    out = np.packbits(rows, axis=1, bitorder="little").view("<i8").ravel()
+    widths = np.reshape(bits, -1)
+    payloads = [payload] if np.ndim(bits) == 0 else payload
+    planes = np.zeros((widths.size, dim, 64), dtype=np.uint8)
+    for b in set(widths.tolist()):
+        rows = np.flatnonzero(widths == b)
+        n = (dim * b + 7) // 8
+        stream = np.frombuffer(b"".join(bytes(payloads[i][:n]).ljust(n, b"\0")
+                                        for i in rows.tolist()), dtype=np.uint8)
+        planes[rows, :, :b] = np.unpackbits(stream.reshape(rows.size, n), axis=1,
+                                            count=dim * b, bitorder="little"
+                                            ).reshape(rows.size, dim, b)
+    out = np.packbits(planes, bitorder="little").view("<i8").reshape(widths.size, dim)
     if signed:
-        out = np.where(out >= 1 << (bits - 1), out - (1 << bits), out)
-    return out
+        high = np.left_shift(1, widths)[:, None]
+        out = np.where(out >= high >> 1, out - high, out)
+    return out[0] if np.ndim(bits) == 0 else out
 
 
 def serialize_message(msg: WireMessage) -> bytes:
@@ -132,7 +153,7 @@ def parse_message(data: bytes) -> WireMessage:
         raise InvalidParameterError(
             f"{len(data)}-byte message cannot hold {dim} elements of {bits} bits")
     scale = struct.unpack_from("<f", data, _HEADER.size)[0] if quantized else 0.0
-    if not (np.isfinite(scale) and scale >= 0.0):
+    if not (math.isfinite(scale) and scale >= 0.0):
         raise InvalidParameterError(f"scale {scale} is not finite and >= 0")
     return WireMessage(client_id=client_id, round=rnd, dim=dim,
                        bits_per_element=bits, algorithm=algorithm,
@@ -155,32 +176,28 @@ def _decode_float(seed, msgs, sigma):
 def _encode_stochastic(seed, client_ids, k, V, sigma):
     U, _ = uniform_pair_block(seed.lane("sq"), client_ids, k, 0,
                               np.arange(V.shape[1], dtype=np.uint64))
-    widths = bit_width(wire_scale(np.max(np.abs(V), axis=1)), sigma).tolist()
-    rows = []
-    for v, u, b in zip(V, U, widths):
-        idx, scale = stochastic_quantize_indices(v, b, u)
-        rows.append((b, pack_indices(idx - (1 << (b - 1)), b), scale, 0))
-    return rows
+    widths = bit_width(wire_scale(np.max(np.abs(V), axis=1)), sigma)
+    idx, scales = stochastic_quantize_indices(V, widths, U)
+    payloads = pack_indices(idx - np.left_shift(1, widths - 1)[:, None], widths)
+    return list(zip(widths.tolist(), payloads, scales.tolist(), [0] * len(payloads)))
 
 
 def _decode_stochastic(seed, msgs, sigma):
-    rows = []
-    for m in msgs:
-        b = m.bits_per_element
-        idx = unpack_indices(m.payload, m.dim, b)
-        rows.append(stochastic_dequantize(idx + (1 << (b - 1)), b, m.scale))
-    return np.stack(rows)
+    widths = np.array([m.bits_per_element for m in msgs])
+    idx = unpack_indices([m.payload for m in msgs], msgs[0].dim, widths)
+    return stochastic_dequantize(idx + np.left_shift(1, widths - 1)[:, None], widths,
+                                 [m.scale for m in msgs])
 
 
 def _encode_layered(seed, client_ids, k, V, sigma):
     uniforms = element_pairs(seed.lane("quant"), client_ids, k, V.shape[1])
-    return [(b, pack_indices(idx, b), a, int(c))
-            for idx, b, a, c in zip(*lrq_quantize_rows(V, sigma, uniforms))]
+    idx, widths, scales, clamps = lrq_quantize_rows(V, sigma, uniforms)
+    return list(zip(widths, pack_indices(idx, widths), scales, clamps.tolist()))
 
 
 def _decode_layered(seed, msgs, sigma):
-    idx = np.stack([unpack_indices(m.payload, m.dim, m.bits_per_element, signed=False)
-                    for m in msgs])
+    idx = unpack_indices([m.payload for m in msgs], msgs[0].dim,
+                         [m.bits_per_element for m in msgs], signed=False)
     uniforms = element_pairs(seed.lane("quant"), [m.client_id for m in msgs],
                              msgs[0].round, msgs[0].dim)
     return lrq_reconstruct_rows(idx, [m.scale for m in msgs], sigma, uniforms)
@@ -268,8 +285,11 @@ class RunTrace:
             fh.write("\n".join(lines) + "\n")
 
     def to_summary_json(self, path):
+        """Strict JSON: a non-finite value (local_sgd's epsilon) is written as null."""
+        summary = {key: None if isinstance(value, float) and not math.isfinite(value)
+                   else value for key, value in self.summary.items()}
         with open(path, "w", encoding="utf-8") as fh:
-            json.dump(self.summary, fh, indent=2, sort_keys=True)
+            json.dump(summary, fh, indent=2, sort_keys=True, allow_nan=False)
             fh.write("\n")
 
 
@@ -354,7 +374,14 @@ class Simulation:
         total = 0.0
         for row in PIPELINES[parsed[0].algorithm].decode(self.seed, parsed, sigma):
             total = total + row
-        self.theta = self.theta + total / len(parsed)
+        theta, ceiling = self.theta + total / len(parsed), cfg.divergence_ceiling
+        # The inf-norm first: it cannot overflow, and NaN fails it. The L2 norm
+        # is taken of theta / top, and only where sqrt(d) * top could exceed it.
+        top = float(np.max(np.abs(theta)))
+        if not (top <= ceiling and (top * math.sqrt(theta.size) <= ceiling
+                                    or top * np.linalg.norm(theta / top) <= ceiling)):
+            raise DivergedError(f"global model norm exceeded ceiling {ceiling:g}")
+        self.theta = theta
         record = RoundRecord(round=k, clients=clients,
                              bits_sent=sum(m.payload_bits for m in parsed),
                              sigma_used=sigma, epsilon_spent_cumulative=eps_cum,

@@ -27,13 +27,14 @@ MIN_STEP_FACTOR = 2.0 * np.sqrt(2.0 * np.log(2.0))
 # does: float64 spacing at the largest coded value nears sigma (at 40 bits
 # it is about sigma/3500).
 MAX_BITS = 40
-# Bound on the step R - L of any layer with finite ends, in units of sigma:
-# R <= sigma * sqrt(-2 ln y) for the least double y > 0 (38.6 sigma) and
-# -L <= sigma * sqrt(-2 ln 2^-53) (8.6 sigma). Also |x| <= 38.5 sigma, as
-# |Phi^-1(u)| <= 38.5 for every double u in (0, 1).
-_MAX_STEP_FACTOR = (np.sqrt(-2.0 * np.log(np.nextafter(0.0, 1.0)))
+# Bound on the step R - L of any layer, in units of sigma. |x| <= 38.5 sigma,
+# as |Phi^-1(u)| <= 38.5 for every double u in (0, 1). So the end taken from
+# ln y0 = -(x/sigma)^2/2 + ln u2 is at most sigma * sqrt(38.5^2 - 2 ln u2) for
+# the least double u2 > 0 (54.5 sigma), and the other end, from a height of at
+# least 2^-53 away from 0 and 1, at most sigma * sqrt(-2 ln 2^-53) (8.6 sigma).
+_MAX_STEP_FACTOR = (np.sqrt(38.5**2 - 2.0 * np.log(np.nextafter(0.0, 1.0)))
                     + np.sqrt(-2.0 * np.log(2.0**-53)))
-# Widest sigma the codec takes (about 3.5e294). Below it x, L and R are
+# Widest sigma the codec takes (about 2.6e294). Below it x, L and R are
 # finite, and so is every decode m * q_step + x: the width cap keeps
 # |m| <= 2^(MAX_BITS-1) + 1, half the 2^MAX_BITS this bound allows for.
 MAX_SIGMA = float(np.finfo(np.float64).max / (2.0**MAX_BITS * _MAX_STEP_FACTOR))
@@ -98,9 +99,18 @@ def sample_layer(sigma: float, uniforms) -> LayerSample:
     x = sigma * np.asarray(inv_norm_cdf(u1))
     y0 = np.exp(-0.5 * (x / sigma) ** 2) * u2
     y = np.where(x >= 0.0, y0, 1.0 - y0)
-    L = -sigma * np.sqrt(-2.0 * np.log1p(-y))
-    R = sigma * np.sqrt(-2.0 * np.log(y))
-    return LayerSample(x=x, y=y, L=L, R=R, q_step=R - L)
+    with np.errstate(divide="ignore"):  # y rounded to 0 or 1: mended below
+        L = -sigma * np.sqrt(-2.0 * np.log1p(-y))
+        R = sigma * np.sqrt(-2.0 * np.log(y))
+        q_step = R - L
+        if not np.isfinite(q_step).all():
+            # That end is sigma * sqrt(-2 ln y0) in the log domain: y = 1 - y0
+            # rounded to 1 (x < 0) or y = y0 underflowed (x >= 0) to 0.
+            ln_y0 = np.where(y0 > 0.0, np.log(y0), -0.5 * (x / sigma) ** 2 + np.log(u2))
+            end = sigma * np.sqrt(-2.0 * ln_y0)
+            L, R = np.where(np.isinf(L), -end, L), np.where(np.isinf(R), end, R)
+            q_step = R - L
+    return LayerSample(x=x, y=y, L=L, R=R, q_step=q_step)
 
 
 def lrq_encode(u, layer: LayerSample):
@@ -245,48 +255,50 @@ def dithered_decode(m, q_step: float, x):
     return float(out) if np.ndim(out) == 0 else out
 
 
-def stochastic_levels(b: int) -> int:
+def stochastic_levels(b):
     """Number of uniformly spaced level points used at b bits.
 
     2^b - 1 points spanning the symmetric range inclusively; at b = 1 the
     formula degenerates to a single point, so the endpoints {-a, +a} are
-    used instead (the only unbiased single-bit scheme on [-a, a]).
+    used instead (the only unbiased single-bit scheme on [-a, a]). An array
+    of widths gives one count per width.
     """
-    if b < 1:
+    b = np.asarray(b, dtype=np.int64)
+    if not (b >= 1).all():
         raise InvalidParameterError("bit width must be >= 1")
-    return max((1 << b) - 1, 2)
+    return np.maximum(np.left_shift(1, b) - 1, 2)
 
 
-def stochastic_quantize_indices(v, b: int, uniforms):
+def stochastic_quantize_indices(v, b, uniforms):
     """Unbiased stochastic rounding to level indices.
 
     Returns (indices, scale): level j sits at -scale + j * spacing with
     spacing = 2*scale/(levels-1), and scale is the inf-norm's wire_scale.
     Each element rounds to a neighboring level with probability
-    proportional to proximity, so the expectation is exact.
+    proportional to proximity, so the expectation is exact. A (B, d) ``v``
+    with one width per row in ``b`` gives (B, d) indices and B scales; an
+    all-zero row keeps index 0 and scale 0.0.
     """
-    v = np.asarray(v, dtype=np.float64).reshape(-1)
+    v = np.asarray(v, dtype=np.float64)
     if v.size and not np.all(np.isfinite(v)):
         raise InvalidParameterError("vector elements must be finite")
-    u = np.asarray(uniforms, dtype=np.float64).reshape(-1)
+    u = np.asarray(uniforms, dtype=np.float64)
     if u.shape != v.shape:
         raise StreamExhaustedError("need one uniform per element")
 
-    scale = wire_scale(np.max(np.abs(v))) if v.size else 0.0
-    n_lev = stochastic_levels(b)
-    if scale == 0.0:
-        return np.zeros(v.size, dtype=np.int64), 0.0
-    spacing = 2.0 * scale / (n_lev - 1)
+    scale = np.asarray(wire_scale(np.max(np.abs(v), axis=-1, initial=0.0)))[..., None]
+    n_lev = stochastic_levels(b)[..., None]
+    # A zero scale means an all-zero row: any spacing > 0 sends it to index 0.
+    spacing = np.where(scale > 0.0, 2.0 * scale / (n_lev - 1), 1.0)
     t = (v + scale) / spacing
     lo = np.floor(t)
-    idx = (lo + (u < t - lo)).astype(np.int64)
-    return np.clip(idx, 0, n_lev - 1), scale
+    idx = np.clip((lo + (u < t - lo)).astype(np.int64), 0, n_lev - 1)
+    return idx, (float(scale[0]) if v.ndim == 1 else scale[:, 0])
 
 
-def stochastic_dequantize(indices, b: int, scale: float) -> np.ndarray:
-    """Map level indices back to real values on [-scale, scale]."""
-    n_lev = stochastic_levels(b)
-    if scale == 0.0:
-        return np.zeros(np.asarray(indices).size, dtype=np.float64)
-    spacing = 2.0 * scale / (n_lev - 1)
+def stochastic_dequantize(indices, b, scale) -> np.ndarray:
+    """Map level indices back to real values on [-scale, scale]; one width
+    and one scale per row of (B, d) indices."""
+    scale = np.asarray(scale, dtype=np.float64)[..., None]
+    spacing = 2.0 * scale / (stochastic_levels(b)[..., None] - 1)
     return np.asarray(indices, dtype=np.float64) * spacing - scale

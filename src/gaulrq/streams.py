@@ -28,26 +28,38 @@ _U64_MAX = 2**64 - 1
 _GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _M1 = np.uint64(0xBF58476D1CE4E5B9)
 _M2 = np.uint64(0x94D049BB133111EB)
-_TO_UNIT = 1.0 / (2.0**64 + 1.0)
-
-# Nudge targets for draws that would round to 0.0 or 1.0 as doubles.
-_INTERIOR_LO = np.nextafter(0.0, 1.0)
+_S30, _S27, _S31, _ONE = np.uint64(30), np.uint64(27), np.uint64(31), np.uint64(1)
+_TO_UNIT = 1.0 / (2.0**64 + 1.0)  # 2^64 + 1 rounds to 2^64: this is 2^-64
 _INTERIOR_HI = np.nextafter(1.0, 0.0)
 
 
 def _splitmix64(z):
     """SplitMix64 avalanche on uint64 arrays (wrapping; numpy scalars need
-    ``np.errstate(over="ignore")`` around the call)."""
+    ``np.errstate(over="ignore")`` around the call). ``z + GAMMA`` is a new
+    array, which the rest of the mix updates in place; ``z`` is not touched."""
     z = z + _GAMMA
-    z = (z ^ (z >> np.uint64(30))) * _M1
-    z = (z ^ (z >> np.uint64(27))) * _M2
-    return z ^ (z >> np.uint64(31))
+    z ^= z >> _S30
+    z *= _M1
+    z ^= z >> _S27
+    z *= _M2
+    z ^= z >> _S31
+    return z
 
 
 def _to_unit(v):
-    """Map uint64 words to doubles strictly inside (0, 1)."""
-    u = (v.astype(np.float64) + 1.0) * _TO_UNIT
-    return np.clip(u, _INTERIOR_LO, _INTERIOR_HI)
+    """Map uint64 words to doubles strictly inside (0, 1): (v + 1) / (2^64 + 1).
+
+    Only the top is clamped: the least result is 2^-64, but words from
+    2^64 - 2^10 up round to 2^64 and give 1.0, the largest double below 1
+    instead. A numpy scalar takes the same IEEE steps in Python floats.
+    """
+    if isinstance(v, np.generic):
+        u = (float(v) + 1.0) * _TO_UNIT
+        return np.float64(u if u < 1.0 else _INTERIOR_HI)
+    u = v.astype(np.float64)
+    u += 1.0
+    u *= _TO_UNIT
+    return np.minimum(u, _INTERIOR_HI, out=u)
 
 
 @functools.lru_cache(maxsize=4096)
@@ -118,7 +130,7 @@ def uniform_pair_block(seed: SeedMaterial, client_id, rnd: int,
         h = h.reshape(ids.shape + (1,) * max(element_index.ndim, draw_counter.ndim))
         base = _splitmix64(_splitmix64(h ^ element_index) ^ draw_counter)
         u1 = _to_unit(_splitmix64(base))
-        u2 = _to_unit(_splitmix64(base + np.uint64(1)))
+        u2 = _to_unit(_splitmix64(base + _ONE))
     return u1, u2
 
 

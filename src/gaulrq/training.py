@@ -241,10 +241,10 @@ def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, 
     the per-sample gradients summed in another order than their mean. Any
     row's norm above divergence_ceiling, or NaN, raises DivergedError.
 
-    Rows run in blocks of about _BLOCK_BYTES of batch data, all Q steps on
-    one block before the next is gathered, so each step rereads its block
-    from L2, not the whole gather from memory. Rows never mix, so the
-    blocks change no result.
+    Rows run in blocks of about _BLOCK_BYTES of batch data: one gather per
+    block (the whole shard, or all Q minibatches), all Q steps on slices of
+    it, so each step rereads its block from L2, not the whole gather from
+    memory. Rows never mix, so the blocks change no result.
     """
     if Q < 1:
         raise InvalidParameterError("Q must be >= 1")
@@ -253,15 +253,15 @@ def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, 
     X, y = objective.shards
     rows, (n, d) = np.asarray(rows), X.shape[1:]
     b = n if u is None else u.shape[1] // Q
-    if u is not None:  # (Q, B, b) sample indices
-        idx = np.floor(u * n).astype(np.int64).reshape(rows.size, Q, b).swapaxes(0, 1)
-    step = max(1, _BLOCK_BYTES // (b * d * 8))
+    offsets = [0] * Q if u is None else range(0, Q * b, b)  # step q's columns of a gather
+    step = max(1, _BLOCK_BYTES // ((offsets[-1] + b) * d * 8))
     local = np.tile(np.asarray(theta, dtype=np.float64), (rows.size, 1))
     for lo in range(0, rows.size, step):
         part, w = rows[lo:lo + step], local[lo:lo + step]  # w: a view, stepped in place
-        batches = ([(X[part], y[part])] * Q if u is None else
-                   ((X[part[:, None], i], y[part[:, None], i]) for i in idx[:, lo:lo + step]))
-        for Xb, yb in batches:
+        at = part if u is None else (part[:, None], np.floor(u[lo:lo + step] * n).astype(np.int64))
+        Xg, yg = X[at], y[at]
+        for o in offsets:
+            Xb, yb = Xg[:, o:o + b], yg[:, o:o + b]
             r = _residual(objective.kind, np.matmul(Xb, w[:, :, None])[:, :, 0], yb)
             w -= eta * (np.matmul(r[:, None, :], Xb)[:, 0, :] / b + objective.ridge * w)
             if not np.all(np.linalg.norm(w, axis=1) <= divergence_ceiling):

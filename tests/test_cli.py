@@ -3,7 +3,11 @@ import dataclasses
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -199,6 +203,42 @@ def test_cmd_run_bound_overflow_writes_no_bounds_file(tmp_path, capsys, epsilon)
                                                      "cli-test_trace.csv"]
     summary = json.loads((out / "cli-test_summary.json").read_text())
     assert summary["rounds_run"] == 4 and summary["stop_reason"] == "completed"
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_cmd_run_tiny_epsilon_stops_before_theta_overflows(tmp_path):
+    # sigma ~ 4e160: round 0's decoded noise would put theta near 1e160, and
+    # round 1's loss would overflow. The server step stops the run first.
+    cfg = _write_config(tmp_path, {"epsilon": 1e-160})
+    out = tmp_path / "out"
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gaulrq.cli", "run",
+                           "--config", cfg, "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    lines = proc.stderr.splitlines()
+    assert [line for line in lines if line.startswith("run error:")] == \
+        ["run error: global model norm exceeded ceiling 1e+06"]
+    # The only other line: the bound report also overflows at this epsilon.
+    assert len(lines) == 2 and lines[1].startswith("bound error:")
+    summary = json.loads((out / "cli-test_summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["stop_reason"] == "diverged in round 0"
+    assert summary["rounds_run"] == 0 and math.isfinite(summary["final_loss"])
+
+
+def test_summary_json_is_strict(tmp_path):
+    # local_sgd spends no budget: its epsilon is infinite in memory, null on disk.
+    cfg = _write_config(tmp_path, {"algorithm": "local_sgd"})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 0
+    summary = json.loads((tmp_path / "cli-test_summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["epsilon_spent"] is None and summary["rounds_run"] == 4
 
 
 def test_cmd_run_wide_model_writes_bounds(tmp_path):

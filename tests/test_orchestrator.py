@@ -16,11 +16,13 @@ from gaulrq import orchestrator
 from gaulrq.analysis import comm_cost
 from gaulrq.config import ExperimentConfig, build_simulation, run_experiment
 from gaulrq.errors import ConfigError, InvalidParameterError
+from gaulrq.normal import inv_norm_cdf
 from gaulrq.orchestrator import (AlgorithmKind, WireMessage,
                                  pack_indices, parse_message, sample_clients,
                                  serialize_message, unpack_indices)
 from gaulrq.privacy import clip_update
-from gaulrq.quantizers import MAX_BITS, lrq_quantize_vector
+from gaulrq.quantizers import (MAX_BITS, bit_width, lrq_quantize_vector,
+                               stochastic_quantize_indices, wire_scale)
 from gaulrq.streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
 from gaulrq.training import LocalDataset, ModelState, Objective, local_rounds
 
@@ -96,6 +98,32 @@ def test_pack_matches_reference_at_d1e5():
     payload = pack_indices(idx, 3)
     assert payload == _ref_pack(idx, 3)
     assert np.array_equal(unpack_indices(payload, idx.size, 3), idx)
+
+
+@st.composite
+def _index_rows(draw):
+    """A (B, d) index array with one width per row, mixed over 1..MAX_BITS."""
+    widths = draw(st.lists(st.integers(1, MAX_BITS), min_size=1, max_size=6))
+    signed = draw(st.booleans())
+    dim = draw(st.integers(0, 40))
+    rows = []
+    for b in widths:
+        lo, hi = (-(1 << (b - 1)), (1 << (b - 1)) - 1) if signed else (0, (1 << b) - 1)
+        rows.append(draw(st.lists(st.integers(lo, hi), min_size=dim, max_size=dim)))
+    return np.array(rows, dtype=np.int64).reshape(len(widths), dim), widths, signed
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=_index_rows())
+def test_pack_unpack_rows_match_per_row_calls(case):
+    idx, widths, signed = case
+    payloads = pack_indices(idx, widths)
+    assert payloads == [pack_indices(row, b) for row, b in zip(idx, widths)]
+    assert payloads == [_ref_pack(row, b) for row, b in zip(idx, widths)]
+    out = unpack_indices(payloads, idx.shape[1], widths, signed=signed)
+    assert out.dtype == np.int64 and out.shape == idx.shape and np.array_equal(out, idx)
+    for row, payload, b in zip(out, payloads, widths):
+        assert np.array_equal(row, unpack_indices(payload, idx.shape[1], b, signed=signed))
 
 
 def test_serialize_parse_round_trip():
@@ -268,10 +296,29 @@ _ENGINE_CASES = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_ENGINE_CASES))
-def test_round_engine_matches_per_client_oracle(case, monkeypatch):
+def _one_client_upload(algo, seed, cid, k, clipped, sigma):
+    """One client's wire message, encoded alone through the one-row codec API."""
+    d = clipped.size
+    if algo == "qg_sgd":
+        u_noise, _ = element_pairs(seed.lane("noise"), cid, k, d)
+        v = clipped + sigma * np.asarray(inv_norm_cdf(u_noise))
+        u, _ = uniform_pair_block(seed.lane("sq"), cid, k, 0, np.arange(d, dtype=np.uint64))
+        b = bit_width(wire_scale(np.max(np.abs(v))), sigma)
+        idx, scale = stochastic_quantize_indices(v, b, u)
+        return WireMessage(cid, k, d, b, AlgorithmKind.QG_SGD,
+                           pack_indices(idx - (1 << (b - 1)), b), scale=scale)
+    enc = lrq_quantize_vector(clipped, sigma, element_pairs(seed.lane("quant"), cid, k, d))
+    b = enc.bits_per_element
+    return WireMessage(cid, k, d, b, AlgorithmKind.GAU_LRQ_SGD,
+                       pack_indices(enc.indices, b), scale=enc.scale)
+
+
+@pytest.mark.parametrize("case, algo", [
+    *(pytest.param(case, "gau_lrq_sgd", id=case) for case in sorted(_ENGINE_CASES)),
+    *(pytest.param(case, "qg_sgd", id=f"{case}-qg_sgd") for case in sorted(_ENGINE_CASES))])
+def test_round_engine_matches_per_client_oracle(case, algo, monkeypatch):
     """The stacked round equals B one-client pipelines, bit for bit."""
-    cfg = ExperimentConfig.from_dict(dict(_ENGINE_CASES[case], algorithm="gau_lrq_sgd"))
+    cfg = ExperimentConfig.from_dict(dict(_ENGINE_CASES[case], algorithm=algo))
     sim = build_simulation(cfg)
     theta, seed, k = sim.theta.copy(), sim.seed, 0
     stacked, wire = [], []
@@ -289,18 +336,18 @@ def test_round_engine_matches_per_client_oracle(case, monkeypatch):
     record = sim.run_round()
     (updates,) = stacked
     assert updates.shape == (cfg.B, cfg.d) and len(wire) == cfg.B
+    total = 0.0
     for row, raw, cid in zip(updates, wire, record.clients):
         model = ModelState(theta=theta, round=k, objective=sim.objective)
         want = local_rounds(model, sim.objective.datasets[cid], cfg.Q, cfg.eta,
                             sim.batch_size, DrawStream(seed.lane("batch"), cid, k))
         assert np.array_equal(row, want)
-        clipped = clip_update(row, cfg.s2)
-        enc = lrq_quantize_vector(clipped, record.sigma_used,
-                                  element_pairs(seed.lane("quant"), cid, k, cfg.d))
-        b = enc.bits_per_element
-        msg = WireMessage(cid, k, cfg.d, b, AlgorithmKind.GAU_LRQ_SGD,
-                          pack_indices(enc.indices, b), scale=enc.scale)
+        msg = _one_client_upload(algo, seed, cid, k, clip_update(row, cfg.s2),
+                                 record.sigma_used)
         assert raw == serialize_message(msg)
+        total = total + orchestrator.PIPELINES[msg.algorithm].decode(
+            seed, [parse_message(raw)], record.sigma_used)[0]
+    assert sim.theta.tobytes() == (theta + total / cfg.B).tobytes()
 
 
 def test_simulation_holds_its_features_once():

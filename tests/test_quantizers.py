@@ -96,18 +96,50 @@ def test_layer_and_decode_stay_finite_at_sigma_ceiling():
     u1, u2 = np.meshgrid([tiny, 1e-300, 0.5, top], [tiny, 1e-300, 0.5, top])
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # no overflow anywhere
-        # y rounded to 0 or 1 leaves an infinite end at any sigma (log of 0);
-        # every other layer must be finite.
-        with np.errstate(divide="ignore"):
-            layer = sample_layer(MAX_SIGMA, (u1.ravel(), u2.ravel()))
-        inner = (layer.y > 0.0) & (layer.y < 1.0)
-        # u1 = 1/2, u2 = 5e-324 gives the widest finite step, about 38.6 sigma.
-        assert np.max(layer.q_step[inner]) > 38.5 * MAX_SIGMA
+        layer = sample_layer(MAX_SIGMA, (u1.ravel(), u2.ravel()))
+        # u1 = u2 = 5e-324 gives the widest step, about 54.5 sigma: y0
+        # underflows to 0 and L comes from ln y0 = -(x/sigma)^2/2 + ln u2.
+        assert np.max(layer.q_step) > 54.4 * MAX_SIGMA
         for field in (layer.x, layer.L, layer.R, layer.q_step):
-            assert np.all(np.isfinite(field[inner]))
+            assert np.all(np.isfinite(field))
         for m in (-(2**MAX_BITS), 2**MAX_BITS):
-            assert np.all(np.isfinite(lrq_decode(np.full(u1.size, m), layer)[inner]))
+            assert np.all(np.isfinite(lrq_decode(np.full(u1.size, m), layer)))
         assert bit_width(1.0, MAX_SIGMA) == 1
+
+
+def test_layer_ends_where_y_rounds_to_0_or_1():
+    # x < 0 with 1 - y0 rounding to 1, and x >= 0 with y0 underflowing to 0:
+    # the end that was infinite is sigma * sqrt(-2 ln y0) in the log domain.
+    flipped = sample_layer(1.0, (0.3, 1e-17))
+    x = float(ndtri(0.3))
+    y0 = math.exp(-0.5 * x * x) * 1e-17
+    assert flipped.y == 1.0 and flipped.L == pytest.approx(-math.sqrt(-2.0 * math.log(y0)))
+    assert lrq_decode(lrq_encode(0.1, flipped), flipped) == pytest.approx(x)
+    tiny = float(np.nextafter(0.0, 1.0))
+    upper = sample_layer(2.0, (0.9, tiny))
+    x = float(ndtri(0.9))
+    assert upper.y == 0.0
+    assert upper.R == pytest.approx(2.0 * math.sqrt(x * x - 2.0 * math.log(tiny)))
+
+
+_OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
+
+
+@settings(max_examples=300, deadline=None)
+@given(u1=_OPEN_UNIT, u2=_OPEN_UNIT,
+       values=st.lists(st.floats(-50.0, 50.0), min_size=1, max_size=8))
+def test_layer_finite_for_any_uniform_pair(u1, u2, values):
+    layer = sample_layer(1.0, (u1, u2))
+    for field in (layer.L, layer.R, layer.q_step):
+        assert np.isfinite(field)
+    # The minimum step, at x = 0 and y = 1/2, within rounding of its two logs.
+    assert layer.q_step >= MIN_STEP_FACTOR * (1.0 - 1e-15)
+    v = np.array(values)
+    err = lrq_decode(lrq_encode(v, layer), layer) - v
+    # (L, R] exactly in real arithmetic; encode's division and decode's
+    # product each round, so an input on a cell edge may land an ulp outside.
+    slack = 4 * np.finfo(float).eps * (np.abs(v) + abs(layer.x) + layer.q_step)
+    assert np.all((err > layer.L - slack) & (err <= layer.R + slack))
 
 
 def test_determinism():
@@ -449,3 +481,37 @@ def test_stochastic_index_round_trip():
     assert idx.dtype == np.int64 and np.all((idx >= 0) & (idx <= 6))
     assert np.all(np.abs(out - v) <= 2.0 * scale / 6 + 1e-12)   # a neighbouring level
     assert np.all(np.abs(out) <= scale + 1e-12)
+
+
+def _ref_stochastic(v, b, u):
+    """The per-vector stochastic codec as first written: (indices, scale, decoded)."""
+    scale = wire_scale(np.max(np.abs(v))) if v.size else 0.0
+    n_lev = max((1 << b) - 1, 2)
+    if scale == 0.0:
+        return np.zeros(v.size, dtype=np.int64), 0.0, np.zeros(v.size)
+    spacing = 2.0 * scale / (n_lev - 1)
+    t = (v + scale) / spacing
+    lo = np.floor(t)
+    idx = np.clip((lo + (u < t - lo)).astype(np.int64), 0, n_lev - 1)
+    return idx, scale, idx.astype(np.float64) * spacing - scale
+
+
+@settings(max_examples=100, deadline=None)
+@given(widths=st.lists(st.integers(1, MAX_BITS), min_size=1, max_size=6),
+       d=st.integers(1, 40), zero_rows=st.sets(st.integers(0, 5)), seed=st.integers(0, 2**32))
+def test_stochastic_rows_match_per_row_calls(widths, d, zero_rows, seed):
+    rng = np.random.default_rng(seed)
+    V = rng.standard_normal((len(widths), d)) * 10.0 ** rng.integers(-5, 5, (len(widths), 1))
+    V[[i for i in zero_rows if i < len(widths)]] = 0.0
+    U = rng.random(V.shape)
+    idx, scales = stochastic_quantize_indices(V, np.array(widths), U)
+    out = stochastic_dequantize(idx, np.array(widths), scales)
+    assert idx.shape == V.shape and idx.dtype == np.int64 and scales.shape == (len(widths),)
+    for i, b in enumerate(widths):
+        want_idx, want_scale, want_out = _ref_stochastic(V[i], b, U[i])
+        row_idx, row_scale = stochastic_quantize_indices(V[i], b, U[i])
+        assert type(row_scale) is float
+        for got_idx, got_scale in ((idx[i], scales[i]), (row_idx, row_scale)):
+            assert np.array_equal(got_idx, want_idx) and got_scale == want_scale
+        assert out[i].tobytes() == want_out.tobytes()
+        assert stochastic_dequantize(row_idx, b, row_scale).tobytes() == want_out.tobytes()

@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gaulrq.errors import InvalidParameterError
-from gaulrq.streams import (DrawStream, SeedMaterial, _client_ids, element_pairs,
-                            uniform_pair_block)
+from gaulrq.streams import (DrawStream, SeedMaterial, _client_ids, _to_unit,
+                            element_pairs, uniform_pair_block)
 
 SEED = SeedMaterial(42, "test")
 
@@ -128,6 +128,18 @@ def _ref_pair_block(seed, client_id, rnd, element_index, draw_counter):
     with np.errstate(over="ignore"):
         return (_ref_to_unit(_ref_splitmix64(h)),
                 _ref_to_unit(_ref_splitmix64(h + np.uint64(1))))
+
+
+def test_to_unit_matches_two_sided_clip_at_extreme_words():
+    # (v + 1) * 2^-64 is at least 2^-64, so only the top clamp can bind: the
+    # words from 2^64 - 2^10 up round to 2^64 as doubles and give 1.0.
+    words = np.array([0, 1, 2**64 - 2**11 - 1, 2**64 - 2**10, 2**64 - 1], dtype=np.uint64)
+    got, want = _to_unit(words), _ref_to_unit(words)
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    assert want[0] == 2.0**-64 and want[-1] == np.nextafter(1.0, 0.0)
+    for word, w in zip(words, want):
+        one = _to_unit(word)  # a numpy scalar takes the array-free path
+        assert type(one) is np.float64 and one == w
 
 
 def test_prf_matches_reference_formula():

@@ -266,6 +266,34 @@ def test_stacked_rows_match_per_sample_oracle(kind, ridge, B, extra, n, d, Q, ba
         assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
 
 
+def _per_step_gathers(obj, theta, rows, Q, eta, u):
+    """The minibatch stepper with a fresh (B, b, d) gather for every step."""
+    X, y = obj.shards
+    b = u.shape[1] // Q
+    idx = np.floor(u * X.shape[1]).astype(np.int64).reshape(len(rows), Q, b)
+    part = np.asarray(rows)[:, None]
+    w = np.tile(theta, (len(rows), 1))
+    for q in range(Q):
+        Xb, yb = X[part, idx[:, q]], y[part, idx[:, q]]
+        r = training._residual(obj.kind, np.matmul(Xb, w[:, :, None])[:, :, 0], yb)
+        w -= eta * (np.matmul(r[:, None, :], Xb)[:, 0, :] / b + obj.ridge * w)
+    return w - theta
+
+
+@settings(max_examples=40, deadline=None)
+@given(kind=st.sampled_from(["least_squares", "logistic"]), B=st.integers(1, 10),
+       n=st.integers(1, 20), d=st.integers(1, 20), Q=st.integers(1, 5),
+       batch=st.integers(1, 6), seed=st.integers(0, 2**16))
+def test_one_gather_per_block_matches_per_step_gathers(kind, B, n, d, Q, batch, seed):
+    # Criterion 9's shape (B=10, n=20, d=20, Q=5, b=5) lies inside this range.
+    obj = _objective(seed=seed, N=B + 2, d=d, n=n, noise=0.1, kind=kind, ridge=0.01)
+    rng = np.random.default_rng(seed)
+    rows = np.sort(rng.choice(B + 2, size=B, replace=False))
+    theta0, u = rng.standard_normal(d), rng.random((B, Q * batch))
+    got = stacked_local_rounds(obj, theta0, rows, Q, 0.05, u, 1e6)
+    assert got.tobytes() == _per_step_gathers(obj, theta0, rows, Q, 0.05, u).tobytes()
+
+
 @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
 @pytest.mark.parametrize("batch", [0, 3])
 def test_row_blocks_change_no_update(kind, batch, monkeypatch):
@@ -276,7 +304,7 @@ def test_row_blocks_change_no_update(kind, batch, monkeypatch):
     theta0 = rng.standard_normal(5)
     u = rng.random((rows.size, Q * batch)) if batch else None
     want = stacked_local_rounds(obj, theta0, rows, Q, 0.1, u, 1e6)
-    row_bytes = (batch or 6) * 5 * 8
+    row_bytes = (4 * batch or 6) * 5 * 8  # a row's gather: Q minibatches, or its shard
     for block in (row_bytes, 2 * row_bytes):
         monkeypatch.setattr(training, "_BLOCK_BYTES", block)
         assert np.array_equal(stacked_local_rounds(obj, theta0, rows, Q, 0.1, u, 1e6), want)
