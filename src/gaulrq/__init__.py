@@ -10,8 +10,8 @@ from .normal import inv_norm_cdf
 from .orchestrator import (AlgorithmKind, RoundRecord, RunTrace, Simulation,
                            WireMessage, pack_indices, parse_message,
                            sample_clients, serialize_message, unpack_indices)
-from .privacy import (ClipConfig, PrivacyBudget, SigmaSchedule, clip_update,
-                      epsilon_from_sigmas, median_clip_bound, per_round_epsilon,
+from .privacy import (PrivacyBudget, SigmaSchedule, clip_update, epsilon_from_sigmas,
+                      median_clip_bound, per_round_epsilon, round_epsilons,
                       sigma_fixed, sigma_schedule_dynamic)
 from .quantizers import (MIN_STEP_FACTOR, EncodedVector, LayerSample,
                          bit_width, lrq_decode, lrq_encode,

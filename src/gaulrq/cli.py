@@ -48,7 +48,7 @@ def _bound_values(inp: BoundInputs) -> dict:
     return dict(values, step_size_ok=step_size_ok)
 
 
-def _bound_report(config: ExperimentConfig, sim, trace) -> dict:
+def _bound_report(config: ExperimentConfig, sim) -> dict:
     """Evaluate every closed-form bound at this run's measured constants."""
     obj = sim.objective
     spec = obj.spec(sim.theta0)
@@ -89,7 +89,7 @@ def cmd_run(args) -> int:
     trace.to_summary_json(summary_path)
     print(f"wrote {summary_path}")
     try:  # built before the file opens, so a failed report leaves no partial file
-        report = _bound_report(config, sim, trace)
+        report = _bound_report(config, sim)
     except InvalidParameterError as exc:
         print(f"bound error: {exc}; {bounds_path} not written", file=sys.stderr)
         return 1

@@ -24,15 +24,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DivergedError, InvalidParameterError
+from .errors import InvalidParameterError
 from .normal import inv_norm_cdf
-from .privacy import (ClipConfig, PrivacyBudget, clip_update, l2_norms,
-                      median_clip_bound, sigma_schedule_dynamic)
+from .privacy import (PrivacyBudget, clip_update, l2_norms, median_clip_bound,
+                      round_epsilons, sigma_schedule_dynamic)
 from .quantizers import (MAX_BITS, bit_width, lrq_quantize_rows,
                          lrq_reconstruct_rows, stochastic_dequantize,
                          stochastic_quantize_indices, wire_scale)
 from .streams import SeedMaterial, element_pairs, uniform_pair_block
-from .training import Objective, stacked_local_rounds, synth_partition, weighted_error
+from .training import (Objective, _check_divergence, stacked_local_rounds, synth_partition,
+                       weighted_error)
 
 FLOAT_BITS = 32
 
@@ -295,8 +296,8 @@ class RunTrace:
 
 class Simulation:
     """One experiment, built from its validated ExperimentConfig: the seed, the
-    synthetic shards' Objective, the "init"-lane start point, the privacy
-    budget, clipping and sigma schedule, and the server state per round."""
+    synthetic shards' Objective, the "init"-lane start point, the sigma
+    schedule with its cumulative-epsilon ledger, and the server state per round."""
 
     def __init__(self, config):
         self.config = config
@@ -309,18 +310,21 @@ class Simulation:
         self.theta0 = np.asarray(inv_norm_cdf(u_init))
         self.theta = self.theta0.copy()
         self.algorithm = AlgorithmKind[config.algorithm.upper()]
-        self.budget = (PrivacyBudget(config.epsilon, config.delta)
-                       if self.algorithm.private else None)
-        self.clip = ClipConfig(s2=config.s2, mode=config.clip_mode)
         self.batch_size = config.batch_size or config.n_per_client  # 0 is full batch
         self.round = 0
         self.records: list[RoundRecord] = []
-        self._eps_sq_spent = 0.0  # sum over rounds of (per-round epsilon)^2
         self._pipeline = PIPELINES[self.algorithm]
         if self.algorithm.private:  # median-adaptive rounds rescale the S2=1 schedule
+            s2 = config.s2 if config.clip_mode == "fixed" else 1.0
             self._sigmas = sigma_schedule_dynamic(
-                self.clip.s2 if self.clip.mode == "fixed" else 1.0, config.K, config.B,
-                config.N, self.budget, config.tau if self._pipeline.decaying else 1.0).sigmas
+                s2, config.K, config.B, config.N,
+                PrivacyBudget(config.epsilon, config.delta),
+                config.tau if self._pipeline.decaying else 1.0).sigmas
+            # A median clip bound scales sigma_k and cancels in its spend. The
+            # schedule spends exactly epsilon: never report the rounding excess.
+            spent_sq = np.cumsum(round_epsilons(s2, config.B, config.N, config.delta,
+                                                self._sigmas) ** 2)
+            self._eps_cum = np.minimum(np.sqrt(spent_sq), config.epsilon)
 
     def run_round(self) -> RoundRecord:
         cfg = self.config
@@ -343,21 +347,14 @@ class Simulation:
 
         sigma, inf_norms, eps_cum = 0.0, [], float("inf")
         if self.algorithm.private:
-            sigma = float(self._sigmas[k])
-            if self.clip.mode == "median_adaptive":
+            sigma, eps_cum = float(self._sigmas[k]), float(self._eps_cum[k])
+            if cfg.clip_mode == "median_adaptive":
                 s2 = max(median_clip_bound(l2_norms(updates)), 1e-12)
                 sigma *= s2
             else:
-                s2 = self.clip.s2
+                s2 = cfg.s2
             updates = clip_update(updates, s2)
             inf_norms = wire_scale(np.max(np.abs(updates), axis=1)).tolist()
-            # Lemma-4-style composition, valid per-round even when the clip
-            # bound (and hence sigma) changes across rounds.
-            per_round = (2.0 * s2 * np.sqrt(cfg.B * np.log(1.0 / self.budget.delta))
-                         / (cfg.N * sigma))
-            self._eps_sq_spent += per_round**2
-            # The schedules spend exactly epsilon: never report the rounding excess.
-            eps_cum = min(float(np.sqrt(self._eps_sq_spent)), self.budget.epsilon)
 
         if self._pipeline.noisy:
             u_noise, _ = element_pairs(self.seed.lane("noise"), clients, k, cfg.d)
@@ -374,13 +371,8 @@ class Simulation:
         total = 0.0
         for row in PIPELINES[parsed[0].algorithm].decode(self.seed, parsed, sigma):
             total = total + row
-        theta, ceiling = self.theta + total / len(parsed), cfg.divergence_ceiling
-        # The inf-norm first: it cannot overflow, and NaN fails it. The L2 norm
-        # is taken of theta / top, and only where sqrt(d) * top could exceed it.
-        top = float(np.max(np.abs(theta)))
-        if not (top <= ceiling and (top * math.sqrt(theta.size) <= ceiling
-                                    or top * np.linalg.norm(theta / top) <= ceiling)):
-            raise DivergedError(f"global model norm exceeded ceiling {ceiling:g}")
+        theta = self.theta + total / len(parsed)
+        _check_divergence(theta[None], cfg.divergence_ceiling, "global")
         self.theta = theta
         record = RoundRecord(round=k, clients=clients,
                              bits_sent=sum(m.payload_bits for m in parsed),

@@ -3,8 +3,8 @@
 Closed-form moment-accountant calibration for the Gaussian-shaped
 quantization noise: a fixed per-round noise scale for an even budget
 split, a geometrically decaying schedule that minimizes the convergence
-error under the same total budget, and the inverse map from noise scales
-back to the budget actually spent.
+error under the same total budget, and the per-round spends of a noise
+schedule, which give back the budget it spends.
 
 Privacy model. Neighbouring datasets differ by adding or removing one
 client's whole shard (client-level add/remove). One clipped upload moves
@@ -13,9 +13,11 @@ the moments-accountant closed form (Abadi et al., "Deep Learning with
 Differential Privacy", CCS'16), whose theorem assumes a small sampling
 rate q = B/N and large noise; nothing here checks that region. The theorem
 also assumes Poisson sampling at rate q, while the simulator samples
-exactly B clients per round, systematically. The median clip bound and
-each upload's wire scale are treated as public. No numeric audit of the
-reported epsilon exists yet.
+exactly B clients per round, systematically. The epsilon ledger is built
+with the run from the sigma schedule alone, so it is data-independent (a
+median clip bound scales sigma_k and cancels in the spend); the median
+itself and each upload's wire scale are treated as public, with no noise of
+their own. No numeric audit of the reported epsilon exists yet.
 """
 
 from __future__ import annotations
@@ -54,20 +56,6 @@ class SigmaSchedule:
         object.__setattr__(self, "sigmas", sig)
 
 
-@dataclass(frozen=True)
-class ClipConfig:
-    """L2 clipping policy: a fixed threshold or the per-round median norm."""
-
-    s2: float = 1.0
-    mode: str = "fixed"  # "fixed" or "median_adaptive"
-
-    def __post_init__(self):
-        if self.mode not in ("fixed", "median_adaptive"):
-            raise InvalidParameterError(f"unknown clip mode {self.mode!r}")
-        if self.mode == "fixed" and not (np.isfinite(self.s2) and self.s2 > 0.0):
-            raise InvalidParameterError("s2 must be finite and > 0")
-
-
 def _check_counts(K, B, N):
     if K < 1 or B < 1 or N < 1:
         raise InvalidParameterError("K, B, N must be positive integers")
@@ -104,33 +92,34 @@ def sigma_schedule_dynamic(s2: float, K: int, B: int, N: int,
     return SigmaSchedule(sigmas=sigmas)
 
 
-def epsilon_from_sigmas(s2: float, B: int, N: int, delta: float, sigmas) -> float:
-    """Budget actually spent by a sequence of noise scales (composition).
-
-    eps' = (2*S2*sqrt(B*ln(1/delta))/N) * sqrt(sum_k 1/sigma_k^2); the exact
-    inverse of the dynamic schedule construction.
-    """
+def round_epsilons(s2: float, B: int, N: int, delta: float, sigmas) -> np.ndarray:
+    """Budget each round of a noise schedule spends (moments accountant):
+    eps_k = 2*S2*sqrt(B*ln(1/delta))/(N*sigma_k). Rounds compose as the root
+    of the sum of squares, so sqrt(cumsum(eps_k^2)) is the spend so far."""
     sig = np.asarray(sigmas, dtype=np.float64)
     if sig.size == 0:
         raise InvalidParameterError("schedule must contain at least one sigma")
     if np.any(sig <= 0.0):
         raise InvalidParameterError("all sigma_k must be > 0")
-    return (2.0 * s2 * np.sqrt(B * np.log(1.0 / delta)) / N
-            * np.sqrt(np.sum(1.0 / sig**2)))
+    return 2.0 * s2 * np.sqrt(B * np.log(1.0 / delta)) / (N * sig)
+
+
+def epsilon_from_sigmas(s2: float, B: int, N: int, delta: float, sigmas) -> float:
+    """Budget actually spent by a sequence of noise scales: the root of the
+    sum of squared round_epsilons; the inverse of the schedule construction."""
+    return float(np.sqrt(np.sum(round_epsilons(s2, B, N, delta, sigmas) ** 2)))
 
 
 def per_round_epsilon(k: int, K: int, tau: float, budget: PrivacyBudget) -> float:
-    """Budget consumed at round k: eps * sqrt(1/sum_i tau^{-i/2}) * tau^{-k/4}.
+    """Budget consumed at round k of the tau schedule, read from round_epsilons:
+    eps * sqrt(1/sum_i tau^{-i/2}) * tau^{-k/4} (S2, B and N cancel).
 
     Nondecreasing in k for tau < 1; the uniform split eps/sqrt(K) at tau = 1.
     """
     if not (0 <= k < K):
         raise InvalidParameterError(f"round k={k} out of range [0, {K})")
-    if not (0.0 < tau <= 1.0):
-        raise InvalidParameterError("tau must lie in (0, 1]")
-    i = np.arange(K, dtype=np.float64)
-    total = np.sum(tau ** (-i / 2.0))
-    return budget.epsilon * np.sqrt(1.0 / total) * tau ** (-k / 4.0)
+    sigmas = sigma_schedule_dynamic(1.0, K, 1, 1, budget, tau).sigmas
+    return float(round_epsilons(1.0, 1, 1, budget.delta, sigmas)[k])
 
 
 def l2_norms(delta):

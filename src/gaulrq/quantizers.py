@@ -123,7 +123,8 @@ def lrq_encode(u, layer: LayerSample):
 
 
 def lrq_decode(m, layer: LayerSample):
-    """Reconstruction m * q_step + x; error vs the input lies in (L, R]."""
+    """Reconstruction m * q_step + x; error vs the input lies in (L, R] up to
+    rounding: an input on a cell edge can land an ulp or so outside it."""
     out = np.asarray(m, dtype=np.float64) * layer.q_step + layer.x
     return float(out) if np.ndim(out) == 0 else out
 

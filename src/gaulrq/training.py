@@ -9,6 +9,7 @@ vector.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -264,10 +265,22 @@ def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, 
             Xb, yb = Xg[:, o:o + b], yg[:, o:o + b]
             r = _residual(objective.kind, np.matmul(Xb, w[:, :, None])[:, :, 0], yb)
             w -= eta * (np.matmul(r[:, None, :], Xb)[:, 0, :] / b + objective.ridge * w)
-            if not np.all(np.linalg.norm(w, axis=1) <= divergence_ceiling):
-                raise DivergedError(
-                    f"local model norm exceeded ceiling {divergence_ceiling:g}")
+            _check_divergence(w, divergence_ceiling, "local")
     return local - theta
+
+
+def _check_divergence(w, ceiling: float, scope: str):
+    """Raise DivergedError unless each row of the 2-D ``w`` has L2 norm <= ceiling
+    (NaN fails). The inf-norm top first, which cannot overflow; then, only on
+    rows where sqrt(d) * top could pass the ceiling, ||row / top|| <= ceiling / top."""
+    top = np.abs(w).max(axis=1)
+    limit = ceiling / math.sqrt(w.shape[1])
+    if float(top.max()) <= limit:
+        return
+    big = top > limit  # top > 0 on these rows
+    if not (np.all(top <= ceiling) and np.all(
+            np.linalg.norm(w[big] / top[big, None], axis=1) <= ceiling / top[big])):
+        raise DivergedError(f"{scope} model norm exceeded ceiling {ceiling:g}")
 
 
 def _rows_of(arrays):

@@ -178,6 +178,17 @@ def test_cmd_run_rejects_non_finite_knobs(tmp_path, capsys, overrides):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("clip_mode", "percentile", "must be 'fixed' or 'median_adaptive'"),
+    ("s2", 0, "must be > 0 for fixed clipping")], ids=["clip_mode-percentile", "s2-0"])
+def test_cmd_run_rejects_bad_clip_settings(tmp_path, capsys, field, value, message):
+    cfg = _write_config(tmp_path, {field: value})
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {field}: {message}\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["divergence_ceiling", "eta"])
 def test_cmd_run_rejects_ints_beyond_float_range(tmp_path, capsys, name):
     # A 401-digit JSON integer loads as an int that no float can hold.
@@ -209,17 +220,22 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
+def _run_strict(cfg, out):
+    """`gaulrq run` in a fresh interpreter that turns every warning into an error."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-W", "error", "-m", "gaulrq.cli", "run",
+                           "--config", cfg, "--out-dir", str(out)],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
 def test_cmd_run_tiny_epsilon_stops_before_theta_overflows(tmp_path):
     # sigma ~ 4e160: round 0's decoded noise would put theta near 1e160, and
     # round 1's loss would overflow. The server step stops the run first.
     cfg = _write_config(tmp_path, {"epsilon": 1e-160})
     out = tmp_path / "out"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gaulrq.cli", "run",
-                           "--config", cfg, "--out-dir", str(out)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_strict(cfg, out)
     assert proc.returncode == 1
     lines = proc.stderr.splitlines()
     assert [line for line in lines if line.startswith("run error:")] == \
@@ -230,6 +246,17 @@ def test_cmd_run_tiny_epsilon_stops_before_theta_overflows(tmp_path):
                          parse_constant=_reject_constant)
     assert summary["stop_reason"] == "diverged in round 0"
     assert summary["rounds_run"] == 0 and math.isfinite(summary["final_loss"])
+
+
+def test_cmd_run_huge_step_stops_before_the_norm_overflows(tmp_path):
+    # eta = 1e250 puts the local model near 1e251 after one step; the squares
+    # of an L2 norm would overflow, so the local guard takes the inf-norm first.
+    cfg = _write_config(tmp_path, {"eta": 1e250})
+    proc = _run_strict(cfg, tmp_path / "out")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if line.startswith("run error:")] == \
+        ["run error: local model norm exceeded ceiling 1e+06"]
 
 
 def test_summary_json_is_strict(tmp_path):

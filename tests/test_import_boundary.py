@@ -35,7 +35,7 @@ trace = sim.run()
 check("the rounds")
 trace.to_csv(sys.argv[1], config.algorithm)
 check("the trace")
-report = cli._bound_report(config, sim, trace)
+report = cli._bound_report(config, sim)
 check("the bound report")
 assert report["bound_lsgd"] > 0
 """

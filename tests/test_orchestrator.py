@@ -493,6 +493,29 @@ def test_accountant_within_budget():
     assert cums[-1] <= cfg.epsilon
 
 
+@settings(max_examples=60, deadline=None)
+@given(algo=st.sampled_from([a.name.lower() for a in AlgorithmKind if a.private]),
+       clip_mode=st.sampled_from(["fixed", "median_adaptive"]),
+       nb=st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       K=st.integers(1, 6), epsilon=st.floats(0.1, 10.0), delta=st.floats(1e-8, 0.1),
+       tau=st.floats(0.3, 1.0))
+def test_epsilon_ledger_spends_the_budget(algo, clip_mode, nb, K, epsilon, delta, tau):
+    # The ledger is the sigma schedule's: it never falls, never exceeds the
+    # budget and ends on it, and a median-clipped run's does not depend on
+    # the data (here, the seed).
+    def eps_cum(seed):
+        cfg = _config(algorithm=algo, clip_mode=clip_mode, N=nb[0], B=nb[1], K=K,
+                      epsilon=epsilon, delta=delta, tau=tau, s2=1.0, seed=seed)
+        return [r.epsilon_spent_cumulative for r in run_experiment(cfg).records]
+
+    cums = eps_cum(21)
+    assert all(b >= a for a, b in zip(cums, cums[1:]))
+    assert max(cums) <= epsilon
+    assert math.isclose(cums[-1], epsilon, rel_tol=1e-12, abs_tol=0.0)
+    if clip_mode == "median_adaptive":
+        assert eps_cum(22) == cums
+
+
 def test_csv_schema(tmp_path):
     trace = run_experiment(_config(algorithm="gau_lrq_sgd", s2=1.0, K=2))
     path = tmp_path / "trace.csv"

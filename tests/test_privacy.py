@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from gaulrq.errors import InvalidParameterError
-from gaulrq.privacy import (ClipConfig, PrivacyBudget, SigmaSchedule,
+from gaulrq.privacy import (PrivacyBudget, SigmaSchedule,
                             clip_update, epsilon_from_sigmas, l2_norms,
                             median_clip_bound, per_round_epsilon, sigma_fixed,
                             sigma_schedule_dynamic)
@@ -194,11 +194,3 @@ def test_median_clip_bound():
     with pytest.raises(InvalidParameterError):
         median_clip_bound([])
 
-
-def test_clip_config_validation():
-    ClipConfig(s2=1.0, mode="fixed")
-    ClipConfig(mode="median_adaptive")
-    with pytest.raises(InvalidParameterError):
-        ClipConfig(s2=0.0, mode="fixed")
-    with pytest.raises(InvalidParameterError):
-        ClipConfig(mode="percentile")

@@ -338,6 +338,23 @@ def test_divergence_guard_catches_nan():
         local_rounds(model, obj.datasets[0], 2, float("nan"), obj.datasets[0].n, None)
 
 
+@pytest.mark.parametrize("rows, ceiling, ok", [
+    ([[3.0, 4.0], [0.0, 0.0]], 5.0, True),  # L2 norm exactly at the ceiling
+    ([[3.0, 4.1], [0.0, 0.0]], 5.0, False),  # inf-norm under the ceiling, L2 over
+    ([[1e200, 1e200], [1.0, 1.0]], 5.0, False),
+    ([[7e299, 7e299]], 1e300, True),  # the squares would overflow
+    ([[9e299, 9e299]], 1e300, False),
+    ([[float("nan"), 0.0], [1.0, 1.0]], 5.0, False),
+    ([[-float("inf"), 0.0]], 5.0, False)])
+def test_divergence_check_never_overflows(rows, ceiling, ok):
+    # RuntimeWarnings are errors here, so an overflowing norm would fail too.
+    if ok:
+        training._check_divergence(np.array(rows), ceiling, "local")
+    else:
+        with pytest.raises(DivergedError, match="^local model norm exceeded ceiling"):
+            training._check_divergence(np.array(rows), ceiling, "local")
+
+
 # -- weighted error ---------------------------------------------------------
 
 def test_weighted_error_examples():
