@@ -302,10 +302,11 @@ class Simulation:
     def __init__(self, config):
         self.config = config
         self.seed = SeedMaterial(config.seed, config.run_id)
-        datasets = synth_partition(config.seed, config.N, config.d, config.n_per_client,
-                                   config.label_noise, kind=config.objective,
-                                   heterogeneity=config.heterogeneity)
-        self.objective = Objective(datasets, kind=config.objective, ridge=config.ridge)
+        self.objective = Objective(
+            *synth_partition(config.seed, config.N, config.d, config.n_per_client,
+                             config.label_noise, kind=config.objective,
+                             heterogeneity=config.heterogeneity),
+            kind=config.objective, ridge=config.ridge)
         u_init, _ = element_pairs(self.seed.lane("init"), 0, 0, config.d)
         self.theta0 = np.asarray(inv_norm_cdf(u_init))
         self.theta = self.theta0.copy()

@@ -3,14 +3,15 @@
 Desk-scale objectives stand in for deep networks: least squares has an
 analytic smoothness constant and optimum, so every closed-form bound can
 be evaluated exactly; logistic regression adds a nonquadratic case. Both
-are defined over synthetic per-client datasets with a planted weight
-vector.
+are defined over N equal client shards, one (N, n, d) features tensor and
+(N, n) targets, drawn around a planted weight vector.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import expit
@@ -22,21 +23,12 @@ OBJECTIVE_KINDS = ("least_squares", "logistic")
 _BLOCK_BYTES = 1 << 20
 
 
-@dataclass
-class LocalDataset:
-    """One client's (features, targets) shard."""
+class LocalDataset(NamedTuple):
+    """One client's (n, d) features and (n,) targets: row views of an
+    Objective's shards, which validated them."""
 
     features: np.ndarray
     targets: np.ndarray
-    client_id: int
-
-    def __post_init__(self):
-        self.features = np.asarray(self.features, dtype=np.float64)
-        self.targets = np.asarray(self.targets, dtype=np.float64)
-        if self.features.shape[0] != self.targets.shape[0]:
-            raise InvalidParameterError("feature/target row counts differ")
-        if not (np.all(np.isfinite(self.features)) and np.all(np.isfinite(self.targets))):
-            raise InvalidParameterError("dataset entries must be finite")
 
     @property
     def n(self):
@@ -64,35 +56,39 @@ class Objective:
     """A differentiable objective over N client shards of equal size n.
 
     The global objective is the mean of per-client means plus an optional
-    ridge term. Shards of different sizes raise InvalidParameterError. All
-    evaluation paths are pure in (theta, data); full_loss and
+    ridge term. All evaluation paths are pure in (theta, data); full_loss and
     loss_and_gradient share one loss formula, so their losses agree bitwise.
 
-    ``shards`` holds the (N, n, d) features and (N, n) targets; ``_X``/``_y``
-    are reshapes of them. Datasets that are consecutive row views of one
-    base (synth_partition's) share it without a copy; others are stacked.
+    ``features`` (N, n, d) and ``targets`` (N, n) are adopted without a copy
+    as ``shards``: their shapes make the shards equal. ``datasets`` are the
+    per-client row views of them; ``_X``/``_y`` are their (N*n)-row reshapes.
     """
 
-    def __init__(self, datasets, kind="least_squares", ridge=0.0):
+    def __init__(self, features, targets, kind="least_squares", ridge=0.0):
         if kind not in OBJECTIVE_KINDS:
             raise InvalidParameterError(f"unknown objective kind {kind!r}")
-        if ridge < 0.0:
-            raise InvalidParameterError("ridge must be >= 0")
-        if not datasets:
-            raise InvalidParameterError("need at least one client dataset")
-        self.datasets = list(datasets)
-        N, n = len(self.datasets), self.datasets[0].n
-        if any(ds.n != n for ds in self.datasets):
-            raise InvalidParameterError("client shards must have equal sizes")
+        if not 0.0 <= ridge < math.inf:
+            raise InvalidParameterError("ridge must be finite and >= 0")
+        try:
+            X = np.asarray(features, dtype=np.float64)
+            y = np.asarray(targets, dtype=np.float64)
+        except ValueError as exc:  # ragged nesting
+            raise InvalidParameterError(f"client shards must be one array: {exc}") from None
+        if X.ndim != 3 or y.shape != X.shape[:2] or X.size == 0:
+            raise InvalidParameterError(f"need non-empty (N, n, d) features and (N, n) "
+                                        f"targets, got {X.shape} and {y.shape}")
+        # Shard by shard: no (N, n, d) boolean temporary.
+        if not all(np.isfinite(Xi).all() and np.isfinite(yi).all() for Xi, yi in zip(X, y)):
+            raise InvalidParameterError("dataset entries must be finite")
+        N, n, self.dimension = X.shape
         self.kind = kind
         self.ridge = float(ridge)
-        self.dimension = self.datasets[0].features.shape[1]
         # Every sample weighs 1/(N*n): the mean of equal-size per-client means.
         self._w = 1.0 / (N * n)
-        self.shards = (_rows_of([ds.features for ds in self.datasets]),
-                       _rows_of([ds.targets for ds in self.datasets]))
-        self._X = self.shards[0].reshape(N * n, -1)
-        self._y = self.shards[1].reshape(N * n)
+        self.shards = (X, y)
+        self.datasets = [LocalDataset(Xi, yi) for Xi, yi in zip(X, y)]
+        self._X = X.reshape(N * n, -1)
+        self._y = y.reshape(N * n)
         self._gram = None
         self._nu = None
         self._optimum = None
@@ -110,9 +106,6 @@ class Objective:
         z = self._X @ theta
         resid = _residual(self.kind, z, self._y)
         return self._loss(theta, z), self._X.T @ (self._w * resid) + self.ridge * theta
-
-    def full_gradient(self, theta):
-        return self.loss_and_gradient(theta)[1]
 
     def _loss(self, theta, z):
         if self.kind == "least_squares":
@@ -223,12 +216,15 @@ def local_rounds(model: ModelState, dataset: LocalDataset, Q: int, eta: float,
     batches from ``stream`` in one draw of Q * batch_size uniforms."""
     if batch_size < 1:
         raise InvalidParameterError("batch_size must be >= 1")
-    objective = Objective([dataset], model.objective.kind, model.objective.ridge)
+    objective = Objective(dataset.features[None], dataset.targets[None],
+                          model.objective.kind, model.objective.ridge)
     u = stream.next(Q * batch_size)[None] if batch_size < dataset.n else None
     return stacked_local_rounds(objective, model.theta, [0], Q, eta, u,
                                 divergence_ceiling)[0]
 
 
+# A step can overflow to inf or NaN before the guard sees it; the guard rejects both.
+@np.errstate(over="ignore", invalid="ignore")
 def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, u,
                          divergence_ceiling: float):
     """Q local SGD steps for B clients at once; returns their (B, d) updates.
@@ -283,17 +279,6 @@ def _check_divergence(w, ceiling: float, scope: str):
         raise DivergedError(f"{scope} model norm exceeded ceiling {ceiling:g}")
 
 
-def _rows_of(arrays):
-    """The base whose consecutive rows ``arrays`` are, else their stacked copy."""
-    base = arrays[0].base
-    if isinstance(base, np.ndarray) and base.shape[:1] == (len(arrays),) and all(
-            a.base is base and (a.shape, a.strides, a.ctypes.data)
-            == (base.shape[1:], base.strides[1:], base[i].ctypes.data)
-            for i, a in enumerate(arrays)):
-        return base
-    return np.stack(arrays)
-
-
 def _residual(kind: str, z, y):
     """dLoss/dz per sample: z - y for least squares, sigmoid(z) - y for logistic."""
     return (z - y) if kind == "least_squares" else (expit(z) - y)
@@ -325,9 +310,9 @@ def synth_partition(global_seed: int, N: int, d: int, n_per_client: int,
     through a sigmoid for logistic). ``heterogeneity`` shifts each client's
     planted vector independently; zero gives iid shards.
 
-    Each client's (n, d) block is drawn in place into one read-only
-    (N, n, d) features tensor and (N, n) targets array; the datasets are row
-    views of them, which Objective adopts as its shards without a copy.
+    Returns (features, targets): one read-only (N, n, d) tensor and (N, n)
+    array, each client's block drawn in place, which Objective adopts as its
+    shards without a copy.
     """
     if kind not in OBJECTIVE_KINDS:
         raise InvalidParameterError(f"unknown objective kind {kind!r}")
@@ -344,5 +329,4 @@ def synth_partition(global_seed: int, N: int, d: int, n_per_client: int,
         else:
             targets[i] = rng.random(n_per_client) < expit(z)
     features.flags.writeable = targets.flags.writeable = False
-    return [LocalDataset(features=features[i], targets=targets[i], client_id=i)
-            for i in range(N)]
+    return features, targets

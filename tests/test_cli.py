@@ -248,15 +248,18 @@ def test_cmd_run_tiny_epsilon_stops_before_theta_overflows(tmp_path):
     assert summary["rounds_run"] == 0 and math.isfinite(summary["final_loss"])
 
 
-def test_cmd_run_huge_step_stops_before_the_norm_overflows(tmp_path):
+@pytest.mark.parametrize("ceiling", [None, 1e300], ids=["default", "1e300"])
+def test_cmd_run_huge_step_stops_before_the_norm_overflows(tmp_path, ceiling):
     # eta = 1e250 puts the local model near 1e251 after one step; the squares
     # of an L2 norm would overflow, so the local guard takes the inf-norm first.
-    cfg = _write_config(tmp_path, {"eta": 1e250})
+    # Under a 1e300 ceiling the second step overflows to inf before the guard.
+    extra = {} if ceiling is None else {"divergence_ceiling": ceiling}
+    cfg = _write_config(tmp_path, {"eta": 1e250, **extra})
     proc = _run_strict(cfg, tmp_path / "out")
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert [line for line in proc.stderr.splitlines() if line.startswith("run error:")] == \
-        ["run error: local model norm exceeded ceiling 1e+06"]
+        [f"run error: local model norm exceeded ceiling {ceiling or 1e6:g}"]
 
 
 def test_summary_json_is_strict(tmp_path):

@@ -47,9 +47,9 @@ import numpy as np
 
 import gaulrq
 
-datasets = gaulrq.synth_partition(3, N=6, d=5, n_per_client=30, noise_std=0.0,
-                                  kind="logistic")
-objective = gaulrq.Objective(datasets, kind="logistic")
+shards = gaulrq.synth_partition(3, N=6, d=5, n_per_client=30, noise_std=0.0,
+                                kind="logistic")
+objective = gaulrq.Objective(*shards, kind="logistic")
 assert "scipy.optimize" not in sys.modules
 theta, f_star = objective.optimum()
 assert "scipy.optimize" in sys.modules

@@ -24,7 +24,7 @@ from gaulrq.privacy import clip_update
 from gaulrq.quantizers import (MAX_BITS, bit_width, lrq_quantize_vector,
                                stochastic_quantize_indices, wire_scale)
 from gaulrq.streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
-from gaulrq.training import LocalDataset, ModelState, Objective, local_rounds
+from gaulrq.training import ModelState, local_rounds
 
 
 def _config(**kw):
@@ -276,7 +276,7 @@ def test_local_sgd_is_gradient_descent_step():
     sim = build_simulation(cfg)
     theta0 = sim.theta.copy()
     sim.run_round()
-    grad = sim.objective.full_gradient(theta0)
+    grad = sim.objective.loss_and_gradient(theta0)[1]
     # Equal shards: mean of client updates = -eta * global gradient, up to
     # the float32 payload rounding.
     assert np.allclose(sim.theta, theta0 - cfg.eta * grad, atol=1e-6)
@@ -361,15 +361,6 @@ def test_simulation_holds_its_features_once():
     finally:
         tracemalloc.stop()
     assert held <= 1.25 * sim.objective.shards[0].nbytes
-
-
-def test_round_engine_rejects_unequal_shards():
-    # The round engine steps all shards as one (N, n, d) array.
-    rng = np.random.default_rng(0)
-    datasets = [LocalDataset(rng.standard_normal((n, 2)), rng.standard_normal(n), i)
-                for i, n in enumerate((3, 4))]
-    with pytest.raises(InvalidParameterError, match="equal sizes"):
-        Objective(datasets)
 
 
 def test_local_sgd_converges_on_noiseless_problem():

@@ -7,13 +7,12 @@ from scipy.special import expit
 from gaulrq import training
 from gaulrq.errors import DivergedError, InvalidParameterError
 from gaulrq.streams import DrawStream, SeedMaterial
-from gaulrq.training import (LocalDataset, ModelState, Objective, local_rounds,
-                             stacked_local_rounds, synth_partition, weighted_error)
+from gaulrq.training import (ModelState, Objective, local_rounds, stacked_local_rounds,
+                             synth_partition, weighted_error)
 
 
 def _objective(seed=0, N=4, d=3, n=6, noise=0.0, kind="least_squares", **kw):
-    data = synth_partition(seed, N, d, n, noise, kind=kind)
-    return Objective(data, kind=kind, **kw)
+    return Objective(*synth_partition(seed, N, d, n, noise, kind=kind), kind=kind, **kw)
 
 
 # -- synthetic data ---------------------------------------------------------
@@ -21,31 +20,29 @@ def _objective(seed=0, N=4, d=3, n=6, noise=0.0, kind="least_squares", **kw):
 def test_synth_deterministic():
     a = synth_partition(3, 2, 4, 5, 0.2)
     b = synth_partition(3, 2, 4, 5, 0.2)
-    for da, db in zip(a, b):
-        assert np.array_equal(da.features, db.features)
-        assert np.array_equal(da.targets, db.targets)
+    for xa, xb in zip(a, b):
+        assert np.array_equal(xa, xb)
 
 
 def test_synth_shapes():
-    data = synth_partition(0, 2, 2, 3, 0.0)
-    assert len(data) == 2
-    for i, ds in enumerate(data):
-        assert ds.features.shape == (3, 2)
-        assert ds.targets.shape == (3,)
-        assert ds.client_id == i
+    features, targets = synth_partition(0, 2, 2, 3, 0.0)
+    assert features.shape == (2, 3, 2) and targets.shape == (2, 3)
+    datasets = Objective(features, targets).datasets
+    assert len(datasets) == 2
+    for ds in datasets:
+        assert ds.features.shape == (3, 2) and ds.targets.shape == (3,) and ds.n == 3
 
 
 def test_noiseless_optimum_is_planted_vector():
     obj = _objective(seed=5, N=5, d=4, n=20, noise=0.0)
     theta_star, f_star = obj.optimum()
     assert f_star == pytest.approx(0.0, abs=1e-18)
-    assert np.linalg.norm(obj.full_gradient(theta_star)) < 1e-10
+    assert np.linalg.norm(obj.loss_and_gradient(theta_star)[1]) < 1e-10
 
 
 def test_logistic_targets_binary():
-    data = synth_partition(1, 2, 3, 50, 0.0, kind="logistic")
-    for ds in data:
-        assert set(np.unique(ds.targets)) <= {0.0, 1.0}
+    _, targets = synth_partition(1, 2, 3, 50, 0.0, kind="logistic")
+    assert set(np.unique(targets)) <= {0.0, 1.0}
 
 
 @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
@@ -54,7 +51,7 @@ def test_synth_matches_per_client_draws(kind):
     N, d, n, noise, het = 4, 5, 7, 0.3, 0.8
     rng = np.random.default_rng(11)
     w_star = rng.standard_normal(d)
-    for ds in synth_partition(11, N, d, n, noise, kind=kind, heterogeneity=het):
+    for Xi, yi in zip(*synth_partition(11, N, d, n, noise, kind=kind, heterogeneity=het)):
         w = w_star + het * rng.standard_normal(d)
         X = rng.standard_normal((n, d))
         z = X @ w
@@ -62,36 +59,45 @@ def test_synth_matches_per_client_draws(kind):
             y = z + noise * rng.standard_normal(n)
         else:
             y = (rng.random(n) < expit(z)).astype(np.float64)
-        assert np.array_equal(ds.features, X)
-        assert np.array_equal(ds.targets, y)
+        assert np.array_equal(Xi, X)
+        assert np.array_equal(yi, y)
 
 
 def test_synth_shards_are_one_read_only_tensor():
-    data = synth_partition(2, 5, 4, 6, 0.1)
-    obj = Objective(data)
+    features, targets = synth_partition(2, 5, 4, 6, 0.1)
+    obj = Objective(features, targets)
     X, y = obj.shards
     assert X.shape == (5, 6, 4) and y.shape == (5, 6)
-    for i, ds in enumerate(data):
+    assert np.shares_memory(X, features) and np.shares_memory(y, targets)
+    for i, ds in enumerate(obj.datasets):
         assert np.shares_memory(X[i], ds.features)
         assert np.shares_memory(y[i], ds.targets)
     assert not X.flags.writeable and not y.flags.writeable
     with pytest.raises(ValueError):
-        data[0].features[0, 0] = 1.0
-    # Hand-built datasets (here out of order) are stacked into a copy.
-    hand = [LocalDataset(ds.features.copy(), ds.targets.copy(), i)
-            for i, ds in enumerate(data)]
-    for datasets in (hand, data[::-1]):
-        X2, y2 = Objective(datasets).shards
-        assert np.array_equal(X2, np.stack([ds.features for ds in datasets]))
-        assert np.array_equal(y2, np.stack([ds.targets for ds in datasets]))
-        assert not any(np.shares_memory(X2, ds.features) for ds in datasets)
+        obj.datasets[0].features[0, 0] = 1.0
 
 
-def test_dataset_validation():
-    with pytest.raises(InvalidParameterError):
-        LocalDataset(np.zeros((3, 2)), np.zeros(4), 0)
-    with pytest.raises(InvalidParameterError):
-        LocalDataset(np.array([[np.inf]]), np.zeros(1), 0)
+def _zeros_with(shape, index, value):
+    a = np.zeros(shape)
+    a[index] = value
+    return a
+
+
+@pytest.mark.parametrize("features, targets, ridge, match", [
+    pytest.param([np.zeros((3, 2)), np.zeros((4, 2))], [np.zeros(3), np.zeros(4)], 0.0,
+                 "one array", id="ragged"),
+    pytest.param(np.zeros((3, 2)), np.zeros(3), 0.0, "features", id="2d-features"),
+    pytest.param(np.zeros((2, 3, 2)), np.zeros((2, 4)), 0.0, "targets", id="mismatched-targets"),
+    pytest.param(np.zeros((2, 0, 2)), np.zeros((2, 0)), 0.0, "non-empty", id="empty-shard"),
+    pytest.param(_zeros_with((2, 3, 2), (1, 2, 0), np.nan), np.zeros((2, 3)), 0.0,
+                 "finite", id="nan"),
+    pytest.param(np.zeros((2, 3, 2)), _zeros_with((2, 3), (1, 0), -np.inf), 0.0,
+                 "finite", id="inf"),
+    pytest.param(np.zeros((2, 3, 2)), np.zeros((2, 3)), np.nan, "ridge must be finite",
+                 id="nan-ridge")])
+def test_objective_rejects_bad_input(features, targets, ridge, match):
+    with pytest.raises(InvalidParameterError, match=match):
+        Objective(features, targets, ridge=ridge)
 
 
 # -- gradients --------------------------------------------------------------
@@ -102,21 +108,22 @@ def test_singleton_batches_average_to_full_gradient():
     theta = np.array([0.1, 0.7, -0.4])
     singles = [obj.sample_gradients(theta, ds, [i])[0] for i in range(ds.n)]
     # One-shard objective: its full gradient is that client's local gradient.
-    local = Objective([ds], kind=obj.kind)
-    assert np.allclose(np.mean(singles, axis=0), local.full_gradient(theta), atol=1e-12)
+    local = Objective(ds.features[None], ds.targets[None], kind=obj.kind)
+    _, grad = local.loss_and_gradient(theta)
+    assert np.allclose(np.mean(singles, axis=0), grad, atol=1e-12)
 
 
 def test_zero_gradient_at_optimum():
     obj = _objective(noise=0.3)
     theta_star, _ = obj.optimum()
-    assert np.linalg.norm(obj.full_gradient(theta_star)) < 1e-10
+    assert np.linalg.norm(obj.loss_and_gradient(theta_star)[1]) < 1e-10
 
 
 @pytest.mark.parametrize("seed", range(5))
 def test_logistic_optimum_meets_gradient_tolerance(seed):
-    obj = Objective(synth_partition(seed, 2, 3, 50, 0.0, kind="logistic"), kind="logistic")
+    obj = _objective(seed=seed, N=2, d=3, n=50, kind="logistic")
     theta_star, _ = obj.optimum()
-    assert np.linalg.norm(obj.full_gradient(theta_star)) <= 1e-8
+    assert np.linalg.norm(obj.loss_and_gradient(theta_star)[1]) <= 1e-8
 
 
 @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
@@ -124,9 +131,8 @@ def test_logistic_optimum_meets_gradient_tolerance(seed):
 def test_loss_and_gradient_is_full_loss_and_full_gradient(kind, ridge):
     obj = _objective(seed=4, N=5, d=7, n=9, noise=0.2, kind=kind, ridge=ridge)
     for theta in np.random.default_rng(6).standard_normal((5, 7)):
-        loss, grad = obj.loss_and_gradient(theta)
+        loss, _ = obj.loss_and_gradient(theta)
         assert loss == obj.full_loss(theta)
-        assert np.array_equal(grad, obj.full_gradient(theta))
 
 
 def test_gradient_matches_finite_differences():
@@ -135,7 +141,7 @@ def test_gradient_matches_finite_differences():
         rng = np.random.default_rng(8)
         for _ in range(20):
             theta = rng.standard_normal(3)
-            g = obj.full_gradient(theta)
+            g = obj.loss_and_gradient(theta)[1]
             h = 1e-6
             fd = np.empty(3)
             for j in range(3):
@@ -152,7 +158,7 @@ def test_smoothness_certificate():
     for _ in range(1000):
         a = rng.standard_normal(4)
         b = rng.standard_normal(4)
-        lhs = np.linalg.norm(obj.full_gradient(a) - obj.full_gradient(b))
+        lhs = np.linalg.norm(obj.loss_and_gradient(a)[1] - obj.loss_and_gradient(b)[1])
         assert lhs <= nu * np.linalg.norm(a - b) + 1e-9
 
 
@@ -160,14 +166,12 @@ def test_thin_gram_matches_wide():
     # Fewer samples (6) than dimensions (10): the thin N*n x N*n path must
     # reproduce the d x d arithmetic.
     rng = np.random.default_rng(12)
-    data = [LocalDataset(rng.standard_normal((n, 10)), rng.standard_normal(n), i)
-            for i, n in enumerate((3, 3))]
-    X = np.vstack([ds.features for ds in data])
-    y = np.concatenate([ds.targets for ds in data])
+    features, targets = rng.standard_normal((2, 3, 10)), rng.standard_normal((2, 3))
+    X, y = features.reshape(6, 10), targets.reshape(6)
     w = np.full(6, 1.0 / 6)
     gram = (X * w[:, None]).T @ X
     for ridge in (0.0, 0.1):
-        obj = Objective(data, ridge=ridge)
+        obj = Objective(features, targets, ridge=ridge)
         nu = float(np.linalg.eigvalsh(gram)[-1]) + ridge
         assert obj.smoothness() == pytest.approx(nu, rel=1e-9)
         if ridge:
@@ -312,9 +316,9 @@ def test_row_blocks_change_no_update(kind, batch, monkeypatch):
 
 def test_divergence_in_last_block_raises(monkeypatch):
     rng = np.random.default_rng(4)
-    data = [LocalDataset(rng.standard_normal((6, 3)) * (100.0 if i == 3 else 1.0),
-                         rng.standard_normal(6), i) for i in range(4)]
-    obj = Objective(data)
+    features, targets = rng.standard_normal((4, 6, 3)), rng.standard_normal((4, 6))
+    features[3] *= 100.0
+    obj = Objective(features, targets)
     monkeypatch.setattr(training, "_BLOCK_BYTES", 6 * 3 * 8)  # one row per block
     stacked_local_rounds(obj, np.zeros(3), [0, 1, 2], 20, 0.1, None, 1e6)
     with pytest.raises(DivergedError):
