@@ -89,6 +89,8 @@ class ExperimentConfig:
             errors.append("ridge: must be >= 0")
         if self.batch_size < 0:
             errors.append("batch_size: must be >= 0 (0 = full batch)")
+        elif self.batch_size > self.n_per_client:
+            errors.append("batch_size: must be <= n_per_client (0 = full batch)")
         if not (np.isfinite(self.divergence_ceiling) and self.divergence_ceiling > 0):
             errors.append("divergence_ceiling: must be finite and > 0")
         if not (0 <= int(self.seed) < 2**64):

@@ -6,11 +6,12 @@ bits that exist. All randomness is cursor-addressed through the shared
 streams, which makes runs bitwise reproducible and lets the server replay
 each client's dither draws without transmission.
 
-A round runs its B clients as one (B, d) pipeline: one stream call per
-lane, with a client axis, from the batch draw to the server's sum. Norms,
-clipping, scales, widths, codecs and bit packing are row-wise array
-operations (packing one per distinct width); the wire carries one message
-per client.
+A round runs its B clients as one (B, d) pipeline, from the batch draw to
+the server's sum. The client-side draws of a chunk of rounds come first, one
+stream call per lane with a rounds and a client axis; the server replays each
+round's layers from the parsed headers. Norms, clipping, scales, widths,
+codecs and bit packing are row-wise array operations (packing one per
+distinct width); the wire carries one message per client.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import training
 from .errors import InvalidParameterError
 from .normal import inv_norm_cdf
 from .privacy import (PrivacyBudget, clip_update, l2_norms, median_clip_bound,
@@ -161,12 +163,13 @@ def parse_message(data: bytes) -> WireMessage:
                        payload=data[offset:], scale=scale)
 
 
-# -- codec pairs: encode(seed, client_ids, round, V, sigma) -> one (width,
-# payload, scale, clamps) per row of V, and decode(seed, messages, sigma) ->
-# (B, d), one row per message, all of one round. They look the layer
+# -- codecs: draw(seed, client_ids, rounds, d) -> the (u1, u2) pair of the codec's
+# lane; encode(V, sigma, uniforms) -> one (width, payload, scale, clamps) per row of
+# V, from one round's rows of that pair; decode(seed, messages, sigma) -> (B, d),
+# one row per message of one round, drawing its own uniforms. They look the layer
 # functions up as module globals, so rebinding one (as a tracer does) reaches them.
 
-def _encode_float(seed, client_ids, k, V, sigma):
+def _encode_float(V, sigma, uniforms):
     return [(FLOAT_BITS, row.tobytes(), 0.0, 0) for row in V.astype("<f4")]
 
 
@@ -174,11 +177,13 @@ def _decode_float(seed, msgs, sigma):
     return np.stack([np.frombuffer(m.payload, "<f4") for m in msgs]).astype(np.float64)
 
 
-def _encode_stochastic(seed, client_ids, k, V, sigma):
-    U, _ = uniform_pair_block(seed.lane("sq"), client_ids, k, 0,
-                              np.arange(V.shape[1], dtype=np.uint64))
+def _draw_stochastic(seed, client_ids, rnd, d):
+    return uniform_pair_block(seed.lane("sq"), client_ids, rnd, 0, np.arange(d, dtype=np.uint64))
+
+
+def _encode_stochastic(V, sigma, uniforms):
     widths = bit_width(wire_scale(np.max(np.abs(V), axis=1)), sigma)
-    idx, scales = stochastic_quantize_indices(V, widths, U)
+    idx, scales = stochastic_quantize_indices(V, widths, uniforms[0])
     payloads = pack_indices(idx - np.left_shift(1, widths - 1)[:, None], widths)
     return list(zip(widths.tolist(), payloads, scales.tolist(), [0] * len(payloads)))
 
@@ -190,8 +195,11 @@ def _decode_stochastic(seed, msgs, sigma):
                                  [m.scale for m in msgs])
 
 
-def _encode_layered(seed, client_ids, k, V, sigma):
-    uniforms = element_pairs(seed.lane("quant"), client_ids, k, V.shape[1])
+def _draw_layered(seed, client_ids, rnd, d):
+    return element_pairs(seed.lane("quant"), client_ids, rnd, d)
+
+
+def _encode_layered(V, sigma, uniforms):
     idx, widths, scales, clamps = lrq_quantize_rows(V, sigma, uniforms)
     return list(zip(widths, pack_indices(idx, widths), scales, clamps.tolist()))
 
@@ -199,8 +207,7 @@ def _encode_layered(seed, client_ids, k, V, sigma):
 def _decode_layered(seed, msgs, sigma):
     idx = unpack_indices([m.payload for m in msgs], msgs[0].dim,
                          [m.bits_per_element for m in msgs], signed=False)
-    uniforms = element_pairs(seed.lane("quant"), [m.client_id for m in msgs],
-                             msgs[0].round, msgs[0].dim)
+    uniforms = _draw_layered(seed, [m.client_id for m in msgs], msgs[0].round, msgs[0].dim)
     return lrq_reconstruct_rows(idx, [m.scale for m in msgs], sigma, uniforms)
 
 
@@ -208,16 +215,19 @@ class Pipeline(NamedTuple):
     """What sets one algorithm apart from the others."""
     noisy: bool      # adds sigma * N(0, 1) from the "noise" lane before coding
     decaying: bool   # sigma_k follows the tau^{k/4} schedule, not the even split
+    draw: Callable | None  # None: the codec draws nothing
     encode: Callable
     decode: Callable
 
 
 PIPELINES = {
-    AlgorithmKind.LOCAL_SGD: Pipeline(False, False, _encode_float, _decode_float),
-    AlgorithmKind.GAU_SGD: Pipeline(True, False, _encode_float, _decode_float),
-    AlgorithmKind.QG_SGD: Pipeline(True, False, _encode_stochastic, _decode_stochastic),
-    AlgorithmKind.GAU_LRQ_SGD: Pipeline(False, False, _encode_layered, _decode_layered),
-    AlgorithmKind.DYNAMIC_GAU_LRQ_SGD: Pipeline(False, True, _encode_layered,
+    AlgorithmKind.LOCAL_SGD: Pipeline(False, False, None, _encode_float, _decode_float),
+    AlgorithmKind.GAU_SGD: Pipeline(True, False, None, _encode_float, _decode_float),
+    AlgorithmKind.QG_SGD: Pipeline(True, False, _draw_stochastic, _encode_stochastic,
+                                   _decode_stochastic),
+    AlgorithmKind.GAU_LRQ_SGD: Pipeline(False, False, _draw_layered, _encode_layered,
+                                        _decode_layered),
+    AlgorithmKind.DYNAMIC_GAU_LRQ_SGD: Pipeline(False, True, _draw_layered, _encode_layered,
                                                 _decode_layered),
 }
 _QUANTIZED = frozenset(kind for kind, p in PIPELINES.items() if p.encode is not _encode_float)
@@ -315,6 +325,7 @@ class Simulation:
         self.round = 0
         self.records: list[RoundRecord] = []
         self._pipeline = PIPELINES[self.algorithm]
+        self._chunk = (0, [])  # (first round, per-round draws), drawn by run_round
         if self.algorithm.private:  # median-adaptive rounds rescale the S2=1 schedule
             s2 = config.s2 if config.clip_mode == "fixed" else 1.0
             self._sigmas = sigma_schedule_dynamic(
@@ -327,6 +338,28 @@ class Simulation:
                                                 self._sigmas) ** 2)
             self._eps_cum = np.minimum(np.sqrt(spent_sq), config.epsilon)
 
+    def _draw_chunk(self):
+        """The client-side draws of the rounds from self.round on, one stream call
+        per lane: as many rounds as their uniform pairs and client ids fit in
+        training._BLOCK_BYTES, and at least one. Each equals its own round's draw."""
+        cfg, p = self.config, self._pipeline
+        steps = cfg.Q * self.batch_size if self.batch_size < cfg.n_per_client else 0
+        lanes = p.noisy + (p.draw is not None)
+        fit = max(1, training._BLOCK_BYTES // (16 * cfg.B * (1 + steps + lanes * cfg.d)))
+        rounds = np.arange(self.round, min(cfg.K, self.round + fit), dtype=np.uint64)
+        u_sample, _ = uniform_pair_block(self.seed.lane("sample"), 0, rounds, 0, 0)
+        clients = np.array([sample_clients(cfg.N, cfg.B, u) for u in u_sample.tolist()])
+        batch = noise = code = [None] * rounds.size
+        rnd = rounds[:, None]
+        if steps:
+            batch, _ = uniform_pair_block(self.seed.lane("batch"), clients, rnd, 0,
+                                          np.arange(steps, dtype=np.uint64))
+        if p.noisy:
+            noise, _ = element_pairs(self.seed.lane("noise"), clients, rnd, cfg.d)
+        if p.draw is not None:
+            code = zip(*p.draw(self.seed, clients, rnd, cfg.d))
+        self._chunk = (self.round, list(zip(clients.tolist(), batch, noise, code)))
+
     def run_round(self) -> RoundRecord:
         cfg = self.config
         if self.round >= cfg.K:
@@ -334,15 +367,10 @@ class Simulation:
         k = self.round
         loss, grad = self.objective.loss_and_gradient(self.theta)
 
-        u_sample, _ = uniform_pair_block(self.seed.lane("sample"), 0, k, 0, 0)
-        clients = sample_clients(cfg.N, cfg.B, float(u_sample))
-
+        if not 0 <= k - self._chunk[0] < len(self._chunk[1]):
+            self._draw_chunk()
         # Row i of every (B, ...) array below belongs to clients[i], ascending.
-        u_batch = None  # full batch
-        if self.batch_size < cfg.n_per_client:
-            u_batch, _ = uniform_pair_block(
-                self.seed.lane("batch"), clients, k, 0,
-                np.arange(cfg.Q * self.batch_size, dtype=np.uint64))
+        clients, u_batch, u_noise, uniforms = self._chunk[1][k - self._chunk[0]]
         updates = stacked_local_rounds(self.objective, self.theta, clients, cfg.Q,
                                        cfg.eta, u_batch, cfg.divergence_ceiling)
 
@@ -358,11 +386,10 @@ class Simulation:
             inf_norms = wire_scale(np.max(np.abs(updates), axis=1)).tolist()
 
         if self._pipeline.noisy:
-            u_noise, _ = element_pairs(self.seed.lane("noise"), clients, k, cfg.d)
             updates = updates + sigma * np.asarray(inv_norm_cdf(u_noise))
         messages, clamp_count = [], 0
         for cid, (bits, payload, scale, clamps) in zip(
-                clients, self._pipeline.encode(self.seed, clients, k, updates, sigma)):
+                clients, self._pipeline.encode(updates, sigma, uniforms)):
             messages.append(serialize_message(
                 WireMessage(cid, k, cfg.d, bits, self.algorithm, payload, scale=scale)))
             clamp_count += clamps

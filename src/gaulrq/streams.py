@@ -5,9 +5,10 @@ can regenerate exactly the dither values each client consumed without any
 state synchronization: both sides evaluate the same keyed mixing function
 at the same counters. Streams for distinct (client, round) pairs use
 disjoint counter domains and are statistically independent. Because a
-draw depends on nothing but its cursor, one call serves a whole round: an
+draw depends on nothing but its cursor, one call serves many rounds: an
 array of client ids adds a leading client axis, row i holding exactly what
-the call for client i alone returns.
+the call for client i alone returns, and an (R, B) table of ids with an
+(R, 1) array of rounds adds a rounds axis before it.
 
 Not cryptographic. The shared seed is assumed to be distributed once,
 out of band, before training starts.
@@ -89,8 +90,8 @@ class SeedMaterial:
         return SeedMaterial(self.root_seed, f"{self.run_id}/{label}")
 
 
-def _client_ids(client_id) -> np.ndarray:
-    """client_id (an int or a 1-D sequence of ints) as uint64, range-checked.
+def _client_ids(client_id, what: str = "client ids") -> np.ndarray:
+    """client_id (an int or an integer array of up to 2-D) as uint64, range-checked.
 
     What numpy reads as an integer array is checked with one reduction; the
     rest (bools, ragged or mixed input, ints past 64 bits) element by element.
@@ -100,46 +101,50 @@ def _client_ids(client_id) -> np.ndarray:
     except ValueError:  # ragged
         ids = None
     if ids is not None and ids.dtype.kind in "iu":
-        ok = ids.ndim <= 1 and (ids.dtype.kind == "u" or not (ids < 0).any())
+        ok = ids.ndim <= 2 and (ids.dtype.kind == "u" or not (ids < 0).any())
     else:
         ids = np.asarray(client_id, dtype=object)
-        ok = ids.ndim <= 1 and all(isinstance(i, numbers.Integral) and 0 <= i <= _U64_MAX
+        ok = ids.ndim <= 2 and all(isinstance(i, numbers.Integral) and 0 <= i <= _U64_MAX
                                    for i in ids.flat)
     if not ok:
-        raise InvalidParameterError("client ids must be integers in [0, 2^64 - 1]")
+        raise InvalidParameterError(f"{what} must be integers in [0, 2^64 - 1]")
     return ids.astype(np.uint64)
 
 
-def uniform_pair_block(seed: SeedMaterial, client_id, rnd: int,
+def uniform_pair_block(seed: SeedMaterial, client_id, rnd,
                        element_index, draw_counter):
     """Two uniforms in (0, 1) at cursor (client_id, rnd, element_index, draw_counter).
 
     A pure function of (seed, cursor); element_index and draw_counter may
     be uint64 arrays, one pair per broadcast cursor. client_id is an int or
-    a 1-D integer array, which adds a leading client axis. The key is folded
-    with client_id and then rnd, element_index and draw_counter, one
-    SplitMix64 round each.
+    an integer array of up to 2-D, and rnd an int or an integer array that
+    broadcasts against it: entry [r, i] of (R, B) ids with (R, 1) rounds is the
+    call for (client_id[r, i], rnd[r]) alone. The key is folded with client_id
+    and then rnd, element_index and draw_counter, one SplitMix64 round each.
     """
-    ids, rnd = _client_ids(client_id), int(rnd)
-    if not 0 <= rnd <= _U64_MAX:
-        raise InvalidParameterError("round must fit in 64 unsigned bits")
+    ids, rnds = _client_ids(client_id), _client_ids(rnd, "rounds")
     element_index = np.asarray(element_index, dtype=np.uint64)
     draw_counter = np.asarray(draw_counter, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        h = _splitmix64(_splitmix64(seed.key() ^ ids) ^ np.uint64(rnd))
-        h = h.reshape(ids.shape + (1,) * max(element_index.ndim, draw_counter.ndim))
+        try:
+            h = _splitmix64(_splitmix64(seed.key() ^ ids) ^ rnds)
+        except ValueError:
+            raise InvalidParameterError(f"rounds of shape {rnds.shape} do not broadcast "
+                                        f"against client ids of shape {ids.shape}") from None
+        h = h.reshape(np.shape(h) + (1,) * max(element_index.ndim, draw_counter.ndim))
         base = _splitmix64(_splitmix64(h ^ element_index) ^ draw_counter)
         u1 = _to_unit(_splitmix64(base))
         u2 = _to_unit(_splitmix64(base + _ONE))
     return u1, u2
 
 
-def element_pairs(seed: SeedMaterial, client_id, rnd: int, dim: int):
+def element_pairs(seed: SeedMaterial, client_id, rnd, dim: int):
     """The per-element uniform pairs a d-dimensional quantization consumes.
 
     Element j reads cursor (client_id, rnd, j, 0); exactly two uniforms per
     element, which is the consumption contract the decoder relies on. An
-    array of client ids gives (B, dim) arrays.
+    array of client ids gives (B, dim) arrays; an (R, B) table of them with
+    (R, 1) rounds gives (R, B, dim).
     """
     return uniform_pair_block(seed, client_id, rnd, np.arange(dim, dtype=np.uint64), 0)
 

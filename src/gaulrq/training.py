@@ -179,11 +179,16 @@ class Objective:
         return self._optimum
 
     def grad_variance_bound(self, theta0):
-        """Max over clients of the empirical single-sample gradient variance."""
+        """Max over clients of the empirical single-sample gradient variance: the
+        steps of sample_gradients on each whole shard, in one reused (n, d) buffer."""
+        X, y = self.shards
+        theta0, grads = np.asarray(theta0, dtype=np.float64), np.empty(X.shape[1:])
         worst = 0.0
-        for ds in self.datasets:
-            grads = self.sample_gradients(theta0, ds, np.arange(ds.n))
-            worst = max(worst, float(np.mean(np.sum((grads - grads.mean(0)) ** 2, axis=1))))
+        for Xi, yi in zip(X, y):
+            np.multiply(Xi, _residual(self.kind, Xi @ theta0, yi)[:, None], out=grads)
+            grads += self.ridge * theta0
+            grads -= grads.mean(0)
+            worst = max(worst, float(np.mean(np.sum(np.square(grads, out=grads), axis=1))))
         return worst
 
     def spec(self, theta0) -> ObjectiveSpec:

@@ -189,6 +189,18 @@ def test_cmd_run_rejects_bad_clip_settings(tmp_path, capsys, field, value, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("batch_size, ok", [(0, True), (8, True), (9, False), (10**6, False)])
+def test_cmd_run_batch_size_at_most_the_shard(tmp_path, capsys, batch_size, ok):
+    # 0 and n_per_client (8) both run full batch; a larger batch would too, silently.
+    cfg = _write_config(tmp_path, {"batch_size": batch_size})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == (0 if ok else 2)
+    if not ok:
+        assert capsys.readouterr().err == \
+            "config error: batch_size: must be <= n_per_client (0 = full batch)\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("name", ["divergence_ceiling", "eta"])
 def test_cmd_run_rejects_ints_beyond_float_range(tmp_path, capsys, name):
     # A 401-digit JSON integer loads as an int that no float can hold.

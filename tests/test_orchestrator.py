@@ -12,10 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaulrq import orchestrator
+from gaulrq import orchestrator, training
 from gaulrq.analysis import comm_cost
 from gaulrq.config import ExperimentConfig, build_simulation, run_experiment
-from gaulrq.errors import ConfigError, InvalidParameterError
+from gaulrq.errors import ConfigError, DivergedError, InvalidParameterError
 from gaulrq.normal import inv_norm_cdf
 from gaulrq.orchestrator import (AlgorithmKind, WireMessage,
                                  pack_indices, parse_message, sample_clients,
@@ -388,6 +388,61 @@ def test_determinism_bitwise(tmp_path):
         t1.to_csv(p1, algo)
         t2.to_csv(p2, algo)
         assert p1.read_bytes() == p2.read_bytes()
+
+
+_SERIALIZE, _DRAW_CHUNK = orchestrator.serialize_message, orchestrator.Simulation._draw_chunk
+
+
+def _run_in_chunks(monkeypatch, tmp_path, block_bytes, **kw):
+    """One run under a byte bound on the stepper's blocks and the chunks of
+    rounds: its artifacts' bytes, the first round of each chunk, and the
+    error it stopped on."""
+    monkeypatch.setattr(training, "_BLOCK_BYTES", block_bytes)
+    wire, chunks = [], []
+    monkeypatch.setattr(orchestrator, "serialize_message",
+                        lambda msg: wire.append(_SERIALIZE(msg)) or wire[-1])
+    monkeypatch.setattr(orchestrator.Simulation, "_draw_chunk",
+                        lambda sim: chunks.append(sim.round) or _DRAW_CHUNK(sim))
+    cfg = _config(**kw)
+    sim, error = build_simulation(cfg), None
+    try:
+        sim.run()
+    except DivergedError as exc:
+        error = str(exc)
+    trace = sim.trace()
+    trace.to_csv(tmp_path / "trace.csv", cfg.algorithm)
+    trace.to_summary_json(tmp_path / "summary.json")
+    artifacts = [(tmp_path / name).read_bytes() for name in ("trace.csv", "summary.json")]
+    return artifacts + [trace.final_theta.tobytes(), wire, error], chunks
+
+
+@pytest.mark.parametrize("batch_size", [3, 0], ids=["minibatch", "full-batch"])
+@pytest.mark.parametrize("clip_mode", ["fixed", "median_adaptive"])
+@pytest.mark.parametrize("algo", [a.name.lower() for a in AlgorithmKind])
+def test_chunk_of_rounds_changes_no_byte(algo, clip_mode, batch_size, monkeypatch, tmp_path):
+    # One round per chunk, then the whole run in one: the draws, and so every
+    # artifact and wire byte, must not depend on how the rounds are chunked.
+    kw = dict(algorithm=algo, clip_mode=clip_mode, N=10, B=3, Q=2, K=6, d=4, tau=0.9,
+              s2=1.0, batch_size=batch_size)
+    one, one_chunks = _run_in_chunks(monkeypatch, tmp_path, 1, **kw)
+    whole, whole_chunks = _run_in_chunks(monkeypatch, tmp_path, 1 << 40, **kw)
+    assert one_chunks == list(range(6)) and whole_chunks == [0]
+    assert len(one[3]) == 6 * 3 and one[4] is None
+    assert one == whole
+
+
+@pytest.mark.parametrize("kw", [
+    dict(algorithm="local_sgd", K=8, eta=50.0),  # a local model, in round 3
+    *(dict(algorithm=algo, K=20, s2=1.0, epsilon=4.0, divergence_ceiling=10.0)  # the global one
+      for algo in ("gau_sgd", "qg_sgd", "gau_lrq_sgd", "dynamic_gau_lrq_sgd"))],
+    ids=lambda kw: kw["algorithm"])
+def test_run_diverging_mid_chunk_stops_where_a_chunked_one_does(kw, monkeypatch, tmp_path):
+    one, one_chunks = _run_in_chunks(monkeypatch, tmp_path, 1, **kw)
+    whole, whole_chunks = _run_in_chunks(monkeypatch, tmp_path, 1 << 40, **kw)
+    rounds = len(one_chunks) - 1  # the round that diverged drew a chunk too
+    assert 0 < rounds < kw["K"] - 1 and whole_chunks == [0]
+    assert one[4] is not None and one[0].count(b"\n") == 1 + rounds
+    assert one == whole
 
 
 _REPLAY = """

@@ -204,7 +204,7 @@ def test_client_axis_rejects_bad_ids(bad, ids, pos):
 def _object_walk_ids(client_id):
     """The element-by-element check _client_ids replaced, as the reference."""
     ids = np.asarray(client_id, dtype=object)
-    if ids.ndim > 1 or not all(isinstance(i, numbers.Integral) and 0 <= i <= 2**64 - 1
+    if ids.ndim > 2 or not all(isinstance(i, numbers.Integral) and 0 <= i <= 2**64 - 1
                                for i in ids.flat):
         raise InvalidParameterError("client ids must be integers in [0, 2^64 - 1]")
     return ids.astype(np.uint64)
@@ -214,7 +214,7 @@ _ID_ATOMS = st.one_of(st.integers(-3, 40), st.integers(-2**65, 2**65), st.boolea
                       st.floats(allow_nan=True, allow_infinity=True))
 _ID_ARRAYS = hnp.arrays(
     dtype=st.sampled_from([np.int8, np.int64, np.uint8, np.uint64, np.float64, np.bool_]),
-    shape=hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=4))
+    shape=hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
 
 
 @settings(max_examples=400, deadline=None)
@@ -232,3 +232,60 @@ def test_client_ids_accept_what_the_object_walk_accepted(client_id):
         got = _client_ids(client_id)
         assert got.dtype == np.uint64 and got.shape == want.shape
         assert np.array_equal(got, want)
+
+
+# -- rounds axis ------------------------------------------------------------
+
+@st.composite
+def _round_tables(draw):
+    """An (R, B) client table and its (R, 1) rounds, as uint64 arrays."""
+    R, B = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    return (draw(hnp.arrays(np.uint64, (R, B), elements=_U64)),
+            draw(hnp.arrays(np.uint64, (R, 1), elements=_U64)))
+
+
+def _same(got, want):
+    return all(np.shape(g) == np.shape(w) and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables=_round_tables(), m=st.integers(0, 5), as_lists=st.booleans())
+def test_rounds_axis_stacks_scalar_and_client_axis_calls(tables, m, as_lists):
+    ids, rounds = tables
+    # Nested lists keep the table's shape unless it has no rows.
+    given_ids, given_rounds = (ids.tolist(), rounds.tolist()) if as_lists and len(ids) else tables
+    ctr = np.arange(m, dtype=np.uint64)
+    sample = uniform_pair_block(SEED, given_ids, given_rounds, 0, 0)   # the sample cursor
+    batch = uniform_pair_block(SEED, given_ids, given_rounds, 0, ctr)  # batch / sq cursor
+    pairs = element_pairs(SEED, given_ids, given_rounds, m)
+    assert sample[0].shape == ids.shape and pairs[0].shape == ids.shape + (m,)
+    for r, rnd in enumerate(rounds[:, 0].tolist()):
+        row_ids = ids[r].tolist()
+        assert _same([u[r] for u in batch], uniform_pair_block(SEED, row_ids, rnd, 0, ctr))
+        assert _same([u[r] for u in pairs], element_pairs(SEED, row_ids, rnd, m))
+        for i, cid in enumerate(row_ids):
+            assert _same([u[r, i] for u in sample], uniform_pair_block(SEED, cid, rnd, 0, 0))
+            assert _same([u[r, i] for u in batch], uniform_pair_block(SEED, cid, rnd, 0, ctr))
+    # One client over a 1-D array of rounds, as the sample lane draws a chunk.
+    over_rounds = uniform_pair_block(SEED, 0, rounds[:, 0], 0, 0)
+    for r, rnd in enumerate(rounds[:, 0].tolist()):
+        assert _same([u[r] for u in over_rounds], uniform_pair_block(SEED, 0, rnd, 0, 0))
+
+
+@settings(max_examples=200, deadline=None)
+@given(bad=st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64),
+                     st.floats(allow_nan=True, allow_infinity=True)),
+       rounds=st.lists(_U64, max_size=4), pos=st.integers(0, 4))
+def test_rounds_axis_rejects_bad_rounds(bad, rounds, pos):
+    rounds = rounds[:pos] + [bad] + rounds[pos:]
+    ids = [[1, 2]] * len(rounds)
+    for given_rounds in ([[r] for r in rounds], np.array(rounds)[:, None], bad):
+        with pytest.raises(InvalidParameterError, match="^rounds must be integers"):
+            uniform_pair_block(SEED, ids, given_rounds, 0, 0)
+        with pytest.raises(InvalidParameterError, match="^rounds must be integers"):
+            element_pairs(SEED, ids, given_rounds, 3)
+
+
+def test_rounds_must_broadcast_against_client_ids():
+    with pytest.raises(InvalidParameterError, match="do not broadcast"):
+        uniform_pair_block(SEED, [[1, 2], [3, 4]], [5, 6, 7], 0, 0)

@@ -392,3 +392,20 @@ def test_spec_fields():
     assert spec.dimension == 3
     assert spec.optimum_gap == pytest.approx(
         obj.full_loss(theta0) - obj.optimum()[1], rel=1e-12)
+
+
+@pytest.mark.parametrize("kind, ridge, N, n, d", [
+    ("least_squares", 0.0, 10, 8, 2000),   # wide shards, as the d=1e5 benchmark's
+    ("logistic", 0.0, 5, 400, 100),
+    ("least_squares", 0.05, 6, 50, 30),
+    ("logistic", 0.3, 4, 33, 13)])
+def test_grad_variance_bound_matches_per_sample_gradients(kind, ridge, N, n, d):
+    # The in-place bound takes the same steps as the per-sample-gradient form.
+    obj = Objective(*synth_partition(2, N, d, n, 0.1, kind=kind, heterogeneity=0.5),
+                    kind=kind, ridge=ridge)
+    theta0 = np.random.default_rng(1).standard_normal(d)
+    want = 0.0
+    for ds in obj.datasets:
+        grads = obj.sample_gradients(theta0, ds, np.arange(ds.n))
+        want = max(want, float(np.mean(np.sum((grads - grads.mean(0)) ** 2, axis=1))))
+    assert obj.grad_variance_bound(theta0) == want
