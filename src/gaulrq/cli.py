@@ -15,8 +15,7 @@ from .analysis import BoundInputs, bound_bq, bound_dynamic, bound_gau_lrq, \
     bound_lsgd, bound_qg, ks_statistic
 from .config import ExperimentConfig, build_simulation, load_config, load_json_object
 from .errors import ConfigError, DivergedError, InvalidParameterError
-from .quantizers import MIN_STEP_FACTOR, bit_width, lrq_decode, lrq_encode, \
-    sample_layer, wire_scale
+from .quantizers import MIN_STEP_FACTOR, bit_width, lrq_decode, lrq_encode, sample_layer
 from .streams import SeedMaterial, uniform_pair_block
 
 OUT_DIR_ENV = "GAULRQ_OUT_DIR"
@@ -107,7 +106,7 @@ def noise_checks(sigma: float, n: int, seed: int, value: float = 0.25):
     quantizer draws should be centered, have variance sigma^2, and pass a
     KS test against N(0, sigma^2) at significance 0.01.
     """
-    bit_width(wire_scale(value), sigma)  # raises outside the codec's sigma domain
+    bit_width(value, sigma)  # raises outside the codec's sigma domain
     if n < 100:
         raise InvalidParameterError("need at least 100 draws")
     material = SeedMaterial(seed, "verify-noise")
@@ -164,7 +163,7 @@ def cmd_quantizer_demo(args) -> int:
     rng = np.random.default_rng(args.seed or 0)
     v = rng.standard_normal(8)
     # The width the codec sends; it raises before an encode outside the codec's domain.
-    b = bit_width(wire_scale(np.max(np.abs(v))), sigma)
+    b = bit_width(np.max(np.abs(v)), sigma)
     layer = sample_layer(sigma, (u1, u2))
     m = lrq_encode(v, layer)
     v_hat = lrq_decode(m, layer)

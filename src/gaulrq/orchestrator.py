@@ -26,13 +26,13 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import training
-from .errors import InvalidParameterError
+from .errors import ConfigError, InvalidParameterError
 from .normal import inv_norm_cdf
 from .privacy import (PrivacyBudget, clip_update, l2_norms, median_clip_bound,
                       round_epsilons, sigma_schedule_dynamic)
-from .quantizers import (MAX_BITS, bit_width, lrq_quantize_rows,
+from .quantizers import (MAX_BITS, MAX_SIGMA, bit_width, lrq_quantize_rows,
                          lrq_reconstruct_rows, stochastic_dequantize,
-                         stochastic_quantize_indices, wire_scale)
+                         stochastic_quantize_indices)
 from .streams import SeedMaterial, element_pairs, uniform_pair_block
 from .training import (Objective, _check_divergence, stacked_local_rounds, synth_partition,
                        weighted_error)
@@ -59,6 +59,7 @@ class AlgorithmKind(enum.Enum):
 
 
 _HEADER = struct.Struct("<IIIBB")  # client_id, round, dim, bits_per_element, tag
+_SCALE = struct.Struct("<d")  # quantized messages only, between header and payload
 
 
 @dataclass(frozen=True)
@@ -67,9 +68,9 @@ class WireMessage:
 
     Quantized algorithms pack two's-complement indices of the declared
     width, little-endian, LSB-first within the stream; float algorithms
-    send raw little-endian float32. The stochastic quantizer additionally
-    needs its per-vector scale, carried as a float32 between header and
-    payload. ``payload_bits`` excludes padding, the header, and the scale.
+    send raw little-endian float32. Both quantized codecs also need the
+    vector's inf-norm ``scale``, carried exactly as a float64 between header
+    and payload. ``payload_bits`` excludes padding, the header, and the scale.
     """
 
     client_id: int
@@ -135,7 +136,7 @@ def serialize_message(msg: WireMessage) -> bytes:
     head = _HEADER.pack(msg.client_id, msg.round, msg.dim,
                         msg.bits_per_element, msg.algorithm.value)
     if msg.algorithm.quantized:
-        head += struct.pack("<f", msg.scale)
+        head += _SCALE.pack(msg.scale)
     return head + msg.payload
 
 
@@ -151,11 +152,11 @@ def parse_message(data: bytes) -> WireMessage:
     quantized = algorithm.quantized
     if not (1 <= bits <= MAX_BITS if quantized else bits == FLOAT_BITS):
         raise InvalidParameterError(f"{bits}-bit elements are invalid for {algorithm.name}")
-    offset = _HEADER.size + (4 if quantized else 0)
+    offset = _HEADER.size + (_SCALE.size if quantized else 0)
     if len(data) != offset + (dim * bits + 7) // 8:
         raise InvalidParameterError(
             f"{len(data)}-byte message cannot hold {dim} elements of {bits} bits")
-    scale = struct.unpack_from("<f", data, _HEADER.size)[0] if quantized else 0.0
+    scale = _SCALE.unpack_from(data, _HEADER.size)[0] if quantized else 0.0
     if not (math.isfinite(scale) and scale >= 0.0):
         raise InvalidParameterError(f"scale {scale} is not finite and >= 0")
     return WireMessage(client_id=client_id, round=rnd, dim=dim,
@@ -182,7 +183,7 @@ def _draw_stochastic(seed, client_ids, rnd, d):
 
 
 def _encode_stochastic(V, sigma, uniforms):
-    widths = bit_width(wire_scale(np.max(np.abs(V), axis=1)), sigma)
+    widths = bit_width(np.max(np.abs(V), axis=1), sigma)
     idx, scales = stochastic_quantize_indices(V, widths, uniforms[0])
     payloads = pack_indices(idx - np.left_shift(1, widths - 1)[:, None], widths)
     return list(zip(widths.tolist(), payloads, scales.tolist(), [0] * len(payloads)))
@@ -268,8 +269,8 @@ class RoundRecord:
     loss: float
     grad_sq_norm: float
     clamp_count: int
-    inf_norms: list[float] = field(default_factory=list)  # wire scales of clipped updates
-    wire_scales: list[float] = field(default_factory=list)  # scales the quantized uploads carried
+    inf_norms: list[float] = field(default_factory=list)  # max|v| of each clipped update
+    scales: list[float] = field(default_factory=list)  # scales the quantized uploads carried
 
 
 @dataclass
@@ -328,10 +329,17 @@ class Simulation:
         self._chunk = (0, [])  # (first round, per-round draws), drawn by run_round
         if self.algorithm.private:  # median-adaptive rounds rescale the S2=1 schedule
             s2 = config.s2 if config.clip_mode == "fixed" else 1.0
-            self._sigmas = sigma_schedule_dynamic(
-                s2, config.K, config.B, config.N,
-                PrivacyBudget(config.epsilon, config.delta),
-                config.tau if self._pipeline.decaying else 1.0).sigmas
+            try:
+                with np.errstate(over="raise", divide="raise"):
+                    self._sigmas = sigma_schedule_dynamic(
+                        s2, config.K, config.B, config.N,
+                        PrivacyBudget(config.epsilon, config.delta),
+                        config.tau if self._pipeline.decaying else 1.0).sigmas
+            except ArithmeticError:
+                raise ConfigError("epsilon: computing sigma_k overflows float64") from None
+            top = self._sigmas.max()  # the codec's sigma, unless a median clip rescales it
+            if self.algorithm.quantized and config.clip_mode == "fixed" and top > MAX_SIGMA:
+                raise ConfigError(f"epsilon: sigma {top:.6g} exceeds the codec's {MAX_SIGMA:.6g}")
             # A median clip bound scales sigma_k and cancels in its spend. The
             # schedule spends exactly epsilon: never report the rounding excess.
             spent_sq = np.cumsum(round_epsilons(s2, config.B, config.N, config.delta,
@@ -383,7 +391,7 @@ class Simulation:
             else:
                 s2 = cfg.s2
             updates = clip_update(updates, s2)
-            inf_norms = wire_scale(np.max(np.abs(updates), axis=1)).tolist()
+            inf_norms = np.max(np.abs(updates), axis=1).tolist()
 
         if self._pipeline.noisy:
             updates = updates + sigma * np.asarray(inv_norm_cdf(u_noise))
@@ -407,8 +415,8 @@ class Simulation:
                              sigma_used=sigma, epsilon_spent_cumulative=eps_cum,
                              loss=loss, grad_sq_norm=float(grad @ grad),
                              clamp_count=clamp_count, inf_norms=inf_norms,
-                             wire_scales=([m.scale for m in parsed]
-                                          if self.algorithm.quantized else []))
+                             scales=([m.scale for m in parsed]
+                                     if self.algorithm.quantized else []))
         self.records.append(record)
         self.round += 1
         return record

@@ -16,8 +16,11 @@ also assumes Poisson sampling at rate q, while the simulator samples
 exactly B clients per round, systematically. The epsilon ledger is built
 with the run from the sigma schedule alone, so it is data-independent (a
 median clip bound scales sigma_k and cancels in the spend); the median
-itself and each upload's wire scale are treated as public, with no noise of
-their own. No numeric audit of the reported epsilon exists yet.
+itself and each upload's inf-norm scale are treated as public, with no noise
+of their own. No numeric audit of the reported epsilon exists yet. The
+ledger covers an observer of the released models, not the decoding server:
+that server holds each upload as v + N(0, sigma^2 I) with the client id in
+its header, so no sampling amplification applies against it.
 """
 
 from __future__ import annotations

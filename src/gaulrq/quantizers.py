@@ -37,6 +37,8 @@ _MAX_STEP_FACTOR = (np.sqrt(38.5**2 - 2.0 * np.log(np.nextafter(0.0, 1.0)))
 # Widest sigma the codec takes (about 2.6e294). Below it x, L and R are
 # finite, and so is every decode m * q_step + x: the width cap keeps
 # |m| <= 2^(MAX_BITS-1) + 1, half the 2^MAX_BITS this bound allows for.
+# The scale travels as the exact float64 inf-norm, so the wire does not
+# narrow this domain.
 MAX_SIGMA = float(np.finfo(np.float64).max / (2.0**MAX_BITS * _MAX_STEP_FACTOR))
 
 
@@ -63,10 +65,9 @@ class EncodedVector:
     The decoder must replay the (client, round) stream whose uniforms
     produced the per-element layers. ``indices`` are unsigned offsets from a
     per-element base index that both sides derive from the shared layer and
-    ``scale`` (the vector's inf-norm, rounded up to float32 so the wire
-    loses nothing); offsets outside [0, 2^bits - 1] were clamped,
-    ``clamp_count`` says how many (unreachable by the step lower bound and
-    the rounded-up scale, kept as a guard).
+    ``scale``, the vector's inf-norm max|v|; offsets outside
+    [0, 2^bits - 1] were clamped, ``clamp_count`` says how many
+    (unreachable by the step lower bound, kept as a guard).
     """
 
     indices: np.ndarray
@@ -151,20 +152,6 @@ def bit_width(scale, sigma: float):
     return int(bits) if bits.ndim == 0 else bits
 
 
-def wire_scale(a):
-    """Smallest float32 >= a: the scale the wire carries for inf-norm ``a``.
-
-    Rounding up (not to nearest) keeps every element inside [-scale, scale],
-    the range the signalled width covers. An array gives one scale per entry.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    s = a.astype(np.float32)
-    # s < a compares in float64, as both are arrays (NEP 50 would compare a
-    # float32 scalar with a Python float in float32).
-    np.nextafter(s, np.float32(np.inf), out=s, where=s < a)
-    return float(s) if s.ndim == 0 else s.astype(np.float64)
-
-
 def _base_indices(layer: LayerSample, scales) -> np.ndarray:
     """Smallest index any input in [-scale, scale] can produce, per element.
 
@@ -188,17 +175,16 @@ def lrq_quantize_rows(V, sigma: float, uniforms):
     """Layered quantization of each row of V (B, d), with fixed-width index coding.
 
     Returns (indices, widths, scales, clamps): the (B, d) unsigned offsets
-    and, per row, the signalled width, the wire scale and the clamp count.
+    and, per row, the signalled width, the scale max|row| and the clamp count.
     A row's width is driven by its inf-norm range; its indices go on the
     wire as offsets from the per-element base (see _base_indices).
     """
     V = np.asarray(V, dtype=np.float64)
     if V.size == 0:
         raise InvalidParameterError("cannot quantize an empty vector")
-    # The decoder sees each scale as a float32, so quantize it up front and
-    # use the identical value on both sides. bit_width rejects non-finite
-    # elements and widths above the cap before any index is computed.
-    scales = wire_scale(np.max(np.abs(V), axis=1))
+    # bit_width rejects non-finite elements and widths above the cap before
+    # any index is computed.
+    scales = np.max(np.abs(V), axis=1)
     widths = bit_width(scales, sigma)
     layer = _row_layers(sigma, uniforms, V.shape)
     rel = lrq_encode(V, layer) - _base_indices(layer, scales)
@@ -274,7 +260,7 @@ def stochastic_quantize_indices(v, b, uniforms):
     """Unbiased stochastic rounding to level indices.
 
     Returns (indices, scale): level j sits at -scale + j * spacing with
-    spacing = 2*scale/(levels-1), and scale is the inf-norm's wire_scale.
+    spacing = 2*scale/(levels-1), and scale is the inf-norm max|v|.
     Each element rounds to a neighboring level with probability
     proportional to proximity, so the expectation is exact. A (B, d) ``v``
     with one width per row in ``b`` gives (B, d) indices and B scales; an
@@ -287,7 +273,7 @@ def stochastic_quantize_indices(v, b, uniforms):
     if u.shape != v.shape:
         raise StreamExhaustedError("need one uniform per element")
 
-    scale = np.asarray(wire_scale(np.max(np.abs(v), axis=-1, initial=0.0)))[..., None]
+    scale = np.max(np.abs(v), axis=-1, initial=0.0)[..., None]
     n_lev = stochastic_levels(b)[..., None]
     # A zero scale means an all-zero row: any spacing > 0 sends it to index 0.
     spacing = np.where(scale > 0.0, 2.0 * scale / (n_lev - 1), 1.0)

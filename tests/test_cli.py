@@ -274,6 +274,41 @@ def test_cmd_run_huge_step_stops_before_the_norm_overflows(tmp_path, ceiling):
         [f"run error: local model norm exceeded ceiling {ceiling or 1e6:g}"]
 
 
+# sigma overflows float64 in privacy.sigma_fixed; sigma = 2.77e300 is finite
+# but above the codec's MAX_SIGMA. Both are rejected before any round runs.
+@pytest.mark.parametrize("overrides, text", [
+    ({"algorithm": "qg_sgd", "s2": 1e300, "epsilon": 1e-300},
+     "computing sigma_k overflows float64"),
+    ({"s2": 1e290, "epsilon": 1e-10}, "sigma 2.77043e+300 exceeds the codec's 2.59194e+294")],
+    ids=["overflow", "above-max"])
+def test_cmd_run_sigma_outside_the_codec_is_a_config_error(tmp_path, capsys, overrides, text):
+    cfg = _write_config(tmp_path, {"K": 2, "d": 5, **overrides})
+    out = tmp_path / "never"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and not out.exists()
+    assert captured.err.startswith("config error: epsilon: ") and text in captured.err
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("algorithm", ["gau_lrq_sgd", "qg_sgd"])
+def test_cmd_run_tiny_clip_bound_runs(tmp_path, capsys, algorithm):
+    # sigma = 2.77e-60: a float32 scale had a floor of 2^-149 and needed 49 bits.
+    cfg = _write_config(tmp_path, {"algorithm": algorithm, "s2": 1e-60, "K": 2, "d": 5,
+                                   "epsilon": 1.0})
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert sorted(p.name for p in out.iterdir()) == [
+        "cli-test_bounds.json", "cli-test_summary.json", "cli-test_trace.csv"]
+    summary = json.loads((out / "cli-test_summary.json").read_text())
+    assert summary["rounds_run"] == 2 and summary["total_clamps"] == 0
+
+
 def test_summary_json_is_strict(tmp_path):
     # local_sgd spends no budget: its epsilon is infinite in memory, null on disk.
     cfg = _write_config(tmp_path, {"algorithm": "local_sgd"})
@@ -497,7 +532,7 @@ def test_quantizer_demo_at_sigma_ceiling(capsys):
 
 
 def test_quantizer_demo_prints_the_width_the_codec_sends(capsys):
-    # max|v| needs 4 bits here, but its float32 wire scale, rounded up, needs 5.
+    # max|v| needs 4 bits here; its float32 round-up, once the wire scale, needed 5.
     sigma = 0.07383438039125718
     assert main(["quantizer-demo", "--seed", "0", "--sigma", repr(sigma)]) == 0
     out = capsys.readouterr().out
@@ -505,4 +540,4 @@ def test_quantizer_demo_prints_the_width_the_codec_sends(capsys):
     uniforms = uniform_pair_block(SeedMaterial(0, "demo"), 0, 0,
                                   np.arange(8, dtype=np.uint64), 0)
     sent = lrq_quantize_vector(v, sigma, uniforms).bits_per_element
-    assert sent == 5 and f"bit width for this vector = {sent}\n" in out
+    assert sent == 4 and f"bit width for this vector = {sent}\n" in out

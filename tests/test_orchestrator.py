@@ -22,7 +22,7 @@ from gaulrq.orchestrator import (AlgorithmKind, WireMessage,
                                  serialize_message, unpack_indices)
 from gaulrq.privacy import clip_update
 from gaulrq.quantizers import (MAX_BITS, bit_width, lrq_quantize_vector,
-                               stochastic_quantize_indices, wire_scale)
+                               stochastic_quantize_indices)
 from gaulrq.streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
 from gaulrq.training import ModelState, local_rounds
 
@@ -179,9 +179,25 @@ def test_parse_rejects_bad_width():
 
 def test_parse_rejects_nonfinite_scale():
     raw = bytearray(_wire(AlgorithmKind.QG_SGD))
-    raw[14:18] = np.array([np.nan], dtype="<f4").tobytes()
-    with pytest.raises(InvalidParameterError, match="scale"):
-        parse_message(bytes(raw))
+    for bad in (np.nan, np.inf, -1.0):  # the float64 scale follows the 14-byte header
+        raw[14:22] = np.array([bad], dtype="<f8").tobytes()
+        with pytest.raises(InvalidParameterError, match="scale"):
+            parse_message(bytes(raw))
+
+
+@pytest.mark.parametrize("c", [2.0**-1000, 1e-60, 1.0, 1e200],
+                         ids=["2^-1000", "1e-60", "1", "1e200"])
+@pytest.mark.parametrize("algo", [AlgorithmKind.QG_SGD, AlgorithmKind.GAU_LRQ_SGD],
+                         ids=lambda algo: algo.name.lower())
+def test_parsed_scale_is_the_inf_norm_bit_for_bit(algo, c):
+    # Rows of thirds: no float32 holds their inf-norms, at any magnitude c.
+    pipeline = orchestrator.PIPELINES[algo]
+    V = c * np.random.default_rng(3).standard_normal((5, 7)) / 3.0
+    uniforms = pipeline.draw(SeedMaterial(0, "scale"), np.arange(5), 2, 7)
+    for i, (bits, payload, scale, _) in enumerate(pipeline.encode(V, c, uniforms)):
+        raw = serialize_message(WireMessage(i, 2, 7, bits, algo, payload, scale=scale))
+        got = parse_message(raw).scale
+        assert np.float64(got).tobytes() == np.max(np.abs(V[i])).tobytes()
 
 
 @st.composite
@@ -191,7 +207,7 @@ def _messages(draw):
     bits = draw(st.integers(1, MAX_BITS)) if algo.quantized else 32
     idx = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=dim, max_size=dim))
     payload = pack_indices(np.array(idx, dtype=np.int64), bits)
-    scale = draw(st.floats(0.0, 2.0**100, width=32)) if algo.quantized else 0.0
+    scale = draw(st.floats(0.0, allow_infinity=False)) if algo.quantized else 0.0
     return WireMessage(draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1)),
                        dim, bits, algo, payload, scale=scale)
 
@@ -303,7 +319,7 @@ def _one_client_upload(algo, seed, cid, k, clipped, sigma):
         u_noise, _ = element_pairs(seed.lane("noise"), cid, k, d)
         v = clipped + sigma * np.asarray(inv_norm_cdf(u_noise))
         u, _ = uniform_pair_block(seed.lane("sq"), cid, k, 0, np.arange(d, dtype=np.uint64))
-        b = bit_width(wire_scale(np.max(np.abs(v))), sigma)
+        b = bit_width(np.max(np.abs(v)), sigma)
         idx, scale = stochastic_quantize_indices(v, b, u)
         return WireMessage(cid, k, d, b, AlgorithmKind.QG_SGD,
                            pack_indices(idx - (1 << (b - 1)), b), scale=scale)
@@ -505,7 +521,7 @@ def test_wire_scales_price_the_meter(algo, clip_mode):
         d=20, n_per_client=20, label_noise=0.0, batch_size=5, seed=0,
         run_id="acc9"))
     trace = run_experiment(cfg)
-    scales = [r.wire_scales for r in trace.records]
+    scales = [r.scales for r in trace.records]
     if not AlgorithmKind[algo.upper()].quantized:
         assert scales == [[]] * cfg.K
         return

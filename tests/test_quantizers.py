@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erfc, ndtri
 
@@ -12,10 +12,10 @@ from gaulrq.analysis import ks_statistic
 from gaulrq.errors import InvalidParameterError, StreamExhaustedError
 from gaulrq.quantizers import (MAX_BITS, MAX_SIGMA, MIN_STEP_FACTOR, LayerSample,
                                bit_width, dithered_decode, dithered_encode,
-                               lrq_decode, lrq_encode, lrq_quantize_vector,
+                               lrq_decode, lrq_encode, lrq_quantize_rows,
+                               lrq_quantize_vector, lrq_reconstruct_rows,
                                lrq_reconstruct_vector, sample_layer,
-                               stochastic_dequantize,
-                               stochastic_quantize_indices, wire_scale)
+                               stochastic_dequantize, stochastic_quantize_indices)
 from gaulrq.streams import SeedMaterial, element_pairs, uniform_pair_block
 
 SEED = SeedMaterial(7, "quantizer-tests")
@@ -226,25 +226,10 @@ def test_bit_width_cap():
                 bit_width(scale, sigma)
 
 
-# -- wire scale -------------------------------------------------------------
-
-def test_wire_scale_is_smallest_float32_above():
-    for a in (0.1, 1.0 / 3.0, 2.0 / 3.0, 1e-30, 1e30, 12345.678):
-        s = wire_scale(a)
-        assert s >= a and float(np.float32(s)) == s
-        below = np.nextafter(np.float32(s), np.float32(0.0))
-        assert float(below) < a
-    for a in (0.0, 0.5, 1.0, float(np.float32(0.1))):  # already float32
-        assert wire_scale(a) == a
-
-
 def test_row_scales_and_widths_match_the_scalar_calls():
     rng = np.random.default_rng(5)
     a = np.abs(rng.standard_normal(500)) * 10.0 ** rng.uniform(-30, 30, 500)
-    a[:3] = (0.0, 0.5, float(np.float32(0.1)))
-    scales = wire_scale(a)
-    assert scales.dtype == np.float64
-    assert scales.tolist() == [wire_scale(x) for x in a]
+    a[:3] = (0.0, 0.5, 0.1)
     b = a[a < 1e6]
     widths = bit_width(b, 1e-3)
     assert widths.dtype == np.int64 and widths.tolist() == [bit_width(x, 1e-3) for x in b]
@@ -315,9 +300,9 @@ def test_quantize_rejects_nonfinite():
 
 
 def test_small_sigma_vectors_never_clamp():
-    # A scale rounded to the nearest float32 can fall below max|v|; the top
-    # element then lands one index below the base and is clamped. This
-    # regime clamped about 1% of unit vectors before the scale rounded up.
+    # A scale below max|v| would put the top element one index below the
+    # base, to be clamped: a scale rounded to the nearest float32 did so for
+    # about 1% of unit vectors here. The exact inf-norm never does.
     rng = np.random.default_rng(0)
     clamps = 0
     for i in range(1000):
@@ -336,7 +321,7 @@ def test_layered_coding_never_clamps(log_sigma, log_scale, d, client):
     sigma = 10.0 ** log_sigma
     v = 10.0 ** log_scale * np.random.default_rng(client).uniform(-1.0, 1.0, d)
     uniforms = element_pairs(SEED, client, 17, d)
-    a = wire_scale(np.max(np.abs(v)))
+    a = float(np.max(np.abs(v)))
     try:
         b = bit_width(a, sigma)
     except InvalidParameterError:
@@ -347,6 +332,35 @@ def test_layered_coding_never_clamps(log_sigma, log_scale, d, client):
     assert enc.bits_per_element == b and enc.scale == a
     assert enc.clamp_count == 0
     assert np.all((enc.indices >= 0) & (enc.indices <= (1 << b) - 1))
+
+
+# Narrowest sigma at which every x = sigma * Phi^-1(u) is zero or a normal
+# float: |Phi^-1(u)| >= 2^-52.6 for every double u != 1/2 in (0, 1).
+_NORMAL_X_SIGMA = 2.0**-969
+
+
+@settings(max_examples=100, deadline=None)
+@given(sigma=st.floats(0.05, 20.0), where=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(sigma=0.5, where=0.0, seed=0)
+@example(sigma=0.5, where=1.0, seed=0)
+def test_power_of_two_rescaling_is_exact(sigma, where, seed):
+    """For c = 2^k, c*V at c*sigma with the same uniforms codes to the same
+    indices, widths and clamps and decodes to c times the unit decode, bit for
+    bit: at every k with c*sigma in [2^-969, MAX_SIGMA]. So the error law
+    checked at one sigma holds exactly at each of its power-of-two multiples."""
+    lo = math.ceil(math.log2(_NORMAL_X_SIGMA / sigma))
+    k = lo + round(where * (math.floor(math.log2(MAX_SIGMA / sigma)) - lo))
+    c = math.ldexp(1.0, k)
+    rng = np.random.default_rng(seed)
+    V = sigma * rng.standard_normal((4, 50)) * 10.0 ** rng.uniform(-3.0, 4.0, (4, 1))
+    uniforms = element_pairs(SEED, np.arange(4), 23, 50)
+    idx, widths, scales, clamps = lrq_quantize_rows(V, sigma, uniforms)
+    c_idx, c_widths, c_scales, c_clamps = lrq_quantize_rows(c * V, c * sigma, uniforms)
+    assert np.array_equal(c_idx, idx) and c_widths == widths
+    assert np.array_equal(c_clamps, clamps) and c_scales == [c * a for a in scales]
+    decoded = lrq_reconstruct_rows(idx, scales, sigma, uniforms)
+    c_decoded = lrq_reconstruct_rows(c_idx, c_scales, c * sigma, uniforms)
+    assert c_decoded.tobytes() == (c * decoded).tobytes()
 
 
 def test_codec_round_trip_error_statistics():
@@ -466,10 +480,10 @@ def test_stochastic_squared_error_bound():
         assert np.all(np.abs(err) <= spacing + 1e-12)
 
 
-def test_stochastic_scale_is_wire_scale():
+def test_stochastic_scale_is_the_inf_norm():
     v = np.array([0.1, -0.05])
     idx, scale = stochastic_quantize_indices(v, 4, np.array([0.5, 0.5]))
-    assert scale == wire_scale(0.1) and float(np.float32(scale)) == scale
+    assert type(scale) is float and scale == 0.1
 
 
 def test_stochastic_index_round_trip():
@@ -485,7 +499,7 @@ def test_stochastic_index_round_trip():
 
 def _ref_stochastic(v, b, u):
     """The per-vector stochastic codec as first written: (indices, scale, decoded)."""
-    scale = wire_scale(np.max(np.abs(v))) if v.size else 0.0
+    scale = float(np.max(np.abs(v))) if v.size else 0.0
     n_lev = max((1 << b) - 1, 2)
     if scale == 0.0:
         return np.zeros(v.size, dtype=np.int64), 0.0, np.zeros(v.size)
