@@ -10,9 +10,7 @@ from .normal import inv_norm_cdf
 from .orchestrator import (AlgorithmKind, RoundRecord, RunTrace, Simulation,
                            WireMessage, pack_indices, parse_message,
                            sample_clients, serialize_message, unpack_indices)
-from .privacy import (PrivacyBudget, SigmaSchedule, clip_update, epsilon_from_sigmas,
-                      median_clip_bound, per_round_epsilon, round_epsilons,
-                      sigma_fixed, sigma_schedule_dynamic)
+from .privacy import clip_update, median_clip_bound, noise_schedule, round_epsilons
 from .quantizers import (MIN_STEP_FACTOR, EncodedVector, LayerSample,
                          bit_width, lrq_decode, lrq_encode,
                          lrq_quantize_vector, lrq_reconstruct_vector,

@@ -16,7 +16,7 @@ from .analysis import BoundInputs, bound_bq, bound_dynamic, bound_gau_lrq, \
 from .config import ExperimentConfig, build_simulation, load_config, load_json_object
 from .errors import ConfigError, DivergedError, InvalidParameterError
 from .quantizers import MIN_STEP_FACTOR, bit_width, lrq_decode, lrq_encode, sample_layer
-from .streams import SeedMaterial, uniform_pair_block
+from .streams import SeedMaterial, element_pairs
 
 OUT_DIR_ENV = "GAULRQ_OUT_DIR"
 
@@ -109,10 +109,7 @@ def noise_checks(sigma: float, n: int, seed: int, value: float = 0.25):
     bit_width(value, sigma)  # raises outside the codec's sigma domain
     if n < 100:
         raise InvalidParameterError("need at least 100 draws")
-    material = SeedMaterial(seed, "verify-noise")
-    idx = np.arange(n, dtype=np.uint64)
-    u1, u2 = uniform_pair_block(material, 0, 0, idx, 0)
-    layer = sample_layer(sigma, (u1, u2))
+    layer = sample_layer(sigma, element_pairs(SeedMaterial(seed, "verify-noise"), 0, 0, n))
     err = lrq_decode(lrq_encode(value, layer), layer) - value
     mean = float(np.mean(err))
     ratio = float(np.var(err / sigma))
@@ -157,14 +154,12 @@ def cmd_compare_bounds(args) -> int:
 
 def cmd_quantizer_demo(args) -> int:
     sigma = args.sigma
-    material = SeedMaterial(args.seed or 0, "demo")
-    idx = np.arange(8, dtype=np.uint64)
-    u1, u2 = uniform_pair_block(material, 0, 0, idx, 0)
+    uniforms = element_pairs(SeedMaterial(args.seed or 0, "demo"), 0, 0, 8)
     rng = np.random.default_rng(args.seed or 0)
     v = rng.standard_normal(8)
     # The width the codec sends; it raises before an encode outside the codec's domain.
     b = bit_width(np.max(np.abs(v)), sigma)
-    layer = sample_layer(sigma, (u1, u2))
+    layer = sample_layer(sigma, uniforms)
     m = lrq_encode(v, layer)
     v_hat = lrq_decode(m, layer)
     print(f"sigma = {sigma}, minimum step = {MIN_STEP_FACTOR * sigma:.6f}, "

@@ -64,6 +64,8 @@ class ExperimentConfig:
                 errors.append(f"{name}: must be >= 1")
         if self.K < 0:
             errors.append("K: must be >= 0")
+        elif self.K == 0 and self.algorithm != "local_sgd":
+            errors.append("K: must be >= 1 for private algorithms")
         for name in ("eta", "epsilon", "s2", "label_noise", "ridge", "heterogeneity"):
             if not np.isfinite(getattr(self, name)):
                 errors.append(f"{name}: must be finite")

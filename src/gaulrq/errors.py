@@ -20,7 +20,8 @@ class ConfigError(ValueError):
 
 
 class DivergedError(RuntimeError):
-    """A local model's norm exceeded the configured divergence ceiling."""
+    """A round cannot go on: a model's norm exceeded the configured divergence
+    ceiling, or a median-clipped sigma left the codec's domain."""
 
 
 class StreamExhaustedError(RuntimeError):

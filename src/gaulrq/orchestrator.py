@@ -26,10 +26,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import training
-from .errors import ConfigError, InvalidParameterError
+from .errors import ConfigError, DivergedError, InvalidParameterError
 from .normal import inv_norm_cdf
-from .privacy import (PrivacyBudget, clip_update, l2_norms, median_clip_bound,
-                      round_epsilons, sigma_schedule_dynamic)
+from .privacy import clip_update, l2_norms, median_clip_bound, noise_schedule
 from .quantizers import (MAX_BITS, MAX_SIGMA, bit_width, lrq_quantize_rows,
                          lrq_reconstruct_rows, stochastic_dequantize,
                          stochastic_quantize_indices)
@@ -330,21 +329,14 @@ class Simulation:
         if self.algorithm.private:  # median-adaptive rounds rescale the S2=1 schedule
             s2 = config.s2 if config.clip_mode == "fixed" else 1.0
             try:
-                with np.errstate(over="raise", divide="raise"):
-                    self._sigmas = sigma_schedule_dynamic(
-                        s2, config.K, config.B, config.N,
-                        PrivacyBudget(config.epsilon, config.delta),
-                        config.tau if self._pipeline.decaying else 1.0).sigmas
-            except ArithmeticError:
-                raise ConfigError("epsilon: computing sigma_k overflows float64") from None
+                self._sigmas, self._eps_cum = noise_schedule(
+                    s2, config.K, config.B, config.N, config.epsilon, config.delta,
+                    config.tau if self._pipeline.decaying else 1.0)
+            except InvalidParameterError as exc:  # validate() leaves only over/underflow
+                raise ConfigError(f"epsilon: {exc}") from None
             top = self._sigmas.max()  # the codec's sigma, unless a median clip rescales it
             if self.algorithm.quantized and config.clip_mode == "fixed" and top > MAX_SIGMA:
                 raise ConfigError(f"epsilon: sigma {top:.6g} exceeds the codec's {MAX_SIGMA:.6g}")
-            # A median clip bound scales sigma_k and cancels in its spend. The
-            # schedule spends exactly epsilon: never report the rounding excess.
-            spent_sq = np.cumsum(round_epsilons(s2, config.B, config.N, config.delta,
-                                                self._sigmas) ** 2)
-            self._eps_cum = np.minimum(np.sqrt(spent_sq), config.epsilon)
 
     def _draw_chunk(self):
         """The client-side draws of the rounds from self.round on, one stream call
@@ -388,6 +380,9 @@ class Simulation:
             if cfg.clip_mode == "median_adaptive":
                 s2 = max(median_clip_bound(l2_norms(updates)), 1e-12)
                 sigma *= s2
+                if self.algorithm.quantized and sigma > MAX_SIGMA:
+                    raise DivergedError(f"median-clipped sigma {sigma:.6g} exceeds the "
+                                        f"codec's MAX_SIGMA {MAX_SIGMA:.6g}")
             else:
                 s2 = cfg.s2
             updates = clip_update(updates, s2)

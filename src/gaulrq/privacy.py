@@ -1,10 +1,11 @@
 """Client-level differential-privacy accounting and update clipping.
 
-Closed-form moment-accountant calibration for the Gaussian-shaped
-quantization noise: a fixed per-round noise scale for an even budget
-split, a geometrically decaying schedule that minimizes the convergence
-error under the same total budget, and the per-round spends of a noise
-schedule, which give back the budget it spends.
+noise_schedule is the one noise calibration: the moments-accountant closed
+form for the Gaussian-shaped quantization noise, either the even budget split
+(tau = 1) or a geometrically decaying schedule (tau < 1) that minimizes the
+convergence error under the same total budget, together with the cumulative
+budget spent after each round. round_epsilons is the per-round spend of any
+schedule, the formula the ledger follows.
 
 Privacy model. Neighbouring datasets differ by adding or removing one
 client's whole shard (client-level add/remove). One clipped upload moves
@@ -25,74 +26,54 @@ its header, so no sampling amplification applies against it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import InvalidParameterError
 
 
-@dataclass(frozen=True)
-class PrivacyBudget:
-    """Total (epsilon, delta) target for a whole run."""
+def noise_schedule(s2: float, K: int, B: int, N: int, epsilon: float, delta: float,
+                   tau: float = 1.0):
+    """(sigmas, eps_cum): the noise scales sigma_0..sigma_{K-1} of a run, in
+    clipped-update units, and the budget spent after each round.
 
-    epsilon: float
-    delta: float
+    sigma_k = 2*S2*sqrt(S*B*ln(1/delta))/(N*eps) * f_k * f_k with
+    S = sum_{j<K} tau^{j/2} and f_k = tau^{-(K-1-k)/8}: strictly decaying for
+    tau < 1, and at tau = 1 the even split 2*S2*sqrt(K*B*ln(1/delta))/(N*eps)
+    bit for bit. Round k then spends eps*tau^{(K-1-k)/4}/sqrt(S) (round_epsilons),
+    so eps_cum[k] = eps*sqrt((w_0 + ... + w_k)/S) with w_i = tau^{(K-1-i)/2}:
+    never above eps, eps after the last round, and within a few ulps of
+    sqrt(cumsum(round_epsilons**2)).
 
-    def __post_init__(self):
-        if not np.isfinite(self.epsilon) or self.epsilon <= 0.0:
-            raise InvalidParameterError("epsilon must be finite and > 0")
-        if not (0.0 < self.delta < 1.0):
-            raise InvalidParameterError("delta must lie in (0, 1)")
-
-
-@dataclass(frozen=True)
-class SigmaSchedule:
-    """Per-round noise scales sigma_0..sigma_{K-1} (clipped-update units)."""
-
-    sigmas: np.ndarray
-
-    def __post_init__(self):
-        sig = np.asarray(self.sigmas, dtype=np.float64)
-        if sig.size == 0 or np.any(sig <= 0.0) or not np.all(np.isfinite(sig)):
-            raise InvalidParameterError("all sigma_k must be finite and > 0")
-        object.__setattr__(self, "sigmas", sig)
-
-
-def _check_counts(K, B, N):
+    s2 and eps enter as mantissas, their powers of two added back last, and
+    S <= K: nothing overflows or underflows while every sigma_k lies in
+    [1e-300, 1e300]. InvalidParameterError on invalid inputs, or when a
+    sigma_k overflows float64 or underflows to 0.
+    """
     if K < 1 or B < 1 or N < 1:
         raise InvalidParameterError("K, B, N must be positive integers")
     if B > N:
         raise InvalidParameterError(f"participants B={B} cannot exceed clients N={N}")
-
-
-def sigma_fixed(s2: float, K: int, B: int, N: int, budget: PrivacyBudget) -> float:
-    """Noise scale for an even budget split: 2*S2*sqrt(K*B*ln(1/delta))/(N*eps)."""
-    _check_counts(K, B, N)
     if not (np.isfinite(s2) and s2 > 0.0):
         raise InvalidParameterError("s2 must be finite and > 0")
-    return 2.0 * s2 * np.sqrt(K * B * np.log(1.0 / budget.delta)) / (N * budget.epsilon)
-
-
-def sigma_schedule_dynamic(s2: float, K: int, B: int, N: int,
-                           budget: PrivacyBudget, tau: float) -> SigmaSchedule:
-    """Error-minimizing schedule under the total budget.
-
-    sigma_k^2 = (4*S2^2*B*ln(1/delta)/(N^2*eps^2)) * (sum_i tau^{-i/2}) * tau^{k/2}.
-    At tau = 1 every entry equals the fixed scale exactly; for tau < 1 the
-    scales decay strictly, spending less budget early and more late.
-    """
-    _check_counts(K, B, N)
+    if not (np.isfinite(epsilon) and epsilon > 0.0):
+        raise InvalidParameterError("epsilon must be finite and > 0")
+    if not (0.0 < delta < 1.0):
+        raise InvalidParameterError("delta must lie in (0, 1)")
     if not (0.0 < tau <= 1.0):
         raise InvalidParameterError("tau must lie in (0, 1]")
-    if tau == 1.0:
-        value = sigma_fixed(s2, K, B, N, budget)
-        return SigmaSchedule(sigmas=np.full(K, value))
-    k = np.arange(K, dtype=np.float64)
-    base = 4.0 * s2 * s2 * B * np.log(1.0 / budget.delta) / (N * budget.epsilon) ** 2
-    total = np.sum(tau ** (-k / 2.0))
-    sigmas = np.sqrt(base * total * tau ** (k / 2.0))
-    return SigmaSchedule(sigmas=sigmas)
+    after = np.arange(K - 1, -1, -1, dtype=np.float64)  # rounds after round k
+    spent = np.cumsum(tau ** (after / 2.0))  # w_0 + ... + w_k; spent[-1] is S
+    (m_s2, e_s2), (m_eps, e_eps) = np.frexp(s2), np.frexp(epsilon)
+    with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
+        last = np.ldexp(2.0 * m_s2 * np.sqrt(spent[-1] * B * np.log(1.0 / delta))
+                        / (N * m_eps), e_s2 - e_eps)
+        f = tau ** (-after / 8.0)
+        sigmas = last * f * f
+    if not np.all(np.isfinite(sigmas)):
+        raise InvalidParameterError("computing sigma_k overflows float64")
+    if not np.all(sigmas > 0.0):
+        raise InvalidParameterError("computing sigma_k underflows to 0")
+    return sigmas, epsilon * np.sqrt(spent / spent[-1])
 
 
 def round_epsilons(s2: float, B: int, N: int, delta: float, sigmas) -> np.ndarray:
@@ -105,24 +86,6 @@ def round_epsilons(s2: float, B: int, N: int, delta: float, sigmas) -> np.ndarra
     if np.any(sig <= 0.0):
         raise InvalidParameterError("all sigma_k must be > 0")
     return 2.0 * s2 * np.sqrt(B * np.log(1.0 / delta)) / (N * sig)
-
-
-def epsilon_from_sigmas(s2: float, B: int, N: int, delta: float, sigmas) -> float:
-    """Budget actually spent by a sequence of noise scales: the root of the
-    sum of squared round_epsilons; the inverse of the schedule construction."""
-    return float(np.sqrt(np.sum(round_epsilons(s2, B, N, delta, sigmas) ** 2)))
-
-
-def per_round_epsilon(k: int, K: int, tau: float, budget: PrivacyBudget) -> float:
-    """Budget consumed at round k of the tau schedule, read from round_epsilons:
-    eps * sqrt(1/sum_i tau^{-i/2}) * tau^{-k/4} (S2, B and N cancel).
-
-    Nondecreasing in k for tau < 1; the uniform split eps/sqrt(K) at tau = 1.
-    """
-    if not (0 <= k < K):
-        raise InvalidParameterError(f"round k={k} out of range [0, {K})")
-    sigmas = sigma_schedule_dynamic(1.0, K, 1, 1, budget, tau).sigmas
-    return float(round_epsilons(1.0, 1, 1, budget.delta, sigmas)[k])
 
 
 def l2_norms(delta):

@@ -108,8 +108,10 @@ class Objective:
         return self._loss(theta, z), self._X.T @ (self._w * resid) + self.ridge * theta
 
     def _loss(self, theta, z):
+        """F(theta) from z = X theta; inf, without a warning, past float64's range."""
         if self.kind == "least_squares":
-            data = 0.5 * np.sum(self._w * (z - self._y) ** 2)
+            with np.errstate(over="ignore"):
+                data = 0.5 * np.sum(self._w * (z - self._y) ** 2)
         else:
             # Stable log(1 + exp(z)) - y*z.
             data = np.sum(self._w * (np.logaddexp(0.0, z) - self._y * z))

@@ -10,9 +10,7 @@ from scipy.special import erfc
 from gaulrq.analysis import BoundInputs, am_qm_factor, bound_dynamic, \
     bound_gau_lrq, bound_qg, comm_cost, full_precision_cost, ks_statistic
 from gaulrq.config import ExperimentConfig, build_simulation, run_experiment
-from gaulrq.privacy import (PrivacyBudget, clip_update, epsilon_from_sigmas,
-                            per_round_epsilon, sigma_fixed,
-                            sigma_schedule_dynamic)
+from gaulrq.privacy import clip_update, noise_schedule, round_epsilons
 from gaulrq.quantizers import (MIN_STEP_FACTOR, dithered_decode,
                                dithered_encode, lrq_decode, lrq_encode,
                                sample_layer)
@@ -111,13 +109,11 @@ def test_criterion_4_budget_round_trip():
         eps = float(rng.uniform(0.05, 20.0))
         delta = float(10.0 ** rng.uniform(-9, -2))
         tau = float(rng.uniform(0.2, 1.0))
-        budget = PrivacyBudget(eps, delta)
-        sched = sigma_schedule_dynamic(s2, K, B, N, budget, tau)
-        back = epsilon_from_sigmas(s2, B, N, delta, sched.sigmas)
+        sigmas, _ = noise_schedule(s2, K, B, N, eps, delta, tau)
+        back = np.sqrt(np.sum(round_epsilons(s2, B, N, delta, sigmas) ** 2))
         worst = max(worst, abs(back / eps - 1.0))
-    budget = PrivacyBudget(1.7, 1e-5)
-    exact = np.all(sigma_schedule_dynamic(1.0, 30, 5, 50, budget, 1.0).sigmas
-                   == sigma_fixed(1.0, 30, 5, 50, budget))
+    exact = np.all(noise_schedule(1.0, 30, 5, 50, 1.7, 1e-5, 1.0)[0]
+                   == 2.0 * 1.0 * np.sqrt(30 * 5 * np.log(1.0 / 1e-5)) / (50 * 1.7))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-9 and bool(exact) and elapsed < 1.0
     _verdict(4, ok, f"worst rel err={worst:.2e}, tau=1 exact={bool(exact)}, "
@@ -126,13 +122,12 @@ def test_criterion_4_budget_round_trip():
 
 def test_criterion_5_schedule_shape():
     rng = np.random.default_rng(7)
-    budget = PrivacyBudget(2.0, 1e-5)
     ok = True
     for _ in range(50):
         tau = float(rng.uniform(0.2, 0.999))
         K = int(rng.integers(2, 120))
-        sig = sigma_schedule_dynamic(1.0, K, 5, 50, budget, tau).sigmas
-        eps_k = np.array([per_round_epsilon(k, K, tau, budget) for k in range(K)])
+        sig, _ = noise_schedule(1.0, K, 5, 50, 2.0, 1e-5, tau)
+        eps_k = round_epsilons(1.0, 5, 50, 1e-5, sig)
         ok = ok and bool(np.all(np.diff(sig) < 0)) and bool(np.all(np.diff(eps_k) > 0))
     _verdict(5, ok, "sigma_k strictly decreasing and eps_k strictly increasing "
              "for 50 random (tau<1, K) pairs")
@@ -260,7 +255,7 @@ def test_criterion_10_degradation_to_oracle():
     c = cfg("gau_lrq_sgd")
     sim = build_simulation(c)
     theta0_norm = float(np.linalg.norm(sim.theta))
-    sigma = sigma_fixed(c.s2, c.K, c.B, c.N, PrivacyBudget(c.epsilon, c.delta))
+    sigma = noise_schedule(c.s2, c.K, c.B, c.N, c.epsilon, c.delta)[0][0]
     small = sigma < 1e-4 * theta0_norm
     lrq = run_experiment(c).final_theta
     local = run_experiment(cfg("local_sgd")).final_theta

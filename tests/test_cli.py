@@ -101,9 +101,9 @@ def test_cmd_run_invalid_config_exit_status(tmp_path, capsys):
 
 
 def test_cmd_run_parameter_errors_exit_status(tmp_path, capsys):
-    # K=0 passes validation but leaves no rounds to spread the budget over;
+    # K=0 leaves a private algorithm no rounds to spread the budget over;
     # epsilon=1e30 makes sigma so small that indices would need > MAX_BITS bits.
-    for overrides, text in (({"K": 0}, "K, B, N must be positive"),
+    for overrides, text in (({"K": 0}, "config error: K: must be >= 1 for private algorithms"),
                             ({"epsilon": 1e30}, f"{MAX_BITS}-bit cap")):
         cfg = _write_config(tmp_path, overrides)
         out = tmp_path / "never"
@@ -260,21 +260,30 @@ def test_cmd_run_tiny_epsilon_stops_before_theta_overflows(tmp_path):
     assert summary["rounds_run"] == 0 and math.isfinite(summary["final_loss"])
 
 
-@pytest.mark.parametrize("ceiling", [None, 1e300], ids=["default", "1e300"])
-def test_cmd_run_huge_step_stops_before_the_norm_overflows(tmp_path, ceiling):
+@pytest.mark.parametrize("overrides, ceiling", [
+    ({"eta": 1e250}, None), ({"eta": 1e250}, 1e300),
+    ({"K": 2, "d": 5, "epsilon": 1.0, "s2": 1e280, "eta": 1e60}, 1e300)],
+    ids=["default", "1e300", "loss-overflow"])
+def test_cmd_run_huge_step_stops_before_the_norm_overflows(tmp_path, overrides, ceiling):
     # eta = 1e250 puts the local model near 1e251 after one step; the squares
     # of an L2 norm would overflow, so the local guard takes the inf-norm first.
     # Under a 1e300 ceiling the second step overflows to inf before the guard.
+    # With eta = 1e60 and s2 = 1e280, round 1 starts from a model whose loss
+    # overflows: it reads inf, and the summary's final_loss is null.
     extra = {} if ceiling is None else {"divergence_ceiling": ceiling}
-    cfg = _write_config(tmp_path, {"eta": 1e250, **extra})
-    proc = _run_strict(cfg, tmp_path / "out")
+    out = tmp_path / "out"
+    proc = _run_strict(_write_config(tmp_path, {**overrides, **extra}), out)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
     assert [line for line in proc.stderr.splitlines() if line.startswith("run error:")] == \
         [f"run error: local model norm exceeded ceiling {ceiling or 1e6:g}"]
+    summary = json.loads((out / "cli-test_summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["stop_reason"].startswith("diverged in round ")
+    assert (summary["final_loss"] is None) == ("s2" in overrides)  # only there is it inf
 
 
-# sigma overflows float64 in privacy.sigma_fixed; sigma = 2.77e300 is finite
+# sigma overflows float64 in privacy.noise_schedule; sigma = 2.77e300 is finite
 # but above the codec's MAX_SIGMA. Both are rejected before any round runs.
 @pytest.mark.parametrize("overrides, text", [
     ({"algorithm": "qg_sgd", "s2": 1e300, "epsilon": 1e-300},
@@ -291,6 +300,25 @@ def test_cmd_run_sigma_outside_the_codec_is_a_config_error(tmp_path, capsys, ove
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("config error: epsilon: ") and text in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_cmd_run_median_sigma_above_max_is_a_run_error(tmp_path):
+    # sigma_k at S2 = 1 is 3.4e296 and round 0's median clip bound (about 0.3)
+    # scales it to 1.0e296 > MAX_SIGMA. Only the round knows the median, so the
+    # run stops there like a divergence and keeps the rounds before it.
+    cfg = _write_config(tmp_path, {"K": 3, "d": 5, "epsilon": 1e-296,
+                                   "clip_mode": "median_adaptive"})
+    out = tmp_path / "out"
+    proc = _run_strict(cfg, out)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    errors = [line for line in proc.stderr.splitlines() if line.startswith("run error:")]
+    assert len(errors) == 1 and "median-clipped sigma" in errors[0]
+    assert f"MAX_SIGMA {MAX_SIGMA:.6g}" in errors[0]
+    summary = json.loads((out / "cli-test_summary.json").read_text(),
+                         parse_constant=_reject_constant)
+    assert summary["stop_reason"] == "diverged in round 0" and summary["rounds_run"] == 0
+    assert (out / "cli-test_trace.csv").read_text().count("\n") == 1
 
 
 @pytest.mark.parametrize("algorithm", ["gau_lrq_sgd", "qg_sgd"])

@@ -1,87 +1,100 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from gaulrq.errors import InvalidParameterError
-from gaulrq.privacy import (PrivacyBudget, SigmaSchedule,
-                            clip_update, epsilon_from_sigmas, l2_norms,
-                            median_clip_bound, per_round_epsilon, sigma_fixed,
-                            sigma_schedule_dynamic)
+from gaulrq.privacy import (clip_update, l2_norms, median_clip_bound, noise_schedule,
+                            round_epsilons)
 
-BUDGET = PrivacyBudget(1.0, 1e-5)
+EPS, DELTA = 1.0, 1e-5
 
 
-# -- sigma_fixed ------------------------------------------------------------
-
-def test_sigma_fixed_closed_form():
-    got = sigma_fixed(1.0, 100, 10, 100, BUDGET)
-    assert got == pytest.approx(2.0 * math.sqrt(1000.0 * math.log(1e5)) / 100.0,
-                                rel=1e-12)
+def _spent(s2, B, N, delta, sigmas):
+    """The budget a schedule spends: the root of the sum of squared round_epsilons."""
+    return float(np.sqrt(np.sum(round_epsilons(s2, B, N, delta, sigmas) ** 2)))
 
 
-def test_sigma_fixed_scalings():
-    base = sigma_fixed(1.0, 100, 10, 100, BUDGET)
-    assert sigma_fixed(1.0, 100, 10, 100, PrivacyBudget(2.0, 1e-5)) == \
+def _round_eps(K, tau, eps=EPS):
+    """Each round's spend of the tau schedule (S2, B and N cancel)."""
+    return round_epsilons(1.0, 1, 1, DELTA, noise_schedule(1.0, K, 1, 1, eps, DELTA, tau)[0])
+
+
+# -- even split ---------------------------------------------------------------
+
+def test_even_split_closed_form():
+    sigmas, _ = noise_schedule(1.0, 100, 10, 100, EPS, DELTA)
+    assert sigmas == pytest.approx(np.full(100, 2.0 * math.sqrt(1000.0 * math.log(1e5)) / 100.0),
+                                   rel=1e-12)
+
+
+def test_even_split_scalings():
+    base = noise_schedule(1.0, 100, 10, 100, EPS, DELTA)[0][0]
+    assert noise_schedule(1.0, 100, 10, 100, 2.0, DELTA)[0][0] == \
         pytest.approx(base / 2.0, rel=1e-12)
-    assert sigma_fixed(1.0, 400, 10, 100, BUDGET) == pytest.approx(2.0 * base,
-                                                                   rel=1e-12)
+    assert noise_schedule(1.0, 400, 10, 100, EPS, DELTA)[0][0] == pytest.approx(2.0 * base,
+                                                                              rel=1e-12)
 
 
-def test_sigma_fixed_validation():
+def test_noise_schedule_validation():
     with pytest.raises(InvalidParameterError):
-        sigma_fixed(1.0, 10, 20, 10, BUDGET)   # B > N
+        noise_schedule(1.0, 10, 20, 10, EPS, DELTA)   # B > N
     with pytest.raises(InvalidParameterError):
-        sigma_fixed(0.0, 10, 5, 10, BUDGET)
+        noise_schedule(0.0, 10, 5, 10, EPS, DELTA)
     with pytest.raises(InvalidParameterError):
-        PrivacyBudget(0.0, 1e-5)
+        noise_schedule(1.0, 10, 5, 10, 0.0, DELTA)
     with pytest.raises(InvalidParameterError):
-        PrivacyBudget(1.0, 1.0)
+        noise_schedule(1.0, 10, 5, 10, EPS, 1.0)
+    with pytest.raises(InvalidParameterError):
+        noise_schedule(1.0, 0, 5, 10, EPS, DELTA)
 
 
 # -- dynamic schedule -------------------------------------------------------
 
 def test_schedule_tau_one_equals_fixed_exactly():
-    sched = sigma_schedule_dynamic(1.5, 20, 4, 50, BUDGET, 1.0)
-    value = sigma_fixed(1.5, 20, 4, 50, BUDGET)
-    assert np.all(sched.sigmas == value)
+    sigmas, _ = noise_schedule(1.5, 20, 4, 50, EPS, DELTA, 1.0)
+    assert np.all(sigmas == 2.0 * 1.5 * np.sqrt(20 * 4 * np.log(1.0 / DELTA)) / (50 * EPS))
 
 
 def test_schedule_two_round_hand_case():
     # tau=1/4, K=2: sum tau^{-i/2} = 1 + 2 = 3, so sigma_0^2 = 3C and
     # sigma_1^2 = 3C * tau^{1/2} = 1.5C.
     s2, K, B, N = 2.0, 2, 3, 7
-    C = 4.0 * s2**2 * B * math.log(1e5) / (N * BUDGET.epsilon) ** 2
-    sched = sigma_schedule_dynamic(s2, K, B, N, BUDGET, 0.25)
-    assert sched.sigmas[0] ** 2 == pytest.approx(3.0 * C, rel=1e-12)
-    assert sched.sigmas[1] ** 2 == pytest.approx(1.5 * C, rel=1e-12)
+    C = 4.0 * s2**2 * B * math.log(1e5) / (N * EPS) ** 2
+    sigmas, _ = noise_schedule(s2, K, B, N, EPS, DELTA, 0.25)
+    assert sigmas[0] ** 2 == pytest.approx(3.0 * C, rel=1e-12)
+    assert sigmas[1] ** 2 == pytest.approx(1.5 * C, rel=1e-12)
 
 
 def test_schedule_strictly_decreasing():
-    sched = sigma_schedule_dynamic(1.0, 50, 10, 100, BUDGET, 0.9)
-    assert np.all(np.diff(sched.sigmas) < 0)
+    sigmas, _ = noise_schedule(1.0, 50, 10, 100, EPS, DELTA, 0.9)
+    assert np.all(np.diff(sigmas) < 0)
 
 
 def test_schedule_validation():
     with pytest.raises(InvalidParameterError):
-        sigma_schedule_dynamic(1.0, 10, 5, 20, BUDGET, 0.0)
+        noise_schedule(1.0, 10, 5, 20, EPS, DELTA, 0.0)
     with pytest.raises(InvalidParameterError):
-        sigma_schedule_dynamic(1.0, 10, 5, 20, BUDGET, 1.5)
-    with pytest.raises(InvalidParameterError):
-        SigmaSchedule(sigmas=np.array([1.0, -1.0]))
+        noise_schedule(1.0, 10, 5, 20, EPS, DELTA, 1.5)
+    # No sigma_k it returns is <= 0: one that underflows is an error.
+    with pytest.raises(InvalidParameterError, match="underflows to 0"):
+        noise_schedule(1e-300, 2, 3, 6, 1e300, DELTA)
 
 
 # -- epsilon round trip -----------------------------------------------------
 
 def test_constant_schedule_epsilon():
     s2, K, B, N, sigma = 1.0, 25, 5, 40, 0.7
-    got = epsilon_from_sigmas(s2, B, N, 1e-5, np.full(K, sigma))
+    got = _spent(s2, B, N, 1e-5, np.full(K, sigma))
     want = 2.0 * s2 * math.sqrt(K * B * math.log(1e5)) / (N * sigma)
     assert got == pytest.approx(want, rel=1e-12)
 
 
 def test_single_round_epsilon():
-    got = epsilon_from_sigmas(1.0, 5, 40, 1e-5, [0.7])
+    got = _spent(1.0, 5, 40, 1e-5, [0.7])
     assert got == pytest.approx(2.0 * math.sqrt(5 * math.log(1e5)) / (40 * 0.7),
                                 rel=1e-12)
 
@@ -96,45 +109,74 @@ def test_round_trip_identity():
         eps = float(rng.uniform(0.1, 10.0))
         delta = float(10.0 ** rng.uniform(-8, -2))
         tau = float(rng.uniform(0.3, 1.0))
-        budget = PrivacyBudget(eps, delta)
-        sched = sigma_schedule_dynamic(s2, K, B, N, budget, tau)
-        back = epsilon_from_sigmas(s2, B, N, delta, sched.sigmas)
-        assert back == pytest.approx(eps, rel=1e-9)
+        sigmas, eps_cum = noise_schedule(s2, K, B, N, eps, delta, tau)
+        assert _spent(s2, B, N, delta, sigmas) == pytest.approx(eps, rel=1e-9)
+        # The ledger is that spend round by round, and reaches eps exactly.
+        spent = np.sqrt(np.cumsum(round_epsilons(s2, B, N, delta, sigmas) ** 2))
+        np.testing.assert_allclose(eps_cum, spent, rtol=1e-14, atol=0)
+        assert eps_cum[-1] == eps and np.all(np.diff(eps_cum) >= 0)
 
 
-def test_epsilon_from_sigmas_validation():
+def test_round_epsilons_validation():
     with pytest.raises(InvalidParameterError):
-        epsilon_from_sigmas(1.0, 5, 10, 1e-5, [])
+        round_epsilons(1.0, 5, 10, 1e-5, [])
     with pytest.raises(InvalidParameterError):
-        epsilon_from_sigmas(1.0, 5, 10, 1e-5, [1.0, 0.0])
+        round_epsilons(1.0, 5, 10, 1e-5, [1.0, 0.0])
+
+
+def _log_sigmas(s2, K, B, N, eps, delta, tau):
+    """ln sigma_k of the schedule, from logs alone: the reference for any range."""
+    j = np.arange(K, dtype=np.float64)
+    log_s = np.logaddexp.reduce(j / 2.0 * math.log(tau))  # ln sum_j tau^{j/2}
+    return (math.log(2.0) + math.log(s2) - math.log(N) - math.log(eps)
+            + 0.5 * (log_s + math.log(B) + math.log(math.log(1.0 / delta)))
+            - j[::-1] / 4.0 * math.log(tau))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.floats(-709.5, 709.5), st.integers(1, 5000), st.integers(1, 1000),
+       st.integers(1, 1000), st.floats(-709.5, 709.5), st.floats(-300.0, -1e-3),
+       st.floats(1e-300, 1.0))
+@example(709.5, 2, 3, 6, 709.5, -5.0, 0.9)  # 2*s2 and N*eps would overflow
+@example(-230.0, 700, 1, 1, 0.0, -5.0, 0.01)  # tau^{-(K-1)/4} = 1e350 would overflow
+def test_schedule_is_exact_wherever_sigma_is_in_range(log_s2, K, B, N, log_eps, log_delta,
+                                                     tau):
+    # Every sigma_k in [1e-300, 1e300]: no intermediate may overflow or underflow.
+    s2, eps, delta, (B, N) = math.exp(log_s2), math.exp(log_eps), 10.0 ** log_delta, \
+        sorted((B, N))
+    want = _log_sigmas(s2, K, B, N, eps, delta, tau)
+    assume(want.min() >= math.log(1e-300) and want.max() <= math.log(1e300))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        sigmas, eps_cum = noise_schedule(s2, K, B, N, eps, delta, tau)
+    assert np.all(np.isfinite(sigmas))
+    np.testing.assert_allclose(sigmas, np.exp(want), rtol=1e-12, atol=0)
+    assert eps_cum[-1] == pytest.approx(eps, rel=1e-12)
 
 
 # -- per-round epsilon ------------------------------------------------------
 
 def test_per_round_uniform_split():
-    for k in range(5):
-        assert per_round_epsilon(k, 5, 1.0, BUDGET) == \
-            pytest.approx(1.0 / math.sqrt(5.0), rel=1e-12)
+    assert _round_eps(5, 1.0) == pytest.approx(np.full(5, 1.0 / math.sqrt(5.0)), rel=1e-12)
 
 
 def test_per_round_hand_case():
     # K=2, tau=1/4: eps_0 = eps*sqrt(1/3), eps_1 = eps*sqrt(1/3)*sqrt(2).
-    assert per_round_epsilon(0, 2, 0.25, BUDGET) == \
-        pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-12)
-    assert per_round_epsilon(1, 2, 0.25, BUDGET) == \
-        pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
+    eps_k = _round_eps(2, 0.25)
+    assert eps_k[0] == pytest.approx(math.sqrt(1.0 / 3.0), rel=1e-12)
+    assert eps_k[1] == pytest.approx(math.sqrt(2.0 / 3.0), rel=1e-12)
 
 
 def test_per_round_monotone_and_sums_to_budget():
-    K, tau = 30, 0.8
-    eps_k = np.array([per_round_epsilon(k, K, tau, BUDGET) for k in range(K)])
+    eps_k = _round_eps(30, 0.8)
     assert np.all(np.diff(eps_k) > 0)
-    assert float(np.sum(eps_k**2)) == pytest.approx(BUDGET.epsilon**2, rel=1e-9)
+    assert float(np.sum(eps_k**2)) == pytest.approx(EPS**2, rel=1e-9)
 
 
 def test_per_round_range_check():
-    with pytest.raises(InvalidParameterError):
-        per_round_epsilon(5, 5, 0.9, BUDGET)
+    # One sigma, one spend and one ledger entry per round 0..K-1.
+    sigmas, eps_cum = noise_schedule(1.0, 5, 1, 1, EPS, DELTA, 0.9)
+    assert sigmas.shape == eps_cum.shape == _round_eps(5, 0.9).shape == (5,)
 
 
 # -- clipping ---------------------------------------------------------------
