@@ -4,8 +4,7 @@ from .analysis import (BoundInputs, am_qm_factor, bound_bq, bound_dynamic,
                        bound_gau_lrq, bound_lsgd, bound_qg, comm_cost,
                        full_precision_cost, ks_statistic)
 from .config import ExperimentConfig, build_simulation, load_config, run_experiment
-from .errors import (ConfigError, DivergedError, InvalidParameterError,
-                     StreamExhaustedError)
+from .errors import ConfigError, DivergedError, InvalidParameterError
 from .normal import inv_norm_cdf
 from .orchestrator import (AlgorithmKind, RoundRecord, RunTrace, Simulation,
                            WireMessage, pack_indices, parse_message,

@@ -21,12 +21,6 @@ from .streams import SeedMaterial, element_pairs
 OUT_DIR_ENV = "GAULRQ_OUT_DIR"
 
 
-def _out_dir(args) -> str:
-    path = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
-    os.makedirs(path, exist_ok=True)
-    return path
-
-
 # Each closed-form bound: the algorithm it covers and its evaluator.
 _BOUNDS = (("local_sgd", bound_lsgd), ("gau_lrq_sgd", bound_gau_lrq),
            ("dynamic_gau_lrq_sgd", bound_dynamic), ("qg_sgd", bound_qg),
@@ -49,8 +43,7 @@ def _bound_values(inp: BoundInputs) -> dict:
 
 def _bound_report(config: ExperimentConfig, sim) -> dict:
     """Evaluate every closed-form bound at this run's measured constants."""
-    obj = sim.objective
-    spec = obj.spec(sim.theta0)
+    spec = sim.objective.spec(sim.theta0)
     inf_norms = [n for r in sim.records for n in r.inf_norms if n > 0]
     rep_inf = float(np.median(inf_norms)) if inf_norms else 1.0
     inp = BoundInputs(F_gap=max(spec.optimum_gap, 1e-12), eta=config.eta,
@@ -78,7 +71,16 @@ def cmd_run(args) -> int:
     except DivergedError as exc:  # keep the rounds that completed before it
         print(f"run error: {exc}", file=sys.stderr)
         trace = sim.trace(f"diverged in round {sim.round}")
-    out = _out_dir(args)
+    out = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
+    try:  # made only now, so a config error leaves no directory
+        os.makedirs(out, exist_ok=True)
+        return _write_artifacts(out, config, sim, trace)
+    except OSError as exc:
+        print(f"error: cannot write {exc.filename or out}: {exc.strerror}", file=sys.stderr)
+        return 2
+
+
+def _write_artifacts(out: str, config: ExperimentConfig, sim, trace) -> int:
     stem = config.run_id or config.algorithm
     csv_path = os.path.join(out, f"{stem}_trace.csv")
     summary_path = os.path.join(out, f"{stem}_summary.json")

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .analysis import MAX_BOUND_ROUNDS
 from .errors import ConfigError
 from .orchestrator import AlgorithmKind, RunTrace, Simulation
 from .training import OBJECTIVE_KINDS
@@ -64,6 +65,8 @@ class ExperimentConfig:
                 errors.append(f"{name}: must be >= 1")
         if self.K < 0:
             errors.append("K: must be >= 0")
+        elif self.K > MAX_BOUND_ROUNDS:  # the bound report sums one term per round
+            errors.append(f"K: must be <= {MAX_BOUND_ROUNDS}")
         elif self.K == 0 and self.algorithm != "local_sgd":
             errors.append("K: must be >= 1 for private algorithms")
         for name in ("eta", "epsilon", "s2", "label_noise", "ridge", "heterogeneity"):
@@ -100,6 +103,12 @@ class ExperimentConfig:
         if os.path.isabs(self.run_id) or any(s in self.run_id for s in ("/", "\\", "..")):
             errors.append("run_id: must name a file inside the output directory "
                           "(no '/', '\\' or '..')")
+        try:  # the longest artifact name, as the file system sees it
+            name = os.fsencode(f"{self.run_id}_summary.json")
+        except UnicodeError:  # a lone surrogate
+            name = b"\0"
+        if b"\0" in name or len(name) > 255:
+            errors.append("run_id: must encode, with no NUL, to file names of at most 255 bytes")
         if errors:
             raise ConfigError(errors)
 

@@ -22,7 +22,3 @@ class ConfigError(ValueError):
 class DivergedError(RuntimeError):
     """A round cannot go on: a model's norm exceeded the configured divergence
     ceiling, or a median-clipped sigma left the codec's domain."""
-
-
-class StreamExhaustedError(RuntimeError):
-    """A codec was handed fewer random draws than it needs."""

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, StreamExhaustedError
+from .errors import InvalidParameterError
 from .normal import inv_norm_cdf
 
 # Minimum step of the layered quantizer, in units of sigma.
@@ -166,7 +166,7 @@ def _base_indices(layer: LayerSample, scales) -> np.ndarray:
 def _row_layers(sigma: float, uniforms, shape) -> LayerSample:
     u1, u2 = (np.asarray(u, dtype=np.float64) for u in uniforms)
     if u1.shape != shape or u2.shape != shape:
-        raise StreamExhaustedError(
+        raise InvalidParameterError(
             f"need one uniform pair per element ({shape[-1]}), got {u1.size}/{u2.size}")
     return sample_layer(sigma, (u1, u2))
 
@@ -271,7 +271,7 @@ def stochastic_quantize_indices(v, b, uniforms):
         raise InvalidParameterError("vector elements must be finite")
     u = np.asarray(uniforms, dtype=np.float64)
     if u.shape != v.shape:
-        raise StreamExhaustedError("need one uniform per element")
+        raise InvalidParameterError("need one uniform per element")
 
     scale = np.max(np.abs(v), axis=-1, initial=0.0)[..., None]
     n_lev = stochastic_levels(b)[..., None]

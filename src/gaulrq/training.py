@@ -37,7 +37,7 @@ class LocalDataset(NamedTuple):
 
 @dataclass(frozen=True)
 class ObjectiveSpec:
-    """Certified constants of an objective, measured or derived once.
+    """Certified constants of an objective at theta0, as Objective.spec measures them.
 
     smoothness is analytic (largest Gram eigenvalue, scaled by 1/4 for
     logistic, plus the ridge); grad_variance is the empirical single-sample
@@ -49,7 +49,6 @@ class ObjectiveSpec:
     smoothness: float
     grad_variance: float
     optimum_gap: float
-    ridge: float = 0.0
 
 
 class Objective:
@@ -90,8 +89,6 @@ class Objective:
         self._X = X.reshape(N * n, -1)
         self._y = y.reshape(N * n)
         self._gram = None
-        self._nu = None
-        self._optimum = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -127,58 +124,48 @@ class Objective:
     # -- certified constants ------------------------------------------------
 
     def _weighted_gram(self):
-        """The mean Gram matrix on its smaller side, built once.
+        """The mean Gram matrix on its smaller side, built once and shared.
 
-        X^T W X (d x d), or A A^T with A = W^(1/2) X when there are fewer
-        samples than dimensions: the two share their nonzero eigenvalues,
-        and wide models never form a d x d array.
+        w X^T X (d x d), or w X X^T (N*n x N*n) when there are fewer samples
+        than dimensions: the two share their nonzero eigenvalues, and wide
+        models never form a d x d array. Each is one SYRK on the held X, so
+        neither side makes a scaled copy of the data.
         """
         if self._gram is None:
-            if self._X.shape[0] < self.dimension:
-                a = self._X * np.sqrt(self._w)
-                self._gram = a @ a.T
-            else:
-                self._gram = (self._X * self._w).T @ self._X
+            X = self._X
+            self._gram = self._w * (X @ X.T if X.shape[0] < self.dimension else X.T @ X)
         return self._gram
 
     def smoothness(self):
         """Largest eigenvalue of the mean Gram matrix (1/4-scaled for logistic)."""
-        if self._nu is None:
-            lam = float(np.linalg.eigvalsh(self._weighted_gram())[-1])
-            factor = 1.0 if self.kind == "least_squares" else 0.25
-            self._nu = factor * lam + self.ridge
-        return self._nu
+        lam = float(np.linalg.eigvalsh(self._weighted_gram())[-1])
+        return (1.0 if self.kind == "least_squares" else 0.25) * lam + self.ridge
 
     def optimum(self):
         """(theta*, F(theta*)); analytic for least squares, converged otherwise.
 
-        Logistic runs L-BFGS-B to max|grad F| <= 1e-12 with ftol=0, whose
-        default stops it near 1e-6; a line-search stall at the float floor
-        is accepted.
+        Least squares solves (G + rI) theta = X^T (w y) on the d x d side and,
+        by push-through, theta = X^T (G + rI)^-1 (w y) on the thin side (the
+        minimum-norm interpolant at r = 0); no scaled copy of X. Logistic runs
+        L-BFGS-B to max|grad F| <= 1e-12 with ftol=0, whose default stops it
+        near 1e-6; a line-search stall at the float floor is accepted.
         """
-        if self._optimum is None:
-            if self.kind == "least_squares":
-                gram = self._weighted_gram()
-                gram = gram + self.ridge * np.eye(gram.shape[0])
-                if gram.shape[0] < self.dimension:
-                    # Push-through: (A^T A + rI)^-1 A^T b = A^T (A A^T + rI)^-1 b,
-                    # the minimum-norm interpolant at ridge r = 0.
-                    root_w = np.sqrt(self._w)
-                    alpha = np.linalg.solve(gram, root_w * self._y)
-                    theta = (self._X * root_w).T @ alpha
-                else:
-                    rhs = self._X.T @ (self._w * self._y)
-                    theta = np.linalg.solve(gram, rhs)
+        if self.kind == "least_squares":
+            gram = self._weighted_gram() + self.ridge * np.eye(min(self._X.shape))
+            wy = self._w * self._y
+            if self._X.shape[0] < self.dimension:
+                theta = self._X.T @ np.linalg.solve(gram, wy)
             else:
-                # Imported here, its only caller: scipy.optimize (with scipy.linalg
-                # and scipy.sparse) adds ~0.25 s to a process's start.
-                from scipy.optimize import minimize
-                res = minimize(self.loss_and_gradient, np.zeros(self.dimension),
-                               jac=True, method="L-BFGS-B",
-                               options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 2000})
-                theta = res.x
-            self._optimum = (theta, self.full_loss(theta))
-        return self._optimum
+                theta = np.linalg.solve(gram, self._X.T @ wy)
+        else:
+            # Imported here, its only caller: scipy.optimize (with scipy.linalg
+            # and scipy.sparse) adds ~0.25 s to a process's start.
+            from scipy.optimize import minimize
+            res = minimize(self.loss_and_gradient, np.zeros(self.dimension),
+                           jac=True, method="L-BFGS-B",
+                           options={"gtol": 1e-12, "ftol": 0.0, "maxiter": 2000})
+            theta = res.x
+        return theta, self.full_loss(theta)
 
     def grad_variance_bound(self, theta0):
         """Max over clients of the empirical single-sample gradient variance: the
@@ -198,8 +185,7 @@ class Objective:
         return ObjectiveSpec(kind=self.kind, dimension=self.dimension,
                              smoothness=self.smoothness(),
                              grad_variance=self.grad_variance_bound(theta0),
-                             optimum_gap=self.full_loss(theta0) - f_star,
-                             ridge=self.ridge)
+                             optimum_gap=self.full_loss(theta0) - f_star)
 
 
 @dataclass

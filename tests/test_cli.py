@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gaulrq.analysis import BoundInputs
+from gaulrq.analysis import MAX_BOUND_ROUNDS, BoundInputs
 from gaulrq.cli import main
 from gaulrq.config import ExperimentConfig, load_config
 from gaulrq.errors import ConfigError
@@ -101,9 +101,12 @@ def test_cmd_run_invalid_config_exit_status(tmp_path, capsys):
 
 
 def test_cmd_run_parameter_errors_exit_status(tmp_path, capsys):
-    # K=0 leaves a private algorithm no rounds to spread the budget over;
-    # epsilon=1e30 makes sigma so small that indices would need > MAX_BITS bits.
+    # K=0 leaves a private algorithm no rounds to spread the budget over; a K
+    # past MAX_BOUND_ROUNDS would run every round before its bound report
+    # failed, or run out of memory first; epsilon=1e30 makes sigma so small
+    # that indices would need > MAX_BITS bits.
     for overrides, text in (({"K": 0}, "config error: K: must be >= 1 for private algorithms"),
+                            ({"K": 10**12}, f"config error: K: must be <= {MAX_BOUND_ROUNDS}"),
                             ({"epsilon": 1e30}, f"{MAX_BITS}-bit cap")):
         cfg = _write_config(tmp_path, overrides)
         out = tmp_path / "never"
@@ -123,7 +126,12 @@ def test_cmd_run_mistyped_value_exit_status(tmp_path, capsys, field, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("run_id", ["../../x", "<tmp>/abs", "a/b", "a\\b", ".."])
+# "a\0b", a lone surrogate and a 243-byte stem (a 256-byte summary name) are
+# names no file system takes; validation rejects them before any round runs.
+@pytest.mark.parametrize("run_id", ["../../x", "<tmp>/abs", "a/b", "a\\b", "..",
+                                    pytest.param("a\0b", id="nul"),
+                                    pytest.param("\ud800", id="surrogate"),
+                                    pytest.param("x" * 243, id="x243")])
 def test_cmd_run_run_id_stays_in_out_dir(tmp_path, capsys, run_id):
     cfg = _write_config(tmp_path, {"run_id": run_id.replace("<tmp>", str(tmp_path))})
     out = tmp_path / "a" / "b"
@@ -372,6 +380,22 @@ def test_cmd_run_overrides(tmp_path):
                  "--seed", "99", "--out-dir", str(out)]) == 0
     summary = json.loads((out / "cli-test_summary.json").read_text())
     assert summary["algorithm"] == "local_sgd"
+
+
+def test_cmd_run_run_id_at_the_name_limit_runs(tmp_path):
+    cfg = _write_config(tmp_path, {"run_id": "x" * 242})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    assert (tmp_path / "out" / ("x" * 242 + "_summary.json")).exists()
+
+
+def test_cmd_run_out_dir_that_is_a_file_is_one_error_line(tmp_path, capsys):
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "taken"
+    out.write_text("")
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {out}: File exists\n"
+    assert out.read_text() == ""
 
 
 def test_out_dir_env_default(tmp_path, monkeypatch):

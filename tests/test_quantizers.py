@@ -9,7 +9,7 @@ from scipy.special import erfc, ndtri
 
 from gaulrq.analysis import ks_statistic
 
-from gaulrq.errors import InvalidParameterError, StreamExhaustedError
+from gaulrq.errors import InvalidParameterError
 from gaulrq.quantizers import (MAX_BITS, MAX_SIGMA, MIN_STEP_FACTOR, LayerSample,
                                bit_width, dithered_decode, dithered_encode,
                                lrq_decode, lrq_encode, lrq_quantize_rows,
@@ -251,7 +251,7 @@ def test_quantize_zero_vector():
 
 def test_quantize_dim_mismatch():
     uniforms = element_pairs(SEED, 0, 10, 2)
-    with pytest.raises(StreamExhaustedError):
+    with pytest.raises(InvalidParameterError, match="need one uniform pair per element"):
         lrq_quantize_vector(np.zeros(3), 1.0, uniforms)
 
 

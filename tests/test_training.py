@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -409,3 +411,22 @@ def test_grad_variance_bound_matches_per_sample_gradients(kind, ridge, N, n, d):
         grads = obj.sample_gradients(theta0, ds, np.arange(ds.n))
         want = max(want, float(np.mean(np.sum((grads - grads.mean(0)) ** 2, axis=1))))
     assert obj.grad_variance_bound(theta0) == want
+
+
+@pytest.mark.parametrize("kind, N, n, d", [
+    ("least_squares", 10, 8, 20000),   # thin: the N*n x N*n Gram and push-through
+    ("logistic", 50, 400, 100)])       # tall: the d x d Gram and L-BFGS
+def test_spec_makes_no_copy_of_the_data(kind, N, n, d):
+    # The Gram, the optimum and the variance bound work on the held features:
+    # spec's peak stays far below one (N*n, d) temporary.
+    import scipy.optimize  # noqa: F401  its import would count ~10 MiB
+    features, targets = synth_partition(3, N, d, n, 0.1, kind=kind)
+    obj = Objective(features, targets, kind=kind)
+    theta0 = np.random.default_rng(4).standard_normal(d)
+    tracemalloc.start()
+    try:
+        obj.spec(theta0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25 * features.nbytes, peak / features.nbytes
