@@ -19,6 +19,7 @@ from .quantizers import MIN_STEP_FACTOR, bit_width, lrq_decode, lrq_encode, samp
 from .streams import SeedMaterial, element_pairs
 
 OUT_DIR_ENV = "GAULRQ_OUT_DIR"
+MAX_NOISE_DRAWS = 10**7  # verify-noise's arrays stay under 1 GiB
 
 
 # Each closed-form bound: the algorithm it covers and its evaluator.
@@ -109,8 +110,8 @@ def noise_checks(sigma: float, n: int, seed: int, value: float = 0.25):
     KS test against N(0, sigma^2) at significance 0.01.
     """
     bit_width(value, sigma)  # raises outside the codec's sigma domain
-    if n < 100:
-        raise InvalidParameterError("need at least 100 draws")
+    if not 100 <= n <= MAX_NOISE_DRAWS:
+        raise InvalidParameterError(f"need 100 to {MAX_NOISE_DRAWS} draws, got {n}")
     layer = sample_layer(sigma, element_pairs(SeedMaterial(seed, "verify-noise"), 0, 0, n))
     err = lrq_decode(lrq_encode(value, layer), layer) - value
     mean = float(np.mean(err))

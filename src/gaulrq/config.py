@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import numbers
 import os
 import sys
@@ -15,6 +16,11 @@ from .analysis import MAX_BOUND_ROUNDS
 from .errors import ConfigError
 from .orchestrator import AlgorithmKind, RunTrace, Simulation
 from .training import OBJECTIVE_KINDS
+
+# Caps, in float64 values (2 GiB each), on the (N, n, d) shards and on the B * Q *
+# max(batch_size, 1) rows of d values a round's local steps read: an allocation past
+# memory becomes a config error. A config near them can still need several GiB.
+MAX_FLOATS = 2**28
 
 
 @dataclass
@@ -63,6 +69,12 @@ class ExperimentConfig:
         for name in ("N", "B", "Q", "n_per_client", "d"):
             if int(getattr(self, name)) < 1:
                 errors.append(f"{name}: must be >= 1")
+        for names in (("N", "n_per_client", "d"), ("B", "Q", "batch_size", "d")):
+            sizes = [max(int(getattr(self, name)), 1) for name in names]
+            if math.prod(sizes) > MAX_FLOATS:  # reported on its largest factor
+                errors.append(f"{names[sizes.index(max(sizes))]}: {' * '.join(names)} = "
+                              f"{math.prod(sizes):.3g} exceeds {MAX_FLOATS} float64 values")
+                break
         if self.K < 0:
             errors.append("K: must be >= 0")
         elif self.K > MAX_BOUND_ROUNDS:  # the bound report sums one term per round

@@ -7,11 +7,12 @@ streams, which makes runs bitwise reproducible and lets the server replay
 each client's dither draws without transmission.
 
 A round runs its B clients as one (B, d) pipeline, from the batch draw to
-the server's sum. The client-side draws of a chunk of rounds come first, one
-stream call per lane with a rounds and a client axis; the server replays each
-round's layers from the parsed headers. Norms, clipping, scales, widths,
-codecs and bit packing are row-wise array operations (packing one per
-distinct width); the wire carries one message per client.
+the server's sum. A chunk of rounds draws first, one stream call per lane
+with a rounds and a client axis, the server's own replay of the codec lane
+included. Each parsed header must match its round's schedule. Norms,
+clipping, scales, widths, codecs and bit packing are row-wise array
+operations (packing one per distinct width); the wire carries one message
+per client.
 """
 
 from __future__ import annotations
@@ -57,12 +58,12 @@ class AlgorithmKind(enum.Enum):
         return self is not AlgorithmKind.LOCAL_SGD
 
 
+_TAGS = {kind.value: kind for kind in AlgorithmKind}
 _HEADER = struct.Struct("<IIIBB")  # client_id, round, dim, bits_per_element, tag
 _SCALE = struct.Struct("<d")  # quantized messages only, between header and payload
 
 
-@dataclass(frozen=True)
-class WireMessage:
+class WireMessage(NamedTuple):
     """One client upload: fixed header plus a byte-aligned payload.
 
     Quantized algorithms pack two's-complement indices of the declared
@@ -132,11 +133,11 @@ def unpack_indices(payload, dim: int, bits, signed: bool = True) -> np.ndarray:
 
 
 def serialize_message(msg: WireMessage) -> bytes:
-    head = _HEADER.pack(msg.client_id, msg.round, msg.dim,
-                        msg.bits_per_element, msg.algorithm.value)
-    if msg.algorithm.quantized:
-        head += _SCALE.pack(msg.scale)
-    return head + msg.payload
+    client_id, rnd, dim, bits, algorithm, payload, scale = msg
+    head = _HEADER.pack(client_id, rnd, dim, bits, algorithm.value)
+    if algorithm in _QUANTIZED:
+        head += _SCALE.pack(scale)
+    return head + payload
 
 
 def parse_message(data: bytes) -> WireMessage:
@@ -144,11 +145,10 @@ def parse_message(data: bytes) -> WireMessage:
     if len(data) < _HEADER.size:
         raise InvalidParameterError(f"{len(data)}-byte message is shorter than its header")
     client_id, rnd, dim, bits, tag = _HEADER.unpack_from(data)
-    try:
-        algorithm = AlgorithmKind(tag)
-    except ValueError:
-        raise InvalidParameterError(f"unknown algorithm tag {tag}") from None
-    quantized = algorithm.quantized
+    algorithm = _TAGS.get(tag)
+    if algorithm is None:
+        raise InvalidParameterError(f"unknown algorithm tag {tag}")
+    quantized = algorithm in _QUANTIZED
     if not (1 <= bits <= MAX_BITS if quantized else bits == FLOAT_BITS):
         raise InvalidParameterError(f"{bits}-bit elements are invalid for {algorithm.name}")
     offset = _HEADER.size + (_SCALE.size if quantized else 0)
@@ -158,22 +158,20 @@ def parse_message(data: bytes) -> WireMessage:
     scale = _SCALE.unpack_from(data, _HEADER.size)[0] if quantized else 0.0
     if not (math.isfinite(scale) and scale >= 0.0):
         raise InvalidParameterError(f"scale {scale} is not finite and >= 0")
-    return WireMessage(client_id=client_id, round=rnd, dim=dim,
-                       bits_per_element=bits, algorithm=algorithm,
-                       payload=data[offset:], scale=scale)
+    return WireMessage(client_id, rnd, dim, bits, algorithm, data[offset:], scale)
 
 
 # -- codecs: draw(seed, client_ids, rounds, d) -> the (u1, u2) pair of the codec's
 # lane; encode(V, sigma, uniforms) -> one (width, payload, scale, clamps) per row of
-# V, from one round's rows of that pair; decode(seed, messages, sigma) -> (B, d),
-# one row per message of one round, drawing its own uniforms. They look the layer
-# functions up as module globals, so rebinding one (as a tracer does) reaches them.
+# V, from one round's rows of that pair; decode(messages, sigma, uniforms) -> (B, d),
+# its mirror, from the server's own draw of those rows (None unless replayed). Layer
+# functions are module globals to them, so rebinding one (as a tracer does) reaches them.
 
 def _encode_float(V, sigma, uniforms):
     return [(FLOAT_BITS, row.tobytes(), 0.0, 0) for row in V.astype("<f4")]
 
 
-def _decode_float(seed, msgs, sigma):
+def _decode_float(msgs, sigma, uniforms):
     return np.stack([np.frombuffer(m.payload, "<f4") for m in msgs]).astype(np.float64)
 
 
@@ -188,7 +186,7 @@ def _encode_stochastic(V, sigma, uniforms):
     return list(zip(widths.tolist(), payloads, scales.tolist(), [0] * len(payloads)))
 
 
-def _decode_stochastic(seed, msgs, sigma):
+def _decode_stochastic(msgs, sigma, uniforms):
     widths = np.array([m.bits_per_element for m in msgs])
     idx = unpack_indices([m.payload for m in msgs], msgs[0].dim, widths)
     return stochastic_dequantize(idx + np.left_shift(1, widths - 1)[:, None], widths,
@@ -204,10 +202,9 @@ def _encode_layered(V, sigma, uniforms):
     return list(zip(widths, pack_indices(idx, widths), scales, clamps.tolist()))
 
 
-def _decode_layered(seed, msgs, sigma):
+def _decode_layered(msgs, sigma, uniforms):
     idx = unpack_indices([m.payload for m in msgs], msgs[0].dim,
                          [m.bits_per_element for m in msgs], signed=False)
-    uniforms = _draw_layered(seed, [m.client_id for m in msgs], msgs[0].round, msgs[0].dim)
     return lrq_reconstruct_rows(idx, [m.scale for m in msgs], sigma, uniforms)
 
 
@@ -218,6 +215,7 @@ class Pipeline(NamedTuple):
     draw: Callable | None  # None: the codec draws nothing
     encode: Callable
     decode: Callable
+    replayed: bool = False  # decode reads the server's own draw of the codec lane
 
 
 PIPELINES = {
@@ -226,34 +224,33 @@ PIPELINES = {
     AlgorithmKind.QG_SGD: Pipeline(True, False, _draw_stochastic, _encode_stochastic,
                                    _decode_stochastic),
     AlgorithmKind.GAU_LRQ_SGD: Pipeline(False, False, _draw_layered, _encode_layered,
-                                        _decode_layered),
+                                        _decode_layered, True),
     AlgorithmKind.DYNAMIC_GAU_LRQ_SGD: Pipeline(False, True, _draw_layered, _encode_layered,
-                                                _decode_layered),
+                                                _decode_layered, True),
 }
 _QUANTIZED = frozenset(kind for kind, p in PIPELINES.items() if p.encode is not _encode_float)
 
 
-def sample_clients(N: int, B: int, u: float) -> list[int]:
+def sample_clients(N: int, B: int, u):
     """Systematic sampling of B distinct client ids, each included with
     probability B/N.
 
-    ``u`` in [0, 1) positions the sampling comb. Where float rounding in
-    the comb edges puts two teeth on one client (seen only at B = N), the
-    gap is filled with the lowest unsampled ids.
+    ``u`` in [0, 1) positions the sampling comb: a float gives a sorted list
+    of ids, and a 1-D array of R positions an (R, B) array, row r the list of
+    u[r]. Where float rounding in the comb edges puts two teeth on one client
+    (seen only at B = N), the gap is filled with the lowest unsampled ids.
     """
     if B > N:
         raise InvalidParameterError(f"B={B} exceeds N={N}")
     if B < 1:
         raise InvalidParameterError("B must be >= 1")
     edges = np.cumsum(np.full(N, 1.0 / N)) * B
-    points = (u % 1.0) + np.arange(B)
-    ids = np.searchsorted(edges, points, side="right")
-    ids = np.minimum(ids, N - 1)
-    chosen = sorted(set(int(i) for i in ids))
-    if len(chosen) < B:
-        leftovers = sorted(set(range(N)) - set(chosen))
-        chosen = sorted(chosen + leftovers[:B - len(chosen)])
-    return chosen
+    ids = np.searchsorted(edges, (np.asarray(u) % 1.0)[..., None] + np.arange(B), side="right")
+    rows = np.minimum(ids, N - 1, out=ids).reshape(-1, B)  # ascending; a view of ids
+    for r in np.flatnonzero((rows[:, 1:] == rows[:, :-1]).any(axis=1)):
+        chosen = np.unique(rows[r])
+        rows[r] = np.union1d(chosen, np.setdiff1d(np.arange(N), chosen)[:B - chosen.size])
+    return ids.tolist() if ids.ndim == 1 else ids
 
 
 @dataclass
@@ -339,17 +336,17 @@ class Simulation:
                 raise ConfigError(f"epsilon: sigma {top:.6g} exceeds the codec's {MAX_SIGMA:.6g}")
 
     def _draw_chunk(self):
-        """The client-side draws of the rounds from self.round on, one stream call
-        per lane: as many rounds as their uniform pairs and client ids fit in
+        """The draws of the rounds from self.round on, one stream call per lane, the
+        server's replay included: as many rounds as their pairs and client ids fit in
         training._BLOCK_BYTES, and at least one. Each equals its own round's draw."""
         cfg, p = self.config, self._pipeline
         steps = cfg.Q * self.batch_size if self.batch_size < cfg.n_per_client else 0
-        lanes = p.noisy + (p.draw is not None)
+        lanes = p.noisy + (p.draw is not None) + p.replayed
         fit = max(1, training._BLOCK_BYTES // (16 * cfg.B * (1 + steps + lanes * cfg.d)))
         rounds = np.arange(self.round, min(cfg.K, self.round + fit), dtype=np.uint64)
         u_sample, _ = uniform_pair_block(self.seed.lane("sample"), 0, rounds, 0, 0)
-        clients = np.array([sample_clients(cfg.N, cfg.B, u) for u in u_sample.tolist()])
-        batch = noise = code = [None] * rounds.size
+        clients = sample_clients(cfg.N, cfg.B, u_sample)
+        batch = noise = code = replay = [None] * rounds.size
         rnd = rounds[:, None]
         if steps:
             batch, _ = uniform_pair_block(self.seed.lane("batch"), clients, rnd, 0,
@@ -358,7 +355,9 @@ class Simulation:
             noise, _ = element_pairs(self.seed.lane("noise"), clients, rnd, cfg.d)
         if p.draw is not None:
             code = zip(*p.draw(self.seed, clients, rnd, cfg.d))
-        self._chunk = (self.round, list(zip(clients.tolist(), batch, noise, code)))
+        if p.replayed:  # the server's own draw: decoding never reads a client's array
+            replay = zip(*p.draw(self.seed, clients, rnd, cfg.d))
+        self._chunk = (self.round, list(zip(clients.tolist(), batch, noise, code, replay)))
 
     def run_round(self) -> RoundRecord:
         cfg = self.config
@@ -370,7 +369,7 @@ class Simulation:
         if not 0 <= k - self._chunk[0] < len(self._chunk[1]):
             self._draw_chunk()
         # Row i of every (B, ...) array below belongs to clients[i], ascending.
-        clients, u_batch, u_noise, uniforms = self._chunk[1][k - self._chunk[0]]
+        clients, u_batch, u_noise, uniforms, replay = self._chunk[1][k - self._chunk[0]]
         updates = stacked_local_rounds(self.objective, self.theta, clients, cfg.Q,
                                        cfg.eta, u_batch, cfg.divergence_ceiling)
 
@@ -394,14 +393,21 @@ class Simulation:
         for cid, (bits, payload, scale, clamps) in zip(
                 clients, self._pipeline.encode(updates, sigma, uniforms)):
             messages.append(serialize_message(
-                WireMessage(cid, k, cfg.d, bits, self.algorithm, payload, scale=scale)))
+                WireMessage(cid, k, cfg.d, bits, self.algorithm, payload, scale)))
             clamp_count += clamps
 
         parsed = [parse_message(raw) for raw in messages]
-        # A running sum in client-id order, as B separate decodes would give.
-        total = 0.0
-        for row in PIPELINES[parsed[0].algorithm].decode(self.seed, parsed, sigma):
-            total = total + row
+        ids, rnds, dims, _, algos, _, scales = zip(*parsed)
+        for name, got, want in (("client_id", ids, clients), ("round", rnds, (k,)),
+                                ("dim", dims, (cfg.d,)), ("algorithm", algos, (self.algorithm,))):
+            if stray := set(got).difference(want):
+                raise InvalidParameterError(
+                    f"message {name} {stray.pop()} is outside round {k}'s schedule")
+        if replay is not None and list(ids) != clients:  # rows in header order: a copy
+            replay = tuple(u[[clients.index(i) for i in ids]] for u in replay)
+        # Rows added in turn to +0.0, as B separate decodes would give; np.add.reduce
+        # would sum them pairwise where d = 1.
+        total = np.add.accumulate(self._pipeline.decode(parsed, sigma, replay))[-1] + 0.0
         theta = self.theta + total / len(parsed)
         _check_divergence(theta[None], cfg.divergence_ceiling, "global")
         self.theta = theta
@@ -410,8 +416,7 @@ class Simulation:
                              sigma_used=sigma, epsilon_spent_cumulative=eps_cum,
                              loss=loss, grad_sq_norm=float(grad @ grad),
                              clamp_count=clamp_count, inf_norms=inf_norms,
-                             scales=([m.scale for m in parsed]
-                                     if self.algorithm.quantized else []))
+                             scales=list(scales) if self.algorithm.quantized else [])
         self.records.append(record)
         self.round += 1
         return record

@@ -17,9 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .errors import InvalidParameterError
-from .normal import inv_norm_cdf
 
 # Minimum step of the layered quantizer, in units of sigma.
 MIN_STEP_FACTOR = 2.0 * np.sqrt(2.0 * np.log(2.0))
@@ -97,7 +97,7 @@ def sample_layer(sigma: float, uniforms) -> LayerSample:
         if not ((u > 0.0) & (u < 1.0)).all():  # also false for NaN
             raise InvalidParameterError("uniforms must lie strictly inside (0, 1)")
 
-    x = sigma * np.asarray(inv_norm_cdf(u1))
+    x = sigma * ndtri(u1)  # u1 is range-checked above
     y0 = np.exp(-0.5 * (x / sigma) ** 2) * u2
     y = np.where(x >= 0.0, y0, 1.0 - y0)
     with np.errstate(divide="ignore"):  # y rounded to 0 or 1: mended below

@@ -260,12 +260,13 @@ def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, 
 
 def _check_divergence(w, ceiling: float, scope: str):
     """Raise DivergedError unless each row of the 2-D ``w`` has L2 norm <= ceiling
-    (NaN fails). The inf-norm top first, which cannot overflow; then, only on
-    rows where sqrt(d) * top could pass the ceiling, ||row / top|| <= ceiling / top."""
-    top = np.abs(w).max(axis=1)
+    (NaN fails). No |element| above ceiling / sqrt(d) passes at once (NaN does not
+    compare); else the rows' inf-norms top, which cannot overflow, and only on rows
+    where sqrt(d) * top could pass the ceiling, ||row / top|| <= ceiling / top."""
     limit = ceiling / math.sqrt(w.shape[1])
-    if float(top.max()) <= limit:
+    if np.abs(w).max() <= limit:
         return
+    top = np.abs(w).max(axis=1)
     big = top > limit  # top > 0 on these rows
     if not (np.all(top <= ceiling) and np.all(
             np.linalg.norm(w[big] / top[big, None], axis=1) <= ceiling / top[big])):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from gaulrq.analysis import MAX_BOUND_ROUNDS, BoundInputs
 from gaulrq.cli import main
-from gaulrq.config import ExperimentConfig, load_config
+from gaulrq.config import MAX_FLOATS, ExperimentConfig, load_config
 from gaulrq.errors import ConfigError
 from gaulrq.quantizers import MAX_BITS, MAX_SIGMA, lrq_quantize_vector
 from gaulrq.streams import SeedMaterial, uniform_pair_block
@@ -98,6 +98,30 @@ def test_cmd_run_invalid_config_exit_status(tmp_path, capsys):
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "B" in err
+
+
+# Each asks for far more memory than a machine has: the shards (7.28 TiB, 1.46 TiB
+# and 7.11 PiB) or a round's 10^12 local steps. They used to end in a MemoryError.
+@pytest.mark.parametrize("field, overrides", [("d", {"d": 10**12}),
+                                              ("N", {"N": 10**9, "B": 10}),
+                                              ("n_per_client", {"n_per_client": 10**12}),
+                                              ("Q", {"Q": 10**12})])
+def test_cmd_run_oversized_config_is_one_config_error(tmp_path, capsys, field, overrides):
+    cfg = _write_config(tmp_path, overrides)
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    out_text, err = capsys.readouterr()
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
+    assert out_text == "" and not out.exists()
+
+
+@pytest.mark.parametrize("sizes", [dict(N=2**10, n_per_client=2**8, d=2**10),
+                                   dict(N=16, B=16, Q=2**14, batch_size=2**4, n_per_client=32,
+                                        d=2**6)])
+def test_config_size_caps_are_inclusive(sizes):
+    ExperimentConfig.from_dict(dict(MINIMAL, **sizes))  # exactly MAX_FLOATS values
+    with pytest.raises(ConfigError, match=f"^[a-z_QBN]+: .* exceeds {MAX_FLOATS} float64 values$"):
+        ExperimentConfig.from_dict(dict(MINIMAL, **dict(sizes, d=sizes["d"] + 1)))
 
 
 def test_cmd_run_parameter_errors_exit_status(tmp_path, capsys):
@@ -449,6 +473,13 @@ def test_verify_noise_at_sigma_ceiling(capsys):
 
 def test_verify_noise_too_few(capsys):
     assert main(["verify-noise", "--sigma", "1", "--n", "10"]) == 2
+
+
+def test_verify_noise_too_many(capsys):
+    # 10^11 draws would take 745 GiB; the cap's 10^7 peak at 0.84 GiB (tracemalloc).
+    assert main(["verify-noise", "--sigma", "1", "--n", str(10**11)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: need 100 to {10**7} draws, got {10**11}\n"
 
 
 # -- compare-bounds ---------------------------------------------------------

@@ -238,6 +238,14 @@ def test_payload_bits_property():
     assert msg.payload_bits == 8
 
 
+@pytest.mark.parametrize("name", WireMessage._fields)
+def test_wire_message_is_immutable(name):
+    msg = WireMessage(0, 0, 4, 2, AlgorithmKind.GAU_LRQ_SGD, b"\x00", 0.5)
+    with pytest.raises(AttributeError):
+        setattr(msg, name, getattr(msg, name))
+    assert hash(msg) == hash(WireMessage(0, 0, 4, 2, AlgorithmKind.GAU_LRQ_SGD, b"\x00", 0.5))
+
+
 def test_algorithm_kind_lookup():
     assert AlgorithmKind["GAU_LRQ_SGD"] is AlgorithmKind.GAU_LRQ_SGD
     assert not AlgorithmKind.LOCAL_SGD.private
@@ -271,6 +279,27 @@ def test_sample_returns_b_distinct_sorted_ids(nb, u):
     assert 0 <= ids[0] and ids[-1] < N
 
 
+def _comb_reference(N, B, u):
+    """The scalar sampler as a set computation: the comb's ids, gaps filled lowest first."""
+    edges = np.cumsum(np.full(N, 1.0 / N)) * B
+    ids = np.minimum(np.searchsorted(edges, (u % 1.0) + np.arange(B), side="right"), N - 1)
+    chosen = sorted(set(ids.tolist()))
+    return sorted(chosen + sorted(set(range(N)) - set(chosen))[:B - len(chosen)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 200).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
+       st.lists(st.floats(0.0, 1.0, exclude_max=True), min_size=1, max_size=6))
+@example((5, 5), [0.3, 0.0, 0.7, 0.0])  # u = 0 at B = N: the gap fill runs on two rows
+@example((200, 200), [0.0, 0.5])
+def test_sample_clients_rows_equal_scalar_calls(nb, us):
+    N, B = nb
+    rows = sample_clients(N, B, np.array(us))
+    assert rows.shape == (len(us), B)
+    assert rows.tolist() == [sample_clients(N, B, u) for u in us]
+    assert rows.tolist() == [_comb_reference(N, B, u) for u in us]
+
+
 def test_sample_inclusion_frequency():
     N, B, reps = 5, 2, 100000
     u, _ = uniform_pair_block(SeedMaterial(3, "freq"), 0, 0, 0,
@@ -298,6 +327,7 @@ def test_local_sgd_is_gradient_descent_step():
     assert np.allclose(sim.theta, theta0 - cfg.eta * grad, atol=1e-6)
 
 
+_RECONSTRUCT = orchestrator.lrq_reconstruct_rows
 _ENGINE_CASES = {
     # Criterion 9: minibatch least squares.
     "criterion9": dict(N=100, B=10, Q=5, K=50, eta=0.05, epsilon=2.0, delta=1e-5,
@@ -349,7 +379,11 @@ def test_round_engine_matches_per_client_oracle(case, algo, monkeypatch):
                         spy(orchestrator.stacked_local_rounds, stacked))
     monkeypatch.setattr(orchestrator, "serialize_message",
                         spy(orchestrator.serialize_message, wire))
+    replays = []
+    monkeypatch.setattr(orchestrator, "lrq_reconstruct_rows",
+                        lambda *args: replays.append(args[3]) or _RECONSTRUCT(*args))
     record = sim.run_round()
+    server = replays[:]
     (updates,) = stacked
     assert updates.shape == (cfg.B, cfg.d) and len(wire) == cfg.B
     total = 0.0
@@ -361,9 +395,38 @@ def test_round_engine_matches_per_client_oracle(case, algo, monkeypatch):
         msg = _one_client_upload(algo, seed, cid, k, clip_update(row, cfg.s2),
                                  record.sigma_used)
         assert raw == serialize_message(msg)
+        # The oracle's own fresh draw of this client's layers.
+        uniforms = (tuple(u[None] for u in element_pairs(seed.lane("quant"), cid, k, cfg.d))
+                    if algo == "gau_lrq_sgd" else None)
         total = total + orchestrator.PIPELINES[msg.algorithm].decode(
-            seed, [parse_message(raw)], record.sigma_used)[0]
+            [parse_message(raw)], record.sigma_used, uniforms)[0]
     assert sim.theta.tobytes() == (theta + total / cfg.B).tobytes()
+    # The server decoded from its own chunk draw, uncopied, not the clients' arrays.
+    _, _, _, code, replay = sim._chunk[1][k]
+    if algo == "gau_lrq_sgd":
+        assert len(server) == 1 and server[0] is replay
+        assert not any(np.shares_memory(a, b) for a in replay for b in code)
+    else:
+        assert server == [] and replay is None
+
+
+@pytest.mark.parametrize("algo", ["gau_sgd", "qg_sgd", "gau_lrq_sgd", "dynamic_gau_lrq_sgd"])
+def test_server_adds_the_decoded_rows_in_turn(algo):
+    # At d = 1 a (12, 1) stack reduces along its only axis, where np.add.reduce
+    # sums pairwise; the server adds the rows in client order, from +0.0.
+    sim = build_simulation(_config(algorithm=algo, N=30, B=12, Q=2, K=8, d=1, n_per_client=6,
+                                   batch_size=3, tau=0.9, s2=1.0, seed=4))
+    decoded = []
+    decode = orchestrator.PIPELINES[sim.algorithm].decode
+    sim._pipeline = sim._pipeline._replace(
+        decode=lambda *args: decoded.append(decode(*args)) or decoded[-1])
+    for _ in range(8):
+        theta = sim.theta
+        sim.run_round()
+        total = 0.0
+        for row in decoded[-1]:
+            total = total + row
+        assert sim.theta.tobytes() == (theta + total / 12).tobytes()
 
 
 def test_simulation_holds_its_features_once():
@@ -407,18 +470,25 @@ def test_determinism_bitwise(tmp_path):
 
 
 _SERIALIZE, _DRAW_CHUNK = orchestrator.serialize_message, orchestrator.Simulation._draw_chunk
+_ELEMENT_PAIRS = orchestrator.element_pairs
+# element_pairs calls of one chunk: the noise lane, the dither lane and its server replay.
+_CHUNK_PAIR_DRAWS = {"local_sgd": 0, "gau_sgd": 1, "qg_sgd": 1, "gau_lrq_sgd": 2,
+                     "dynamic_gau_lrq_sgd": 2}
 
 
 def _run_in_chunks(monkeypatch, tmp_path, block_bytes, **kw):
     """One run under a byte bound on the stepper's blocks and the chunks of
     rounds: its artifacts' bytes, the first round of each chunk, and the
-    error it stopped on."""
+    error it stopped on. Checks that every per-element draw, the server's
+    included, is made by a chunk, one call per lane."""
     monkeypatch.setattr(training, "_BLOCK_BYTES", block_bytes)
-    wire, chunks = [], []
+    wire, chunks, draws = [], [], []
     monkeypatch.setattr(orchestrator, "serialize_message",
                         lambda msg: wire.append(_SERIALIZE(msg)) or wire[-1])
     monkeypatch.setattr(orchestrator.Simulation, "_draw_chunk",
                         lambda sim: chunks.append(sim.round) or _DRAW_CHUNK(sim))
+    monkeypatch.setattr(orchestrator, "element_pairs",
+                        lambda *args: draws.append(args[2]) or _ELEMENT_PAIRS(*args))
     cfg = _config(**kw)
     sim, error = build_simulation(cfg), None
     try:
@@ -429,6 +499,9 @@ def _run_in_chunks(monkeypatch, tmp_path, block_bytes, **kw):
     trace.to_csv(tmp_path / "trace.csv", cfg.algorithm)
     trace.to_summary_json(tmp_path / "summary.json")
     artifacts = [(tmp_path / name).read_bytes() for name in ("trace.csv", "summary.json")]
+    # The "init" lane's draw at round 0, then each chunk's, all with a rounds axis.
+    assert len(draws) == 1 + len(chunks) * _CHUNK_PAIR_DRAWS[cfg.algorithm]
+    assert all(np.ndim(rounds) == 2 for rounds in draws[1:])
     return artifacts + [trace.final_theta.tobytes(), wire, error], chunks
 
 
@@ -459,6 +532,51 @@ def test_run_diverging_mid_chunk_stops_where_a_chunked_one_does(kw, monkeypatch,
     assert 0 < rounds < kw["K"] - 1 and whole_chunks == [0]
     assert one[4] is not None and one[0].count(b"\n") == 1 + rounds
     assert one == whole
+
+
+_OTHER_KIND = {AlgorithmKind.GAU_SGD: AlgorithmKind.LOCAL_SGD,
+               AlgorithmKind.QG_SGD: AlgorithmKind.GAU_LRQ_SGD,
+               AlgorithmKind.GAU_LRQ_SGD: AlgorithmKind.DYNAMIC_GAU_LRQ_SGD}
+
+
+def _tamper_last_upload(monkeypatch, sim, field, value):
+    """Rewrite one header field of the last upload of each round, keeping it parseable."""
+    def tamper(msg):
+        clients = sim._chunk[1][sim.round - sim._chunk[0]][0]
+        if msg.client_id == clients[-1]:
+            msg = msg._replace(**{field: value(msg, clients)})
+            msg = msg._replace(payload=bytes((msg.dim * msg.bits_per_element + 7) // 8))
+        return _SERIALIZE(msg)
+    monkeypatch.setattr(orchestrator, "serialize_message", tamper)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("client_id", lambda msg, clients: min(set(range(10)) - set(clients))),
+    ("round", lambda msg, clients: msg.round + 1),
+    ("dim", lambda msg, clients: msg.dim + 1),
+    ("algorithm", lambda msg, clients: _OTHER_KIND[msg.algorithm])])
+@pytest.mark.parametrize("algo", ["gau_sgd", "qg_sgd", "gau_lrq_sgd"])
+def test_header_outside_the_round_schedule_is_rejected(algo, field, value, monkeypatch):
+    # The last header is tampered with: every header is looked up, not only the first.
+    sim = build_simulation(_config(algorithm=algo, N=10, B=3, K=4, s2=1.0))
+    sim.run_round()
+    theta, records = sim.theta.tobytes(), list(sim.records)
+    _tamper_last_upload(monkeypatch, sim, field, value)
+    with pytest.raises(InvalidParameterError, match=f"^message {field} .* outside round 1's"):
+        sim.run_round()
+    assert sim.theta.tobytes() == theta and sim.records == records and sim.round == 1
+
+
+def test_header_decodes_against_its_own_clients_replay(monkeypatch):
+    # A header naming another client of the round takes that client's layers.
+    sim = build_simulation(_config(algorithm="gau_lrq_sgd", N=10, B=3, K=4, s2=1.0))
+    replays = []
+    monkeypatch.setattr(orchestrator, "lrq_reconstruct_rows",
+                        lambda *args: replays.append(args[3]) or _RECONSTRUCT(*args))
+    _tamper_last_upload(monkeypatch, sim, "client_id", lambda msg, clients: clients[0])
+    sim.run_round()
+    (got,), replay = replays, sim._chunk[1][0][4]
+    assert all(np.array_equal(g, u[[0, 1, 0]]) for g, u in zip(got, replay))
 
 
 _REPLAY = """

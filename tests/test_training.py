@@ -351,7 +351,11 @@ def test_divergence_guard_catches_nan():
     ([[7e299, 7e299]], 1e300, True),  # the squares would overflow
     ([[9e299, 9e299]], 1e300, False),
     ([[float("nan"), 0.0], [1.0, 1.0]], 5.0, False),
-    ([[-float("inf"), 0.0]], 5.0, False)])
+    ([[-float("inf"), 0.0]], 5.0, False),
+    ([[float("inf"), 0.0]], 5.0, False),
+    ([[0.0, np.nextafter(5.0, 6.0)], [1.0, 1.0]], 5.0, False),  # just above the ceiling
+    ([[1.0, 1.0], [5.0, 0.0]], 5.0, True),  # a row exactly at the ceiling
+    ([[4.0, 0.0], [1.0, 1.0]], 5.0, True)])  # inf-norm above 5 / sqrt(2), L2 below 5
 def test_divergence_check_never_overflows(rows, ceiling, ok):
     # RuntimeWarnings are errors here, so an overflowing norm would fail too.
     if ok:
