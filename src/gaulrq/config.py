@@ -14,7 +14,7 @@ import numpy as np
 
 from .analysis import MAX_BOUND_ROUNDS
 from .errors import ConfigError
-from .orchestrator import AlgorithmKind, RunTrace, Simulation
+from .orchestrator import PIPELINES, RunTrace, Simulation
 from .training import OBJECTIVE_KINDS
 
 # Caps, in float64 values (2 GiB each), on the (N, n, d) shards and on the B * Q *
@@ -63,9 +63,9 @@ class ExperimentConfig:
         errors = self._type_errors()
         if errors:  # the range checks below assume well-typed fields
             raise ConfigError(errors)
-        names = [a.name.lower() for a in AlgorithmKind]
-        if self.algorithm not in names:
-            errors.append(f"algorithm: must be one of {names}")
+        pipeline = {kind.name.lower(): p for kind, p in PIPELINES.items()}.get(self.algorithm)
+        if pipeline is None:
+            errors.append(f"algorithm: must be one of {[k.name.lower() for k in PIPELINES]}")
         for name in ("N", "B", "Q", "n_per_client", "d"):
             if int(getattr(self, name)) < 1:
                 errors.append(f"{name}: must be >= 1")
@@ -79,7 +79,7 @@ class ExperimentConfig:
             errors.append("K: must be >= 0")
         elif self.K > MAX_BOUND_ROUNDS:  # the bound report sums one term per round
             errors.append(f"K: must be <= {MAX_BOUND_ROUNDS}")
-        elif self.K == 0 and self.algorithm != "local_sgd":
+        elif self.K == 0 and (pipeline is None or pipeline.private):
             errors.append("K: must be >= 1 for private algorithms")
         for name in ("eta", "epsilon", "s2", "label_noise", "ridge", "heterogeneity"):
             if not np.isfinite(getattr(self, name)):

@@ -7,12 +7,12 @@ streams, which makes runs bitwise reproducible and lets the server replay
 each client's dither draws without transmission.
 
 A round runs its B clients as one (B, d) pipeline, from the batch draw to
-the server's sum. A chunk of rounds draws first, one stream call per lane
-with a rounds and a client axis, the server's own replay of the codec lane
-included. Each parsed header must match its round's schedule. Norms,
-clipping, scales, widths, codecs and bit packing are row-wise array
-operations (packing one per distinct width); the wire carries one message
-per client.
+the server's sum; its PIPELINES row says what the algorithm does and sends. A
+chunk of rounds draws first, one stream call per lane with a rounds and a client
+axis, the server's own replay of the codec lane included. The parsed headers
+must be the round's schedule in order, with the widths and scales the server
+can recompute or bound. Norms, clipping, scales, widths, codecs and bit packing
+are row-wise (packing one per distinct width); the wire carries one message a client.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ import numpy as np
 from . import training
 from .errors import ConfigError, DivergedError, InvalidParameterError
 from .normal import inv_norm_cdf
-from .privacy import clip_update, l2_norms, median_clip_bound, noise_schedule
+from .privacy import clip_ceiling, clip_update, l2_norms, median_clip_bound, noise_schedule
 from .quantizers import (MAX_BITS, MAX_SIGMA, bit_width, lrq_quantize_rows,
                          lrq_reconstruct_rows, stochastic_dequantize,
                          stochastic_quantize_indices)
@@ -41,7 +41,7 @@ FLOAT_BITS = 32
 
 
 class AlgorithmKind(enum.Enum):
-    """The five algorithm pipelines, with their wire tags."""
+    """The five algorithms, valued by their wire tags; PIPELINES says what each does."""
 
     LOCAL_SGD = 0
     GAU_SGD = 1
@@ -49,16 +49,13 @@ class AlgorithmKind(enum.Enum):
     GAU_LRQ_SGD = 3
     DYNAMIC_GAU_LRQ_SGD = 4
 
-    @property
-    def quantized(self):
-        return self in _QUANTIZED
+    def __init__(self, tag):
+        self.tag = tag  # the value, read once per message: Enum.value is a Python call
 
-    @property
-    def private(self):
-        return self is not AlgorithmKind.LOCAL_SGD
+    __hash__ = object.__hash__  # for the PIPELINES lookups; Enum.__hash__ is a Python call
 
 
-_TAGS = {kind.value: kind for kind in AlgorithmKind}
+_TAGS = {kind.tag: kind for kind in AlgorithmKind}
 _HEADER = struct.Struct("<IIIBB")  # client_id, round, dim, bits_per_element, tag
 _SCALE = struct.Struct("<d")  # quantized messages only, between header and payload
 
@@ -66,11 +63,10 @@ _SCALE = struct.Struct("<d")  # quantized messages only, between header and payl
 class WireMessage(NamedTuple):
     """One client upload: fixed header plus a byte-aligned payload.
 
-    Quantized algorithms pack two's-complement indices of the declared
-    width, little-endian, LSB-first within the stream; float algorithms
-    send raw little-endian float32. Both quantized codecs also need the
-    vector's inf-norm ``scale``, carried exactly as a float64 between header
-    and payload. ``payload_bits`` excludes padding, the header, and the scale.
+    Quantized algorithms pack indices of the declared width LSB-first (qg_sgd
+    two's-complement levels, the layered codecs unsigned offsets from a base both sides
+    derive) after the vector's inf-norm ``scale``, an exact float64; float algorithms
+    send raw little-endian float32. ``payload_bits`` excludes padding, header and scale.
     """
 
     client_id: int
@@ -134,8 +130,8 @@ def unpack_indices(payload, dim: int, bits, signed: bool = True) -> np.ndarray:
 
 def serialize_message(msg: WireMessage) -> bytes:
     client_id, rnd, dim, bits, algorithm, payload, scale = msg
-    head = _HEADER.pack(client_id, rnd, dim, bits, algorithm.value)
-    if algorithm in _QUANTIZED:
+    head = _HEADER.pack(client_id, rnd, dim, bits, algorithm.tag)
+    if PIPELINES[algorithm].quantized:
         head += _SCALE.pack(scale)
     return head + payload
 
@@ -148,7 +144,7 @@ def parse_message(data: bytes) -> WireMessage:
     algorithm = _TAGS.get(tag)
     if algorithm is None:
         raise InvalidParameterError(f"unknown algorithm tag {tag}")
-    quantized = algorithm in _QUANTIZED
+    quantized = PIPELINES[algorithm].quantized
     if not (1 <= bits <= MAX_BITS if quantized else bits == FLOAT_BITS):
         raise InvalidParameterError(f"{bits}-bit elements are invalid for {algorithm.name}")
     offset = _HEADER.size + (_SCALE.size if quantized else 0)
@@ -164,8 +160,8 @@ def parse_message(data: bytes) -> WireMessage:
 # -- codecs: draw(seed, client_ids, rounds, d) -> the (u1, u2) pair of the codec's
 # lane; encode(V, sigma, uniforms) -> one (width, payload, scale, clamps) per row of
 # V, from one round's rows of that pair; decode(messages, sigma, uniforms) -> (B, d),
-# its mirror, from the server's own draw of those rows (None unless replayed). Layer
-# functions are module globals to them, so rebinding one (as a tracer does) reaches them.
+# its mirror, from the server's own draw of those rows in schedule order (None unless
+# replayed). Layer functions are module globals to them, so rebinding one reaches them.
 
 def _encode_float(V, sigma, uniforms):
     return [(FLOAT_BITS, row.tobytes(), 0.0, 0) for row in V.astype("<f4")]
@@ -209,26 +205,27 @@ def _decode_layered(msgs, sigma, uniforms):
 
 
 class Pipeline(NamedTuple):
-    """What sets one algorithm apart from the others."""
+    """What sets one algorithm apart from the others, its wire format included."""
+    private: bool    # clips each update and spends the privacy budget
     noisy: bool      # adds sigma * N(0, 1) from the "noise" lane before coding
     decaying: bool   # sigma_k follows the tau^{k/4} schedule, not the even split
+    quantized: bool  # sends integer indices and a float64 scale, not float32
     draw: Callable | None  # None: the codec draws nothing
     encode: Callable
     decode: Callable
-    replayed: bool = False  # decode reads the server's own draw of the codec lane
+    replayed: bool   # decode reads the server's own draw of the codec lane
 
 
-PIPELINES = {
-    AlgorithmKind.LOCAL_SGD: Pipeline(False, False, None, _encode_float, _decode_float),
-    AlgorithmKind.GAU_SGD: Pipeline(True, False, None, _encode_float, _decode_float),
-    AlgorithmKind.QG_SGD: Pipeline(True, False, _draw_stochastic, _encode_stochastic,
-                                   _decode_stochastic),
-    AlgorithmKind.GAU_LRQ_SGD: Pipeline(False, False, _draw_layered, _encode_layered,
-                                        _decode_layered, True),
-    AlgorithmKind.DYNAMIC_GAU_LRQ_SGD: Pipeline(False, True, _draw_layered, _encode_layered,
-                                                _decode_layered, True),
+_FLOAT = (False, None, _encode_float, _decode_float, False)  # quantized, ..., replayed
+_STOCHASTIC = (True, _draw_stochastic, _encode_stochastic, _decode_stochastic, False)
+_LAYERED = (True, _draw_layered, _encode_layered, _decode_layered, True)
+PIPELINES = {  # private, noisy, decaying, then the codec
+    AlgorithmKind.LOCAL_SGD: Pipeline(False, False, False, *_FLOAT),
+    AlgorithmKind.GAU_SGD: Pipeline(True, True, False, *_FLOAT),
+    AlgorithmKind.QG_SGD: Pipeline(True, True, False, *_STOCHASTIC),
+    AlgorithmKind.GAU_LRQ_SGD: Pipeline(True, False, False, *_LAYERED),
+    AlgorithmKind.DYNAMIC_GAU_LRQ_SGD: Pipeline(True, False, True, *_LAYERED),
 }
-_QUANTIZED = frozenset(kind for kind, p in PIPELINES.items() if p.encode is not _encode_float)
 
 
 def sample_clients(N: int, B: int, u):
@@ -323,7 +320,7 @@ class Simulation:
         self.records: list[RoundRecord] = []
         self._pipeline = PIPELINES[self.algorithm]
         self._chunk = (0, [])  # (first round, per-round draws), drawn by run_round
-        if self.algorithm.private:  # median-adaptive rounds rescale the S2=1 schedule
+        if self._pipeline.private:  # median-adaptive rounds rescale the S2=1 schedule
             s2 = config.s2 if config.clip_mode == "fixed" else 1.0
             try:
                 self._sigmas, self._eps_cum = noise_schedule(
@@ -332,7 +329,7 @@ class Simulation:
             except InvalidParameterError as exc:  # validate() leaves only over/underflow
                 raise ConfigError(f"epsilon: {exc}") from None
             top = self._sigmas.max()  # the codec's sigma, unless a median clip rescales it
-            if self.algorithm.quantized and config.clip_mode == "fixed" and top > MAX_SIGMA:
+            if self._pipeline.quantized and config.clip_mode == "fixed" and top > MAX_SIGMA:
                 raise ConfigError(f"epsilon: sigma {top:.6g} exceeds the codec's {MAX_SIGMA:.6g}")
 
     def _draw_chunk(self):
@@ -360,10 +357,9 @@ class Simulation:
         self._chunk = (self.round, list(zip(clients.tolist(), batch, noise, code, replay)))
 
     def run_round(self) -> RoundRecord:
-        cfg = self.config
-        if self.round >= cfg.K:
+        cfg, k, p = self.config, self.round, self._pipeline
+        if k >= cfg.K:
             raise InvalidParameterError("all configured rounds already run")
-        k = self.round
         loss, grad = self.objective.loss_and_gradient(self.theta)
 
         if not 0 <= k - self._chunk[0] < len(self._chunk[1]):
@@ -373,41 +369,43 @@ class Simulation:
         updates = stacked_local_rounds(self.objective, self.theta, clients, cfg.Q,
                                        cfg.eta, u_batch, cfg.divergence_ceiling)
 
-        sigma, inf_norms, eps_cum = 0.0, [], float("inf")
-        if self.algorithm.private:
+        sigma, inf_norms, eps_cum, s2 = 0.0, [], float("inf"), cfg.s2
+        if p.private:
             sigma, eps_cum = float(self._sigmas[k]), float(self._eps_cum[k])
             if cfg.clip_mode == "median_adaptive":
                 s2 = max(median_clip_bound(l2_norms(updates)), 1e-12)
                 sigma *= s2
-                if self.algorithm.quantized and sigma > MAX_SIGMA:
+                if p.quantized and sigma > MAX_SIGMA:
                     raise DivergedError(f"median-clipped sigma {sigma:.6g} exceeds the "
                                         f"codec's MAX_SIGMA {MAX_SIGMA:.6g}")
-            else:
-                s2 = cfg.s2
             updates = clip_update(updates, s2)
             inf_norms = np.max(np.abs(updates), axis=1).tolist()
 
-        if self._pipeline.noisy:
+        if p.noisy:
             updates = updates + sigma * np.asarray(inv_norm_cdf(u_noise))
-        messages, clamp_count = [], 0
-        for cid, (bits, payload, scale, clamps) in zip(
-                clients, self._pipeline.encode(updates, sigma, uniforms)):
-            messages.append(serialize_message(
-                WireMessage(cid, k, cfg.d, bits, self.algorithm, payload, scale)))
-            clamp_count += clamps
-
-        parsed = [parse_message(raw) for raw in messages]
-        ids, rnds, dims, _, algos, _, scales = zip(*parsed)
-        for name, got, want in (("client_id", ids, clients), ("round", rnds, (k,)),
-                                ("dim", dims, (cfg.d,)), ("algorithm", algos, (self.algorithm,))):
-            if stray := set(got).difference(want):
-                raise InvalidParameterError(
-                    f"message {name} {stray.pop()} is outside round {k}'s schedule")
-        if replay is not None and list(ids) != clients:  # rows in header order: a copy
-            replay = tuple(u[[clients.index(i) for i in ids]] for u in replay)
+        coded = p.encode(updates, sigma, uniforms)  # (width, payload, scale, clamps) a row
+        parsed = [parse_message(serialize_message(
+            WireMessage(cid, k, cfg.d, bits, self.algorithm, payload, scale)))
+            for cid, (bits, payload, scale, _) in zip(clients, coded)]
+        # The headers must be the round's schedule in order (the decode reads the chunk's
+        # replay rows as they are), each width the one its scale needs, a clipped scale in the clip.
+        ids, rnds, dims, widths, algos, _, scales = zip(*parsed)
+        want = [("client_id", ids, tuple(clients)), ("round", rnds, (k,) * cfg.B),
+                ("dim", dims, (cfg.d,) * cfg.B), ("algorithm", algos, (self.algorithm,) * cfg.B)]
+        if p.quantized:
+            top = clip_ceiling(s2) if cfg.clip_mode == "fixed" and not p.noisy else math.inf
+            try:
+                want += [("scale", scales, tuple(min(s, top) for s in scales)),
+                         ("bits_per_element", widths, tuple(bit_width(scales, sigma).tolist()))]
+            except InvalidParameterError:  # the largest scale needs more than MAX_BITS
+                want = [("scale", (max(scales),), (None,))]
+        for name, got, fit in want:
+            if got != fit:
+                bad = next(g for g, f in zip(got, fit) if g != f)
+                raise InvalidParameterError(f"message {name} {bad} is outside round {k}'s schedule")
         # Rows added in turn to +0.0, as B separate decodes would give; np.add.reduce
         # would sum them pairwise where d = 1.
-        total = np.add.accumulate(self._pipeline.decode(parsed, sigma, replay))[-1] + 0.0
+        total = np.add.accumulate(p.decode(parsed, sigma, replay))[-1] + 0.0
         theta = self.theta + total / len(parsed)
         _check_divergence(theta[None], cfg.divergence_ceiling, "global")
         self.theta = theta
@@ -415,8 +413,8 @@ class Simulation:
                              bits_sent=sum(m.payload_bits for m in parsed),
                              sigma_used=sigma, epsilon_spent_cumulative=eps_cum,
                              loss=loss, grad_sq_norm=float(grad @ grad),
-                             clamp_count=clamp_count, inf_norms=inf_norms,
-                             scales=list(scales) if self.algorithm.quantized else [])
+                             clamp_count=sum(c for *_, c in coded), inf_norms=inf_norms,
+                             scales=list(scales) if p.quantized else [])
         self.records.append(record)
         self.round += 1
         return record

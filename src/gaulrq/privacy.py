@@ -107,6 +107,12 @@ def clip_update(delta, s2: float) -> np.ndarray:
     return delta / np.maximum(1.0, l2_norms(delta) / s2)[..., None]
 
 
+def clip_ceiling(s2: float) -> float:
+    """Largest inf-norm of a row of clip_update(delta, s2): s2 and its rounding (< 4 ulps),
+    or an element whose square is subnormal (< 2^-511), which clipping never enlarges."""
+    return max(s2 * (1.0 + 2.0**-51), 2.0**-511)
+
+
 def median_clip_bound(norms) -> float:
     """Lower median of the participating clients' unclipped update norms."""
     values = sorted(float(x) for x in norms)

@@ -1,7 +1,9 @@
 import csv
+import functools
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -17,10 +19,10 @@ from gaulrq.analysis import comm_cost
 from gaulrq.config import ExperimentConfig, build_simulation, run_experiment
 from gaulrq.errors import ConfigError, DivergedError, InvalidParameterError
 from gaulrq.normal import inv_norm_cdf
-from gaulrq.orchestrator import (AlgorithmKind, WireMessage,
+from gaulrq.orchestrator import (PIPELINES, AlgorithmKind, WireMessage,
                                  pack_indices, parse_message, sample_clients,
                                  serialize_message, unpack_indices)
-from gaulrq.privacy import clip_update
+from gaulrq.privacy import clip_ceiling, clip_update
 from gaulrq.quantizers import (MAX_BITS, bit_width, lrq_quantize_vector,
                                stochastic_quantize_indices)
 from gaulrq.streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
@@ -128,7 +130,7 @@ def test_pack_unpack_rows_match_per_row_calls(case):
 
 def test_serialize_parse_round_trip():
     for algo in AlgorithmKind:
-        if algo.quantized:
+        if PIPELINES[algo].quantized:
             payload = pack_indices([1, -2, 3], 4)
             msg = WireMessage(7, 11, 3, 4, algo, payload,
                               scale=0.5 if algo is AlgorithmKind.QG_SGD else 0.0)
@@ -145,7 +147,7 @@ def test_serialize_parse_round_trip():
 
 
 def _wire(algo=AlgorithmKind.GAU_LRQ_SGD, dim=3, bits=4):
-    if algo.quantized:
+    if PIPELINES[algo].quantized:
         return serialize_message(WireMessage(
             7, 11, dim, bits, algo, pack_indices(np.zeros(dim), bits), scale=0.5))
     return serialize_message(WireMessage(
@@ -204,10 +206,11 @@ def test_parsed_scale_is_the_inf_norm_bit_for_bit(algo, c):
 def _messages(draw):
     algo = draw(st.sampled_from(list(AlgorithmKind)))
     dim = draw(st.integers(0, 40))
-    bits = draw(st.integers(1, MAX_BITS)) if algo.quantized else 32
+    quantized = PIPELINES[algo].quantized
+    bits = draw(st.integers(1, MAX_BITS)) if quantized else 32
     idx = draw(st.lists(st.integers(0, (1 << bits) - 1), min_size=dim, max_size=dim))
     payload = pack_indices(np.array(idx, dtype=np.int64), bits)
-    scale = draw(st.floats(0.0, allow_infinity=False)) if algo.quantized else 0.0
+    scale = draw(st.floats(0.0, allow_infinity=False)) if quantized else 0.0
     return WireMessage(draw(st.integers(0, 2**32 - 1)), draw(st.integers(0, 2**32 - 1)),
                        dim, bits, algo, payload, scale=scale)
 
@@ -248,8 +251,10 @@ def test_wire_message_is_immutable(name):
 
 def test_algorithm_kind_lookup():
     assert AlgorithmKind["GAU_LRQ_SGD"] is AlgorithmKind.GAU_LRQ_SGD
-    assert not AlgorithmKind.LOCAL_SGD.private
-    assert AlgorithmKind.GAU_SGD.private and not AlgorithmKind.GAU_SGD.quantized
+    assert not PIPELINES[AlgorithmKind.LOCAL_SGD].private
+    assert PIPELINES[AlgorithmKind.GAU_SGD].private
+    assert not PIPELINES[AlgorithmKind.GAU_SGD].quantized
+    assert [kind.tag for kind in PIPELINES] == [kind.value for kind in AlgorithmKind]
     with pytest.raises(ConfigError, match="algorithm:"):
         ExperimentConfig.from_dict({"algorithm": "nope"})
 
@@ -567,16 +572,128 @@ def test_header_outside_the_round_schedule_is_rejected(algo, field, value, monke
     assert sim.theta.tobytes() == theta and sim.records == records and sim.round == 1
 
 
-def test_header_decodes_against_its_own_clients_replay(monkeypatch):
-    # A header naming another client of the round takes that client's layers.
-    sim = build_simulation(_config(algorithm="gau_lrq_sgd", N=10, B=3, K=4, s2=1.0))
-    replays = []
-    monkeypatch.setattr(orchestrator, "lrq_reconstruct_rows",
-                        lambda *args: replays.append(args[3]) or _RECONSTRUCT(*args))
-    _tamper_last_upload(monkeypatch, sim, "client_id", lambda msg, clients: clients[0])
+@pytest.mark.parametrize("case", ["duplicate", "swap"])
+@pytest.mark.parametrize("algo", ["gau_sgd", "qg_sgd", "gau_lrq_sgd"])
+def test_headers_out_of_schedule_order_are_rejected(algo, case, monkeypatch):
+    # The server decodes the chunk's replay rows in schedule order, so header i
+    # must name client i: a repeated client or two swapped uploads are rejected.
+    sim = build_simulation(_config(algorithm=algo, N=10, B=3, K=4, s2=1.0))
     sim.run_round()
-    (got,), replay = replays, sim._chunk[1][0][4]
-    assert all(np.array_equal(g, u[[0, 1, 0]]) for g, u in zip(got, replay))
+    theta, records = sim.theta.tobytes(), list(sim.records)
+    clients = sim._chunk[1][1][0]
+    if case == "duplicate":  # the last header repeats the first one's client
+        _tamper_last_upload(monkeypatch, sim, "client_id", lambda msg, clients: clients[0])
+        match = f"^message client_id {clients[0]} is outside round 1's schedule$"
+    else:  # the first two uploads, headers and payloads, trade places
+        encode = sim._pipeline.encode
+
+        def swapped(*args):
+            rows = encode(*args)
+            return [rows[1], rows[0], *rows[2:]]
+
+        sim._pipeline = sim._pipeline._replace(encode=swapped)
+        trade = {clients[0]: clients[1], clients[1]: clients[0]}
+        monkeypatch.setattr(orchestrator, "serialize_message", lambda msg: _SERIALIZE(
+            msg._replace(client_id=trade.get(msg.client_id, msg.client_id))))
+        match = f"^message client_id {clients[1]} is outside round 1's schedule$"
+    with pytest.raises(InvalidParameterError, match=match):
+        sim.run_round()
+    assert sim.theta.tobytes() == theta and sim.records == records and sim.round == 1
+
+
+def _round_zero(algo, clip_mode, tamper=None):
+    """Round 0 of a 6-client, d = 8 run, each upload passed through ``tamper``:
+    the simulation, the uploads as sent, and the error the round raised."""
+    sim = build_simulation(_config(algorithm=algo, clip_mode=clip_mode, N=6, B=3, K=2, d=8,
+                                   s2=1.0, seed=1))
+    sent, error = [], None
+
+    def serialize(msg):
+        sent.append(tamper(msg) if tamper else msg)
+        return _SERIALIZE(sent[-1])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orchestrator, "serialize_message", serialize)
+        try:
+            sim.run_round()
+        except InvalidParameterError as exc:
+            error = str(exc)
+    return sim, sent, error
+
+
+@pytest.mark.parametrize("algo, change, field", [
+    ("qg_sgd", dict(bits_per_element=40), "bits_per_element"),
+    ("gau_lrq_sgd", dict(bits_per_element=40), "bits_per_element"),
+    ("dynamic_gau_lrq_sgd", dict(bits_per_element=2), "bits_per_element"),
+    ("qg_sgd", dict(scale=4.0), "bits_per_element"),
+    ("gau_lrq_sgd", dict(scale=4.0), "scale"),
+    ("qg_sgd", dict(scale=1e200), "scale"),
+    ("gau_lrq_sgd", dict(scale=1e200), "scale"),
+    ("gau_lrq_sgd", dict(scale=1.0 + 2.0**-50), "scale")])
+def test_header_the_server_can_recompute_is_checked(algo, change, field):
+    # The width each scale needs at sigma, and under fixed clipping a layered
+    # upload's scale at most s2 = 1: a header that breaks either is rejected
+    # before any decode, with a payload of the length its width declares.
+    def tamper(msg):
+        msg = msg._replace(**change)
+        return msg._replace(payload=bytes((msg.dim * msg.bits_per_element + 7) // 8))
+
+    sim, sent, error = _round_zero(algo, "fixed", tamper)
+    assert re.fullmatch(f"message {field} [^ ]+ is outside round 0's schedule", error)
+    assert sim.theta.tobytes() == sim.theta0.tobytes() and sim.records == [] and sim.round == 0
+
+
+@functools.cache
+def _honest_round_zero(algo, clip_mode):
+    sim, sent, error = _round_zero(algo, clip_mode)
+    assert error is None
+    return tuple(sent), sim.records[0].sigma_used, sim.theta.tobytes()
+
+
+_TAMPER = {
+    "client_id": lambda msg: st.integers(0, 7),
+    "round": lambda msg: st.integers(0, 2),
+    "dim": lambda msg: st.integers(0, 9),
+    "bits_per_element": lambda msg: st.sampled_from([1, 2, 3, 5, 8, 31, 32, MAX_BITS]),
+    "algorithm": lambda msg: st.sampled_from(list(AlgorithmKind)),
+    "scale": lambda msg: st.one_of(st.floats(0.0, 4.0).map(lambda f: f * msg.scale),
+                                   st.floats(0.0, 1e300)),
+}
+
+
+@settings(max_examples=300, deadline=None)
+@given(algo=st.sampled_from([a.name.lower() for a in AlgorithmKind]),
+       clip_mode=st.sampled_from(["fixed", "median_adaptive"]), which=st.integers(0, 2),
+       field=st.sampled_from(sorted(_TAMPER)), data=st.data())
+def test_tampered_header_is_rejected_or_decodes_the_same(algo, clip_mode, which, field, data):
+    """One header field of one real upload of round 0 changes. The round then
+    raises InvalidParameterError, leaving the run as it was, or decodes the same
+    bytes. A change to the client, round, dim, algorithm or width is always
+    rejected, and so is a scale that moves its width or, for the layered codecs
+    under fixed clipping, passes clip_ceiling(s2). Any other scale is data the
+    server cannot check: that round is accepted, and its model moves."""
+    sent, sigma, theta = _honest_round_zero(algo, clip_mode)
+    msg = sent[which]
+    new = msg._replace(**{field: data.draw(_TAMPER[field](msg))})
+    if new.dim * new.bits_per_element != msg.dim * msg.bits_per_element:
+        new = new._replace(payload=bytes((new.dim * new.bits_per_element + 7) // 8))
+    reject = _SERIALIZE(new) != _SERIALIZE(msg)
+    pipeline = PIPELINES[msg.algorithm]
+    if field == "scale" and reject:
+        try:
+            moved = bit_width(new.scale, sigma) != msg.bits_per_element
+        except InvalidParameterError:
+            moved = True
+        reject = moved or (not pipeline.noisy and clip_mode == "fixed"
+                           and new.scale > clip_ceiling(1.0))
+    sim, _, error = _round_zero(algo, clip_mode, lambda m: new if m == msg else m)
+    if reject:
+        assert error is not None
+        assert sim.theta.tobytes() == sim.theta0.tobytes() and sim.records == []
+    else:
+        assert error is None
+        if _SERIALIZE(new) == _SERIALIZE(msg):
+            assert sim.theta.tobytes() == theta
 
 
 _REPLAY = """
@@ -640,7 +757,7 @@ def test_wire_scales_price_the_meter(algo, clip_mode):
         run_id="acc9"))
     trace = run_experiment(cfg)
     scales = [r.scales for r in trace.records]
-    if not AlgorithmKind[algo.upper()].quantized:
+    if not PIPELINES[AlgorithmKind[algo.upper()]].quantized:
         assert scales == [[]] * cfg.K
         return
     sigmas = [r.sigma_used for r in trace.records]
@@ -674,7 +791,7 @@ def test_accountant_within_budget():
 
 
 @settings(max_examples=60, deadline=None)
-@given(algo=st.sampled_from([a.name.lower() for a in AlgorithmKind if a.private]),
+@given(algo=st.sampled_from([a.name.lower() for a, p in PIPELINES.items() if p.private]),
        clip_mode=st.sampled_from(["fixed", "median_adaptive"]),
        nb=st.integers(1, 6).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n))),
        K=st.integers(1, 6), epsilon=st.floats(0.1, 10.0), delta=st.floats(1e-8, 0.1),

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 
 import numpy as np
@@ -7,8 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from gaulrq.errors import InvalidParameterError
-from gaulrq.privacy import (clip_update, l2_norms, median_clip_bound, noise_schedule,
-                            round_epsilons)
+from gaulrq.privacy import (clip_ceiling, clip_update, l2_norms, median_clip_bound,
+                            noise_schedule, round_epsilons)
 
 EPS, DELTA = 1.0, 1e-5
 
@@ -226,6 +227,23 @@ def test_clip_rows_equal_clip_of_each_row():
         one_by_one = [r / max(1.0, float(np.linalg.norm(r)) / s2) for r in rows]
         assert np.array_equal(clipped, np.array(one_by_one))
         assert np.array_equal(clipped[3], clip_update(rows[3], s2))
+
+
+@settings(max_examples=400, deadline=None)
+@given(rows=st.integers(1, 12).flatmap(lambda d: st.lists(
+           st.lists(st.floats(-1e150, 1e150), min_size=d, max_size=d), min_size=1, max_size=4)),
+       s2=st.floats(5e-324, 1e300))
+@example(rows=[[1e-170]], s2=1e-300)  # the norm's square underflows: the row stays unclipped
+@example(rows=[[3e-160, 1e-160]], s2=1e-300)  # subnormal squares: an imprecise norm
+@example(rows=[[1.0, 1e-9]], s2=0.1)  # one element carries almost all of the norm
+@example(rows=[[2.0**-511]], s2=2.0**-600)
+def test_clip_update_stays_within_its_ceiling(rows, s2):
+    # The server rejects a layered upload whose scale passes clip_ceiling(s2),
+    # so no honest clipped row may. The domain is where the ratio of a row's
+    # norm to s2 stays finite.
+    rows = np.array(rows)
+    assume(float(np.max(l2_norms(rows))) <= s2 * sys.float_info.max)
+    assert np.max(np.abs(clip_update(rows, s2))) <= clip_ceiling(s2)
 
 
 def test_median_clip_bound():
