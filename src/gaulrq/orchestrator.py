@@ -393,7 +393,7 @@ class Simulation:
         want = [("client_id", ids, tuple(clients)), ("round", rnds, (k,) * cfg.B),
                 ("dim", dims, (cfg.d,) * cfg.B), ("algorithm", algos, (self.algorithm,) * cfg.B)]
         if p.quantized:
-            top = clip_ceiling(s2) if cfg.clip_mode == "fixed" and not p.noisy else math.inf
+            top = math.inf if p.noisy else clip_ceiling(s2)
             try:
                 want += [("scale", scales, tuple(min(s, top) for s in scales)),
                          ("bits_per_element", widths, tuple(bit_width(scales, sigma).tolist()))]

@@ -26,6 +26,8 @@ its header, so no sampling amplification applies against it.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidParameterError
@@ -100,17 +102,37 @@ def l2_norms(delta):
 
 def clip_update(delta, s2: float) -> np.ndarray:
     """Scale the update (each row of a (B, d) stack) so its L2 norm is at most
-    s2, direction preserved."""
+    s2, direction preserved: row / max(1, ||row|| / s2).
+
+    A row whose computed norm is below 2^-511 (its squares may have underflowed),
+    or whose norm or norm / s2 overflows, is measured at unit inf-norm instead:
+    with top = max|row| and n = ||row / top||, it becomes (row / top) * (s2 / n)
+    if top * n > s2, and stays as it is otherwise. Finding such rows costs a few
+    B-element tests; only they take a second pass over d.
+    """
     if not (np.isfinite(s2) and s2 > 0.0):
         raise InvalidParameterError("s2 must be finite and > 0")
     delta = np.asarray(delta, dtype=np.float64)
-    return delta / np.maximum(1.0, l2_norms(delta) / s2)[..., None]
+    with np.errstate(over="ignore"):  # an overflowed norm or ratio is redone below
+        norms = l2_norms(delta)
+        ratio = np.maximum(1.0, norms / s2)
+    out = delta / ratio[..., None]
+    edge = ~((norms >= 2.0**-511) & (ratio < math.inf))
+    if edge.any():
+        s2 = float(s2)  # Python floats: s2 / top may overflow to inf, unwarned
+        rows, out_rows = delta.reshape(-1, delta.shape[-1]), out.reshape(-1, delta.shape[-1])
+        for i in np.flatnonzero(edge):
+            top = float(np.max(np.abs(rows[i])))
+            if top > 0.0:  # an all-zero row stays as it is
+                unit = rows[i] / top
+                n = math.sqrt(unit @ unit)  # in [1, sqrt(d)], so underflowed squares do not count
+                out_rows[i] = unit * (s2 / n) if n > s2 / top else rows[i]
+    return out
 
 
 def clip_ceiling(s2: float) -> float:
-    """Largest inf-norm of a row of clip_update(delta, s2): s2 and its rounding (< 4 ulps),
-    or an element whose square is subnormal (< 2^-511), which clipping never enlarges."""
-    return max(s2 * (1.0 + 2.0**-51), 2.0**-511)
+    """Largest inf-norm of a row of clip_update(delta, s2): s2 and its rounding (< 4 ulps)."""
+    return s2 * (1.0 + 2.0**-51)
 
 
 def median_clip_bound(norms) -> float:

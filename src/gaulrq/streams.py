@@ -16,7 +16,6 @@ out of band, before training starts.
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import numbers
 from dataclasses import dataclass
@@ -63,13 +62,6 @@ def _to_unit(v):
     return np.minimum(u, _INTERIOR_HI, out=u)
 
 
-@functools.lru_cache(maxsize=4096)
-def _seed_key(root_seed: int, run_id: str) -> np.uint64:
-    h = hashlib.blake2b(run_id.encode("utf-8"), digest_size=8).digest()
-    with np.errstate(over="ignore"):
-        return _splitmix64(np.uint64(root_seed ^ int.from_bytes(h, "little")))
-
-
 @dataclass(frozen=True)
 class SeedMaterial:
     """Root key for a run: a 64-bit seed plus a textual run label."""
@@ -83,7 +75,9 @@ class SeedMaterial:
 
     def key(self) -> np.uint64:
         """Effective 64-bit key: root seed folded with a stable run_id hash."""
-        return _seed_key(int(self.root_seed), self.run_id)
+        h = hashlib.blake2b(self.run_id.encode("utf-8"), digest_size=8).digest()
+        with np.errstate(over="ignore"):
+            return _splitmix64(np.uint64(int(self.root_seed) ^ int.from_bytes(h, "little")))
 
     def lane(self, label: str) -> "SeedMaterial":
         """Independent sub-stream family (quantization, batching, noise, ...)."""

@@ -109,7 +109,9 @@ def test_cmd_run_invalid_config_exit_status(tmp_path, capsys):
 def test_cmd_run_oversized_config_is_one_config_error(tmp_path, capsys, field, overrides):
     cfg = _write_config(tmp_path, overrides)
     out = tmp_path / "never"
-    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
     out_text, err = capsys.readouterr()
     assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
     assert out_text == "" and not out.exists()
@@ -334,6 +336,22 @@ def test_cmd_run_sigma_outside_the_codec_is_a_config_error(tmp_path, capsys, ove
     assert captured.err.count("\n") == 1
 
 
+# Finite sigma where s2 * s2 and (N * epsilon)^2, or sum_i tau^{-i/2} (sigma_0 ~
+# 1.8e226 at K = 3000, tau = 0.5), used to overflow. Both configs pass validation;
+# their noise then diverges the model in round 0.
+@pytest.mark.parametrize("overrides", [
+    {"s2": 1e200, "epsilon": 1e10, "tau": 0.9},
+    {"K": 3000, "s2": 1.0, "epsilon": 1.0, "tau": 0.5}], ids=["big-s2", "long-decay"])
+def test_cmd_run_finite_sigma_past_the_old_overflow_diverges(tmp_path, overrides):
+    cfg = _write_config(tmp_path, {"algorithm": "dynamic_gau_lrq_sgd", "K": 2, "d": 5,
+                                   **overrides})
+    proc = _run_strict(cfg, tmp_path / "out")
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
+    assert [line for line in proc.stderr.splitlines() if line.startswith("run error:")] == \
+        ["run error: global model norm exceeded ceiling 1e+06"]
+
+
 def test_cmd_run_median_sigma_above_max_is_a_run_error(tmp_path):
     # sigma_k at S2 = 1 is 3.4e296 and round 0's median clip bound (about 0.3)
     # scales it to 1.0e296 > MAX_SIGMA. Only the round knows the median, so the
@@ -477,7 +495,9 @@ def test_verify_noise_too_few(capsys):
 
 def test_verify_noise_too_many(capsys):
     # 10^11 draws would take 745 GiB; the cap's 10^7 peak at 0.84 GiB (tracemalloc).
-    assert main(["verify-noise", "--sigma", "1", "--n", str(10**11)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["verify-noise", "--sigma", "1", "--n", str(10**11)]) == 2
     out, err = capsys.readouterr()
     assert out == "" and err == f"error: need 100 to {10**7} draws, got {10**11}\n"
 

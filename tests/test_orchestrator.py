@@ -643,11 +643,24 @@ def test_header_the_server_can_recompute_is_checked(algo, change, field):
     assert sim.theta.tobytes() == sim.theta0.tobytes() and sim.records == [] and sim.round == 0
 
 
+def test_layered_scale_above_the_round_median_is_rejected():
+    # Under median clipping the round's s2 is its median norm, 0.276 here, and the
+    # server scales sigma by it: a layered upload's scale above clip_ceiling of that
+    # median is rejected, naming the scale, before any decode.
+    sim, _, error = _round_zero("dynamic_gau_lrq_sgd", "median_adaptive",
+                                lambda msg: msg._replace(scale=0.3))
+    assert error == "message scale 0.3 is outside round 0's schedule"
+    assert sim.theta.tobytes() == sim.theta0.tobytes() and sim.records == [] and sim.round == 0
+
+
 @functools.cache
 def _honest_round_zero(algo, clip_mode):
+    """The uploads of an accepted round 0, its sigma, theta after it, and its s2."""
     sim, sent, error = _round_zero(algo, clip_mode)
     assert error is None
-    return tuple(sent), sim.records[0].sigma_used, sim.theta.tobytes()
+    sigma = sim.records[0].sigma_used
+    s2 = sigma / sim._sigmas[0] if clip_mode == "median_adaptive" and sigma else 1.0
+    return tuple(sent), sigma, sim.theta.tobytes(), s2
 
 
 _TAMPER = {
@@ -669,10 +682,11 @@ def test_tampered_header_is_rejected_or_decodes_the_same(algo, clip_mode, which,
     """One header field of one real upload of round 0 changes. The round then
     raises InvalidParameterError, leaving the run as it was, or decodes the same
     bytes. A change to the client, round, dim, algorithm or width is always
-    rejected, and so is a scale that moves its width or, for the layered codecs
-    under fixed clipping, passes clip_ceiling(s2). Any other scale is data the
+    rejected, and so is a scale that moves its width or, for the layered codecs,
+    passes clip_ceiling of the round's s2: 1, or under median clipping the
+    median, sigma over the S2 = 1 schedule's sigma_0. Any other scale is data the
     server cannot check: that round is accepted, and its model moves."""
-    sent, sigma, theta = _honest_round_zero(algo, clip_mode)
+    sent, sigma, theta, s2 = _honest_round_zero(algo, clip_mode)
     msg = sent[which]
     new = msg._replace(**{field: data.draw(_TAMPER[field](msg))})
     if new.dim * new.bits_per_element != msg.dim * msg.bits_per_element:
@@ -684,8 +698,7 @@ def test_tampered_header_is_rejected_or_decodes_the_same(algo, clip_mode, which,
             moved = bit_width(new.scale, sigma) != msg.bits_per_element
         except InvalidParameterError:
             moved = True
-        reject = moved or (not pipeline.noisy and clip_mode == "fixed"
-                           and new.scale > clip_ceiling(1.0))
+        reject = moved or (not pipeline.noisy and new.scale > clip_ceiling(s2))
     sim, _, error = _round_zero(algo, clip_mode, lambda m: new if m == msg else m)
     if reject:
         assert error is not None

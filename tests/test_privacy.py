@@ -1,6 +1,6 @@
 import math
-import sys
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -188,6 +188,13 @@ def test_clip_examples():
     small = np.array([0.3, 0.4])
     assert np.array_equal(clip_update(small, 1.0), small)
     assert np.array_equal(clip_update(np.zeros(3), 1.0), np.zeros(3))
+    # At float64's edges: a norm whose square underflows or overflows, and a
+    # norm / s2 that overflows. Each row comes out at norm s2, direction kept.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert clip_update([1e-170], 1e-300).tolist() == [1e-300]
+        assert clip_update([1e10], 1e-300).tolist() == [1e-300]
+        assert np.allclose(clip_update([[1e200, 1e200]], 1.0), 0.5**0.5, rtol=2**-50, atol=0)
 
 
 def test_clip_is_projection_and_contractive():
@@ -231,19 +238,32 @@ def test_clip_rows_equal_clip_of_each_row():
 
 @settings(max_examples=400, deadline=None)
 @given(rows=st.integers(1, 12).flatmap(lambda d: st.lists(
-           st.lists(st.floats(-1e150, 1e150), min_size=d, max_size=d), min_size=1, max_size=4)),
+           st.lists(st.floats(-1e300, 1e300), min_size=d, max_size=d), min_size=1, max_size=4)),
        s2=st.floats(5e-324, 1e300))
-@example(rows=[[1e-170]], s2=1e-300)  # the norm's square underflows: the row stays unclipped
+@example(rows=[[1e-170]], s2=1e-300)  # the norm's square underflows to 0
+@example(rows=[[1e10]], s2=1e-300)  # norm / s2 overflows
+@example(rows=[[1e200, 1e200]], s2=1.0)  # the norm's square overflows
 @example(rows=[[3e-160, 1e-160]], s2=1e-300)  # subnormal squares: an imprecise norm
 @example(rows=[[1.0, 1e-9]], s2=0.1)  # one element carries almost all of the norm
 @example(rows=[[2.0**-511]], s2=2.0**-600)
 def test_clip_update_stays_within_its_ceiling(rows, s2):
     # The server rejects a layered upload whose scale passes clip_ceiling(s2),
-    # so no honest clipped row may. The domain is where the ratio of a row's
-    # norm to s2 stays finite.
-    rows = np.array(rows)
-    assume(float(np.max(l2_norms(rows))) <= s2 * sys.float_info.max)
-    assert np.max(np.abs(clip_update(rows, s2))) <= clip_ceiling(s2)
+    # so no honest clipped row may; and the noise is calibrated to a norm of s2,
+    # which a row clipped from above must also reach. Norms are checked exactly,
+    # in rationals, to 2^-50 relative plus one subnormal step (2^-1074) an
+    # element: the grid a tiny s2 rounds to.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        clipped = clip_update(np.array(rows), s2)
+    assert np.max(np.abs(clipped)) <= clip_ceiling(s2)
+    bound, step = Fraction(s2), Fraction(len(rows[0]) ** 0.5) / 2**1074
+    hi = bound * (1 + Fraction(1, 2**50)) + step
+    lo = bound * (1 - Fraction(1, 2**50)) - step
+    for row, out in zip(rows, clipped):
+        norm2 = sum(Fraction(x) ** 2 for x in out)
+        assert norm2 <= hi**2
+        if lo > 0 and sum(Fraction(x) ** 2 for x in row) > bound**2:
+            assert norm2 >= lo**2
 
 
 def test_median_clip_bound():
