@@ -100,10 +100,9 @@ class ExperimentConfig:
             errors.append("s2: must be > 0 for fixed clipping")
         if self.objective not in OBJECTIVE_KINDS:
             errors.append(f"objective: must be one of {OBJECTIVE_KINDS}")
-        if self.label_noise < 0:
-            errors.append("label_noise: must be >= 0")
-        if self.ridge < 0:
-            errors.append("ridge: must be >= 0")
+        for name in ("label_noise", "ridge", "heterogeneity"):
+            if getattr(self, name) < 0:
+                errors.append(f"{name}: must be >= 0")
         if self.batch_size < 0:
             errors.append("batch_size: must be >= 0 (0 = full batch)")
         elif self.batch_size > self.n_per_client:

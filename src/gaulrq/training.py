@@ -10,7 +10,9 @@ are defined over N equal client shards, one (N, n, d) features tensor and
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -19,8 +21,19 @@ from scipy.special import expit
 from .errors import DivergedError, InvalidParameterError
 
 OBJECTIVE_KINDS = ("least_squares", "logistic")
-# Batch bytes per block of stacked_local_rounds: half a 2 MiB per-core L2.
+# Bytes per block of stacked_local_rounds and the build's scans: half a 2 MiB per-core L2.
 _BLOCK_BYTES = 1 << 20
+_SLAB = 1 << 20  # values per seeded slab of synth_partition's features: defines the data
+
+
+def _on_two_threads(work, count, nbytes):
+    """[work(0, count)]; or, once ``nbytes`` pass _BLOCK_BYTES, [work(0, h), work(h,
+    count)] for h = count // 2, the second on a worker thread, joined (its error re-raised)."""
+    if count < 2 or nbytes <= _BLOCK_BYTES:
+        return [work(0, count)]
+    with ThreadPoolExecutor(1) as pool:
+        upper = pool.submit(work, count // 2, count)
+        return [work(0, count // 2), upper.result()]
 
 
 class LocalDataset(NamedTuple):
@@ -60,7 +73,7 @@ class Objective:
 
     ``features`` (N, n, d) and ``targets`` (N, n) are adopted without a copy
     as ``shards``: their shapes make the shards equal. ``datasets`` are the
-    per-client row views of them; ``_X``/``_y`` are their (N*n)-row reshapes.
+    per-client row views of them, made when read; ``_X``/``_y`` their (N*n)-row reshapes.
     """
 
     def __init__(self, features, targets, kind="least_squares", ridge=0.0):
@@ -76,19 +89,21 @@ class Objective:
         if X.ndim != 3 or y.shape != X.shape[:2] or X.size == 0:
             raise InvalidParameterError(f"need non-empty (N, n, d) features and (N, n) "
                                         f"targets, got {X.shape} and {y.shape}")
-        # Shard by shard: no (N, n, d) boolean temporary.
-        if not all(np.isfinite(Xi).all() and np.isfinite(yi).all() for Xi, yi in zip(X, y)):
-            raise InvalidParameterError("dataset entries must be finite")
         N, n, self.dimension = X.shape
+        self._X, self._y = X.reshape(N * n, -1), y.reshape(N * n)
+        rows = max(1, _BLOCK_BYTES // X[0, 0].nbytes)  # row blocks: no (N, n, d) bool array
+        finite = _on_two_threads(lambda lo, hi: all(np.isfinite(self._X[i:i + rows]).all()
+                                                    for i in range(lo, hi, rows)), N * n, X.nbytes)
+        if not (all(finite) and np.isfinite(y).all()):
+            raise InvalidParameterError("dataset entries must be finite")
         self.kind = kind
         self.ridge = float(ridge)
         # Every sample weighs 1/(N*n): the mean of equal-size per-client means.
         self._w = 1.0 / (N * n)
         self.shards = (X, y)
-        self.datasets = [LocalDataset(Xi, yi) for Xi, yi in zip(X, y)]
-        self._X = X.reshape(N * n, -1)
-        self._y = y.reshape(N * n)
         self._gram = None
+
+    datasets = cached_property(lambda self: [LocalDataset(*s) for s in zip(*self.shards)])
 
     # -- evaluation ---------------------------------------------------------
 
@@ -168,17 +183,22 @@ class Objective:
         return theta, self.full_loss(theta)
 
     def grad_variance_bound(self, theta0):
-        """Max over clients of the empirical single-sample gradient variance: the
-        steps of sample_gradients on each whole shard, in one reused (n, d) buffer."""
+        """Max over clients of the empirical single-sample gradient variance: the steps of
+        sample_gradients on a whole shard, less the ridge term centring cancels, in blocks of
+        ~_BLOCK_BYTES of shards on _on_two_threads' halves (one thread if a shard is bigger)."""
         X, y = self.shards
-        theta0, grads = np.asarray(theta0, dtype=np.float64), np.empty(X.shape[1:])
-        worst = 0.0
-        for Xi, yi in zip(X, y):
-            np.multiply(Xi, _residual(self.kind, Xi @ theta0, yi)[:, None], out=grads)
-            grads += self.ridge * theta0
-            grads -= grads.mean(0)
-            worst = max(worst, float(np.mean(np.sum(np.square(grads, out=grads), axis=1))))
-        return worst
+        theta0, clients = np.asarray(theta0, dtype=np.float64), max(1, _BLOCK_BYTES // X[0].nbytes)
+
+        def worst(lo, hi):
+            top, buf = 0.0, np.empty((min(clients, hi - lo), *X.shape[1:]))
+            for i in range(lo, hi, clients):
+                s = slice(i, min(i + clients, hi))
+                grads = np.multiply(X[s], _residual(self.kind, np.matmul(X[s], theta0), y[s])
+                                    [:, :, None], out=buf[:s.stop - i])
+                grads -= grads.mean(1, keepdims=True)
+                top = max(top, float(np.square(grads, out=grads).sum(2).mean(1).max()))
+            return top
+        return max(_on_two_threads(worst, len(X), X.nbytes if X[0].nbytes <= _BLOCK_BYTES else 0))
 
     def spec(self, theta0) -> ObjectiveSpec:
         _, f_star = self.optimum()
@@ -304,23 +324,29 @@ def synth_partition(global_seed: int, N: int, d: int, n_per_client: int,
     through a sigmoid for logistic). ``heterogeneity`` shifts each client's
     planted vector independently; zero gives iid shards.
 
+    Features fill the flat tensor in slabs of _SLAB values, slab s from child s of
+    SeedSequence(global_seed), on _on_two_threads' halves; the next child draws the
+    shifts, if any, the root stream the planted vector, then all label noise or sigmoid
+    uniforms. So the data depend on _SLAB (a declared data change), never on threads.
+
     Returns (features, targets): one read-only (N, n, d) tensor and (N, n)
-    array, each client's block drawn in place, which Objective adopts as its
-    shards without a copy.
+    array, which Objective adopts as its shards without a copy.
     """
     if kind not in OBJECTIVE_KINDS:
         raise InvalidParameterError(f"unknown objective kind {kind!r}")
     if N < 1 or d < 1 or n_per_client < 1:
         raise InvalidParameterError("all counts must be positive")
     rng = np.random.default_rng(global_seed)
-    w_star = rng.standard_normal(d)
-    features, targets = np.empty((N, n_per_client, d)), np.empty((N, n_per_client))
-    for i in range(N):
-        w = w_star + heterogeneity * rng.standard_normal(d)
-        z = rng.standard_normal(out=features[i]) @ w
-        if kind == "least_squares":
-            targets[i] = z + noise_std * rng.standard_normal(n_per_client)
-        else:
-            targets[i] = rng.random(n_per_client) < expit(z)
+    w, features = rng.standard_normal(d), np.empty((N, n_per_client, d))
+    flat, slabs = features.reshape(-1), -(-features.size // _SLAB)
+    streams = rng.spawn(slabs + 1)
+    _on_two_threads(lambda lo, hi: [streams[s].standard_normal(out=flat[s * _SLAB:(s + 1) * _SLAB])
+                                    for s in range(lo, hi)], slabs, features.nbytes)
+    w = w + heterogeneity * streams[slabs].standard_normal((N, d)) if heterogeneity else w
+    z = np.matmul(features, w[..., None])[..., 0]
+    if kind == "least_squares":
+        targets = z + noise_std * rng.standard_normal(z.shape)
+    else:
+        targets = (rng.random(z.shape) < expit(z)).astype(np.float64)
     features.flags.writeable = targets.flags.writeable = False
     return features, targets

@@ -223,6 +223,15 @@ def test_cmd_run_rejects_bad_clip_settings(tmp_path, capsys, field, value, messa
     assert not out.exists()
 
 
+@pytest.mark.parametrize("field", ["label_noise", "ridge", "heterogeneity"])
+def test_cmd_run_rejects_negative_data_knobs(tmp_path, capsys, field):
+    cfg = _write_config(tmp_path, {field: -0.5})
+    out = tmp_path / "never"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"config error: {field}: must be >= 0\n"
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("batch_size, ok", [(0, True), (8, True), (9, False), (10**6, False)])
 def test_cmd_run_batch_size_at_most_the_shard(tmp_path, capsys, batch_size, ok):
     # 0 and n_per_client (8) both run full batch; a larger batch would too, silently.

@@ -23,7 +23,7 @@ from gaulrq.orchestrator import (PIPELINES, AlgorithmKind, WireMessage,
                                  pack_indices, parse_message, sample_clients,
                                  serialize_message, unpack_indices)
 from gaulrq.privacy import clip_ceiling, clip_update
-from gaulrq.quantizers import (MAX_BITS, bit_width, lrq_quantize_vector,
+from gaulrq.quantizers import (MAX_BITS, MIN_STEP_FACTOR, bit_width, lrq_quantize_vector,
                                stochastic_quantize_indices)
 from gaulrq.streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
 from gaulrq.training import ModelState, local_rounds
@@ -663,14 +663,26 @@ def _honest_round_zero(algo, clip_mode):
     return tuple(sent), sigma, sim.theta.tobytes(), s2
 
 
+def _past_the_ceiling(msg, s2, sigma):
+    """Scales in (c, top]: past the round's clip ceiling c, at most 4x the sent scale,
+    and at most the largest scale of the sent width at sigma (c if there is none)."""
+    c = clip_ceiling(s2)
+    top = min(4.0 * msg.scale, (2 ** msg.bits_per_element - 1) * MIN_STEP_FACTOR * sigma / 2)
+    return st.floats(c, top, exclude_min=True) if top > c else st.just(c)
+
+
+# Strategies for a header field, given the upload, its round's s2 and sigma. Three in
+# four scales are _past_the_ceiling, which the server must reject for the layered
+# codecs, median clipping included, though their width is the one sent.
 _TAMPER = {
-    "client_id": lambda msg: st.integers(0, 7),
-    "round": lambda msg: st.integers(0, 2),
-    "dim": lambda msg: st.integers(0, 9),
-    "bits_per_element": lambda msg: st.sampled_from([1, 2, 3, 5, 8, 31, 32, MAX_BITS]),
-    "algorithm": lambda msg: st.sampled_from(list(AlgorithmKind)),
-    "scale": lambda msg: st.one_of(st.floats(0.0, 4.0).map(lambda f: f * msg.scale),
-                                   st.floats(0.0, 1e300)),
+    "client_id": lambda msg, s2, sigma: st.integers(0, 7),
+    "round": lambda msg, s2, sigma: st.integers(0, 2),
+    "dim": lambda msg, s2, sigma: st.integers(0, 9),
+    "bits_per_element": lambda msg, s2, sigma: st.sampled_from([1, 2, 3, 5, 8, 31, 32, MAX_BITS]),
+    "algorithm": lambda msg, s2, sigma: st.sampled_from(list(AlgorithmKind)),
+    "scale": lambda msg, s2, sigma: st.integers(0, 3).flatmap(lambda i: st.one_of(
+        st.floats(0.0, 4.0).map(lambda f: f * msg.scale), st.floats(0.0, 1e300))
+        if i == 0 else _past_the_ceiling(msg, s2, sigma)),
 }
 
 
@@ -688,7 +700,7 @@ def test_tampered_header_is_rejected_or_decodes_the_same(algo, clip_mode, which,
     server cannot check: that round is accepted, and its model moves."""
     sent, sigma, theta, s2 = _honest_round_zero(algo, clip_mode)
     msg = sent[which]
-    new = msg._replace(**{field: data.draw(_TAMPER[field](msg))})
+    new = msg._replace(**{field: data.draw(_TAMPER[field](msg, s2, sigma))})
     if new.dim * new.bits_per_element != msg.dim * msg.bits_per_element:
         new = new._replace(payload=bytes((new.dim * new.bits_per_element + 7) // 8))
     reject = _SERIALIZE(new) != _SERIALIZE(msg)

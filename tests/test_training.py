@@ -1,4 +1,7 @@
+import threading
+import time
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -48,26 +51,79 @@ def test_logistic_targets_binary():
 
 
 @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
-def test_synth_matches_per_client_draws(kind):
-    # The reference draws each client's block as its own (n, d) array.
+def test_synth_matches_per_client_draws(kind, monkeypatch):
+    # The reference draws the flat features slab by slab, slab s from child s
+    # of the seed's SeedSequence; 10-value slabs cut through the 35-value
+    # client blocks. The next child draws the shifts, the root the rest.
+    monkeypatch.setattr(training, "_SLAB", 10)
     N, d, n, noise, het = 4, 5, 7, 0.3, 0.8
+    children = np.random.SeedSequence(11).spawn(15)
+    X = np.concatenate([np.random.default_rng(children[s]).standard_normal(10)
+                        for s in range(14)])[:N * n * d].reshape(N, n, d)
     rng = np.random.default_rng(11)
-    w_star = rng.standard_normal(d)
-    for Xi, yi in zip(*synth_partition(11, N, d, n, noise, kind=kind, heterogeneity=het)):
-        w = w_star + het * rng.standard_normal(d)
-        X = rng.standard_normal((n, d))
-        z = X @ w
-        if kind == "least_squares":
-            y = z + noise * rng.standard_normal(n)
-        else:
-            y = (rng.random(n) < expit(z)).astype(np.float64)
-        assert np.array_equal(Xi, X)
-        assert np.array_equal(yi, y)
+    w = rng.standard_normal(d) + het * np.random.default_rng(children[14]).standard_normal((N, d))
+    z = np.stack([X[i] @ w[i] for i in range(N)])
+    if kind == "least_squares":
+        y = z + noise * rng.standard_normal((N, n))
+    else:
+        y = (rng.random((N, n)) < expit(z)).astype(np.float64)
+    features, targets = synth_partition(11, N, d, n, noise, kind=kind, heterogeneity=het)
+    assert np.array_equal(features, X)
+    assert np.array_equal(targets, y)
+
+
+@pytest.mark.parametrize("slab", [1 << 20, 10], ids=["one-slab", "slabs-cut-clients"])
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+def test_no_result_depends_on_the_thread_split(kind, slab, monkeypatch):
+    # A byte bound of 1 splits every draw and scan over two threads but the variance
+    # bound's, whose blocks would each be smaller than a shard; one shard's bytes split
+    # that too, in blocks of one shard; 1 TiB splits nothing. The data, the constants
+    # and the finiteness check must be the same.
+    monkeypatch.setattr(training, "_SLAB", slab)
+    pools = []
+    monkeypatch.setattr(training, "ThreadPoolExecutor",
+                        lambda n: pools.append(n) or ThreadPoolExecutor(n))
+    theta0 = np.random.default_rng(3).standard_normal(5)
+    got, splits = [], []
+    for block_bytes in (1, 7 * 5 * 8, 1 << 40):
+        monkeypatch.setattr(training, "_BLOCK_BYTES", block_bytes)
+        features, targets = synth_partition(4, 9, 5, 7, 0.2, kind=kind, heterogeneity=0.4)
+        obj = Objective(features, targets, kind=kind, ridge=0.1)
+        got.append((features.tobytes(), targets.tobytes(), obj.spec(theta0)))
+        for bad in (features.copy(), targets.copy()):
+            bad.reshape(-1)[-1] = np.nan  # in the last block: the worker's, when split
+            with pytest.raises(InvalidParameterError, match="finite"):
+                Objective(*((bad, targets) if bad.ndim == 3 else (features, bad)), kind=kind)
+        splits.append(len(pools))
+        pools.clear()
+    assert got[0] == got[1] == got[2]
+    # Split: the slabs (when there are two or more), three finiteness scans, and
+    # the variance bound when a block holds a shard.
+    assert splits == [3 + (slab == 10), 4 + (slab == 10), 0]
+
+
+def test_two_thread_split_joins_its_worker_and_reraises(monkeypatch):
+    monkeypatch.setattr(training, "_BLOCK_BYTES", 0)
+    done = []
+
+    def work(lo, hi):
+        if lo:  # the worker's half, slower than the caller's
+            time.sleep(0.05)
+            done.append(threading.current_thread() is not threading.main_thread())
+            raise ValueError(f"{lo}-{hi}")
+        return lo, hi
+
+    with pytest.raises(ValueError, match="^2-5$"):
+        training._on_two_threads(work, 5, 1)
+    assert done == [True]
+    assert training._on_two_threads(lambda lo, hi: (lo, hi), 1, 1) == [(0, 1)]
 
 
 def test_synth_shards_are_one_read_only_tensor():
     features, targets = synth_partition(2, 5, 4, 6, 0.1)
     obj = Objective(features, targets)
+    assert "datasets" not in vars(obj)  # made on first read, then kept
+    assert obj.datasets is obj.datasets
     X, y = obj.shards
     assert X.shape == (5, 6, 4) and y.shape == (5, 6)
     assert np.shares_memory(X, features) and np.shares_memory(y, targets)
