@@ -13,8 +13,9 @@ from scipy.special import erfc
 
 from .analysis import BoundInputs, bound_bq, bound_dynamic, bound_gau_lrq, \
     bound_lsgd, bound_qg, ks_statistic
-from .config import ExperimentConfig, build_simulation, load_config, load_json_object
+from .config import ExperimentConfig, build_simulation, load_json_object
 from .errors import ConfigError, DivergedError, InvalidParameterError
+from .orchestrator import run_record
 from .quantizers import MIN_STEP_FACTOR, bit_width, lrq_decode, lrq_encode, sample_layer
 from .streams import SeedMaterial, element_pairs
 
@@ -58,11 +59,10 @@ def _bound_report(config: ExperimentConfig, sim) -> dict:
 
 def cmd_run(args) -> int:
     try:
-        config = load_config(args.config)
-        if args.seed is not None:
-            config.seed = args.seed
-        if args.algo is not None:
-            config.algorithm = args.algo
+        flags = {k: v for k, v in (("seed", args.seed), ("algorithm", args.algo)) if v is not None}
+        config = ExperimentConfig.from_dict({**load_json_object(args.config, "config"), **flags})
+        out = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
+        _check_out_dir(out, config)
         sim = build_simulation(config)
         trace = sim.run()
     except (ConfigError, InvalidParameterError) as exc:
@@ -72,7 +72,6 @@ def cmd_run(args) -> int:
     except DivergedError as exc:  # keep the rounds that completed before it
         print(f"run error: {exc}", file=sys.stderr)
         trace = sim.trace(f"diverged in round {sim.round}")
-    out = args.out_dir or os.environ.get(OUT_DIR_ENV) or "."
     try:  # made only now, so a config error leaves no directory
         os.makedirs(out, exist_ok=True)
         return _write_artifacts(out, config, sim, trace)
@@ -81,11 +80,26 @@ def cmd_run(args) -> int:
         return 2
 
 
+def _artifact(out: str, config: ExperimentConfig, kind: str) -> str:
+    return os.path.join(out, f"{config.run_id or config.algorithm}_{kind}")
+
+
+def _check_out_dir(out: str, config: ExperimentConfig):
+    """ConfigError if ``out`` holds this stem's summary of another run (or an unreadable one)."""
+    path = _artifact(out, config, "summary.json")
+    if os.path.lexists(path):
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                same = run_record(config).items() <= json.load(fh).items()
+        except (OSError, ValueError, AttributeError):  # unreadable, or not a JSON object
+            same = False
+        if not same:
+            raise ConfigError(f"out-dir: {path} records another run; use another --out-dir")
+
+
 def _write_artifacts(out: str, config: ExperimentConfig, sim, trace) -> int:
-    stem = config.run_id or config.algorithm
-    csv_path = os.path.join(out, f"{stem}_trace.csv")
-    summary_path = os.path.join(out, f"{stem}_summary.json")
-    bounds_path = os.path.join(out, f"{stem}_bounds.json")
+    csv_path, summary_path, bounds_path = (_artifact(out, config, kind) for kind in
+                                           ("trace.csv", "summary.json", "bounds.json"))
     trace.to_csv(csv_path, config.algorithm)
     print(f"wrote {csv_path}")
     trace.to_summary_json(summary_path)

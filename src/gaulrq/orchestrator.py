@@ -6,13 +6,15 @@ bits that exist. All randomness is cursor-addressed through the shared
 streams, which makes runs bitwise reproducible and lets the server replay
 each client's dither draws without transmission.
 
-A round runs its B clients as one (B, d) pipeline, from the batch draw to
+A round runs its B clients as one (B, d) pipeline, from the batch rows to
 the server's sum; its PIPELINES row says what the algorithm does and sends. A
 chunk of rounds draws first, one stream call per lane with a rounds and a client
-axis, the server's own replay of the codec lane included. The parsed headers
-must be the round's schedule in order, with the widths and scales the server
-can recompute or bound. Norms, clipping, scales, widths, codecs and bit packing
-are row-wise (packing one per distinct width); the wire carries one message a client.
+axis, the server's replay of the codec lane included, and keeps what they consume:
+batch rows, noise normals and, where sigma_k is fixed, the layers (a median-clipped
+round sets sigma from its norms, so samples its own). The parsed headers must be the
+round's schedule in order, with the widths and scales the server can recompute or
+bound. Norms, clipping, scales, widths, codecs and bit packing are row-wise (packing
+one per distinct width); the wire carries one message a client.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ import enum
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -30,8 +32,8 @@ from . import training
 from .errors import ConfigError, DivergedError, InvalidParameterError
 from .normal import inv_norm_cdf
 from .privacy import clip_ceiling, clip_update, l2_norms, median_clip_bound, noise_schedule
-from .quantizers import (MAX_BITS, MAX_SIGMA, bit_width, lrq_quantize_rows,
-                         lrq_reconstruct_rows, stochastic_dequantize,
+from .quantizers import (MAX_BITS, MAX_SIGMA, LayerSample, bit_width, lrq_quantize_rows,
+                         lrq_reconstruct_rows, sample_layer, stochastic_dequantize,
                          stochastic_quantize_indices)
 from .streams import SeedMaterial, element_pairs, uniform_pair_block
 from .training import (Objective, _check_divergence, stacked_local_rounds, synth_partition,
@@ -157,27 +159,28 @@ def parse_message(data: bytes) -> WireMessage:
     return WireMessage(client_id, rnd, dim, bits, algorithm, data[offset:], scale)
 
 
-# -- codecs: draw(seed, client_ids, rounds, d) -> the (u1, u2) pair of the codec's
-# lane; encode(V, sigma, uniforms) -> one (width, payload, scale, clamps) per row of
-# V, from one round's rows of that pair; decode(messages, sigma, uniforms) -> (B, d),
-# its mirror, from the server's own draw of those rows in schedule order (None unless
-# replayed). Layer functions are module globals to them, so rebinding one reaches them.
+# -- codecs: draw(seed, client_ids, rounds, d, sigma) -> per round, the rows of the codec's
+# lane that encode reads; the layered draw samples them at sigma, the (R, 1, 1) column of the
+# rounds' sigmas, and keeps x, R and q_step, or keeps the pairs where sigma is None (set by
+# each round). encode(V, sigma, rows) -> one (width, payload, scale, clamps) per row of V;
+# decode(messages, sigma, rows) -> (B, d), its mirror, from the server's own draw of the rows
+# in schedule order (None unless replayed). Layer functions are module globals to them.
 
-def _encode_float(V, sigma, uniforms):
+def _encode_float(V, sigma, rows):
     return [(FLOAT_BITS, row.tobytes(), 0.0, 0) for row in V.astype("<f4")]
 
 
-def _decode_float(msgs, sigma, uniforms):
+def _decode_float(msgs, sigma, rows):
     return np.stack([np.frombuffer(m.payload, "<f4") for m in msgs]).astype(np.float64)
 
 
-def _draw_stochastic(seed, client_ids, rnd, d):
-    return uniform_pair_block(seed.lane("sq"), client_ids, rnd, 0, np.arange(d, dtype=np.uint64))
+def _draw_stochastic(seed, ids, rnd, d, sigma):
+    return uniform_pair_block(seed.lane("sq"), ids, rnd, 0, np.arange(d, dtype=np.uint64))[0]
 
 
 def _encode_stochastic(V, sigma, uniforms):
     widths = bit_width(np.max(np.abs(V), axis=1), sigma)
-    idx, scales = stochastic_quantize_indices(V, widths, uniforms[0])
+    idx, scales = stochastic_quantize_indices(V, widths, uniforms)
     payloads = pack_indices(idx - np.left_shift(1, widths - 1)[:, None], widths)
     return list(zip(widths.tolist(), payloads, scales.tolist(), [0] * len(payloads)))
 
@@ -189,19 +192,23 @@ def _decode_stochastic(msgs, sigma, uniforms):
                                  [m.scale for m in msgs])
 
 
-def _draw_layered(seed, client_ids, rnd, d):
-    return element_pairs(seed.lane("quant"), client_ids, rnd, d)
+def _draw_layered(seed, ids, rnd, d, sigma):
+    uniforms = element_pairs(seed.lane("quant"), ids, rnd, d)
+    if sigma is None:
+        return list(zip(*uniforms))
+    layer = sample_layer(sigma, uniforms)
+    return [LayerSample(x, None, None, r, q) for x, r, q in zip(layer.x, layer.R, layer.q_step)]
 
 
-def _encode_layered(V, sigma, uniforms):
-    idx, widths, scales, clamps = lrq_quantize_rows(V, sigma, uniforms)
+def _encode_layered(V, sigma, layer):
+    idx, widths, scales, clamps = lrq_quantize_rows(V, sigma, layer)
     return list(zip(widths, pack_indices(idx, widths), scales, clamps.tolist()))
 
 
-def _decode_layered(msgs, sigma, uniforms):
+def _decode_layered(msgs, sigma, layer):
     idx = unpack_indices([m.payload for m in msgs], msgs[0].dim,
                          [m.bits_per_element for m in msgs], signed=False)
-    return lrq_reconstruct_rows(idx, [m.scale for m in msgs], sigma, uniforms)
+    return lrq_reconstruct_rows(idx, [m.scale for m in msgs], layer)
 
 
 class Pipeline(NamedTuple):
@@ -214,11 +221,12 @@ class Pipeline(NamedTuple):
     encode: Callable
     decode: Callable
     replayed: bool   # decode reads the server's own draw of the codec lane
+    held: int        # at most this many float64s the draws keep per element, both sides
 
 
-_FLOAT = (False, None, _encode_float, _decode_float, False)  # quantized, ..., replayed
-_STOCHASTIC = (True, _draw_stochastic, _encode_stochastic, _decode_stochastic, False)
-_LAYERED = (True, _draw_layered, _encode_layered, _decode_layered, True)
+_FLOAT = (False, None, _encode_float, _decode_float, False, 0)  # quantized, ..., held
+_STOCHASTIC = (True, _draw_stochastic, _encode_stochastic, _decode_stochastic, False, 1)
+_LAYERED = (True, _draw_layered, _encode_layered, _decode_layered, True, 6)
 PIPELINES = {  # private, noisy, decaying, then the codec
     AlgorithmKind.LOCAL_SGD: Pipeline(False, False, False, *_FLOAT),
     AlgorithmKind.GAU_SGD: Pipeline(True, True, False, *_FLOAT),
@@ -250,6 +258,10 @@ def sample_clients(N: int, B: int, u):
     return ids.tolist() if ids.ndim == 1 else ids
 
 
+def run_record(config) -> dict:  # what a summary records of its run: config and data slab
+    return {"config": asdict(config), "slab": training._SLAB}
+
+
 @dataclass
 class RoundRecord:
     """Bookkeeping for one communication round (loss at round start)."""
@@ -275,17 +287,12 @@ class RunTrace:
     summary: dict
 
     def to_csv(self, path, algorithm: str):
-        cols = "round,algo,loss,grad_sq_norm,bits_cum,sigma,eps_cum,clamps"
-        lines = [cols]
+        lines = ["round,algo,loss,grad_sq_norm,bits_cum,sigma,eps_cum,clamps"]
         bits_cum = 0
         for r in self.records:
             bits_cum += r.bits_sent
-            lines.append(",".join([
-                str(r.round), algorithm,
-                format(r.loss, ".17g"), format(r.grad_sq_norm, ".17g"),
-                str(bits_cum), format(r.sigma_used, ".17g"),
-                format(r.epsilon_spent_cumulative, ".17g"), str(r.clamp_count),
-            ]))
+            lines.append(f"{r.round},{algorithm},{r.loss:.17g},{r.grad_sq_norm:.17g},{bits_cum},"
+                         f"{r.sigma_used:.17g},{r.epsilon_spent_cumulative:.17g},{r.clamp_count}")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write("\n".join(lines) + "\n")
 
@@ -311,8 +318,7 @@ class Simulation:
                              config.label_noise, kind=config.objective,
                              heterogeneity=config.heterogeneity),
             kind=config.objective, ridge=config.ridge)
-        u_init, _ = element_pairs(self.seed.lane("init"), 0, 0, config.d)
-        self.theta0 = np.asarray(inv_norm_cdf(u_init))
+        self.theta0 = inv_norm_cdf(element_pairs(self.seed.lane("init"), 0, 0, config.d)[0])
         self.theta = self.theta0.copy()
         self.algorithm = AlgorithmKind[config.algorithm.upper()]
         self.batch_size = config.batch_size or config.n_per_client  # 0 is full batch
@@ -333,27 +339,28 @@ class Simulation:
                 raise ConfigError(f"epsilon: sigma {top:.6g} exceeds the codec's {MAX_SIGMA:.6g}")
 
     def _draw_chunk(self):
-        """The draws of the rounds from self.round on, one stream call per lane, the
-        server's replay included: as many rounds as their pairs and client ids fit in
-        training._BLOCK_BYTES, and at least one. Each equals its own round's draw."""
-        cfg, p = self.config, self._pipeline
-        steps = cfg.Q * self.batch_size if self.batch_size < cfg.n_per_client else 0
-        lanes = p.noisy + (p.draw is not None) + p.replayed
-        fit = max(1, training._BLOCK_BYTES // (16 * cfg.B * (1 + steps + lanes * cfg.d)))
+        """What the rounds from self.round on consume, one stream call per lane, the server's
+        replay included: as many rounds as it fits in training._BLOCK_BYTES, and at least
+        one. Each equals its own round's draw."""
+        cfg, p, n, d = self.config, self._pipeline, self.config.n_per_client, self.config.d
+        steps = cfg.Q * self.batch_size if self.batch_size < n else 0
+        fit = max(1, training._BLOCK_BYTES // (8 * cfg.B * (1 + steps + (p.noisy + p.held) * d)))
         rounds = np.arange(self.round, min(cfg.K, self.round + fit), dtype=np.uint64)
         u_sample, _ = uniform_pair_block(self.seed.lane("sample"), 0, rounds, 0, 0)
         clients = sample_clients(cfg.N, cfg.B, u_sample)
         batch = noise = code = replay = [None] * rounds.size
         rnd = rounds[:, None]
         if steps:
-            batch, _ = uniform_pair_block(self.seed.lane("batch"), clients, rnd, 0,
-                                          np.arange(steps, dtype=np.uint64))
+            u_batch, _ = uniform_pair_block(self.seed.lane("batch"), clients, rnd, 0,
+                                            np.arange(steps, dtype=np.uint64))
+            batch = np.floor(u_batch * n).astype(np.int64)
         if p.noisy:
-            noise, _ = element_pairs(self.seed.lane("noise"), clients, rnd, cfg.d)
+            noise = inv_norm_cdf(element_pairs(self.seed.lane("noise"), clients, rnd, d)[0])
         if p.draw is not None:
-            code = zip(*p.draw(self.seed, clients, rnd, cfg.d))
-        if p.replayed:  # the server's own draw: decoding never reads a client's array
-            replay = zip(*p.draw(self.seed, clients, rnd, cfg.d))
+            sigma = self._sigmas[rounds, None, None] if cfg.clip_mode == "fixed" else None
+            code = p.draw(self.seed, clients, rnd, d, sigma)
+            if p.replayed:  # the server's own draw: decoding never reads a client's array
+                replay = p.draw(self.seed, clients, rnd, d, sigma)
         self._chunk = (self.round, list(zip(clients.tolist(), batch, noise, code, replay)))
 
     def run_round(self) -> RoundRecord:
@@ -365,9 +372,9 @@ class Simulation:
         if not 0 <= k - self._chunk[0] < len(self._chunk[1]):
             self._draw_chunk()
         # Row i of every (B, ...) array below belongs to clients[i], ascending.
-        clients, u_batch, u_noise, uniforms, replay = self._chunk[1][k - self._chunk[0]]
+        clients, batch, noise, code, replay = self._chunk[1][k - self._chunk[0]]
         updates = stacked_local_rounds(self.objective, self.theta, clients, cfg.Q,
-                                       cfg.eta, u_batch, cfg.divergence_ceiling)
+                                       cfg.eta, batch, cfg.divergence_ceiling)
 
         sigma, inf_norms, eps_cum, s2 = 0.0, [], float("inf"), cfg.s2
         if p.private:
@@ -378,12 +385,14 @@ class Simulation:
                 if p.quantized and sigma > MAX_SIGMA:
                     raise DivergedError(f"median-clipped sigma {sigma:.6g} exceeds the "
                                         f"codec's MAX_SIGMA {MAX_SIGMA:.6g}")
+                if p.replayed:  # sigma is this round's, so are the layers: both sides'
+                    code, replay = sample_layer(sigma, code), sample_layer(sigma, replay)
             updates = clip_update(updates, s2)
             inf_norms = np.max(np.abs(updates), axis=1).tolist()
 
         if p.noisy:
-            updates = updates + sigma * np.asarray(inv_norm_cdf(u_noise))
-        coded = p.encode(updates, sigma, uniforms)  # (width, payload, scale, clamps) a row
+            updates = updates + sigma * noise
+        coded = p.encode(updates, sigma, code)  # (width, payload, scale, clamps) a row
         parsed = [parse_message(serialize_message(
             WireMessage(cid, k, cfg.d, bits, self.algorithm, payload, scale)))
             for cid, (bits, payload, scale, _) in zip(clients, coded)]
@@ -439,6 +448,7 @@ class Simulation:
                               if self.records else 0.0),
             "total_clamps": sum(r.clamp_count for r in self.records),
             "stop_reason": stop_reason,
+            **run_record(self.config),
         }
         return RunTrace(records=self.records, final_theta=self.theta,
                         summary=summary)

@@ -78,7 +78,8 @@ class EncodedVector:
 
 
 def _check_sigma(sigma):
-    if not 0.0 < sigma <= MAX_SIGMA:
+    ok = (0.0 < sigma) & (sigma <= MAX_SIGMA)  # False at NaN; a bool for a float sigma
+    if not (ok is True or np.all(ok)):
         raise InvalidParameterError(f"sigma must lie in (0, {MAX_SIGMA:.4g}], got {sigma}")
 
 
@@ -88,7 +89,7 @@ def sample_layer(sigma: float, uniforms) -> LayerSample:
     x = sigma * Phi^-1(u1); the layer height is drawn uniformly under the
     density at x and flipped to the complementary height when x < 0, which
     keeps the marginal of x Gaussian while bounding the step away from zero.
-    Accepts scalar or array uniforms (one layer per element).
+    Accepts scalar or array uniforms (one layer per element) and sigmas.
     """
     _check_sigma(sigma)
     u1 = np.asarray(uniforms[0], dtype=np.float64)
@@ -163,57 +164,51 @@ def _base_indices(layer: LayerSample, scales) -> np.ndarray:
     return lrq_encode(-np.asarray(scales, dtype=np.float64)[:, None], layer)
 
 
-def _row_layers(sigma: float, uniforms, shape) -> LayerSample:
+def _row_layer(sigma: float, uniforms, d: int) -> LayerSample:
     u1, u2 = (np.asarray(u, dtype=np.float64) for u in uniforms)
-    if u1.shape != shape or u2.shape != shape:
+    if u1.size != d or u2.size != d:
         raise InvalidParameterError(
-            f"need one uniform pair per element ({shape[-1]}), got {u1.size}/{u2.size}")
-    return sample_layer(sigma, (u1, u2))
+            f"need one uniform pair per element ({d}), got {u1.size}/{u2.size}")
+    return sample_layer(sigma, (u1.reshape(1, d), u2.reshape(1, d)))
 
 
-def lrq_quantize_rows(V, sigma: float, uniforms):
+def lrq_quantize_rows(V, sigma: float, layer: LayerSample):
     """Layered quantization of each row of V (B, d), with fixed-width index coding.
 
-    Returns (indices, widths, scales, clamps): the (B, d) unsigned offsets
-    and, per row, the signalled width, the scale max|row| and the clamp count.
-    A row's width is driven by its inf-norm range; its indices go on the
-    wire as offsets from the per-element base (see _base_indices).
+    Returns (indices, widths, scales, clamps): the (B, d) unsigned offsets of
+    ``layer`` (at ``sigma``, one per element; x, R and q_step read) and, per row, the
+    signalled width, the scale max|row| and the clamp count. A row's width is driven
+    by its inf-norm range; its offsets are from the per-element base (_base_indices).
     """
     V = np.asarray(V, dtype=np.float64)
     if V.size == 0:
         raise InvalidParameterError("cannot quantize an empty vector")
-    # bit_width rejects non-finite elements and widths above the cap before
-    # any index is computed.
+    # bit_width rejects non-finite elements and widths above the cap before any index.
     scales = np.max(np.abs(V), axis=1)
     widths = bit_width(scales, sigma)
-    layer = _row_layers(sigma, uniforms, V.shape)
     rel = lrq_encode(V, layer) - _base_indices(layer, scales)
     clamped = np.clip(rel, 0, (np.left_shift(1, widths) - 1)[:, None])
     clamps = np.count_nonzero(clamped != rel, axis=1)
     return clamped, widths.tolist(), scales.tolist(), clamps
 
 
-def lrq_reconstruct_rows(indices, scales, sigma: float, uniforms) -> np.ndarray:
-    """Decoder side: replay each row's layers and invert the index coding."""
-    indices = np.asarray(indices)
-    layer = _row_layers(sigma, uniforms, indices.shape)
-    return lrq_decode(indices + _base_indices(layer, scales), layer)
+def lrq_reconstruct_rows(indices, scales, layer: LayerSample) -> np.ndarray:
+    """Decoder side: invert the index coding on the replayed layers of the rows."""
+    return lrq_decode(np.asarray(indices) + _base_indices(layer, scales), layer)
 
 
 def lrq_quantize_vector(v, sigma: float, uniforms) -> EncodedVector:
-    """lrq_quantize_rows for one vector."""
+    """lrq_quantize_rows for one vector, on the layers of its uniform pairs."""
     v = np.asarray(v, dtype=np.float64).reshape(1, -1)
-    (idx,), (b,), (a,), (c,) = lrq_quantize_rows(
-        v, sigma, [np.reshape(u, (1, -1)) for u in uniforms])
+    (idx,), (b,), (a,), (c,) = lrq_quantize_rows(v, sigma, _row_layer(sigma, uniforms, v.size))
     return EncodedVector(indices=idx, dim=v.size, bits_per_element=b, scale=a,
                          clamp_count=int(c))
 
 
 def lrq_reconstruct_vector(encoded: EncodedVector, sigma: float, uniforms) -> np.ndarray:
     """lrq_reconstruct_rows for one encoded vector."""
-    indices = np.reshape(encoded.indices, (1, encoded.dim))
-    return lrq_reconstruct_rows(indices, [encoded.scale], sigma,
-                                [np.reshape(u, (1, -1)) for u in uniforms])[0]
+    return lrq_reconstruct_rows(np.reshape(encoded.indices, (1, encoded.dim)), [encoded.scale],
+                                _row_layer(sigma, uniforms, encoded.dim))[0]
 
 
 def _check_dither(q_step, x):

@@ -232,20 +232,21 @@ def local_rounds(model: ModelState, dataset: LocalDataset, Q: int, eta: float,
     objective = Objective(dataset.features[None], dataset.targets[None],
                           model.objective.kind, model.objective.ridge)
     u = stream.next(Q * batch_size)[None] if batch_size < dataset.n else None
-    return stacked_local_rounds(objective, model.theta, [0], Q, eta, u,
+    batch = None if u is None else np.floor(u * dataset.n).astype(np.int64)
+    return stacked_local_rounds(objective, model.theta, [0], Q, eta, batch,
                                 divergence_ceiling)[0]
 
 
 # A step can overflow to inf or NaN before the guard sees it; the guard rejects both.
 @np.errstate(over="ignore", invalid="ignore")
-def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, u,
+def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, batch,
                          divergence_ceiling: float):
     """Q local SGD steps for B clients at once; returns their (B, d) updates.
 
     ``rows`` names the B shards of ``objective.shards`` that train, each from
-    ``theta``, without mutating it. ``u`` is None for full-batch steps on the
-    whole shard; otherwise it is (B, Q * b) and step q of row i takes the
-    batch floor(u[i, q*b:(q+1)*b] * n), drawn with replacement. A step is two
+    ``theta``, without mutating it. ``batch`` is None for full-batch steps on
+    the whole shard; otherwise it is (B, Q * b) sample rows, and step q of row
+    i takes the batch batch[i, q*b:(q+1)*b], drawn with replacement. A step is two
     stacked BLAS products, the (B, b) residuals r of z = X_b theta and then
     the batch-mean gradient r X_b / b + ridge * theta: no (B, b, d) array, and
     the per-sample gradients summed in another order than their mean. Any
@@ -262,13 +263,13 @@ def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, 
         raise InvalidParameterError("eta must be >= 0")
     X, y = objective.shards
     rows, (n, d) = np.asarray(rows), X.shape[1:]
-    b = n if u is None else u.shape[1] // Q
-    offsets = [0] * Q if u is None else range(0, Q * b, b)  # step q's columns of a gather
+    b = n if batch is None else batch.shape[1] // Q
+    offsets = [0] * Q if batch is None else range(0, Q * b, b)  # step q's columns of a gather
     step = max(1, _BLOCK_BYTES // ((offsets[-1] + b) * d * 8))
-    local = np.tile(np.asarray(theta, dtype=np.float64), (rows.size, 1))
+    local = np.full((rows.size, d), theta, dtype=np.float64)
     for lo in range(0, rows.size, step):
         part, w = rows[lo:lo + step], local[lo:lo + step]  # w: a view, stepped in place
-        at = part if u is None else (part[:, None], np.floor(u[lo:lo + step] * n).astype(np.int64))
+        at = part if batch is None else (part[:, None], batch[lo:lo + step])
         Xg, yg = X[at], y[at]
         for o in offsets:
             Xb, yb = Xg[:, o:o + b], yg[:, o:o + b]

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gaulrq import training
 from gaulrq.analysis import MAX_BOUND_ROUNDS, BoundInputs
 from gaulrq.cli import main
 from gaulrq.config import MAX_FLOATS, ExperimentConfig, load_config
@@ -431,6 +432,44 @@ def test_cmd_run_overrides(tmp_path):
                  "--seed", "99", "--out-dir", str(out)]) == 0
     summary = json.loads((out / "cli-test_summary.json").read_text())
     assert summary["algorithm"] == "local_sgd"
+
+
+@pytest.mark.parametrize("flag, first, second", [("--seed", "1", "2"),
+                                                 ("--algo", "gau_lrq_sgd", "qg_sgd")])
+def test_cmd_run_refuses_an_out_dir_of_another_run(tmp_path, capsys, flag, first, second):
+    # Both runs have the stem "cli-test": the second would replace the first's files.
+    cfg, out = _write_config(tmp_path), tmp_path / "shared"
+    assert main(["run", "--config", cfg, flag, first, "--out-dir", str(out)]) == 0
+    written = {path.name: path.read_bytes() for path in out.iterdir()}
+    assert len(written) == 3
+    capsys.readouterr()
+    assert main(["run", "--config", cfg, flag, second, "--out-dir", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"config error: out-dir: {out / 'cli-test_summary.json'} records another run; "
+        "use another --out-dir\n")
+    assert {path.name: path.read_bytes() for path in out.iterdir()} == written
+
+
+def test_cmd_run_same_config_rewrites_its_files(tmp_path):
+    cfg, out = _write_config(tmp_path), tmp_path / "again"
+    for _ in range(2):
+        assert main(["run", "--config", cfg, "--seed", "1", "--out-dir", str(out)]) == 0
+    summary = json.loads((out / "cli-test_summary.json").read_text())
+    assert summary["config"] == dict(MINIMAL, seed=1, **{
+        f.name: f.default for f in dataclasses.fields(ExperimentConfig) if f.name not in MINIMAL})
+    assert summary["slab"] == training._SLAB
+
+
+@pytest.mark.parametrize("text", ["{", "[]", '{"config": {}}', ""],
+                         ids=["truncated", "not-an-object", "no-record", "empty"])
+def test_cmd_run_refuses_a_summary_that_records_no_run(tmp_path, capsys, text):
+    cfg, out = _write_config(tmp_path), tmp_path / "other"
+    out.mkdir()
+    (out / "cli-test_summary.json").write_text(text)
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert "records another run" in capsys.readouterr().err
+    assert [path.name for path in out.iterdir()] == ["cli-test_summary.json"]
 
 
 def test_cmd_run_run_id_at_the_name_limit_runs(tmp_path):

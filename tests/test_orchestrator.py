@@ -24,7 +24,7 @@ from gaulrq.orchestrator import (PIPELINES, AlgorithmKind, WireMessage,
                                  serialize_message, unpack_indices)
 from gaulrq.privacy import clip_ceiling, clip_update
 from gaulrq.quantizers import (MAX_BITS, MIN_STEP_FACTOR, bit_width, lrq_quantize_vector,
-                               stochastic_quantize_indices)
+                               sample_layer, stochastic_quantize_indices)
 from gaulrq.streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
 from gaulrq.training import ModelState, local_rounds
 
@@ -195,8 +195,9 @@ def test_parsed_scale_is_the_inf_norm_bit_for_bit(algo, c):
     # Rows of thirds: no float32 holds their inf-norms, at any magnitude c.
     pipeline = orchestrator.PIPELINES[algo]
     V = c * np.random.default_rng(3).standard_normal((5, 7)) / 3.0
-    uniforms = pipeline.draw(SeedMaterial(0, "scale"), np.arange(5), 2, 7)
-    for i, (bits, payload, scale, _) in enumerate(pipeline.encode(V, c, uniforms)):
+    # A chunk of one round at sigma c: its rows, as encode reads them.
+    (rows,) = pipeline.draw(SeedMaterial(0, "scale"), np.arange(5)[None], [[2]], 7, c)
+    for i, (bits, payload, scale, _) in enumerate(pipeline.encode(V, c, rows)):
         raw = serialize_message(WireMessage(i, 2, 7, bits, algo, payload, scale=scale))
         got = parse_message(raw).scale
         assert np.float64(got).tobytes() == np.max(np.abs(V[i])).tobytes()
@@ -386,7 +387,7 @@ def test_round_engine_matches_per_client_oracle(case, algo, monkeypatch):
                         spy(orchestrator.serialize_message, wire))
     replays = []
     monkeypatch.setattr(orchestrator, "lrq_reconstruct_rows",
-                        lambda *args: replays.append(args[3]) or _RECONSTRUCT(*args))
+                        lambda *args: replays.append(args[2]) or _RECONSTRUCT(*args))
     record = sim.run_round()
     server = replays[:]
     (updates,) = stacked
@@ -401,16 +402,18 @@ def test_round_engine_matches_per_client_oracle(case, algo, monkeypatch):
                                  record.sigma_used)
         assert raw == serialize_message(msg)
         # The oracle's own fresh draw of this client's layers.
-        uniforms = (tuple(u[None] for u in element_pairs(seed.lane("quant"), cid, k, cfg.d))
-                    if algo == "gau_lrq_sgd" else None)
+        layer = (sample_layer(record.sigma_used, tuple(
+            u[None] for u in element_pairs(seed.lane("quant"), cid, k, cfg.d)))
+            if algo == "gau_lrq_sgd" else None)
         total = total + orchestrator.PIPELINES[msg.algorithm].decode(
-            [parse_message(raw)], record.sigma_used, uniforms)[0]
+            [parse_message(raw)], record.sigma_used, layer)[0]
     assert sim.theta.tobytes() == (theta + total / cfg.B).tobytes()
-    # The server decoded from its own chunk draw, uncopied, not the clients' arrays.
+    # The server decoded the chunk's own replay layers, uncopied, not the clients' layers.
     _, _, _, code, replay = sim._chunk[1][k]
     if algo == "gau_lrq_sgd":
         assert len(server) == 1 and server[0] is replay
-        assert not any(np.shares_memory(a, b) for a in replay for b in code)
+        fields = [(layer.x, layer.R, layer.q_step) for layer in (replay, code)]
+        assert not any(np.shares_memory(a, b) for a in fields[0] for b in fields[1])
     else:
         assert server == [] and replay is None
 
@@ -475,7 +478,8 @@ def test_determinism_bitwise(tmp_path):
 
 
 _SERIALIZE, _DRAW_CHUNK = orchestrator.serialize_message, orchestrator.Simulation._draw_chunk
-_ELEMENT_PAIRS = orchestrator.element_pairs
+_ELEMENT_PAIRS, _SAMPLE_LAYER = orchestrator.element_pairs, orchestrator.sample_layer
+_INV_NORM_CDF = orchestrator.inv_norm_cdf
 # element_pairs calls of one chunk: the noise lane, the dither lane and its server replay.
 _CHUNK_PAIR_DRAWS = {"local_sgd": 0, "gau_sgd": 1, "qg_sgd": 1, "gau_lrq_sgd": 2,
                      "dynamic_gau_lrq_sgd": 2}
@@ -485,15 +489,22 @@ def _run_in_chunks(monkeypatch, tmp_path, block_bytes, **kw):
     """One run under a byte bound on the stepper's blocks and the chunks of
     rounds: its artifacts' bytes, the first round of each chunk, and the
     error it stopped on. Checks that every per-element draw, the server's
-    included, is made by a chunk, one call per lane."""
+    included, is made by a chunk, one call per lane; that a chunk maps its
+    noise uniforms to normals in one call; and that the layered codecs sample
+    their layers twice, the clients' and the server's, in each chunk under
+    fixed clipping and in each round under median clipping."""
     monkeypatch.setattr(training, "_BLOCK_BYTES", block_bytes)
-    wire, chunks, draws = [], [], []
+    wire, chunks, draws, layers, normals = [], [], [], [], []
     monkeypatch.setattr(orchestrator, "serialize_message",
                         lambda msg: wire.append(_SERIALIZE(msg)) or wire[-1])
     monkeypatch.setattr(orchestrator.Simulation, "_draw_chunk",
                         lambda sim: chunks.append(sim.round) or _DRAW_CHUNK(sim))
     monkeypatch.setattr(orchestrator, "element_pairs",
                         lambda *args: draws.append(args[2]) or _ELEMENT_PAIRS(*args))
+    monkeypatch.setattr(orchestrator, "sample_layer",
+                        lambda *args: layers.append(args[0]) or _SAMPLE_LAYER(*args))
+    monkeypatch.setattr(orchestrator, "inv_norm_cdf",
+                        lambda u: normals.append(u) or _INV_NORM_CDF(u))
     cfg = _config(**kw)
     sim, error = build_simulation(cfg), None
     try:
@@ -507,6 +518,11 @@ def _run_in_chunks(monkeypatch, tmp_path, block_bytes, **kw):
     # The "init" lane's draw at round 0, then each chunk's, all with a rounds axis.
     assert len(draws) == 1 + len(chunks) * _CHUNK_PAIR_DRAWS[cfg.algorithm]
     assert all(np.ndim(rounds) == 2 for rounds in draws[1:])
+    pipeline = PIPELINES[AlgorithmKind[cfg.algorithm.upper()]]
+    fixed = cfg.clip_mode == "fixed"
+    assert len(layers) == 2 * pipeline.replayed * (len(chunks) if fixed else len(trace.records))
+    assert all(np.ndim(sigma) == (3 if fixed else 0) for sigma in layers)  # chunk: a column
+    assert len(normals) == 1 + pipeline.noisy * len(chunks)
     return artifacts + [trace.final_theta.tobytes(), wire, error], chunks
 
 

@@ -354,12 +354,13 @@ def test_power_of_two_rescaling_is_exact(sigma, where, seed):
     rng = np.random.default_rng(seed)
     V = sigma * rng.standard_normal((4, 50)) * 10.0 ** rng.uniform(-3.0, 4.0, (4, 1))
     uniforms = element_pairs(SEED, np.arange(4), 23, 50)
-    idx, widths, scales, clamps = lrq_quantize_rows(V, sigma, uniforms)
-    c_idx, c_widths, c_scales, c_clamps = lrq_quantize_rows(c * V, c * sigma, uniforms)
+    layer, c_layer = sample_layer(sigma, uniforms), sample_layer(c * sigma, uniforms)
+    idx, widths, scales, clamps = lrq_quantize_rows(V, sigma, layer)
+    c_idx, c_widths, c_scales, c_clamps = lrq_quantize_rows(c * V, c * sigma, c_layer)
     assert np.array_equal(c_idx, idx) and c_widths == widths
     assert np.array_equal(c_clamps, clamps) and c_scales == [c * a for a in scales]
-    decoded = lrq_reconstruct_rows(idx, scales, sigma, uniforms)
-    c_decoded = lrq_reconstruct_rows(c_idx, c_scales, c * sigma, uniforms)
+    decoded = lrq_reconstruct_rows(idx, scales, layer)
+    c_decoded = lrq_reconstruct_rows(c_idx, c_scales, c_layer)
     assert c_decoded.tobytes() == (c * decoded).tobytes()
 
 

@@ -292,17 +292,17 @@ def test_unrolled_three_steps_oracle():
     np.testing.assert_allclose(delta, theta - theta0, rtol=1e-12, atol=0.0)
 
 
-def _oracle_rows(obj, theta0, rows, Q, eta, u):
+def _oracle_rows(obj, theta0, rows, Q, eta, batch):
     """Per client, Q steps on the mean of per-sample gradients."""
     out = []
     for i, row in enumerate(rows):
         ds, theta = obj.datasets[row], theta0.copy()
         for q in range(Q):
-            if u is None:
+            if batch is None:
                 idx = np.arange(ds.n)
             else:
-                b = u.shape[1] // Q
-                idx = np.floor(u[i, q * b:(q + 1) * b] * ds.n).astype(np.int64)
+                b = batch.shape[1] // Q
+                idx = batch[i, q * b:(q + 1) * b]
             theta = theta - eta * obj.sample_gradients(theta, ds, idx).mean(axis=0)
         out.append(theta - theta0)
     return np.array(out)
@@ -319,20 +319,20 @@ def test_stacked_rows_match_per_sample_oracle(kind, ridge, B, extra, n, d, Q, ba
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(B + extra, size=B, replace=False))
     theta0 = rng.standard_normal(d)
-    u = rng.random((B, Q * batch)) if batch else None
+    idx = np.floor(rng.random((B, Q * batch)) * n).astype(np.int64) if batch else None
     eta = 0.5 / obj.smoothness()
-    got = stacked_local_rounds(obj, theta0, rows, Q, eta, u, 1e6)
-    want = _oracle_rows(obj, theta0, rows, Q, eta, u)
+    got = stacked_local_rounds(obj, theta0, rows, Q, eta, idx, 1e6)
+    want = _oracle_rows(obj, theta0, rows, Q, eta, idx)
     assert got.shape == (B, d)
     for g, w in zip(got, want):
         assert np.linalg.norm(g - w) <= 1e-12 * np.linalg.norm(w)
 
 
-def _per_step_gathers(obj, theta, rows, Q, eta, u):
+def _per_step_gathers(obj, theta, rows, Q, eta, batch):
     """The minibatch stepper with a fresh (B, b, d) gather for every step."""
     X, y = obj.shards
-    b = u.shape[1] // Q
-    idx = np.floor(u * X.shape[1]).astype(np.int64).reshape(len(rows), Q, b)
+    b = batch.shape[1] // Q
+    idx = batch.reshape(len(rows), Q, b)
     part = np.asarray(rows)[:, None]
     w = np.tile(theta, (len(rows), 1))
     for q in range(Q):
@@ -351,9 +351,10 @@ def test_one_gather_per_block_matches_per_step_gathers(kind, B, n, d, Q, batch, 
     obj = _objective(seed=seed, N=B + 2, d=d, n=n, noise=0.1, kind=kind, ridge=0.01)
     rng = np.random.default_rng(seed)
     rows = np.sort(rng.choice(B + 2, size=B, replace=False))
-    theta0, u = rng.standard_normal(d), rng.random((B, Q * batch))
-    got = stacked_local_rounds(obj, theta0, rows, Q, 0.05, u, 1e6)
-    assert got.tobytes() == _per_step_gathers(obj, theta0, rows, Q, 0.05, u).tobytes()
+    theta0 = rng.standard_normal(d)
+    idx = np.floor(rng.random((B, Q * batch)) * n).astype(np.int64)
+    got = stacked_local_rounds(obj, theta0, rows, Q, 0.05, idx, 1e6)
+    assert got.tobytes() == _per_step_gathers(obj, theta0, rows, Q, 0.05, idx).tobytes()
 
 
 @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
@@ -364,12 +365,12 @@ def test_row_blocks_change_no_update(kind, batch, monkeypatch):
     rows, Q = np.array([0, 2, 3, 5, 6, 8]), 4
     rng = np.random.default_rng(5)
     theta0 = rng.standard_normal(5)
-    u = rng.random((rows.size, Q * batch)) if batch else None
-    want = stacked_local_rounds(obj, theta0, rows, Q, 0.1, u, 1e6)
+    idx = np.floor(rng.random((rows.size, Q * batch)) * 6).astype(np.int64) if batch else None
+    want = stacked_local_rounds(obj, theta0, rows, Q, 0.1, idx, 1e6)
     row_bytes = (4 * batch or 6) * 5 * 8  # a row's gather: Q minibatches, or its shard
     for block in (row_bytes, 2 * row_bytes):
         monkeypatch.setattr(training, "_BLOCK_BYTES", block)
-        assert np.array_equal(stacked_local_rounds(obj, theta0, rows, Q, 0.1, u, 1e6), want)
+        assert np.array_equal(stacked_local_rounds(obj, theta0, rows, Q, 0.1, idx, 1e6), want)
 
 
 def test_divergence_in_last_block_raises(monkeypatch):
