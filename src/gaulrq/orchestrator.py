@@ -23,6 +23,7 @@ import enum
 import json
 import math
 import struct
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
@@ -258,6 +259,14 @@ def sample_clients(N: int, B: int, u):
     return ids.tolist() if ids.ndim == 1 else ids
 
 
+class _Now:  # a round's deferral when inline: fn(*args) at once, read back by .result()
+    def __init__(self, fn, *args):
+        self._value = fn(*args)
+
+    def result(self):
+        return self._value
+
+
 def run_record(config) -> dict:  # what a summary records of its run: config and data slab
     return {"config": asdict(config), "slab": training._SLAB}
 
@@ -325,7 +334,8 @@ class Simulation:
         self.round = 0
         self.records: list[RoundRecord] = []
         self._pipeline = PIPELINES[self.algorithm]
-        self._chunk = (0, [])  # (first round, per-round draws), drawn by run_round
+        self._chunk = (0, [], None)  # (first round, per-round draws, replay), drawn by run_round
+        self._defer = _Now  # run() defers to its worker: fn(*args) -> .result()
         if self._pipeline.private:  # median-adaptive rounds rescale the S2=1 schedule
             s2 = config.s2 if config.clip_mode == "fixed" else 1.0
             try:
@@ -341,15 +351,18 @@ class Simulation:
     def _draw_chunk(self):
         """What the rounds from self.round on consume, one stream call per lane, the server's
         replay included: as many rounds as it fits in training._BLOCK_BYTES, and at least
-        one. Each equals its own round's draw."""
+        one. Each equals its own round's draw; the replay's rounds are deferred, in .result()."""
         cfg, p, n, d = self.config, self._pipeline, self.config.n_per_client, self.config.d
         steps = cfg.Q * self.batch_size if self.batch_size < n else 0
         fit = max(1, training._BLOCK_BYTES // (8 * cfg.B * (1 + steps + (p.noisy + p.held) * d)))
         rounds = np.arange(self.round, min(cfg.K, self.round + fit), dtype=np.uint64)
         u_sample, _ = uniform_pair_block(self.seed.lane("sample"), 0, rounds, 0, 0)
         clients = sample_clients(cfg.N, cfg.B, u_sample)
-        batch = noise = code = replay = [None] * rounds.size
-        rnd = rounds[:, None]
+        batch = noise = code = [None] * rounds.size
+        rnd, replay = rounds[:, None], None
+        sigma = self._sigmas[rounds, None, None] if p.draw and cfg.clip_mode == "fixed" else None
+        if p.replayed:  # the server's own draw, first: decoding never reads a client's array
+            replay = self._defer(p.draw, self.seed, clients, rnd, d, sigma)
         if steps:
             u_batch, _ = uniform_pair_block(self.seed.lane("batch"), clients, rnd, 0,
                                             np.arange(steps, dtype=np.uint64))
@@ -357,22 +370,20 @@ class Simulation:
         if p.noisy:
             noise = inv_norm_cdf(element_pairs(self.seed.lane("noise"), clients, rnd, d)[0])
         if p.draw is not None:
-            sigma = self._sigmas[rounds, None, None] if cfg.clip_mode == "fixed" else None
             code = p.draw(self.seed, clients, rnd, d, sigma)
-            if p.replayed:  # the server's own draw: decoding never reads a client's array
-                replay = p.draw(self.seed, clients, rnd, d, sigma)
-        self._chunk = (self.round, list(zip(clients.tolist(), batch, noise, code, replay)))
+        self._chunk = (self.round, list(zip(clients.tolist(), batch, noise, code)), replay)
 
     def run_round(self) -> RoundRecord:
         cfg, k, p = self.config, self.round, self._pipeline
         if k >= cfg.K:
             raise InvalidParameterError("all configured rounds already run")
-        loss, grad = self.objective.loss_and_gradient(self.theta)
+        evaluation = self._defer(self.objective.loss_and_gradient, self.theta)  # read last
 
         if not 0 <= k - self._chunk[0] < len(self._chunk[1]):
             self._draw_chunk()
         # Row i of every (B, ...) array below belongs to clients[i], ascending.
-        clients, batch, noise, code, replay = self._chunk[1][k - self._chunk[0]]
+        i = k - self._chunk[0]
+        clients, batch, noise, code = self._chunk[1][i]
         updates = stacked_local_rounds(self.objective, self.theta, clients, cfg.Q,
                                        cfg.eta, batch, cfg.divergence_ceiling)
 
@@ -386,7 +397,7 @@ class Simulation:
                     raise DivergedError(f"median-clipped sigma {sigma:.6g} exceeds the "
                                         f"codec's MAX_SIGMA {MAX_SIGMA:.6g}")
                 if p.replayed:  # sigma is this round's, so are the layers: both sides'
-                    code, replay = sample_layer(sigma, code), sample_layer(sigma, replay)
+                    code = sample_layer(sigma, code)
             updates = clip_update(updates, s2)
             inf_norms = np.max(np.abs(updates), axis=1).tolist()
 
@@ -412,11 +423,15 @@ class Simulation:
             if got != fit:
                 bad = next(g for g, f in zip(got, fit) if g != f)
                 raise InvalidParameterError(f"message {name} {bad} is outside round {k}'s schedule")
+        replay = self._chunk[2].result()[i] if p.replayed else None  # read where it is decoded
+        if p.replayed and cfg.clip_mode == "median_adaptive":  # at this round's sigma, as code
+            replay = sample_layer(sigma, replay)
         # Rows added in turn to +0.0, as B separate decodes would give; np.add.reduce
         # would sum them pairwise where d = 1.
         total = np.add.accumulate(p.decode(parsed, sigma, replay))[-1] + 0.0
         theta = self.theta + total / len(parsed)
         _check_divergence(theta[None], cfg.divergence_ceiling, "global")
+        loss, grad = evaluation.result()  # before theta moves: a failed round changes nothing
         self.theta = theta
         record = RoundRecord(round=k, clients=clients,
                              bits_sent=sum(m.payload_bits for m in parsed),
@@ -429,8 +444,18 @@ class Simulation:
         return record
 
     def run(self) -> RunTrace:
-        for _ in range(self.config.K):
-            self.run_round()
+        """Every round; past training._BLOCK_BYTES of data, each evaluation and replay draw
+        on a held worker beside the clients, shut down and joined however the run ends."""
+        big = self.objective.shards[0].nbytes > training._BLOCK_BYTES
+        worker = ThreadPoolExecutor(1) if big else None
+        self._defer = worker.submit if worker else _Now
+        try:
+            for _ in range(self.config.K):
+                self.run_round()
+        finally:
+            self._defer = _Now
+            if worker:
+                worker.shutdown()  # waits for its last task; an error there is left unread
         return self.trace()
 
     def trace(self, stop_reason: str = "completed") -> RunTrace:

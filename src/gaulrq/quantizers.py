@@ -14,6 +14,7 @@ produce bitwise-identical outputs, and they hold no mutable state.
 
 from __future__ import annotations
 
+import contextlib
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,12 +141,14 @@ def bit_width(scale, sigma: float):
     sigma next to the largest coded value.
     """
     scale = np.asarray(scale, dtype=np.float64)
-    if not (np.isfinite(scale) & (scale >= 0.0)).all():
+    top = float(scale.max(initial=0.0))  # min and max are NaN if a scale is, 0.0 if none
+    if not (scale.min(initial=0.0) >= 0.0 and top < np.inf):
         raise InvalidParameterError(f"scale must be finite and >= 0, got {scale}")
     _check_sigma(sigma)
-    with np.errstate(over="ignore"):  # an infinite level count fails the cap below
+    wide = not 2.0 * top < 2.0**(MAX_BITS - 1) * MIN_STEP_FACTOR * sigma  # else: finite, in the cap
+    with np.errstate(over="ignore") if wide else contextlib.nullcontext():
         bits = np.ceil(np.log2(2.0 * scale / (MIN_STEP_FACTOR * sigma) + 1.0))
-    if not (bits <= MAX_BITS).all():
+    if wide and not (bits <= MAX_BITS).all():  # an infinite level count fails the cap too
         raise InvalidParameterError(
             f"range {2.0 * np.max(scale):g} at sigma={sigma:g} needs {np.max(bits):g} bits "
             f"per element, above the {MAX_BITS}-bit cap")

@@ -22,6 +22,7 @@ from pathlib import Path
 
 import pytest
 
+from gaulrq import training
 from gaulrq.config import ExperimentConfig, run_experiment
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -69,10 +70,7 @@ def _rows(path):
         return list(csv.DictReader(fh))
 
 
-@pytest.mark.parametrize("name", sorted(CASES))
-def test_trace_matches_golden(name, tmp_path):
-    path = tmp_path / f"{name}.csv"
-    _write_trace(name, path)
+def _check_golden(name, path):
     golden = GOLDEN / f"{name}.csv"
     with open(path, encoding="utf-8") as fh, open(golden, encoding="utf-8") as gh:
         assert fh.readline() == gh.readline(), "trace header changed"
@@ -85,6 +83,28 @@ def test_trace_matches_golden(name, tmp_path):
             else:
                 assert math.isclose(float(row[col]), float(value),
                                     rel_tol=REL_TOL, abs_tol=0.0), (row["round"], col)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_trace_matches_golden(name, tmp_path):
+    path = tmp_path / f"{name}.csv"
+    _write_trace(name, path)
+    _check_golden(name, path)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_worker_writes_the_inline_bytes(name, tmp_path, monkeypatch):
+    # _BLOCK_BYTES = 1 puts each round's evaluation and replay draw on run()'s worker;
+    # 1 TiB keeps the run inline, on one thread. Their bytes must be equal, and so the
+    # fixture's wherever the inline run writes them: only the BLAS thread count moves
+    # grad_sq_norm's last bits (the logistic case's at one thread).
+    traces = []
+    for block in (1, 1 << 40):
+        monkeypatch.setattr(training, "_BLOCK_BYTES", block)
+        _write_trace(name, tmp_path / f"{block}.csv")
+        traces.append((tmp_path / f"{block}.csv").read_bytes())
+    assert traces[0] == traces[1]
+    _check_golden(name, tmp_path / "1.csv")
 
 
 if __name__ == "__main__":

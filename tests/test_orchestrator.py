@@ -1,12 +1,16 @@
 import csv
+import dataclasses
 import functools
+import io
 import json
 import math
 import os
 import re
 import subprocess
 import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +20,7 @@ from hypothesis import strategies as st
 
 from gaulrq import orchestrator, training
 from gaulrq.analysis import comm_cost
+from gaulrq.cli import main
 from gaulrq.config import ExperimentConfig, build_simulation, run_experiment
 from gaulrq.errors import ConfigError, DivergedError, InvalidParameterError
 from gaulrq.normal import inv_norm_cdf
@@ -409,7 +414,8 @@ def test_round_engine_matches_per_client_oracle(case, algo, monkeypatch):
             [parse_message(raw)], record.sigma_used, layer)[0]
     assert sim.theta.tobytes() == (theta + total / cfg.B).tobytes()
     # The server decoded the chunk's own replay layers, uncopied, not the clients' layers.
-    _, _, _, code, replay = sim._chunk[1][k]
+    _, _, _, code = sim._chunk[1][k]
+    replay = sim._chunk[2].result()[k] if sim._chunk[2] else None
     if algo == "gau_lrq_sgd":
         assert len(server) == 1 and server[0] is replay
         fields = [(layer.x, layer.R, layer.q_step) for layer in (replay, code)]
@@ -553,6 +559,121 @@ def test_run_diverging_mid_chunk_stops_where_a_chunked_one_does(kw, monkeypatch,
     assert 0 < rounds < kw["K"] - 1 and whole_chunks == [0]
     assert one[4] is not None and one[0].count(b"\n") == 1 + rounds
     assert one == whole
+
+
+# -- run()'s held worker -------------------------------------------------------
+
+def _spy_threads(monkeypatch, sim):
+    """Record the thread of each evaluation, codec draw and layer sample of ``sim``, and
+    the size of each pool that run() makes."""
+    seen = {"evaluation": [], "draw": [], "layer": [], "pools": []}
+    evaluate, draw = sim.objective.loss_and_gradient, sim._pipeline.draw
+
+    def spy(stage, fn):
+        return lambda *args: seen[stage].append(threading.get_ident()) or fn(*args)
+
+    monkeypatch.setattr(sim.objective, "loss_and_gradient", spy("evaluation", evaluate))
+    if draw is not None:
+        sim._pipeline = sim._pipeline._replace(draw=spy("draw", draw))
+    monkeypatch.setattr(orchestrator, "sample_layer", spy("layer", _SAMPLE_LAYER))
+    monkeypatch.setattr(orchestrator, "ThreadPoolExecutor",
+                        lambda n: seen["pools"].append(n) or ThreadPoolExecutor(n))
+    return seen
+
+
+@pytest.mark.parametrize("clip_mode", ["fixed", "median_adaptive"])
+def test_evaluation_and_replay_draw_run_on_the_worker_past_a_block(clip_mode, monkeypatch):
+    # Data past _BLOCK_BYTES = 1 (a chunk a round): run() holds one worker thread for
+    # each round's evaluation and each chunk's replay draw; the clients' draw and every
+    # layer sample (a median-clipped round's too) stay on the caller's. Joined at the end.
+    monkeypatch.setattr(training, "_BLOCK_BYTES", 1)
+    sim = build_simulation(_config(algorithm="gau_lrq_sgd", clip_mode=clip_mode, N=10, B=3,
+                                   K=4, d=4, tau=0.9, s2=1.0))
+    seen, caller = _spy_threads(monkeypatch, sim), threading.get_ident()
+    before = threading.active_count()
+    sim.run()
+    assert seen["pools"] == [1] and threading.active_count() == before
+    (worker,) = set(seen["evaluation"]) - {caller}
+    assert seen["evaluation"] == [worker] * 4
+    assert sorted(seen["draw"]) == sorted([worker, caller] * 4)
+    # Under fixed clipping the replay draw samples the server's layers; a median-clipped
+    # round samples both sides' at its own sigma, on the caller's thread.
+    assert sorted(seen["layer"]) == sorted([worker, caller] * 4 if clip_mode == "fixed"
+                                           else [caller] * 8)
+
+
+def test_no_thread_starts_under_a_block(monkeypatch):
+    # Criterion 9's 320 KB of data stay under _BLOCK_BYTES: run() makes no pool and
+    # defers on the caller's thread. A bare run_round() defers inline at any size.
+    cfg = dict(algorithm="gau_lrq_sgd", N=100, B=10, Q=5, K=3, eta=0.05, epsilon=2.0,
+               tau=0.9, s2=1.0, d=20, n_per_client=20, batch_size=5, seed=0)
+    sim = build_simulation(_config(**cfg))
+    assert sim.objective.shards[0].nbytes == 320_000 < training._BLOCK_BYTES
+    seen, caller = _spy_threads(monkeypatch, sim), threading.get_ident()
+    before = threading.active_count()
+    sim.run()
+    monkeypatch.setattr(training, "_BLOCK_BYTES", 1)
+    bare = build_simulation(_config(**cfg))
+    bare_seen = _spy_threads(monkeypatch, bare)
+    bare.run_round()
+    assert seen["pools"] == bare_seen["pools"] == [] and threading.active_count() == before
+    assert {t for stage in ("evaluation", "draw", "layer") for t in seen[stage] + bare_seen[stage]
+            } == {caller}
+    assert len(seen["evaluation"]) == 3 and len(bare_seen["evaluation"]) == 1
+
+
+@pytest.mark.parametrize("kw", [
+    dict(algorithm="local_sgd", K=8, eta=50.0),
+    dict(algorithm="dynamic_gau_lrq_sgd", K=8, eta=50.0, s2=1.0, tau=0.9,
+         clip_mode="median_adaptive")], ids=lambda kw: kw["algorithm"])
+def test_divergence_with_the_worker_on_is_the_error_seen(kw, monkeypatch, tmp_path):
+    # The local steps diverge in round 2 while the worker evaluates it: the caller sees
+    # that DivergedError, the rounds before it match an inline run's, and the worker is
+    # joined. gaulrq run keeps its partial trace and exits 1.
+    runs = []
+    for block in (1, 1 << 40):
+        monkeypatch.setattr(training, "_BLOCK_BYTES", block)
+        sim = build_simulation(_config(**kw))
+        seen, before = _spy_threads(monkeypatch, sim), threading.active_count()
+        with pytest.raises(DivergedError, match="^local model norm exceeded ceiling"):
+            sim.run()
+        assert threading.active_count() == before and seen["pools"] == ([1] if block == 1 else [])
+        sim.trace("diverged").to_csv(tmp_path / "trace.csv", kw["algorithm"])
+        runs.append(((tmp_path / "trace.csv").read_bytes(), sim.theta.tobytes(), sim.round))
+    assert runs[0] == runs[1] and runs[0][2] == 2
+    monkeypatch.setattr(training, "_BLOCK_BYTES", 1)
+    config = tmp_path / "div.json"
+    config.write_text(json.dumps(dataclasses.asdict(_config(**kw))))
+    before = threading.active_count()
+    assert main(["run", "--config", str(config), "--out-dir", str(tmp_path / "out")]) == 1
+    assert threading.active_count() == before
+    assert (tmp_path / "out" / "t_trace.csv").read_bytes() == runs[0][0]
+
+
+@pytest.mark.parametrize("stage", ["evaluation", "replay"])
+def test_worker_error_is_raised_on_the_caller(stage, monkeypatch):
+    # An error on the worker is raised where its stage is read, the worker is joined, and
+    # the failed round leaves no record and the model where it was.
+    monkeypatch.setattr(training, "_BLOCK_BYTES", 1)
+    sim = build_simulation(_config(algorithm="gau_lrq_sgd", N=10, B=3, K=4, d=4, s2=1.0))
+    caller, failed = threading.get_ident(), []
+    original = sim.objective.loss_and_gradient if stage == "evaluation" else sim._pipeline.draw
+
+    def fail(*args):
+        if threading.get_ident() == caller:  # the clients' draw
+            return original(*args)
+        failed.append(threading.get_ident())
+        raise RuntimeError(f"{stage} failed")
+
+    if stage == "evaluation":
+        monkeypatch.setattr(sim.objective, "loss_and_gradient", fail)
+    else:
+        sim._pipeline = sim._pipeline._replace(draw=fail)
+    theta, before = sim.theta.tobytes(), threading.active_count()
+    with pytest.raises(RuntimeError, match=f"^{stage} failed$"):
+        sim.run()
+    assert threading.active_count() == before and len(failed) == 1
+    assert sim.round == 0 and sim.records == [] and sim.theta.tobytes() == theta
 
 
 _OTHER_KIND = {AlgorithmKind.GAU_SGD: AlgorithmKind.LOCAL_SGD,
@@ -752,22 +873,24 @@ def test_replay_across_blas_threads(tmp_path):
     # evaluation run in BLAS. The thread count changes no bit of the final
     # model or of any trace column but grad_sq_norm. That column reduces
     # X^T r over all 20000 samples, a sum OpenBLAS splits across threads, so
-    # it may move in the last bits.
+    # it may move in the last bits. Two runs at one count (both on run()'s worker, beside
+    # the clients' BLAS calls) must agree in every byte.
     config = json.dumps(dict(algorithm="dynamic_gau_lrq_sgd", clip_mode="median_adaptive",
                              objective="logistic", N=50, B=10, Q=20, K=10, eta=0.5,
                              epsilon=4.0, delta=1e-5, tau=0.9, s2=1.0, d=100,
                              n_per_client=400, batch_size=0, seed=3, run_id="local"))
     src = str(Path(orchestrator.__file__).resolve().parents[1])
-    thetas, traces = [], []
-    for threads in ("1", "2"):
+    runs = []  # (trace CSV bytes, final theta bytes) at 1, 2 and again 2 threads
+    for i, threads in enumerate(("1", "2", "2")):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        stem = tmp_path / f"threads{threads}"
+        stem = tmp_path / f"run{i}"
         subprocess.run([sys.executable, "-c", _REPLAY, config, str(stem)],
                        env=env, check=True, timeout=120)
-        thetas.append(stem.with_suffix(".theta").read_bytes())
-        with open(stem.with_suffix(".csv"), newline="", encoding="utf-8") as fh:
-            traces.append(list(csv.DictReader(fh)))
+        runs.append(tuple(stem.with_suffix(ext).read_bytes() for ext in (".csv", ".theta")))
+    assert runs[1] == runs[2]
+    thetas = [theta for _, theta in runs[:2]]
+    traces = [list(csv.DictReader(io.StringIO(trace.decode()))) for trace, _ in runs[:2]]
     assert len(thetas[0]) == 100 * 8 and thetas[0] == thetas[1]
     assert len(traces[0]) == 10 and len(traces[1]) == 10
     for one, two in zip(*traces):
