@@ -388,6 +388,7 @@ class Simulation:
                                        cfg.eta, batch, cfg.divergence_ceiling)
 
         sigma, inf_norms, eps_cum, s2 = 0.0, [], float("inf"), cfg.s2
+        coded_norms = p.private and p.quantized and not p.noisy  # scale = clipped row's max|v|
         if p.private:
             sigma, eps_cum = float(self._sigmas[k]), float(self._eps_cum[k])
             if cfg.clip_mode == "median_adaptive":
@@ -399,11 +400,14 @@ class Simulation:
                 if p.replayed:  # sigma is this round's, so are the layers: both sides'
                     code = sample_layer(sigma, code)
             updates = clip_update(updates, s2)
-            inf_norms = np.max(np.abs(updates), axis=1).tolist()
+            if not coded_norms:
+                inf_norms = np.max(np.abs(updates), axis=1).tolist()
 
         if p.noisy:
             updates = updates + sigma * noise
         coded = p.encode(updates, sigma, code)  # (width, payload, scale, clamps) a row
+        if coded_norms:  # encode took each row's inf-norm as its scale: not taken twice
+            inf_norms = [scale for _, _, scale, _ in coded]
         parsed = [parse_message(serialize_message(
             WireMessage(cid, k, cfg.d, bits, self.algorithm, payload, scale)))
             for cid, (bits, payload, scale, _) in zip(clients, coded)]

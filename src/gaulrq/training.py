@@ -69,7 +69,7 @@ class Objective:
 
     The global objective is the mean of per-client means plus an optional
     ridge term. All evaluation paths are pure in (theta, data); full_loss and
-    loss_and_gradient share one loss formula, so their losses agree bitwise.
+    loss_and_gradient share one z = X theta and loss formula, so their losses agree bitwise.
 
     ``features`` (N, n, d) and ``targets`` (N, n) are adopted without a copy
     as ``shards``: their shapes make the shards equal. ``datasets`` are the
@@ -108,26 +108,28 @@ class Objective:
     # -- evaluation ---------------------------------------------------------
 
     def full_loss(self, theta):
-        theta = np.asarray(theta, dtype=np.float64)
-        return self._loss(theta, self._X @ theta)
+        return self._loss(np.asarray(theta, dtype=np.float64))[0]
 
     def loss_and_gradient(self, theta):
-        """(F(theta), grad F(theta)) from one product z = X theta: one pass
-        over the N*n x d data, for the per-round evaluation and L-BFGS."""
+        """(F(theta), grad F(theta)) from one product z = X theta: one pass over the N*n x d
+        data, for the per-round evaluation (on a worker thread, beside the clients) and L-BFGS.
+        Both products release the GIL; the loss is full_loss's, bit for bit."""
         theta = np.asarray(theta, dtype=np.float64)
-        z = self._X @ theta
+        loss, z = self._loss(theta)
         resid = _residual(self.kind, z, self._y)
-        return self._loss(theta, z), self._X.T @ (self._w * resid) + self.ridge * theta
+        return loss, np.dot(self._X.T, self._w * resid) + self.ridge * theta  # np.dot: see _loss
 
-    def _loss(self, theta, z):
-        """F(theta) from z = X theta; inf, without a warning, past float64's range."""
+    def _loss(self, theta):
+        """(F(theta), z = X theta); F is inf, without a warning, past float64's range."""
+        # np.dot, not @, here and below: matmul holds the GIL through a small-output BLAS call.
+        z = np.dot(self._X, theta)
         if self.kind == "least_squares":
             with np.errstate(over="ignore"):
                 data = 0.5 * np.sum(self._w * (z - self._y) ** 2)
         else:
             # Stable log(1 + exp(z)) - y*z.
             data = np.sum(self._w * (np.logaddexp(0.0, z) - self._y * z))
-        return float(data + 0.5 * self.ridge * theta @ theta)
+        return float(data + np.dot(0.5 * self.ridge * theta, theta)), z
 
     def sample_gradients(self, theta, dataset, indices):
         """Per-sample gradients (len(indices) x d) of one client's loss."""

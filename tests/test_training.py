@@ -184,13 +184,72 @@ def test_logistic_optimum_meets_gradient_tolerance(seed):
     assert np.linalg.norm(obj.loss_and_gradient(theta_star)[1]) <= 1e-8
 
 
+def _matmul_evaluation(obj, theta):
+    """(loss, gradient) written with @ throughout: the bits loss_and_gradient must give."""
+    X, y = obj.shards[0].reshape(-1, obj.dimension), obj.shards[1].reshape(-1)
+    w, z = 1.0 / y.size, X @ theta
+    if obj.kind == "least_squares":
+        data = 0.5 * np.sum(w * (z - y) ** 2)
+    else:
+        data = np.sum(w * (np.logaddexp(0.0, z) - y * z))
+    resid = z - y if obj.kind == "least_squares" else expit(z) - y
+    return float(data + 0.5 * obj.ridge * theta @ theta), X.T @ (w * resid) + obj.ridge * theta
+
+
 @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
 @pytest.mark.parametrize("ridge", [0.0, 0.05])
 def test_loss_and_gradient_is_full_loss_and_full_gradient(kind, ridge):
-    obj = _objective(seed=4, N=5, d=7, n=9, noise=0.2, kind=kind, ridge=ridge)
-    for theta in np.random.default_rng(6).standard_normal((5, 7)):
-        loss, _ = obj.loss_and_gradient(theta)
-        assert loss == obj.full_loss(theta)
+    # (N, d, n): a small case, then wide-d1e5's N*n < d and local-heavy's d < N*n.
+    for N, d, n in ((5, 7, 9), (10, 100_000, 8), (50, 100, 400)):
+        obj = _objective(seed=4, N=N, d=d, n=n, noise=0.2, kind=kind, ridge=ridge)
+        for theta in np.random.default_rng(6).standard_normal((5 if d == 7 else 2, d)):
+            loss, grad = obj.loss_and_gradient(theta)
+            assert loss == obj.full_loss(theta)
+            want_loss, want_grad = _matmul_evaluation(obj, theta)
+            assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+            assert grad.tobytes() == want_grad.tobytes()
+
+
+@pytest.mark.parametrize("method", ["loss_and_gradient", "full_loss"])
+@pytest.mark.parametrize("N, d, n", [(10, 450, 20), (10, 200, 45)], ids=["wide", "tall"])
+def test_evaluation_on_a_worker_lets_the_caller_run(N, d, n, method):
+    """The round's evaluation runs on a worker beside the clients' steps, so its products must
+    release the GIL. numpy's matmul holds it through a BLAS call whose output is small. Here
+    both outputs are (N*n and d are under 500), so a worker looping the method on matmul never
+    lets go of it, and each of the caller's 100 GIL releases waits a switch interval (~5 ms).
+    full_loss has only z = X theta, the product the two share. At the workloads' shapes the
+    other product releases the GIL once a call, and the caller slows ~1.5-2x."""
+    obj = _objective(seed=1, N=N, d=d, n=n, kind="logistic", ridge=0.01)
+    theta = np.full(d, 0.01)
+
+    def caller_ops():
+        start = time.perf_counter()
+        for _ in range(100):
+            # ~50 us with the GIL released. Not a BLAS call: BLAS threads it woke would spin
+            # on the other core, slow the worker's wake-up, and so hide the wait.
+            time.sleep(0)
+        return time.perf_counter() - start
+
+    alone = min(caller_ops() for _ in range(3))
+    running, stop = threading.Event(), threading.Event()
+    deadline = time.perf_counter() + 1.0  # the worker's last call: a failing run ends too
+
+    def evaluate():
+        while not stop.is_set() and time.perf_counter() < deadline:
+            getattr(obj, method)(theta)
+            running.set()
+
+    with ThreadPoolExecutor(1) as pool:
+        worker = pool.submit(evaluate)
+        try:
+            assert running.wait(10)
+            beside = caller_ops()
+            overlapped = time.perf_counter() < deadline  # the worker looped throughout
+        finally:
+            stop.set()
+        worker.result(timeout=10)
+    assert overlapped, "the caller waited out the worker's whole loop"
+    assert beside < 10 * alone, f"{beside * 1e3:.1f} ms beside the evaluation, {alone * 1e3:.1f} alone"
 
 
 def test_gradient_matches_finite_differences():
