@@ -58,6 +58,12 @@ CASES["ridge_gau_lrq_sgd_full_batch"] = dict(
     eta=0.05, epsilon=3.0, delta=1e-5, tau=0.9, s2=1.0, d=30, n_per_client=50,
     batch_size=0, ridge=0.05, heterogeneity=0.3, label_noise=0.2, seed=7,
     run_id="ridge")
+# Full-batch least squares at large d: each 4 x 5e4 shard passes _BLOCK_BYTES, so the
+# round runs on the worker, reads one-shard blocks and packs 1- to 3-bit indices.
+CASES.update({f"wide_{algo}": dict(
+    algorithm=algo, objective="least_squares", N=4, B=1, Q=2, K=2, eta=1e-4,
+    epsilon=2.0, delta=1e-5, tau=0.9, s2=1.0, d=50_000, n_per_client=4,
+    batch_size=0, seed=3, run_id="wide") for algo in ("gau_sgd", "qg_sgd", "gau_lrq_sgd")})
 
 
 def _write_trace(name, path):
