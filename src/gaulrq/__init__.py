@@ -14,7 +14,7 @@ from .quantizers import (MIN_STEP_FACTOR, EncodedVector, LayerSample,
                          bit_width, lrq_decode, lrq_encode,
                          lrq_quantize_vector, lrq_reconstruct_vector,
                          sample_layer)
-from .streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
+from .streams import DrawStream, SeedMaterial, element_pairs, uniform_block, uniform_pair_block
 from .training import (LocalDataset, ModelState, Objective, ObjectiveSpec,
                        local_rounds, synth_partition, weighted_error)
 

@@ -35,8 +35,8 @@ from .normal import inv_norm_cdf
 from .privacy import clip_ceiling, clip_update, l2_norms, median_clip_bound, noise_schedule
 from .quantizers import (MAX_BITS, MAX_SIGMA, LayerSample, bit_width, lrq_quantize_rows,
                          lrq_reconstruct_rows, sample_layer, stochastic_dequantize,
-                         stochastic_quantize_indices)
-from .streams import SeedMaterial, element_pairs, uniform_pair_block
+                         stochastic_round)
+from .streams import SeedMaterial, element_pairs, uniform_block
 from .training import (Objective, _check_divergence, stacked_local_rounds, synth_partition,
                        weighted_error)
 
@@ -88,16 +88,18 @@ class WireMessage(NamedTuple):
 def pack_indices(indices, bits):
     """Pack signed integers into ``bits``-wide two's-complement fields.
 
-    Field j occupies stream bits [j*bits, (j+1)*bits), LSB-first, so the low
-    ``bits`` of each int64's little-endian bit row are concatenated as is.
-    A (B, d) array with one width per row gives B payloads, each padded on
-    its own: one bit split of all rows, then one pack per distinct width.
+    Field j occupies stream bits [j*bits, (j+1)*bits), LSB-first: the low ``bits``
+    of each int64's little-endian bit row, concatenated. A (B, d) array with one
+    width per row gives B payloads, each padded on its own: one bit split of all
+    rows, as the narrowest unsigned word holding every width, then one pack per width.
     """
     widths = np.reshape(bits, -1)
     words = np.ascontiguousarray(indices, dtype="<i8").reshape(widths.size, -1)
-    planes = np.unpackbits(words.view(np.uint8), bitorder="little").reshape(*words.shape, 64)
+    word = np.min_scalar_type((1 << max(ws := widths.tolist())) - 1).newbyteorder("<")
+    planes = np.unpackbits(words.astype(word).view(np.uint8), bitorder="little").reshape(
+        *words.shape, 8 * word.itemsize)
     payloads = [b""] * widths.size
-    for b in set(widths.tolist()):
+    for b in set(ws):
         rows = np.flatnonzero(widths == b)
         packed = np.packbits(planes[rows, :, :b].reshape(rows.size, -1), axis=1,
                              bitorder="little")
@@ -115,8 +117,9 @@ def unpack_indices(payload, dim: int, bits, signed: bool = True) -> np.ndarray:
     """
     widths = np.reshape(bits, -1)
     payloads = [payload] if np.ndim(bits) == 0 else payload
-    planes = np.zeros((widths.size, dim, 64), dtype=np.uint8)
-    for b in set(widths.tolist()):
+    word = np.min_scalar_type((1 << max(ws := widths.tolist())) - 1).newbyteorder("<")
+    planes = np.zeros((widths.size, dim, 8 * word.itemsize), dtype=np.uint8)
+    for b in set(ws):
         rows = np.flatnonzero(widths == b)
         n = (dim * b + 7) // 8
         stream = np.frombuffer(b"".join(bytes(payloads[i][:n]).ljust(n, b"\0")
@@ -124,10 +127,11 @@ def unpack_indices(payload, dim: int, bits, signed: bool = True) -> np.ndarray:
         planes[rows, :, :b] = np.unpackbits(stream.reshape(rows.size, n), axis=1,
                                             count=dim * b, bitorder="little"
                                             ).reshape(rows.size, dim, b)
-    out = np.packbits(planes, bitorder="little").view("<i8").reshape(widths.size, dim)
-    if signed:
+    words = np.packbits(planes, bitorder="little").view(word)
+    out = words.astype(np.int64).reshape(widths.size, dim)
+    if signed:  # branch-free: np.where mispredicts on random signs
         high = np.left_shift(1, widths)[:, None]
-        out = np.where(out >= high >> 1, out - high, out)
+        out = out - (out >= high >> 1) * high
     return out[0] if np.ndim(bits) == 0 else out
 
 
@@ -176,14 +180,14 @@ def _decode_float(msgs, sigma, rows):
 
 
 def _draw_stochastic(seed, ids, rnd, d, sigma):
-    return uniform_pair_block(seed.lane("sq"), ids, rnd, 0, np.arange(d, dtype=np.uint64))[0]
+    return uniform_block(seed.lane("sq"), ids, rnd, 0, np.arange(d, dtype=np.uint64))
 
 
 def _encode_stochastic(V, sigma, uniforms):
-    widths = bit_width(np.max(np.abs(V), axis=1), sigma)
-    idx, scales = stochastic_quantize_indices(V, widths, uniforms)
-    payloads = pack_indices(idx - np.left_shift(1, widths - 1)[:, None], widths)
-    return list(zip(widths.tolist(), payloads, scales.tolist(), [0] * len(payloads)))
+    scales = np.max(np.abs(V), axis=1)
+    widths = bit_width(scales, sigma)  # rejects a non-finite norm, so a non-finite V
+    idx = stochastic_round(V, widths, uniforms, scales) - np.left_shift(1, widths - 1)[:, None]
+    return list(zip(widths.tolist(), pack_indices(idx, widths), scales.tolist(), [0] * len(V)))
 
 
 def _decode_stochastic(msgs, sigma, uniforms):
@@ -327,7 +331,8 @@ class Simulation:
                              config.label_noise, kind=config.objective,
                              heterogeneity=config.heterogeneity),
             kind=config.objective, ridge=config.ridge)
-        self.theta0 = inv_norm_cdf(element_pairs(self.seed.lane("init"), 0, 0, config.d)[0])
+        self.theta0 = inv_norm_cdf(uniform_block(self.seed.lane("init"), 0, 0,
+                                                 np.arange(config.d, dtype=np.uint64), 0))
         self.theta = self.theta0.copy()
         self.algorithm = AlgorithmKind[config.algorithm.upper()]
         self.batch_size = config.batch_size or config.n_per_client  # 0 is full batch
@@ -356,19 +361,20 @@ class Simulation:
         steps = cfg.Q * self.batch_size if self.batch_size < n else 0
         fit = max(1, training._BLOCK_BYTES // (8 * cfg.B * (1 + steps + (p.noisy + p.held) * d)))
         rounds = np.arange(self.round, min(cfg.K, self.round + fit), dtype=np.uint64)
-        u_sample, _ = uniform_pair_block(self.seed.lane("sample"), 0, rounds, 0, 0)
-        clients = sample_clients(cfg.N, cfg.B, u_sample)
+        clients = sample_clients(cfg.N, cfg.B, uniform_block(self.seed.lane("sample"), 0,
+                                                             rounds, 0, 0))
         batch = noise = code = [None] * rounds.size
         rnd, replay = rounds[:, None], None
         sigma = self._sigmas[rounds, None, None] if p.draw and cfg.clip_mode == "fixed" else None
         if p.replayed:  # the server's own draw, first: decoding never reads a client's array
             replay = self._defer(p.draw, self.seed, clients, rnd, d, sigma)
         if steps:
-            u_batch, _ = uniform_pair_block(self.seed.lane("batch"), clients, rnd, 0,
-                                            np.arange(steps, dtype=np.uint64))
+            u_batch = uniform_block(self.seed.lane("batch"), clients, rnd, 0,
+                                    np.arange(steps, dtype=np.uint64))
             batch = np.floor(u_batch * n).astype(np.int64)
         if p.noisy:
-            noise = inv_norm_cdf(element_pairs(self.seed.lane("noise"), clients, rnd, d)[0])
+            noise = inv_norm_cdf(uniform_block(self.seed.lane("noise"), clients, rnd,
+                                               np.arange(d, dtype=np.uint64), 0))
         if p.draw is not None:
             code = p.draw(self.seed, clients, rnd, d, sigma)
         self._chunk = (self.round, list(zip(clients.tolist(), batch, noise, code)), replay)
@@ -430,9 +436,9 @@ class Simulation:
         replay = self._chunk[2].result()[i] if p.replayed else None  # read where it is decoded
         if p.replayed and cfg.clip_mode == "median_adaptive":  # at this round's sigma, as code
             replay = sample_layer(sigma, replay)
-        # Rows added in turn to +0.0, as B separate decodes would give; np.add.reduce
-        # would sum them pairwise where d = 1.
-        total = np.add.accumulate(p.decode(parsed, sigma, replay))[-1] + 0.0
+        # Rows added in turn to +0.0, as B separate decodes would give: np.add.reduce sums them
+        # pairwise where d = 1, and np.add.accumulate steps column by column (slow at large d).
+        total = sum(p.decode(parsed, sigma, replay), 0.0)
         theta = self.theta + total / len(parsed)
         _check_divergence(theta[None], cfg.divergence_ceiling, "global")
         loss, grad = evaluation.result()  # before theta moves: a failed round changes nothing

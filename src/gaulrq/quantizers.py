@@ -265,20 +265,24 @@ def stochastic_quantize_indices(v, b, uniforms):
     all-zero row keeps index 0 and scale 0.0.
     """
     v = np.asarray(v, dtype=np.float64)
-    if v.size and not np.all(np.isfinite(v)):
+    scale = np.max(np.abs(v), axis=-1, initial=0.0)
+    if not np.isfinite(scale).all():  # max|v| is NaN or inf where an element is
         raise InvalidParameterError("vector elements must be finite")
     u = np.asarray(uniforms, dtype=np.float64)
     if u.shape != v.shape:
         raise InvalidParameterError("need one uniform per element")
+    return stochastic_round(v, b, u, scale), (float(scale) if v.ndim == 1 else scale)
 
-    scale = np.max(np.abs(v), axis=-1, initial=0.0)[..., None]
+
+def stochastic_round(v, b, uniforms, scale):
+    """stochastic_quantize_indices' indices of float64 v at its rows' finite inf-norms."""
+    scale = np.asarray(scale)[..., None]
     n_lev = stochastic_levels(b)[..., None]
     # A zero scale means an all-zero row: any spacing > 0 sends it to index 0.
     spacing = np.where(scale > 0.0, 2.0 * scale / (n_lev - 1), 1.0)
     t = (v + scale) / spacing
     lo = np.floor(t)
-    idx = np.clip((lo + (u < t - lo)).astype(np.int64), 0, n_lev - 1)
-    return idx, (float(scale[0]) if v.ndim == 1 else scale[:, 0])
+    return np.clip((lo + (uniforms < t - lo)).astype(np.int64), 0, n_lev - 1)
 
 
 def stochastic_dequantize(indices, b, scale) -> np.ndarray:

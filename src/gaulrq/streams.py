@@ -1,13 +1,13 @@
 """Counter-based pseudo-random streams shared by encoder and decoder.
 
-Every draw is a pure function of (seed material, cursor), so the server
-can regenerate exactly the dither values each client consumed without any
-state synchronization: both sides evaluate the same keyed mixing function
-at the same counters. Streams for distinct (client, round) pairs use
-disjoint counter domains and are statistically independent. Because a
-draw depends on nothing but its cursor, one call serves many rounds: an
-array of client ids adds a leading client axis, row i holding exactly what
-the call for client i alone returns, and an (R, B) table of ids with an
+Every draw is a pure function of (seed material, cursor), so the server can
+regenerate exactly the dither values each client consumed without any state
+synchronization: both sides evaluate the same keyed mixing function at the same
+counters. Streams for distinct (client, round) pairs use disjoint counter
+domains and are statistically independent. A cursor gives a pair of uniforms; a
+lane that reads only the first draws it alone, bit for bit (uniform_block). One
+call serves many rounds: an array of client ids adds a leading client axis, row
+i what the call for client i alone returns, and an (R, B) table of ids with an
 (R, 1) array of rounds adds a rounds axis before it.
 
 Not cryptographic. The shared seed is assumed to be distributed once,
@@ -105,6 +105,21 @@ def _client_ids(client_id, what: str = "client ids") -> np.ndarray:
     return ids.astype(np.uint64)
 
 
+def _cursor_words(seed: SeedMaterial, client_id, rnd, element_index, draw_counter):
+    """The word each broadcast cursor's uniforms are mixed from; callers ignore overflow."""
+    ids, rnds = _client_ids(client_id), _client_ids(rnd, "rounds")
+    element_index = np.asarray(element_index, dtype=np.uint64)
+    draw_counter = np.asarray(draw_counter, dtype=np.uint64)
+    try:
+        h = _splitmix64(_splitmix64(seed.key() ^ ids) ^ rnds)
+    except ValueError:
+        raise InvalidParameterError(f"rounds of shape {rnds.shape} do not broadcast "
+                                    f"against client ids of shape {ids.shape}") from None
+    h = h.reshape(np.shape(h) + (1,) * max(element_index.ndim, draw_counter.ndim))
+    return _splitmix64(_splitmix64(h ^ element_index) ^ draw_counter)
+
+
+@np.errstate(over="ignore")
 def uniform_pair_block(seed: SeedMaterial, client_id, rnd,
                        element_index, draw_counter):
     """Two uniforms in (0, 1) at cursor (client_id, rnd, element_index, draw_counter).
@@ -116,20 +131,14 @@ def uniform_pair_block(seed: SeedMaterial, client_id, rnd,
     call for (client_id[r, i], rnd[r]) alone. The key is folded with client_id
     and then rnd, element_index and draw_counter, one SplitMix64 round each.
     """
-    ids, rnds = _client_ids(client_id), _client_ids(rnd, "rounds")
-    element_index = np.asarray(element_index, dtype=np.uint64)
-    draw_counter = np.asarray(draw_counter, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        try:
-            h = _splitmix64(_splitmix64(seed.key() ^ ids) ^ rnds)
-        except ValueError:
-            raise InvalidParameterError(f"rounds of shape {rnds.shape} do not broadcast "
-                                        f"against client ids of shape {ids.shape}") from None
-        h = h.reshape(np.shape(h) + (1,) * max(element_index.ndim, draw_counter.ndim))
-        base = _splitmix64(_splitmix64(h ^ element_index) ^ draw_counter)
-        u1 = _to_unit(_splitmix64(base))
-        u2 = _to_unit(_splitmix64(base + _ONE))
-    return u1, u2
+    base = _cursor_words(seed, client_id, rnd, element_index, draw_counter)
+    return _to_unit(_splitmix64(base)), _to_unit(_splitmix64(base + _ONE))
+
+
+@np.errstate(over="ignore")
+def uniform_block(seed: SeedMaterial, client_id, rnd, element_index, draw_counter):
+    """uniform_pair_block's first uniform at each cursor, bit for bit, without its second."""
+    return _to_unit(_splitmix64(_cursor_words(seed, client_id, rnd, element_index, draw_counter)))
 
 
 def element_pairs(seed: SeedMaterial, client_id, rnd, dim: int):
@@ -160,6 +169,4 @@ class DrawStream:
         """n uniforms in (0, 1)."""
         ctr = np.arange(self._counter, self._counter + n, dtype=np.uint64)
         self._counter += n
-        u1, _ = uniform_pair_block(self._seed, self._client_id, self._round,
-                                   np.zeros(n, dtype=np.uint64), ctr)
-        return u1
+        return uniform_block(self._seed, self._client_id, self._round, 0, ctr)

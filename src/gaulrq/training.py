@@ -255,9 +255,9 @@ def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, 
     row's norm above divergence_ceiling, or NaN, raises DivergedError.
 
     Rows run in blocks of about _BLOCK_BYTES of batch data: one gather per
-    block (the whole shard, or all Q minibatches), all Q steps on slices of
-    it, so each step rereads its block from L2, not the whole gather from
-    memory. Rows never mix, so the blocks change no result.
+    block (the shards, in place if one, or all Q minibatches), all Q steps on
+    slices of it, so each step rereads its block from L2, not the whole gather
+    from memory. Rows never mix, so the blocks change no result.
     """
     if Q < 1:
         raise InvalidParameterError("Q must be >= 1")
@@ -271,7 +271,8 @@ def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, 
     local = np.full((rows.size, d), theta, dtype=np.float64)
     for lo in range(0, rows.size, step):
         part, w = rows[lo:lo + step], local[lo:lo + step]  # w: a view, stepped in place
-        at = part if batch is None else (part[:, None], batch[lo:lo + step])
+        at = (part[:, None], batch[lo:lo + step]) if batch is not None else (
+            part if part.size > 1 else slice(part[0], part[0] + 1))  # one shard: in place
         Xg, yg = X[at], y[at]
         for o in offsets:
             Xb, yb = Xg[:, o:o + b], yg[:, o:o + b]

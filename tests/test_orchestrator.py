@@ -100,6 +100,23 @@ def test_pack_unpack_match_reference(case):
     assert np.array_equal(out, _ref_unpack(payload, idx.size, bits, signed))
 
 
+@pytest.mark.parametrize("signed", [True, False], ids=["signed", "unsigned"])
+def test_pack_unpack_match_reference_at_every_width(signed):
+    # Each width splits only the bytes of the narrowest unsigned word that holds it:
+    # every width 1..62, at a dim whose stream ends mid-byte and at dim 0.
+    rng = np.random.default_rng(9)
+    for bits in range(1, 63):
+        lo = -(1 << (bits - 1)) if signed else 0
+        for dim in (0, 37):
+            idx = rng.integers(lo, lo + (1 << bits), size=dim)
+            payload = pack_indices(idx, bits)
+            assert payload == _ref_pack(idx, bits)
+            out = unpack_indices(payload, dim, bits, signed=signed)
+            assert out.dtype == np.int64 and out.shape == (dim,)
+            assert out.tobytes() == _ref_unpack(payload, dim, bits, signed).tobytes()
+            assert np.array_equal(out, idx)
+
+
 def test_pack_matches_reference_at_d1e5():
     idx = np.random.default_rng(4).integers(-4, 4, size=100_000)
     payload = pack_indices(idx, 3)
@@ -109,8 +126,10 @@ def test_pack_matches_reference_at_d1e5():
 
 @st.composite
 def _index_rows(draw):
-    """A (B, d) index array with one width per row, mixed over 1..MAX_BITS."""
-    widths = draw(st.lists(st.integers(1, MAX_BITS), min_size=1, max_size=6))
+    """A (B, d) index array with one width per row, mixed over 1..top for a top of
+    1 to 5 bytes (MAX_BITS is 40): the packers' word follows the widest row."""
+    top = draw(st.sampled_from([8, 16, 24, 32, MAX_BITS]))
+    widths = draw(st.lists(st.integers(1, top), min_size=1, max_size=6))
     signed = draw(st.booleans())
     dim = draw(st.integers(0, 40))
     rows = []
@@ -485,17 +504,14 @@ def test_determinism_bitwise(tmp_path):
 
 _SERIALIZE, _DRAW_CHUNK = orchestrator.serialize_message, orchestrator.Simulation._draw_chunk
 _ELEMENT_PAIRS, _SAMPLE_LAYER = orchestrator.element_pairs, orchestrator.sample_layer
-_INV_NORM_CDF = orchestrator.inv_norm_cdf
-# element_pairs calls of one chunk: the noise lane, the dither lane and its server replay.
-_CHUNK_PAIR_DRAWS = {"local_sgd": 0, "gau_sgd": 1, "qg_sgd": 1, "gau_lrq_sgd": 2,
-                     "dynamic_gau_lrq_sgd": 2}
+_INV_NORM_CDF, _UNIFORM_BLOCK = orchestrator.inv_norm_cdf, orchestrator.uniform_block
 
 
 def _run_in_chunks(monkeypatch, tmp_path, block_bytes, **kw):
     """One run under a byte bound on the stepper's blocks and the chunks of
     rounds: its artifacts' bytes, the first round of each chunk, and the
-    error it stopped on. Checks that every per-element draw, the server's
-    included, is made by a chunk, one call per lane; that a chunk maps its
+    error it stopped on. Checks that every draw but the "init" lane's, the
+    server's included, is made by a chunk, one call per lane; that a chunk maps its
     noise uniforms to normals in one call; and that the layered codecs sample
     their layers twice, the clients' and the server's, in each chunk under
     fixed clipping and in each round under median clipping."""
@@ -505,8 +521,9 @@ def _run_in_chunks(monkeypatch, tmp_path, block_bytes, **kw):
                         lambda msg: wire.append(_SERIALIZE(msg)) or wire[-1])
     monkeypatch.setattr(orchestrator.Simulation, "_draw_chunk",
                         lambda sim: chunks.append(sim.round) or _DRAW_CHUNK(sim))
-    monkeypatch.setattr(orchestrator, "element_pairs",
-                        lambda *args: draws.append(args[2]) or _ELEMENT_PAIRS(*args))
+    for name, draw in (("element_pairs", _ELEMENT_PAIRS), ("uniform_block", _UNIFORM_BLOCK)):
+        monkeypatch.setattr(orchestrator, name, lambda *args, draw=draw: draws.append(
+            (args[0].run_id.rpartition("/")[2], args[2])) or draw(*args))
     monkeypatch.setattr(orchestrator, "sample_layer",
                         lambda *args: layers.append(args[0]) or _SAMPLE_LAYER(*args))
     monkeypatch.setattr(orchestrator, "inv_norm_cdf",
@@ -521,10 +538,15 @@ def _run_in_chunks(monkeypatch, tmp_path, block_bytes, **kw):
     trace.to_csv(tmp_path / "trace.csv", cfg.algorithm)
     trace.to_summary_json(tmp_path / "summary.json")
     artifacts = [(tmp_path / name).read_bytes() for name in ("trace.csv", "summary.json")]
-    # The "init" lane's draw at round 0, then each chunk's, all with a rounds axis.
-    assert len(draws) == 1 + len(chunks) * _CHUNK_PAIR_DRAWS[cfg.algorithm]
-    assert all(np.ndim(rounds) == 2 for rounds in draws[1:])
+    # The "init" lane's draw at round 0, then each chunk's, all with a rounds axis: the
+    # replay may run on the worker, so the lanes are compared as a multiset.
     pipeline = PIPELINES[AlgorithmKind[cfg.algorithm.upper()]]
+    codec = {orchestrator._draw_stochastic: ["sq"], orchestrator._draw_layered: ["quant"] * 2}
+    chunk = ["sample"] + ["batch"] * (0 < cfg.batch_size < cfg.n_per_client)
+    chunk += ["noise"] * pipeline.noisy + codec.get(pipeline.draw, [])
+    assert sorted(lane for lane, _ in draws) == sorted(["init"] + chunk * len(chunks))
+    assert draws[0] == ("init", 0) and all(np.ndim(rounds) == 1 + (lane != "sample")
+                                           for lane, rounds in draws[1:])
     fixed = cfg.clip_mode == "fixed"
     assert len(layers) == 2 * pipeline.replayed * (len(chunks) if fixed else len(trace.records))
     assert all(np.ndim(sigma) == (3 if fixed else 0) for sigma in layers)  # chunk: a column

@@ -3,13 +3,13 @@ import numbers
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gaulrq.errors import InvalidParameterError
 from gaulrq.streams import (DrawStream, SeedMaterial, _client_ids, _to_unit,
-                            element_pairs, uniform_pair_block)
+                            element_pairs, uniform_block, uniform_pair_block)
 
 SEED = SeedMaterial(42, "test")
 
@@ -88,6 +88,9 @@ def test_draw_stream_advances():
     # A fresh stream replays the same prefix.
     s2 = DrawStream(SEED, 4, 5)
     assert np.array_equal(s2.next(20), np.concatenate([first, second]))
+    # Draw i reads the first uniform at cursor (4, 5, 0, i).
+    want = uniform_pair_block(SEED, 4, 5, 0, np.arange(20, dtype=np.uint64))[0]
+    assert np.concatenate([first, second]).tobytes() == want.tobytes()
 
 
 def test_seed_material_bounds():
@@ -164,8 +167,9 @@ def test_prf_matches_reference_formula():
 
 def test_pair_block_rejects_out_of_range_client_and_round():
     for cid, rnd in ((-1, 0), (0, -1), (2**64, 0)):
-        with pytest.raises(InvalidParameterError):
-            uniform_pair_block(SEED, cid, rnd, 0, 0)
+        for draw in (uniform_pair_block, uniform_block):
+            with pytest.raises(InvalidParameterError):
+                draw(SEED, cid, rnd, 0, 0)
 
 
 # -- client axis ------------------------------------------------------------
@@ -289,3 +293,26 @@ def test_rounds_axis_rejects_bad_rounds(bad, rounds, pos):
 def test_rounds_must_broadcast_against_client_ids():
     with pytest.raises(InvalidParameterError, match="do not broadcast"):
         uniform_pair_block(SEED, [[1, 2], [3, 4]], [5, 6, 7], 0, 0)
+
+
+# -- one uniform a cursor -----------------------------------------------------
+
+_TOP = 2**64 - 1
+
+
+@settings(max_examples=300, deadline=None)
+@given(ids=st.one_of(_U64, st.lists(_U64, max_size=4), _round_tables()),
+       rnd=_U64, cursors=st.lists(st.tuples(_U64, _U64), min_size=1, max_size=5),
+       axis=st.sampled_from(["scalar", "element", "counter", "both"]))
+@example(ids=_TOP, rnd=_TOP, cursors=[(_TOP, _TOP)], axis="scalar")
+@example(ids=[0, _TOP], rnd=_TOP, cursors=[(0, _TOP), (_TOP, 0)], axis="both")
+def test_uniform_block_is_the_pairs_first_uniform(ids, rnd, cursors, axis):
+    # An int, a 1-D array or an (R, B) table of ids (with its (R, 1) rounds), against
+    # element-index and draw-counter arrays: every byte, type and shape of the pair's u1.
+    if isinstance(ids, tuple):
+        ids, rnd = ids
+    e, c = (np.array(x, dtype=np.uint64) for x in zip(*cursors))
+    e, c = {"scalar": (e[0], c[0]), "element": (e, 0), "counter": (0, c), "both": (e, c)}[axis]
+    got, want = uniform_block(SEED, ids, rnd, e, c), uniform_pair_block(SEED, ids, rnd, e, c)[0]
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()

@@ -416,6 +416,47 @@ def test_one_gather_per_block_matches_per_step_gathers(kind, B, n, d, Q, batch, 
     assert got.tobytes() == _per_step_gathers(obj, theta0, rows, Q, 0.05, idx).tobytes()
 
 
+def _full_batch_gather(obj, theta, i, Q, eta):
+    """Q full-batch steps of shard i on its gathered copy X[[i]], as a one-shard block
+    ran before it was read in place."""
+    X, y = obj.shards
+    Xg, yg, w = X[[i]], y[[i]], theta[None].copy()
+    for _ in range(Q):
+        r = training._residual(obj.kind, np.matmul(Xg, w[:, :, None])[:, :, 0], yg)
+        w -= eta * (np.matmul(r[:, None, :], Xg)[:, 0, :] / Xg.shape[1] + obj.ridge * w)
+    return w[0] - theta
+
+
+@pytest.mark.parametrize("kind, ridge", [("least_squares", 0.0), ("logistic", 0.0),
+                                         ("least_squares", 0.05)],
+                         ids=["least_squares", "logistic", "ridge"])
+@pytest.mark.parametrize("n, d", [(3, 5), (7, 33), (4, 50_000)])
+def test_one_shard_block_matches_its_gather(kind, ridge, n, d, monkeypatch):
+    # Shard i starts i * n * d * 8 bytes into the features: odd sizes move its alignment.
+    # The d = 5e4 shards pass _BLOCK_BYTES themselves, as the benchmark's do.
+    if d < 1000:
+        monkeypatch.setattr(training, "_BLOCK_BYTES", 1)
+    obj = _objective(seed=d, N=5, d=d, n=n, noise=0.1, kind=kind, ridge=ridge)
+    theta0 = np.random.default_rng(n).standard_normal(d)
+    rows = np.array([0, 1, 3, 4])
+    got = stacked_local_rounds(obj, theta0, rows, 3, 1.0 / d, None, 1e6)
+    for row, i in zip(got, rows):
+        assert row.tobytes() == _full_batch_gather(obj, theta0, i, 3, 1.0 / d).tobytes()
+
+
+def test_one_shard_full_batch_block_is_not_copied():
+    obj = _objective(seed=1, N=3, d=50_000, n=8, noise=0.1)
+    theta0 = np.random.default_rng(2).standard_normal(50_000)
+    shard = obj.shards[0][0].nbytes  # 3.2 MB, past _BLOCK_BYTES: a block of its own
+    tracemalloc.start()
+    try:
+        stacked_local_rounds(obj, theta0, [1], 2, 1e-5, None, 1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.5 * shard, peak / shard
+
+
 @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
 @pytest.mark.parametrize("batch", [0, 3])
 def test_row_blocks_change_no_update(kind, batch, monkeypatch):
