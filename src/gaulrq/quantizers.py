@@ -121,8 +121,13 @@ def lrq_encode(u, layer: LayerSample):
     u = np.asarray(u, dtype=np.float64)
     if u.size and not np.all(np.isfinite(u)):
         raise InvalidParameterError("input to encode must be finite")
-    m = np.floor((u + layer.R - layer.x) / layer.q_step).astype(np.int64)
+    m = _cell(u, layer)
     return int(m) if m.ndim == 0 else m
+
+
+def _cell(u, layer: LayerSample) -> np.ndarray:
+    """lrq_encode's floor((u + R - x) / q_step) of float64 u its callers checked for finiteness."""
+    return np.floor((u + layer.R - layer.x) / layer.q_step).astype(np.int64)
 
 
 def lrq_decode(m, layer: LayerSample):
@@ -164,7 +169,7 @@ def _base_indices(layer: LayerSample, scales) -> np.ndarray:
     for the signalled width b, which is what makes fixed-length coding
     clamp-free. ``scales`` holds one scale per row of the layer.
     """
-    return lrq_encode(-np.asarray(scales, dtype=np.float64)[:, None], layer)
+    return _cell(-np.asarray(scales, dtype=np.float64)[:, None], layer)
 
 
 def _row_layer(sigma: float, uniforms, d: int) -> LayerSample:
@@ -189,7 +194,7 @@ def lrq_quantize_rows(V, sigma: float, layer: LayerSample):
     # bit_width rejects non-finite elements and widths above the cap before any index.
     scales = np.max(np.abs(V), axis=1)
     widths = bit_width(scales, sigma)
-    rel = lrq_encode(V, layer) - _base_indices(layer, scales)
+    rel = _cell(V, layer) - _base_indices(layer, scales)
     clamped = np.clip(rel, 0, (np.left_shift(1, widths) - 1)[:, None])
     clamps = np.count_nonzero(clamped != rel, axis=1)
     return clamped, widths.tolist(), scales.tolist(), clamps
@@ -210,6 +215,8 @@ def lrq_quantize_vector(v, sigma: float, uniforms) -> EncodedVector:
 
 def lrq_reconstruct_vector(encoded: EncodedVector, sigma: float, uniforms) -> np.ndarray:
     """lrq_reconstruct_rows for one encoded vector."""
+    if not np.isfinite(encoded.scale):
+        raise InvalidParameterError(f"scale must be finite, got {encoded.scale}")
     return lrq_reconstruct_rows(np.reshape(encoded.indices, (1, encoded.dim)), [encoded.scale],
                                 _row_layer(sigma, uniforms, encoded.dim))[0]
 

@@ -203,11 +203,16 @@ class Objective:
         return max(_on_two_threads(worst, len(X), X.nbytes if X[0].nbytes <= _BLOCK_BYTES else 0))
 
     def spec(self, theta0) -> ObjectiveSpec:
-        _, f_star = self.optimum()
-        return ObjectiveSpec(kind=self.kind, dimension=self.dimension,
-                             smoothness=self.smoothness(),
-                             grad_variance=self.grad_variance_bound(theta0),
-                             optimum_gap=self.full_loss(theta0) - f_star)
+        """The constants at theta0: past _BLOCK_BYTES of data, all but the optimum on the worker
+        of _on_two_threads, after the caller builds the Gram (least squares' optimum reads it; one
+        cached by the worker raised local-heavy's peak RSS ~11%). Same calls, so the same bits."""
+        self._weighted_gram()
+        sides = (lambda: [self.optimum()[1]], lambda: [
+            self.smoothness(), self.grad_variance_bound(theta0), self.full_loss(theta0)])
+        f_star, nu, alpha2, f0 = sum(_on_two_threads(
+            lambda lo, hi: [c for s in sides[lo:hi] for c in s()], 2, self.shards[0].nbytes), [])
+        return ObjectiveSpec(kind=self.kind, dimension=self.dimension, smoothness=nu,
+                             grad_variance=alpha2, optimum_gap=f0 - f_star)
 
 
 @dataclass

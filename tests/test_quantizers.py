@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -168,8 +169,9 @@ def test_decode_examples():
 
 
 def test_encode_rejects_nonfinite():
-    with pytest.raises(InvalidParameterError):
-        lrq_encode(np.nan, _MANUAL)
+    for u in (np.nan, np.inf, -np.inf, [0.5, np.nan], [[np.inf, 1.0]]):
+        with pytest.raises(InvalidParameterError, match="finite"):
+            lrq_encode(u, _MANUAL)
 
 
 def test_round_trip_error_in_layer_interval():
@@ -297,6 +299,53 @@ def test_quantize_rejects_nonfinite():
     uniforms = element_pairs(SEED, 0, 15, 2)
     with pytest.raises(InvalidParameterError):
         lrq_quantize_vector(np.array([1.0, np.nan]), 0.1, uniforms)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_quantize_rows_rejects_nonfinite_rows_and_wide_rows(bad):
+    # Only bit_width guards the rows' indices: a non-finite element, in any row, and
+    # a row wider than MAX_BITS end in the typed error, with no RuntimeWarning.
+    layer = sample_layer(0.1, element_pairs(SEED, np.arange(3), 16, 4))
+    V = np.ones((3, 4))
+    for row in range(3):
+        with pytest.raises(InvalidParameterError, match="scale"):
+            lrq_quantize_rows(np.where(np.arange(12).reshape(3, 4) == 4 * row + 2, bad, V),
+                              0.1, layer)
+    wide = V.copy()
+    wide[1] *= 1.5 * 2.0**MAX_BITS * MIN_STEP_FACTOR * 0.1
+    with pytest.raises(InvalidParameterError, match=f"{MAX_BITS}-bit cap"):
+        lrq_quantize_rows(wide, 0.1, layer)
+
+
+@pytest.mark.parametrize("scale", [np.nan, np.inf])
+def test_reconstruct_vector_rejects_nonfinite_scale(scale):
+    uniforms = element_pairs(SEED, 0, 17, 3)
+    enc = lrq_quantize_vector(np.array([0.5, -0.25, 0.0]), 0.2, uniforms)
+    with pytest.raises(InvalidParameterError, match="scale must be finite"):
+        lrq_reconstruct_vector(replace(enc, scale=scale), 0.2, uniforms)
+
+
+@settings(max_examples=150, deadline=None)
+@given(B=st.integers(1, 5), d=st.integers(1, 40), sigma=st.floats(1e-3, 1e3),
+       decades=st.floats(-8.0, 6.0), zeros=st.floats(0.0, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(B=2, d=3, sigma=1.0, decades=0.0, zeros=1.0, seed=0)  # all-zero rows
+def test_rows_codec_is_the_scalar_codec(B, d, sigma, decades, zeros, seed):
+    """lrq_quantize_rows' indices are lrq_encode's, offset from lrq_encode(-scale) and
+    clipped to the width; lrq_reconstruct_rows' rows are lrq_decode's: bit for bit."""
+    rng = np.random.default_rng(seed)
+    V = sigma * 10.0**decades * rng.standard_normal((B, d))
+    V[rng.random((B, d)) < zeros] = 0.0
+    layer = sample_layer(sigma, element_pairs(SEED, np.arange(B), 31, d))
+    idx, widths, scales, clamps = lrq_quantize_rows(V, sigma, layer)
+    base = lrq_encode(-np.array(scales)[:, None], layer)
+    rel = lrq_encode(V, layer) - base
+    want = np.clip(rel, 0, (np.left_shift(1, widths) - 1)[:, None])
+    assert idx.dtype == np.int64 and np.array_equal(idx, want)
+    assert clamps.tolist() == np.count_nonzero(want != rel, axis=1).tolist()
+    assert scales == np.max(np.abs(V), axis=1).tolist()
+    assert widths == bit_width(scales, sigma).tolist()
+    got = lrq_reconstruct_rows(idx, scales, layer)
+    assert got.tobytes() == lrq_decode(idx + base, layer).tobytes()
 
 
 def test_small_sigma_vectors_never_clamp():

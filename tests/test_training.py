@@ -97,9 +97,9 @@ def test_no_result_depends_on_the_thread_split(kind, slab, monkeypatch):
         splits.append(len(pools))
         pools.clear()
     assert got[0] == got[1] == got[2]
-    # Split: the slabs (when there are two or more), three finiteness scans, and
-    # the variance bound when a block holds a shard.
-    assert splits == [3 + (slab == 10), 4 + (slab == 10), 0]
+    # Split: the slabs (when there are two or more), three finiteness scans, spec's
+    # side constants, and the variance bound when a block holds a shard.
+    assert splits == [4 + (slab == 10), 5 + (slab == 10), 0]
 
 
 def test_two_thread_split_joins_its_worker_and_reraises(monkeypatch):
@@ -591,3 +591,93 @@ def test_spec_makes_no_copy_of_the_data(kind, N, n, d):
     finally:
         tracemalloc.stop()
     assert peak <= 0.25 * features.nbytes, peak / features.nbytes
+
+
+_SPEC_CASES = [("least_squares", 0.0, 4, 9, 5),    # the d x d Gram
+               ("least_squares", 0.0, 2, 3, 10),   # the thin N*n x N*n Gram
+               ("least_squares", 0.1, 4, 9, 5),
+               ("least_squares", 0.1, 2, 3, 10),
+               ("logistic", 0.0, 5, 40, 6),
+               ("logistic", 0.3, 3, 4, 20)]
+
+
+def _spec_calls(monkeypatch):
+    """Record each constant's call as (method, on the main thread), and each Gram
+    read as built or cached."""
+    calls = []
+    for name in ("optimum", "smoothness", "grad_variance_bound", "full_loss", "_weighted_gram"):
+        def record(self, *args, _name=name, _method=getattr(Objective, name)):
+            if _name == "_weighted_gram":
+                _name = "gram built" if self._gram is None else "gram read"
+            calls.append((_name, threading.current_thread() is threading.main_thread()))
+            return _method(self, *args)
+        monkeypatch.setattr(Objective, name, record)
+    return calls
+
+
+@pytest.mark.parametrize("kind, ridge, N, n, d", _SPEC_CASES)
+@pytest.mark.parametrize("above", [True, False], ids=["above-gate", "at-gate"])
+def test_spec_is_its_one_thread_composition(kind, ridge, N, n, d, above, monkeypatch):
+    # Past _BLOCK_BYTES of data the side constants run on one worker beside the
+    # optimum; at the gate and below, all on the caller, and no thread starts.
+    # Either way every field is the separate calls' bit for bit, the Gram is built
+    # once, first, on the caller, and no thread outlives the call.
+    features, targets = synth_partition(8, N, d, n, 0.3, kind=kind, heterogeneity=0.2)
+    monkeypatch.setattr(training, "_BLOCK_BYTES", features.nbytes - above)
+    theta0 = np.random.default_rng(2).standard_normal(d)
+    ref = Objective(features, targets, kind=kind, ridge=ridge)
+    f_star = ref.optimum()[1]
+    want = training.ObjectiveSpec(kind, d, ref.smoothness(), ref.grad_variance_bound(theta0),
+                                  ref.full_loss(theta0) - f_star)
+    obj, baseline = Objective(features, targets, kind=kind, ridge=ridge), threading.active_count()
+    calls, pools = _spec_calls(monkeypatch), []
+    monkeypatch.setattr(training, "ThreadPoolExecutor",
+                        lambda n: pools.append(n) or ThreadPoolExecutor(n))
+    assert obj.spec(theta0) == want
+    assert threading.active_count() == baseline and bool(pools) == above
+    assert calls[0] == ("gram built", True)  # before the split: no race for the cache
+    assert calls.count(("gram built", True)) == 1 and ("gram built", False) not in calls
+    ran = set(calls)  # optimum() also calls full_loss, at theta*, on the caller
+    assert {("optimum", True), ("smoothness", not above), ("grad_variance_bound", not above),
+            ("full_loss", not above)} <= ran and ("optimum", False) not in ran
+
+
+@pytest.mark.parametrize("above", [True, False], ids=["above-gate", "at-gate"])
+@pytest.mark.parametrize("kind", ["least_squares", "logistic"])
+def test_spec_raises_a_side_constants_error(kind, above, monkeypatch):
+    features, targets = synth_partition(8, 4, 5, 9, 0.3, kind=kind)
+    monkeypatch.setattr(training, "_BLOCK_BYTES", features.nbytes - above)
+    obj, baseline = Objective(features, targets, kind=kind), threading.active_count()
+
+    def fails(self, theta0):
+        raise ValueError("side")
+    monkeypatch.setattr(Objective, "grad_variance_bound", fails)
+    with pytest.raises(ValueError, match="^side$"):
+        obj.spec(np.zeros(5))
+    assert threading.active_count() == baseline
+
+
+@pytest.mark.parametrize("optimum_first", [True, False])
+@pytest.mark.parametrize("above", [True, False], ids=["above-gate", "at-gate"])
+def test_spec_raises_the_optimums_error_when_both_fail(above, optimum_first, monkeypatch):
+    # Whichever side fails first, the optimum's error is the one seen, and the
+    # worker has been joined when it is.
+    features, targets = synth_partition(8, 4, 5, 9, 0.3)
+    monkeypatch.setattr(training, "_BLOCK_BYTES", features.nbytes - above)
+    obj, baseline = Objective(features, targets), threading.active_count()
+    done = []
+
+    def optimum(self):
+        time.sleep(0 if optimum_first else 0.05)
+        raise ValueError("optimum")
+
+    def side(self):
+        time.sleep(0.05 if optimum_first else 0)
+        done.append(threading.current_thread() is threading.main_thread())
+        raise ValueError("side")
+    monkeypatch.setattr(Objective, "optimum", optimum)
+    monkeypatch.setattr(Objective, "smoothness", side)
+    with pytest.raises(ValueError, match="^optimum$"):
+        obj.spec(np.zeros(5))
+    assert done == ([False] if above else [])  # on one thread, the side never ran
+    assert threading.active_count() == baseline
