@@ -203,14 +203,22 @@ class Objective:
         return max(_on_two_threads(worst, len(X), X.nbytes if X[0].nbytes <= _BLOCK_BYTES else 0))
 
     def spec(self, theta0) -> ObjectiveSpec:
-        """The constants at theta0: past _BLOCK_BYTES of data, all but the optimum on the worker
-        of _on_two_threads, after the caller builds the Gram (least squares' optimum reads it; one
-        cached by the worker raised local-heavy's peak RSS ~11%). Same calls, so the same bits."""
-        self._weighted_gram()
-        sides = (lambda: [self.optimum()[1]], lambda: [
-            self.smoothness(), self.grad_variance_bound(theta0), self.full_loss(theta0)])
-        f_star, nu, alpha2, f0 = sum(_on_two_threads(
-            lambda lo, hi: [c for s in sides[lo:hi] for c in s()], 2, self.shards[0].nbytes), [])
+        """The constants at theta0. Past _BLOCK_BYTES of data the optimum runs on a worker while
+        the caller builds the Gram (least squares first, for its optimum; cached from the worker's
+        heap it raised local-heavy's peak RSS ~11%) and the other three; the optimum's error wins
+        if both fail. Same calls on the same operands, so the same bits."""
+        if self.kind == "least_squares":
+            self._weighted_gram()
+        side = lambda: (self.smoothness(), self.grad_variance_bound(theta0), self.full_loss(theta0))
+        if self.shards[0].nbytes <= _BLOCK_BYTES:
+            f_star, (nu, alpha2, f0) = self.optimum()[1], side()
+        else:
+            with ThreadPoolExecutor(1) as pool:
+                optimum = pool.submit(self.optimum)
+                try:
+                    nu, alpha2, f0 = side()
+                finally:  # an optimum's error replaces the side's
+                    f_star = optimum.result()[1]
         return ObjectiveSpec(kind=self.kind, dimension=self.dimension, smoothness=nu,
                              grad_variance=alpha2, optimum_gap=f0 - f_star)
 
@@ -254,22 +262,22 @@ def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, 
     ``theta``, without mutating it. ``batch`` is None for full-batch steps on
     the whole shard; otherwise it is (B, Q * b) sample rows, and step q of row
     i takes the batch batch[i, q*b:(q+1)*b], drawn with replacement. A step is two
-    stacked BLAS products, the (B, b) residuals r of z = X_b theta and then
-    the batch-mean gradient r X_b / b + ridge * theta: no (B, b, d) array, and
-    the per-sample gradients summed in another order than their mean. Any
-    row's norm above divergence_ceiling, or NaN, raises DivergedError.
+    stacked BLAS products into per-block buffers: z = X_b theta, made the (B, b) residuals
+    r in place, and g = r X_b (per-sample gradients summed in another order than their
+    mean); theta -= eta * (g / b + ridge * theta) in place, at ridge 0 with neither ridge
+    term nor allocation. Any row's norm above divergence_ceiling, or NaN, raises DivergedError.
 
     Rows run in blocks of about _BLOCK_BYTES of batch data: one gather per
     block (the shards, in place if one, or all Q minibatches), all Q steps on
-    slices of it, so each step rereads its block from L2, not the whole gather
-    from memory. Rows never mix, so the blocks change no result.
+    it or slices of it, so each step rereads its block from L2, not the whole
+    gather from memory. Rows never mix, so the blocks change no result.
     """
     if Q < 1:
         raise InvalidParameterError("Q must be >= 1")
     if eta < 0.0:
         raise InvalidParameterError("eta must be >= 0")
     X, y = objective.shards
-    rows, (n, d) = np.asarray(rows), X.shape[1:]
+    rows, (n, d), ridge = np.asarray(rows), X.shape[1:], objective.ridge
     b = n if batch is None else batch.shape[1] // Q
     offsets = [0] * Q if batch is None else range(0, Q * b, b)  # step q's columns of a gather
     step = max(1, _BLOCK_BYTES // ((offsets[-1] + b) * d * 8))
@@ -279,10 +287,15 @@ def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, 
         at = (part[:, None], batch[lo:lo + step]) if batch is not None else (
             part if part.size > 1 else slice(part[0], part[0] + 1))  # one shard: in place
         Xg, yg = X[at], y[at]
+        z, g = np.empty((part.size, b, 1)), np.empty((part.size, 1, d))  # the products' outputs
+        wz, r, rg, gw = w[:, :, None], z[:, :, 0], z[:, None, :, 0], g[:, 0, :]
         for o in offsets:
-            Xb, yb = Xg[:, o:o + b], yg[:, o:o + b]
-            r = _residual(objective.kind, np.matmul(Xb, w[:, :, None])[:, :, 0], yb)
-            w -= eta * (np.matmul(r[:, None, :], Xb)[:, 0, :] / b + objective.ridge * w)
+            Xb, yb = (Xg, yg) if batch is None else (Xg[:, o:o + b], yg[:, o:o + b])
+            _residual(objective.kind, np.matmul(Xb, wz, out=z)[:, :, 0], yb, out=r)
+            np.divide(np.matmul(rg, Xb, out=g)[:, 0, :], b, out=gw)
+            if ridge:  # adding 0 * w would change no bit of a finite w
+                gw += ridge * w
+            w -= np.multiply(gw, eta, out=gw)
             _check_divergence(w, divergence_ceiling, "local")
     return local - theta
 
@@ -293,7 +306,7 @@ def _check_divergence(w, ceiling: float, scope: str):
     compare); else the rows' inf-norms top, which cannot overflow, and only on rows
     where sqrt(d) * top could pass the ceiling, ||row / top|| <= ceiling / top."""
     limit = ceiling / math.sqrt(w.shape[1])
-    if np.abs(w).max() <= limit:
+    if w.max() <= limit and w.min() >= -limit:  # no |w| temporary
         return
     top = np.abs(w).max(axis=1)
     big = top > limit  # top > 0 on these rows
@@ -302,9 +315,9 @@ def _check_divergence(w, ceiling: float, scope: str):
         raise DivergedError(f"{scope} model norm exceeded ceiling {ceiling:g}")
 
 
-def _residual(kind: str, z, y):
-    """dLoss/dz per sample: z - y for least squares, sigmoid(z) - y for logistic."""
-    return (z - y) if kind == "least_squares" else (expit(z) - y)
+def _residual(kind: str, z, y, out=None):
+    """dLoss/dz per sample: z - y for least squares, sigmoid(z) - y for logistic; into out."""
+    return np.subtract(z if kind == "least_squares" else expit(z, out=out), y, out=out)
 
 
 def weighted_error(grad_sq_norms, tau: float) -> float:

@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import threading
 import time
 import tracemalloc
@@ -512,7 +515,9 @@ def test_divergence_guard_catches_nan():
     ([[float("inf"), 0.0]], 5.0, False),
     ([[0.0, np.nextafter(5.0, 6.0)], [1.0, 1.0]], 5.0, False),  # just above the ceiling
     ([[1.0, 1.0], [5.0, 0.0]], 5.0, True),  # a row exactly at the ceiling
-    ([[4.0, 0.0], [1.0, 1.0]], 5.0, True)])  # inf-norm above 5 / sqrt(2), L2 below 5
+    ([[4.0, 0.0], [1.0, 1.0]], 5.0, True),  # inf-norm above 5 / sqrt(2), L2 below 5
+    ([[-3.0, -4.1]], 5.0, False),  # max under 5 / sqrt(2): only the min side sees the row
+    ([[-6.0, 0.0], [1.0, 1.0]], 5.0, False)])  # min side only, then the full norm check
 def test_divergence_check_never_overflows(rows, ceiling, ok):
     # RuntimeWarnings are errors here, so an overflowing norm would fail too.
     if ok:
@@ -618,10 +623,11 @@ def _spec_calls(monkeypatch):
 @pytest.mark.parametrize("kind, ridge, N, n, d", _SPEC_CASES)
 @pytest.mark.parametrize("above", [True, False], ids=["above-gate", "at-gate"])
 def test_spec_is_its_one_thread_composition(kind, ridge, N, n, d, above, monkeypatch):
-    # Past _BLOCK_BYTES of data the side constants run on one worker beside the
-    # optimum; at the gate and below, all on the caller, and no thread starts.
-    # Either way every field is the separate calls' bit for bit, the Gram is built
-    # once, first, on the caller, and no thread outlives the call.
+    # Past _BLOCK_BYTES of data the optimum runs on one worker beside the side
+    # constants; at the gate and below, all on the caller, the optimum first, and no
+    # thread starts. Either way every field is the separate calls' bit for bit, the
+    # Gram is built once, on the caller (first for least squares, whose optimum
+    # reads it), and no thread outlives the call.
     features, targets = synth_partition(8, N, d, n, 0.3, kind=kind, heterogeneity=0.2)
     monkeypatch.setattr(training, "_BLOCK_BYTES", features.nbytes - above)
     theta0 = np.random.default_rng(2).standard_normal(d)
@@ -635,11 +641,17 @@ def test_spec_is_its_one_thread_composition(kind, ridge, N, n, d, above, monkeyp
                         lambda n: pools.append(n) or ThreadPoolExecutor(n))
     assert obj.spec(theta0) == want
     assert threading.active_count() == baseline and bool(pools) == above
-    assert calls[0] == ("gram built", True)  # before the split: no race for the cache
     assert calls.count(("gram built", True)) == 1 and ("gram built", False) not in calls
-    ran = set(calls)  # optimum() also calls full_loss, at theta*, on the caller
-    assert {("optimum", True), ("smoothness", not above), ("grad_variance_bound", not above),
-            ("full_loss", not above)} <= ran and ("optimum", False) not in ran
+    if kind == "least_squares":
+        assert calls[0] == ("gram built", True)  # before the split: no race for the cache
+    else:  # logistic's optimum never reads the Gram
+        assert ("gram read", False) not in calls
+    names = [name for name, _ in calls]
+    assert above or names.index("optimum") < names.index("smoothness")
+    ran = set(calls)  # optimum() also calls full_loss, at theta*, on its own thread
+    assert {("optimum", not above), ("smoothness", True), ("grad_variance_bound", True),
+            ("full_loss", True)} <= ran and ("optimum", above) not in ran
+    assert ("smoothness", False) not in ran and ("grad_variance_bound", False) not in ran
 
 
 @pytest.mark.parametrize("above", [True, False], ids=["above-gate", "at-gate"])
@@ -679,5 +691,31 @@ def test_spec_raises_the_optimums_error_when_both_fail(above, optimum_first, mon
     monkeypatch.setattr(Objective, "smoothness", side)
     with pytest.raises(ValueError, match="^optimum$"):
         obj.spec(np.zeros(5))
-    assert done == ([False] if above else [])  # on one thread, the side never ran
+    assert done == ([True] if above else [])  # on one thread, the side never ran
     assert threading.active_count() == baseline
+
+
+_SPEC_HEX = """
+from gaulrq.config import ExperimentConfig, build_simulation
+sim = build_simulation(ExperimentConfig.from_dict(dict(
+    algorithm="gau_lrq_sgd", clip_mode="fixed", objective="logistic", N=50, B=10, Q=20, K=10,
+    eta=0.5, epsilon=4.0, delta=1e-5, tau=0.9, s2=1.0, d=100, n_per_client=400,
+    label_noise=0.0, batch_size=0, seed=0, run_id="local")))
+spec = sim.objective.spec(sim.theta0)
+print(spec.smoothness.hex(), spec.grad_variance.hex(), spec.optimum_gap.hex())
+"""
+
+
+def test_spec_bits_of_the_local_heavy_benchmark():
+    # The bound report's constants on perfbench's local-heavy data (seed 0; every
+    # variant shares the data and theta0), L-BFGS optimum included, pinned to the
+    # bit at one BLAS thread; two runs at two threads agree with each other.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(training.__file__)))
+    specs = []
+    for threads in ("1", "2", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        specs.append(subprocess.run([sys.executable, "-c", _SPEC_HEX], env=env, check=True,
+                                    capture_output=True, text=True, timeout=120).stdout.split())
+    assert specs[0] == ["0x1.227c55b35a65cp-2", "0x1.b509593b2ec8ep+5", "0x1.0fa0b8c838485p+2"]
+    assert len(specs[1]) == 3 and specs[1] == specs[2]
