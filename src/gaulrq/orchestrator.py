@@ -277,7 +277,7 @@ def run_record(config) -> dict:  # what a summary records of its run: config and
 
 @dataclass
 class RoundRecord:
-    """Bookkeeping for one communication round (loss at round start)."""
+    """Bookkeeping for one communication round (loss at round start, NaN while queued)."""
 
     round: int
     clients: list[int]
@@ -340,7 +340,8 @@ class Simulation:
         self.records: list[RoundRecord] = []
         self._pipeline = PIPELINES[self.algorithm]
         self._chunk = (0, [], None)  # (first round, per-round draws, replay), drawn by run_round
-        self._defer = _Now  # run() defers to its worker: fn(*args) -> .result()
+        self._defer = None  # run()'s deferral, fn(*args) -> .result(); None outside run()
+        self._queue, self._evaluated = [], 0  # thetas of the records from _evaluated on
         if self._pipeline.private:  # median-adaptive rounds rescale the S2=1 schedule
             s2 = config.s2 if config.clip_mode == "fixed" else 1.0
             try:
@@ -353,10 +354,11 @@ class Simulation:
             if self._pipeline.quantized and config.clip_mode == "fixed" and top > MAX_SIGMA:
                 raise ConfigError(f"epsilon: sigma {top:.6g} exceeds the codec's {MAX_SIGMA:.6g}")
 
-    def _draw_chunk(self):
+    def _draw_chunk(self, evaluate):
         """What the rounds from self.round on consume, one stream call per lane, the server's
         replay included: as many rounds as it fits in training._BLOCK_BYTES, and at least
-        one. Each equals its own round's draw; the replay's rounds are deferred, in .result()."""
+        one. Each equals its own round's draw; the replay's rounds are deferred, in .result(),
+        then evaluate(), whose value is returned, before the clients' draws."""
         cfg, p, n, d = self.config, self._pipeline, self.config.n_per_client, self.config.d
         steps = cfg.Q * self.batch_size if self.batch_size < n else 0
         fit = max(1, training._BLOCK_BYTES // (8 * cfg.B * (1 + steps + (p.noisy + p.held) * d)))
@@ -367,7 +369,8 @@ class Simulation:
         rnd, replay = rounds[:, None], None
         sigma = self._sigmas[rounds, None, None] if p.draw and cfg.clip_mode == "fixed" else None
         if p.replayed:  # the server's own draw, first: decoding never reads a client's array
-            replay = self._defer(p.draw, self.seed, clients, rnd, d, sigma)
+            replay = (self._defer or _Now)(p.draw, self.seed, clients, rnd, d, sigma)
+        evaluation = evaluate()
         if steps:
             u_batch = uniform_block(self.seed.lane("batch"), clients, rnd, 0,
                                     np.arange(steps, dtype=np.uint64))
@@ -378,15 +381,20 @@ class Simulation:
         if p.draw is not None:
             code = p.draw(self.seed, clients, rnd, d, sigma)
         self._chunk = (self.round, list(zip(clients.tolist(), batch, noise, code)), replay)
+        return evaluation
 
     def run_round(self) -> RoundRecord:
+        """One round. objective.trace_terms takes the queue of theta_k once trace_width rounds,
+        or the last, wait in run(), and at once in a bare call, whose record is then complete."""
         cfg, k, p = self.config, self.round, self._pipeline
         if k >= cfg.K:
             raise InvalidParameterError("all configured rounds already run")
-        evaluation = self._defer(self.objective.loss_and_gradient, self.theta)  # read last
-
-        if not 0 <= k - self._chunk[0] < len(self._chunk[1]):
-            self._draw_chunk()
+        # theta_k joins the queue; a theta left there by a failed round is dropped.
+        queue = self._queue = self._queue[:k - self._evaluated] + [self.theta]
+        due = len(queue) == self.objective.trace_width or k == cfg.K - 1 or not self._defer
+        evaluate = lambda: (self._defer or _Now)(self.objective.trace_terms, queue) if due else None
+        fresh = not 0 <= k - self._chunk[0] < len(self._chunk[1])
+        evaluation = self._draw_chunk(evaluate) if fresh else evaluate()
         # Row i of every (B, ...) array below belongs to clients[i], ascending.
         i = k - self._chunk[0]
         clients, batch, noise, code = self._chunk[1][i]
@@ -441,21 +449,32 @@ class Simulation:
         total = sum(p.decode(parsed, sigma, replay), 0.0)
         theta = self.theta + total / len(parsed)
         _check_divergence(theta[None], cfg.divergence_ceiling, "global")
-        loss, grad = evaluation.result()  # before theta moves: a failed round changes nothing
+        terms = evaluation.result() if evaluation else []  # a failed round changes nothing
         self.theta = theta
         record = RoundRecord(round=k, clients=clients,
                              bits_sent=sum(m.payload_bits for m in parsed),
                              sigma_used=sigma, epsilon_spent_cumulative=eps_cum,
-                             loss=loss, grad_sq_norm=float(grad @ grad),
+                             loss=math.nan, grad_sq_norm=math.nan,
                              clamp_count=sum(c for *_, c in coded), inf_norms=inf_norms,
                              scales=list(scales) if p.quantized else [])
         self.records.append(record)
         self.round += 1
+        self._evaluate(terms)
         return record
+
+    def _evaluate(self, terms=None):
+        """Put the queue's terms into its records; None evaluates the queue first, inline."""
+        pending = self.records[self._evaluated:]
+        if terms is None:
+            terms = self.objective.trace_terms(self._queue[:len(pending)]) if pending else []
+        for record, (loss, grad_sq_norm) in zip(pending, terms):
+            record.loss, record.grad_sq_norm = loss, grad_sq_norm
+        self._queue, self._evaluated = self._queue[len(terms):], self._evaluated + len(terms)
 
     def run(self) -> RunTrace:
         """Every round; past training._BLOCK_BYTES of data, each evaluation and replay draw
-        on a held worker beside the clients, shut down and joined however the run ends."""
+        on a held worker beside the clients, shut down and joined, and the records completed,
+        however the run ends."""
         big = self.objective.shards[0].nbytes > training._BLOCK_BYTES
         worker = ThreadPoolExecutor(1) if big else None
         self._defer = worker.submit if worker else _Now
@@ -463,9 +482,10 @@ class Simulation:
             for _ in range(self.config.K):
                 self.run_round()
         finally:
-            self._defer = _Now
+            self._defer = None
             if worker:
                 worker.shutdown()  # waits for its last task; an error there is left unread
+            self._evaluate()
         return self.trace()
 
     def trace(self, stop_reason: str = "completed") -> RunTrace:

@@ -195,7 +195,8 @@ def lrq_quantize_rows(V, sigma: float, layer: LayerSample):
     scales = np.max(np.abs(V), axis=1)
     widths = bit_width(scales, sigma)
     rel = _cell(V, layer) - _base_indices(layer, scales)
-    clamped = np.clip(rel, 0, (np.left_shift(1, widths) - 1)[:, None])
+    clamped = np.minimum(np.maximum(rel, 0), (np.left_shift(1, widths) - 1)[:, None])  # np.clip's
+    # bytes, without its Python-level wrapper
     clamps = np.count_nonzero(clamped != rel, axis=1)
     return clamped, widths.tolist(), scales.tolist(), clamps
 

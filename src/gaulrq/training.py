@@ -24,6 +24,8 @@ OBJECTIVE_KINDS = ("least_squares", "logistic")
 # Bytes per block of stacked_local_rounds and the build's scans: half a 2 MiB per-core L2.
 _BLOCK_BYTES = 1 << 20
 _SLAB = 1 << 20  # values per seeded slab of synth_partition's features: defines the data
+# The trace evaluation's block of data and width of thetas: like _SLAB they define bits.
+_EVAL_BYTES, _EVAL_WIDTH = 1 << 20, 8
 
 
 def _on_two_threads(work, count, nbytes):
@@ -68,8 +70,10 @@ class Objective:
     """A differentiable objective over N client shards of equal size n.
 
     The global objective is the mean of per-client means plus an optional
-    ridge term. All evaluation paths are pure in (theta, data); full_loss and
-    loss_and_gradient share one z = X theta and loss formula, so their losses agree bitwise.
+    ridge term. All evaluation paths are pure in (theta, data). full_loss and
+    loss_and_gradient (the L-BFGS optimum's) share one z = X theta and loss formula, so their
+    losses agree bitwise; trace_terms, the trace's, sums in other orders, so its loss may
+    differ from full_loss's in the last bits.
 
     ``features`` (N, n, d) and ``targets`` (N, n) are adopted without a copy
     as ``shards``: their shapes make the shards equal. ``datasets`` are the
@@ -102,6 +106,7 @@ class Objective:
         self._w = 1.0 / (N * n)
         self.shards = (X, y)
         self._gram = None
+        self.trace_width = _EVAL_WIDTH if X.nbytes <= _EVAL_BYTES else 1  # trace_terms' block
 
     datasets = cached_property(lambda self: [LocalDataset(*s) for s in zip(*self.shards)])
 
@@ -112,8 +117,8 @@ class Objective:
 
     def loss_and_gradient(self, theta):
         """(F(theta), grad F(theta)) from one product z = X theta: one pass over the N*n x d
-        data, for the per-round evaluation (on a worker thread, beside the clients) and L-BFGS.
-        Both products release the GIL; the loss is full_loss's, bit for bit."""
+        data, for L-BFGS (on spec's worker past _BLOCK_BYTES). Both products release the GIL;
+        the loss is full_loss's, bit for bit."""
         theta = np.asarray(theta, dtype=np.float64)
         loss, z = self._loss(theta)
         resid = _residual(self.kind, z, self._y)
@@ -123,13 +128,38 @@ class Objective:
         """(F(theta), z = X theta); F is inf, without a warning, past float64's range."""
         # np.dot, not @, here and below: matmul holds the GIL through a small-output BLAS call.
         z = np.dot(self._X, theta)
+        return float(self._data_loss(z) + np.dot(0.5 * self.ridge * theta, theta)), z
+
+    def _data_loss(self, z, r=None):
+        """F less its ridge term, along the last axis of z, a product X theta or rows of them;
+        least squares reads their residuals r = z - y if given."""
         if self.kind == "least_squares":
             with np.errstate(over="ignore"):
-                data = 0.5 * np.sum(self._w * (z - self._y) ** 2)
-        else:
-            # Stable log(1 + exp(z)) - y*z.
-            data = np.sum(self._w * (np.logaddexp(0.0, z) - self._y * z))
-        return float(data + np.dot(0.5 * self.ridge * theta, theta)), z
+                return 0.5 * np.sum(self._w * np.square(z - self._y if r is None else r), axis=-1)
+        # Stable log(1 + exp(z)) - y*z.
+        return np.sum(self._w * (np.logaddexp(0.0, z) - self._y * z), axis=-1)
+
+    @np.errstate(over="ignore", invalid="ignore")  # inf and NaN as BLAS gives them, unwarned
+    def trace_terms(self, thetas):
+        """(F(theta), ||grad F(theta)||^2) of each theta: bits of (N, n, d) and theta alone, not
+        of the other thetas or the BLAS thread count. trace_width thetas, zero-padded, make the
+        rows of two products; X^T (w r) adds blocks of whole shards of at most _EVAL_BYTES (one
+        if a shard is larger), and the norm is numpy's sum: BLAS splits longer sums over threads."""
+        X, width, ridge, terms, shard = self._X, self.trace_width, self.ridge, [], self.shards[0][0]
+        rows = len(X) if shard.nbytes > _EVAL_BYTES else _EVAL_BYTES // shard.nbytes * len(shard)
+        for lo in range(0, len(thetas), width):
+            T = np.zeros((width, self.dimension))
+            T[:len(thetas) - lo] = thetas[lo:lo + width]
+            Z = np.dot(T, X.T)  # at width 1 the GEMV z = X theta
+            R = _residual(self.kind, Z, self._y)
+            loss = self._data_loss(Z, R)
+            R *= self._w
+            G = sum(np.dot(R[:, i:i + rows], X[i:i + rows]) for i in range(0, len(X), rows))
+            if ridge:
+                G += ridge * T
+                loss += np.sum(0.5 * ridge * T * T, axis=1)
+            terms += zip(loss.tolist(), np.square(G, out=G).sum(axis=1).tolist())
+        return terms[:len(thetas)]
 
     def sample_gradients(self, theta, dataset, indices):
         """Per-sample gradients (len(indices) x d) of one client's loss."""
@@ -306,7 +336,7 @@ def _check_divergence(w, ceiling: float, scope: str):
     compare); else the rows' inf-norms top, which cannot overflow, and only on rows
     where sqrt(d) * top could pass the ceiling, ||row / top|| <= ceiling / top."""
     limit = ceiling / math.sqrt(w.shape[1])
-    if w.max() <= limit and w.min() >= -limit:  # no |w| temporary
+    if np.maximum.reduce(w, None) <= limit and np.minimum.reduce(w, None) >= -limit:  # no |w|
         return
     top = np.abs(w).max(axis=1)
     big = top > limit  # top > 0 on these rows

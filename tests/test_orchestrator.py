@@ -1,7 +1,5 @@
-import csv
 import dataclasses
 import functools
-import io
 import json
 import math
 import os
@@ -31,7 +29,7 @@ from gaulrq.privacy import clip_ceiling, clip_update
 from gaulrq.quantizers import (MAX_BITS, MIN_STEP_FACTOR, bit_width, lrq_quantize_vector,
                                sample_layer, stochastic_quantize_indices)
 from gaulrq.streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
-from gaulrq.training import ModelState, local_rounds
+from gaulrq.training import ModelState, local_rounds, weighted_error
 
 
 def _config(**kw):
@@ -520,7 +518,7 @@ def _run_in_chunks(monkeypatch, tmp_path, block_bytes, **kw):
     monkeypatch.setattr(orchestrator, "serialize_message",
                         lambda msg: wire.append(_SERIALIZE(msg)) or wire[-1])
     monkeypatch.setattr(orchestrator.Simulation, "_draw_chunk",
-                        lambda sim: chunks.append(sim.round) or _DRAW_CHUNK(sim))
+                        lambda sim, *args: chunks.append(sim.round) or _DRAW_CHUNK(sim, *args))
     for name, draw in (("element_pairs", _ELEMENT_PAIRS), ("uniform_block", _UNIFORM_BLOCK)):
         monkeypatch.setattr(orchestrator, name, lambda *args, draw=draw: draws.append(
             (args[0].run_id.rpartition("/")[2], args[2])) or draw(*args))
@@ -586,15 +584,19 @@ def test_run_diverging_mid_chunk_stops_where_a_chunked_one_does(kw, monkeypatch,
 # -- run()'s held worker -------------------------------------------------------
 
 def _spy_threads(monkeypatch, sim):
-    """Record the thread of each evaluation, codec draw and layer sample of ``sim``, and
-    the size of each pool that run() makes."""
-    seen = {"evaluation": [], "draw": [], "layer": [], "pools": []}
-    evaluate, draw = sim.objective.loss_and_gradient, sim._pipeline.draw
+    """Record the thread of each evaluation, codec draw and layer sample of ``sim``, each
+    such stage and its thread in call order, and the size of each pool that run() makes."""
+    seen = {"evaluation": [], "draw": [], "layer": [], "pools": [], "order": []}
+    evaluate, draw = sim.objective.trace_terms, sim._pipeline.draw
 
     def spy(stage, fn):
-        return lambda *args: seen[stage].append(threading.get_ident()) or fn(*args)
+        def call(*args):
+            seen[stage].append(threading.get_ident())
+            seen["order"].append((stage, threading.get_ident()))
+            return fn(*args)
+        return call
 
-    monkeypatch.setattr(sim.objective, "loss_and_gradient", spy("evaluation", evaluate))
+    monkeypatch.setattr(sim.objective, "trace_terms", spy("evaluation", evaluate))
     if draw is not None:
         sim._pipeline = sim._pipeline._replace(draw=spy("draw", draw))
     monkeypatch.setattr(orchestrator, "sample_layer", spy("layer", _SAMPLE_LAYER))
@@ -608,7 +610,9 @@ def test_evaluation_and_replay_draw_run_on_the_worker_past_a_block(clip_mode, mo
     # Data past _BLOCK_BYTES = 1 (a chunk a round): run() holds one worker thread for
     # each round's evaluation and each chunk's replay draw; the clients' draw and every
     # layer sample (a median-clipped round's too) stay on the caller's. Joined at the end.
+    # Past _EVAL_BYTES = 1 the evaluation takes one theta, so each round makes one.
     monkeypatch.setattr(training, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(training, "_EVAL_BYTES", 1)
     sim = build_simulation(_config(algorithm="gau_lrq_sgd", clip_mode=clip_mode, N=10, B=3,
                                    K=4, d=4, tau=0.9, s2=1.0))
     seen, caller = _spy_threads(monkeypatch, sim), threading.get_ident()
@@ -617,6 +621,10 @@ def test_evaluation_and_replay_draw_run_on_the_worker_past_a_block(clip_mode, mo
     assert seen["pools"] == [1] and threading.active_count() == before
     (worker,) = set(seen["evaluation"]) - {caller}
     assert seen["evaluation"] == [worker] * 4
+    # Each round draws a chunk: the server's replay draw goes to the worker ahead of the
+    # round's evaluation.
+    assert [stage for stage, t in seen["order"] if t == worker and stage != "layer"] == [
+        "draw", "evaluation"] * 4
     assert sorted(seen["draw"]) == sorted([worker, caller] * 4)
     # Under fixed clipping the replay draw samples the server's layers; a median-clipped
     # round samples both sides' at its own sigma, on the caller's thread.
@@ -626,7 +634,8 @@ def test_evaluation_and_replay_draw_run_on_the_worker_past_a_block(clip_mode, mo
 
 def test_no_thread_starts_under_a_block(monkeypatch):
     # Criterion 9's 320 KB of data stay under _BLOCK_BYTES: run() makes no pool and
-    # defers on the caller's thread. A bare run_round() defers inline at any size.
+    # defers on the caller's thread. A bare run_round() defers inline at any size. The
+    # run evaluates its 3 rounds as one block, in the last; a bare round evaluates its own.
     cfg = dict(algorithm="gau_lrq_sgd", N=100, B=10, Q=5, K=3, eta=0.05, epsilon=2.0,
                tau=0.9, s2=1.0, d=20, n_per_client=20, batch_size=5, seed=0)
     sim = build_simulation(_config(**cfg))
@@ -641,7 +650,7 @@ def test_no_thread_starts_under_a_block(monkeypatch):
     assert seen["pools"] == bare_seen["pools"] == [] and threading.active_count() == before
     assert {t for stage in ("evaluation", "draw", "layer") for t in seen[stage] + bare_seen[stage]
             } == {caller}
-    assert len(seen["evaluation"]) == 3 and len(bare_seen["evaluation"]) == 1
+    assert len(seen["evaluation"]) == 1 and len(bare_seen["evaluation"]) == 1
 
 
 @pytest.mark.parametrize("kw", [
@@ -675,11 +684,13 @@ def test_divergence_with_the_worker_on_is_the_error_seen(kw, monkeypatch, tmp_pa
 @pytest.mark.parametrize("stage", ["evaluation", "replay"])
 def test_worker_error_is_raised_on_the_caller(stage, monkeypatch):
     # An error on the worker is raised where its stage is read, the worker is joined, and
-    # the failed round leaves no record and the model where it was.
+    # the failed round leaves no record and the model where it was. Past _EVAL_BYTES = 1
+    # round 0 evaluates its own theta.
     monkeypatch.setattr(training, "_BLOCK_BYTES", 1)
+    monkeypatch.setattr(training, "_EVAL_BYTES", 1)
     sim = build_simulation(_config(algorithm="gau_lrq_sgd", N=10, B=3, K=4, d=4, s2=1.0))
     caller, failed = threading.get_ident(), []
-    original = sim.objective.loss_and_gradient if stage == "evaluation" else sim._pipeline.draw
+    original = sim.objective.trace_terms if stage == "evaluation" else sim._pipeline.draw
 
     def fail(*args):
         if threading.get_ident() == caller:  # the clients' draw
@@ -688,7 +699,7 @@ def test_worker_error_is_raised_on_the_caller(stage, monkeypatch):
         raise RuntimeError(f"{stage} failed")
 
     if stage == "evaluation":
-        monkeypatch.setattr(sim.objective, "loss_and_gradient", fail)
+        monkeypatch.setattr(sim.objective, "trace_terms", fail)
     else:
         sim._pipeline = sim._pipeline._replace(draw=fail)
     theta, before = sim.theta.tobytes(), threading.active_count()
@@ -883,42 +894,89 @@ def test_tampered_header_is_rejected_or_decodes_the_same(algo, clip_mode, which,
 _REPLAY = """
 import json, sys
 from gaulrq.config import ExperimentConfig, run_experiment
-cfg = ExperimentConfig.from_dict(json.loads(sys.argv[1]))
-trace = run_experiment(cfg)
-trace.to_csv(sys.argv[2] + ".csv", cfg.algorithm)
-trace.final_theta.tofile(sys.argv[2] + ".theta")
+for name, config in json.loads(sys.argv[1]).items():
+    cfg = ExperimentConfig.from_dict(config)
+    trace = run_experiment(cfg)
+    trace.to_csv(f"{sys.argv[2]}-{name}.csv", cfg.algorithm)
+    trace.to_summary_json(f"{sys.argv[2]}-{name}.json")
+    trace.final_theta.tofile(f"{sys.argv[2]}-{name}.theta")
 """
 
 
 def test_replay_across_blas_threads(tmp_path):
-    # A local-heavy experiment: its (B, n, d) local steps and 20000 x 100
-    # evaluation run in BLAS. The thread count changes no bit of the final
-    # model or of any trace column but grad_sq_norm. That column reduces
-    # X^T r over all 20000 samples, a sum OpenBLAS splits across threads, so
-    # it may move in the last bits. Two runs at one count (both on run()'s worker, beside
-    # the clients' BLAS calls) must agree in every byte.
-    config = json.dumps(dict(algorithm="dynamic_gau_lrq_sgd", clip_mode="median_adaptive",
-                             objective="logistic", N=50, B=10, Q=20, K=10, eta=0.5,
-                             epsilon=4.0, delta=1e-5, tau=0.9, s2=1.0, d=100,
-                             n_per_client=400, batch_size=0, seed=3, run_id="local"))
+    # Three experiments whose products run in BLAS. Criterion 9 evaluates its trace in blocks
+    # of 8 thetas, two GEMMs each. A local-heavy one (20000 x 100) evaluates one theta a round
+    # on run()'s worker, beside the clients' stacked steps, summing X^T r over blocks of 3
+    # shards. A golden d = 5e4 config evaluates over one block and takes the norm of 5e4 values.
+    # The BLAS thread count changes no byte of any trace, summary or final model, and two runs
+    # at one count agree.
+    configs = {
+        "criterion9": dict(_ENGINE_CASES["criterion9"], algorithm="gau_lrq_sgd"),
+        "local-heavy": dict(algorithm="dynamic_gau_lrq_sgd", clip_mode="median_adaptive",
+                            objective="logistic", N=50, B=10, Q=20, K=10, eta=0.5, epsilon=4.0,
+                            delta=1e-5, tau=0.9, s2=1.0, d=100, n_per_client=400, batch_size=0,
+                            seed=3, run_id="local"),
+        "wide": dict(algorithm="gau_lrq_sgd", objective="least_squares", N=4, B=1, Q=2, K=2,
+                     eta=1e-4, epsilon=2.0, delta=1e-5, tau=0.9, s2=1.0, d=50_000,
+                     n_per_client=4, batch_size=0, seed=3, run_id="wide")}
     src = str(Path(orchestrator.__file__).resolve().parents[1])
-    runs = []  # (trace CSV bytes, final theta bytes) at 1, 2 and again 2 threads
+    runs = []  # each experiment's (trace CSV, summary, final theta) bytes at 1, 2 and again 2
     for i, threads in enumerate(("1", "2", "2")):
         env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
                    PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         stem = tmp_path / f"run{i}"
-        subprocess.run([sys.executable, "-c", _REPLAY, config, str(stem)],
+        subprocess.run([sys.executable, "-c", _REPLAY, json.dumps(configs), str(stem)],
                        env=env, check=True, timeout=120)
-        runs.append(tuple(stem.with_suffix(ext).read_bytes() for ext in (".csv", ".theta")))
-    assert runs[1] == runs[2]
-    thetas = [theta for _, theta in runs[:2]]
-    traces = [list(csv.DictReader(io.StringIO(trace.decode()))) for trace, _ in runs[:2]]
-    assert len(thetas[0]) == 100 * 8 and thetas[0] == thetas[1]
-    assert len(traces[0]) == 10 and len(traces[1]) == 10
-    for one, two in zip(*traces):
-        assert math.isclose(float(one.pop("grad_sq_norm")), float(two.pop("grad_sq_norm")),
-                            rel_tol=1e-12, abs_tol=0.0)
-        assert one == two
+        runs.append({name: [Path(f"{stem}-{name}{ext}").read_bytes()
+                            for ext in (".csv", ".json", ".theta")] for name in configs})
+    assert runs[0] == runs[1] == runs[2]
+    for name, config in configs.items():
+        trace, _, theta = runs[0][name]
+        assert trace.count(b"\n") == 1 + config["K"] and len(theta) == 8 * config["d"]
+
+
+# -- the trace's evaluation queue --------------------------------------------------
+
+def test_a_rows_bytes_do_not_depend_on_k(tmp_path):
+    # local_sgd has no K-dependent schedule, so a K = 13 run is a K = 50 run's first 13
+    # rounds. The K = 13 run evaluates a block of 8 rounds and one of 5, padded to 8.
+    rows = []
+    for K in (50, 13):
+        cfg = ExperimentConfig.from_dict(dict(_ENGINE_CASES["criterion9"], algorithm="local_sgd",
+                                              K=K))
+        run_experiment(cfg).to_csv(tmp_path / "trace.csv", cfg.algorithm)
+        rows.append((tmp_path / "trace.csv").read_bytes().splitlines())
+    assert len(rows[0]) == 51 and rows[0][:14] == rows[1]
+
+
+@pytest.mark.parametrize("algo", ["gau_lrq_sgd", "qg_sgd"])
+def test_a_bare_round_returns_the_runs_record(algo):
+    # Each bare run_round() evaluates its own theta; run() evaluates 8 a block, the last 4
+    # in the last round. Every record is complete and the same.
+    cfg = ExperimentConfig.from_dict(dict(_ENGINE_CASES["criterion9"], algorithm=algo, K=20))
+    want = run_experiment(cfg).records
+    sim = build_simulation(cfg)
+    got = [sim.run_round() for _ in range(13)]
+    assert all(math.isfinite(r.loss) and math.isfinite(r.grad_sq_norm) for r in got + want)
+    assert got == want[:13] and sim.records == got
+
+
+def test_a_diverged_run_keeps_each_completed_rounds_terms(tmp_path):
+    # The local steps diverge in round 2, before its block of 8 is evaluated: the trace keeps
+    # rounds 0 and 1, with the loss and grad_sq_norm bare rounds give them.
+    cfg = _config(algorithm="local_sgd", K=8, eta=50.0)
+    sim = build_simulation(cfg)
+    with pytest.raises(DivergedError):
+        sim.run()
+    assert sim.round == 2 and sim.objective.trace_width == 8
+    trace = sim.trace("diverged")
+    bare = build_simulation(cfg)
+    assert trace.records == [bare.run_round() for _ in range(2)]
+    trace.to_csv(tmp_path / "trace.csv", cfg.algorithm)
+    lines = (tmp_path / "trace.csv").read_text().splitlines()
+    assert len(lines) == 3 and "nan" not in (tmp_path / "trace.csv").read_text()
+    assert trace.summary["weighted_error"] == weighted_error(
+        [r.grad_sq_norm for r in bare.records], cfg.tau)
 
 
 def test_quantized_algorithms_meter_positive_and_budget_spent():

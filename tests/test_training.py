@@ -213,15 +213,16 @@ def test_loss_and_gradient_is_full_loss_and_full_gradient(kind, ridge):
             assert grad.tobytes() == want_grad.tobytes()
 
 
-@pytest.mark.parametrize("method", ["loss_and_gradient", "full_loss"])
+@pytest.mark.parametrize("method", ["loss_and_gradient", "full_loss", "trace_terms"])
 @pytest.mark.parametrize("N, d, n", [(10, 450, 20), (10, 200, 45)], ids=["wide", "tall"])
 def test_evaluation_on_a_worker_lets_the_caller_run(N, d, n, method):
-    """The round's evaluation runs on a worker beside the clients' steps, so its products must
-    release the GIL. numpy's matmul holds it through a BLAS call whose output is small. Here
-    both outputs are (N*n and d are under 500), so a worker looping the method on matmul never
-    lets go of it, and each of the caller's 100 GIL releases waits a switch interval (~5 ms).
-    full_loss has only z = X theta, the product the two share. At the workloads' shapes the
-    other product releases the GIL once a call, and the caller slows ~1.5-2x."""
+    """The round's evaluation (trace_terms; loss_and_gradient in L-BFGS) runs on a worker beside
+    the clients' steps, so its products must release the GIL. numpy's matmul holds it through a
+    BLAS call whose output is small. Here both outputs of loss_and_gradient are (N*n and d are
+    under 500), so a worker looping the method on matmul never lets go of it, and each of the
+    caller's 100 GIL releases waits a switch interval (~5 ms). full_loss has only z = X theta,
+    the product the two share. At the workloads' shapes the other product releases the GIL
+    once a call, and the caller slows ~1.5-2x."""
     obj = _objective(seed=1, N=N, d=d, n=n, kind="logistic", ridge=0.01)
     theta = np.full(d, 0.01)
 
@@ -239,7 +240,7 @@ def test_evaluation_on_a_worker_lets_the_caller_run(N, d, n, method):
 
     def evaluate():
         while not stop.is_set() and time.perf_counter() < deadline:
-            getattr(obj, method)(theta)
+            getattr(obj, method)([theta] if method == "trace_terms" else theta)
             running.set()
 
     with ThreadPoolExecutor(1) as pool:
@@ -253,6 +254,40 @@ def test_evaluation_on_a_worker_lets_the_caller_run(N, d, n, method):
         worker.result(timeout=10)
     assert overlapped, "the caller waited out the worker's whole loop"
     assert beside < 10 * alone, f"{beside * 1e3:.1f} ms beside the evaluation, {alone * 1e3:.1f} alone"
+
+
+# (kind, ridge, N, n, d): criterion 9's and a logistic ridge shape, under _EVAL_BYTES, take
+# blocks of 8 thetas; local-heavy's and a d = 1e5 shape take one, over blocks of 3 shards or one.
+_TRACE_SHAPES = [("least_squares", 0.0, 100, 20, 20), ("logistic", 0.01, 20, 9, 13),
+                 ("logistic", 0.0, 50, 400, 100), ("least_squares", 0.05, 10, 8, 100_000)]
+
+
+@pytest.mark.parametrize("kind, ridge, N, n, d", _TRACE_SHAPES)
+def test_trace_terms_are_the_loss_and_gradient_norm(kind, ridge, N, n, d):
+    obj = _objective(seed=2, N=N, d=d, n=n, noise=0.1, kind=kind, ridge=ridge)
+    assert obj.trace_width == (8 if N * n * d * 8 <= training._EVAL_BYTES else 1)
+    thetas = list(np.random.default_rng(3).standard_normal((3 if d > 1000 else 11, d)) * 0.1)
+    terms = obj.trace_terms(thetas)
+    assert len(terms) == len(thetas)
+    for theta, (loss, grad_sq_norm) in zip(thetas, terms):
+        want_loss, grad = obj.loss_and_gradient(theta)
+        assert loss == pytest.approx(want_loss, rel=1e-13, abs=0.0)
+        assert grad_sq_norm == pytest.approx(float(grad @ grad), rel=1e-13, abs=0.0)
+
+
+@pytest.mark.parametrize("kind, ridge, N, n, d", _TRACE_SHAPES[:2])
+def test_a_thetas_terms_are_the_same_in_every_slot_of_a_block(kind, ridge, N, n, d):
+    # Its terms alone, then in each slot of blocks of 1 to 16 thetas (one or two blocks):
+    # the bits depend on the theta alone, not on its neighbours, their number or its slot.
+    obj = _objective(seed=2, N=N, d=d, n=n, noise=0.1, kind=kind, ridge=ridge)
+    rng = np.random.default_rng(5)
+    theta = rng.standard_normal(d) * 0.1
+    want = [float.hex(v) for v in obj.trace_terms([theta])[0]]
+    for count in range(1, 17):
+        others = list(rng.standard_normal((count, d)) * 0.1)
+        for slot in range(count):
+            terms = obj.trace_terms(others[:slot] + [theta] + others[slot + 1:])
+            assert [float.hex(v) for v in terms[slot]] == want, (count, slot)
 
 
 def test_gradient_matches_finite_differences():
