@@ -23,7 +23,6 @@ import enum
 import json
 import math
 import struct
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field
 from typing import Callable, NamedTuple
 
@@ -37,7 +36,7 @@ from .quantizers import (MAX_BITS, MAX_SIGMA, LayerSample, bit_width, lrq_quanti
                          lrq_reconstruct_rows, sample_layer, stochastic_dequantize,
                          stochastic_round)
 from .streams import SeedMaterial, element_pairs, uniform_block
-from .training import (Objective, _check_divergence, stacked_local_rounds, synth_partition,
+from .training import (Objective, _check_divergence, _Now, stacked_local_rounds, synth_partition,
                        weighted_error)
 
 FLOAT_BITS = 32
@@ -263,14 +262,6 @@ def sample_clients(N: int, B: int, u):
     return ids.tolist() if ids.ndim == 1 else ids
 
 
-class _Now:  # a round's deferral when inline: fn(*args) at once, read back by .result()
-    def __init__(self, fn, *args):
-        self._value = fn(*args)
-
-    def result(self):
-        return self._value
-
-
 def run_record(config) -> dict:  # what a summary records of its run: config and data slab
     return {"config": asdict(config), "slab": training._SLAB}
 
@@ -472,19 +463,15 @@ class Simulation:
         self._queue, self._evaluated = self._queue[len(terms):], self._evaluated + len(terms)
 
     def run(self) -> RunTrace:
-        """Every round; past training._BLOCK_BYTES of data, each evaluation and replay draw
-        on a held worker beside the clients, shut down and joined, and the records completed,
-        however the run ends."""
-        big = self.objective.shards[0].nbytes > training._BLOCK_BYTES
-        worker = ThreadPoolExecutor(1) if big else None
-        self._defer = worker.submit if worker else _Now
+        """Every round, each evaluation and replay draw submitted through training.beside (past
+        training._BLOCK_BYTES of data, to a held worker beside the clients, joined), and the
+        records completed, however the run ends."""
         try:
-            for _ in range(self.config.K):
-                self.run_round()
+            with training.beside(self.objective.shards[0].nbytes) as self._defer:
+                for _ in range(self.config.K):
+                    self.run_round()
         finally:
             self._defer = None
-            if worker:
-                worker.shutdown()  # waits for its last task; an error there is left unread
             self._evaluate()
         return self.trace()
 

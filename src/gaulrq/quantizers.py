@@ -262,28 +262,10 @@ def stochastic_levels(b):
     return np.maximum(np.left_shift(1, b) - 1, 2)
 
 
-def stochastic_quantize_indices(v, b, uniforms):
-    """Unbiased stochastic rounding to level indices.
-
-    Returns (indices, scale): level j sits at -scale + j * spacing with
-    spacing = 2*scale/(levels-1), and scale is the inf-norm max|v|.
-    Each element rounds to a neighboring level with probability
-    proportional to proximity, so the expectation is exact. A (B, d) ``v``
-    with one width per row in ``b`` gives (B, d) indices and B scales; an
-    all-zero row keeps index 0 and scale 0.0.
-    """
-    v = np.asarray(v, dtype=np.float64)
-    scale = np.max(np.abs(v), axis=-1, initial=0.0)
-    if not np.isfinite(scale).all():  # max|v| is NaN or inf where an element is
-        raise InvalidParameterError("vector elements must be finite")
-    u = np.asarray(uniforms, dtype=np.float64)
-    if u.shape != v.shape:
-        raise InvalidParameterError("need one uniform per element")
-    return stochastic_round(v, b, u, scale), (float(scale) if v.ndim == 1 else scale)
-
-
 def stochastic_round(v, b, uniforms, scale):
-    """stochastic_quantize_indices' indices of float64 v at its rows' finite inf-norms."""
+    """Unbiased level indices of float64 v, a row's at its width in ``b`` and finite inf-norm
+    ``scale``: level j sits at -scale + j * 2*scale/(levels-1), and each element rounds to a
+    neighbouring level with probability proportional to proximity. An all-zero row gets 0."""
     scale = np.asarray(scale)[..., None]
     n_lev = stochastic_levels(b)[..., None]
     # A zero scale means an all-zero row: any spacing > 0 sends it to index 0.

@@ -51,15 +51,12 @@ def _to_unit(v):
 
     Only the top is clamped: the least result is 2^-64, but words from
     2^64 - 2^10 up round to 2^64 and give 1.0, the largest double below 1
-    instead. A numpy scalar takes the same IEEE steps in Python floats.
+    instead. A numpy scalar takes the same steps as a 0-d array and comes back a float64.
     """
-    if isinstance(v, np.generic):
-        u = (float(v) + 1.0) * _TO_UNIT
-        return np.float64(u if u < 1.0 else _INTERIOR_HI)
-    u = v.astype(np.float64)
+    u = np.asarray(v, dtype=np.float64)  # a new array: v is uint64
     u += 1.0
     u *= _TO_UNIT
-    return np.minimum(u, _INTERIOR_HI, out=u)
+    return np.minimum(u, _INTERIOR_HI, out=u)[()]
 
 
 @dataclass(frozen=True)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -28,13 +29,31 @@ _SLAB = 1 << 20  # values per seeded slab of synth_partition's features: defines
 _EVAL_BYTES, _EVAL_WIDTH = 1 << 20, 8
 
 
+class _Now:  # beside's inline submit: fn(*args) at once, read back by .result()
+    def __init__(self, fn, *args):
+        self._value = fn(*args)
+
+    def result(self):
+        return self._value
+
+
+@contextmanager
+def beside(nbytes):
+    """The package's one gate for a second thread: yields submit(fn, *args) -> .result(). Past
+    _BLOCK_BYTES of data, a ThreadPoolExecutor(1)'s, shut down and joined on exit (an error
+    left unread there is dropped); else _Now, which runs fn on the caller at once."""
+    if nbytes <= _BLOCK_BYTES:
+        yield _Now
+    else:
+        with ThreadPoolExecutor(1) as pool:
+            yield pool.submit
+
+
 def _on_two_threads(work, count, nbytes):
-    """[work(0, count)]; or, once ``nbytes`` pass _BLOCK_BYTES, [work(0, h), work(h,
-    count)] for h = count // 2, the second on a worker thread, joined (its error re-raised)."""
-    if count < 2 or nbytes <= _BLOCK_BYTES:
-        return [work(0, count)]
-    with ThreadPoolExecutor(1) as pool:
-        upper = pool.submit(work, count // 2, count)
+    """[work(0, h), work(h, count)] for h = count // 2, the second submitted beside ``nbytes``
+    (one item stays on the caller): its error re-raised, or lost to the first half's."""
+    with beside(nbytes if count > 1 else 0) as submit:
+        upper = submit(work, count // 2, count)
         return [work(0, count // 2), upper.result()]
 
 
@@ -221,6 +240,7 @@ class Objective:
         X, y = self.shards
         theta0, clients = np.asarray(theta0, dtype=np.float64), max(1, _BLOCK_BYTES // X[0].nbytes)
 
+        @np.errstate(over="ignore", invalid="ignore")  # a non-finite bound is BoundInputs' error
         def worst(lo, hi):
             top, buf = 0.0, np.empty((min(clients, hi - lo), *X.shape[1:]))
             for i in range(lo, hi, clients):
@@ -233,22 +253,20 @@ class Objective:
         return max(_on_two_threads(worst, len(X), X.nbytes if X[0].nbytes <= _BLOCK_BYTES else 0))
 
     def spec(self, theta0) -> ObjectiveSpec:
-        """The constants at theta0. Past _BLOCK_BYTES of data the optimum runs on a worker while
-        the caller builds the Gram (least squares first, for its optimum; cached from the worker's
-        heap it raised local-heavy's peak RSS ~11%) and the other three; the optimum's error wins
-        if both fail. Same calls on the same operands, so the same bits."""
+        """The constants at theta0. The optimum is submitted beside the data's bytes: past
+        _BLOCK_BYTES it runs on a worker while the caller builds the Gram (least squares first,
+        for its optimum; cached from the worker's heap it raised local-heavy's peak RSS ~11%) and
+        the other three; else inline, first. The optimum's error wins if both fail. Same calls
+        on the same operands, so the same bits."""
         if self.kind == "least_squares":
             self._weighted_gram()
-        side = lambda: (self.smoothness(), self.grad_variance_bound(theta0), self.full_loss(theta0))
-        if self.shards[0].nbytes <= _BLOCK_BYTES:
-            f_star, (nu, alpha2, f0) = self.optimum()[1], side()
-        else:
-            with ThreadPoolExecutor(1) as pool:
-                optimum = pool.submit(self.optimum)
-                try:
-                    nu, alpha2, f0 = side()
-                finally:  # an optimum's error replaces the side's
-                    f_star = optimum.result()[1]
+        with beside(self.shards[0].nbytes) as submit:
+            optimum = submit(self.optimum)
+            try:
+                nu, alpha2, f0 = (self.smoothness(), self.grad_variance_bound(theta0),
+                                  self.full_loss(theta0))
+            finally:  # an optimum's error replaces the side's
+                f_star = optimum.result()[1]
         return ObjectiveSpec(kind=self.kind, dimension=self.dimension, smoothness=nu,
                              grad_variance=alpha2, optimum_gap=f0 - f_star)
 
@@ -394,11 +412,12 @@ def synth_partition(global_seed: int, N: int, d: int, n_per_client: int,
     streams = rng.spawn(slabs + 1)
     _on_two_threads(lambda lo, hi: [streams[s].standard_normal(out=flat[s * _SLAB:(s + 1) * _SLAB])
                                     for s in range(lo, hi)], slabs, features.nbytes)
-    w = w + heterogeneity * streams[slabs].standard_normal((N, d)) if heterogeneity else w
-    z = np.matmul(features, w[..., None])[..., 0]
-    if kind == "least_squares":
-        targets = z + noise_std * rng.standard_normal(z.shape)
-    else:
-        targets = (rng.random(z.shape) < expit(z)).astype(np.float64)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite data is Objective's error
+        w = w + heterogeneity * streams[slabs].standard_normal((N, d)) if heterogeneity else w
+        z = np.matmul(features, w[..., None])[..., 0]
+        if kind == "least_squares":
+            targets = z + noise_std * rng.standard_normal(z.shape)
+        else:
+            targets = (rng.random(z.shape) < expit(z)).astype(np.float64)
     features.flags.writeable = targets.flags.writeable = False
     return features, targets

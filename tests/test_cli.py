@@ -327,6 +327,31 @@ def test_cmd_run_huge_step_stops_before_the_norm_overflows(tmp_path, overrides, 
     assert (summary["final_loss"] is None) == ("s2" in overrides)  # only there is it inf
 
 
+@pytest.mark.parametrize("field", ["label_noise", "heterogeneity"])
+def test_cmd_run_overflowing_variance_bound_is_a_bound_error(tmp_path, field):
+    # Targets near 1e200 square past float64 in the gradient-variance bound: its inf makes
+    # F_gap NaN, which BoundInputs rejects. The run keeps its trace and summary, unwarned.
+    out = tmp_path / "out"
+    proc = _run_strict(_write_config(tmp_path, {field: 1e200}), out)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
+    assert "bound error: F_gap must be a finite number, got nan; " \
+        f"{out / 'cli-test_bounds.json'} not written" in proc.stderr.splitlines()
+    assert sorted(p.name for p in out.iterdir()) == ["cli-test_summary.json",
+                                                     "cli-test_trace.csv"]
+
+
+@pytest.mark.parametrize("field", ["label_noise", "heterogeneity"])
+def test_cmd_run_data_past_float_max_is_a_config_error(tmp_path, field):
+    # 1.7e308 times a normal draw overflows the targets (or the shifted planted vectors):
+    # Objective rejects the non-finite data before anything is written, with no warning.
+    out = tmp_path / "never"
+    proc = _run_strict(_write_config(tmp_path, {field: 1.7e308}), out)
+    assert proc.returncode == 2
+    assert proc.stderr == "config error: dataset entries must be finite\n"
+    assert not out.exists()
+
+
 # sigma overflows float64 in privacy.noise_schedule; sigma = 2.77e300 is finite
 # but above the codec's MAX_SIGMA. Both are rejected before any round runs.
 @pytest.mark.parametrize("overrides, text", [

@@ -27,7 +27,7 @@ from gaulrq.orchestrator import (PIPELINES, AlgorithmKind, WireMessage,
                                  serialize_message, unpack_indices)
 from gaulrq.privacy import clip_ceiling, clip_update
 from gaulrq.quantizers import (MAX_BITS, MIN_STEP_FACTOR, bit_width, lrq_quantize_vector,
-                               sample_layer, stochastic_quantize_indices)
+                               sample_layer, stochastic_round)
 from gaulrq.streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
 from gaulrq.training import ModelState, local_rounds, weighted_error
 
@@ -209,6 +209,15 @@ def test_parse_rejects_nonfinite_scale():
             parse_message(bytes(raw))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_qg_encode_rejects_a_nonfinite_row(bad):
+    # A non-finite element makes its row's max|v| scale non-finite, which bit_width rejects
+    # before any index is rounded.
+    V = np.array([[0.5, -0.25], [0.1, bad]])
+    with pytest.raises(InvalidParameterError, match="scale must be finite"):
+        PIPELINES[AlgorithmKind.QG_SGD].encode(V, 0.5, np.full(V.shape, 0.5))
+
+
 @pytest.mark.parametrize("c", [2.0**-1000, 1e-60, 1.0, 1e200],
                          ids=["2^-1000", "1e-60", "1", "1e200"])
 @pytest.mark.parametrize("algo", [AlgorithmKind.QG_SGD, AlgorithmKind.GAU_LRQ_SGD],
@@ -377,8 +386,9 @@ def _one_client_upload(algo, seed, cid, k, clipped, sigma):
         u_noise, _ = element_pairs(seed.lane("noise"), cid, k, d)
         v = clipped + sigma * np.asarray(inv_norm_cdf(u_noise))
         u, _ = uniform_pair_block(seed.lane("sq"), cid, k, 0, np.arange(d, dtype=np.uint64))
-        b = bit_width(np.max(np.abs(v)), sigma)
-        idx, scale = stochastic_quantize_indices(v, b, u)
+        scale = float(np.max(np.abs(v)))
+        b = bit_width(scale, sigma)
+        idx = stochastic_round(v, b, u, scale)
         return WireMessage(cid, k, d, b, AlgorithmKind.QG_SGD,
                            pack_indices(idx - (1 << (b - 1)), b), scale=scale)
     enc = lrq_quantize_vector(clipped, sigma, element_pairs(seed.lane("quant"), cid, k, d))
@@ -600,7 +610,7 @@ def _spy_threads(monkeypatch, sim):
     if draw is not None:
         sim._pipeline = sim._pipeline._replace(draw=spy("draw", draw))
     monkeypatch.setattr(orchestrator, "sample_layer", spy("layer", _SAMPLE_LAYER))
-    monkeypatch.setattr(orchestrator, "ThreadPoolExecutor",
+    monkeypatch.setattr(training, "ThreadPoolExecutor",
                         lambda n: seen["pools"].append(n) or ThreadPoolExecutor(n))
     return seen
 
@@ -638,13 +648,12 @@ def test_no_thread_starts_under_a_block(monkeypatch):
     # run evaluates its 3 rounds as one block, in the last; a bare round evaluates its own.
     cfg = dict(algorithm="gau_lrq_sgd", N=100, B=10, Q=5, K=3, eta=0.05, epsilon=2.0,
                tau=0.9, s2=1.0, d=20, n_per_client=20, batch_size=5, seed=0)
-    sim = build_simulation(_config(**cfg))
+    sim, bare = build_simulation(_config(**cfg)), build_simulation(_config(**cfg))
     assert sim.objective.shards[0].nbytes == 320_000 < training._BLOCK_BYTES
     seen, caller = _spy_threads(monkeypatch, sim), threading.get_ident()
     before = threading.active_count()
     sim.run()
     monkeypatch.setattr(training, "_BLOCK_BYTES", 1)
-    bare = build_simulation(_config(**cfg))
     bare_seen = _spy_threads(monkeypatch, bare)
     bare.run_round()
     assert seen["pools"] == bare_seen["pools"] == [] and threading.active_count() == before

@@ -16,7 +16,7 @@ from gaulrq.quantizers import (MAX_BITS, MAX_SIGMA, MIN_STEP_FACTOR, LayerSample
                                lrq_decode, lrq_encode, lrq_quantize_rows,
                                lrq_quantize_vector, lrq_reconstruct_rows,
                                lrq_reconstruct_vector, sample_layer,
-                               stochastic_dequantize, stochastic_quantize_indices)
+                               stochastic_dequantize, stochastic_round)
 from gaulrq.streams import SeedMaterial, element_pairs, uniform_pair_block
 
 SEED = SeedMaterial(7, "quantizer-tests")
@@ -487,8 +487,8 @@ def test_dithered_validation():
 # -- stochastic quantizer ---------------------------------------------------
 
 def _stochastic(v, b, uniforms):
-    idx, scale = stochastic_quantize_indices(v, b, uniforms)
-    return stochastic_dequantize(idx, b, scale)
+    scale = float(np.max(np.abs(v)))
+    return stochastic_dequantize(stochastic_round(v, b, uniforms, scale), b, scale)
 
 
 def test_stochastic_on_level_input():
@@ -531,16 +531,19 @@ def test_stochastic_squared_error_bound():
 
 
 def test_stochastic_scale_is_the_inf_norm():
+    # The largest |v| sits on the top level of 15, as the engine's max|v| scale puts it.
     v = np.array([0.1, -0.05])
-    idx, scale = stochastic_quantize_indices(v, 4, np.array([0.5, 0.5]))
-    assert type(scale) is float and scale == 0.1
+    scale = float(np.max(np.abs(v)))
+    idx = stochastic_round(v, 4, np.array([0.5, 0.5]), scale)
+    assert type(scale) is float and scale == 0.1 and idx[0] == 14
 
 
 def test_stochastic_index_round_trip():
     rng = np.random.default_rng(5)
     v = rng.standard_normal(32)
     u = rng.random(32)
-    idx, scale = stochastic_quantize_indices(v, 3, u)
+    scale = float(np.max(np.abs(v)))
+    idx = stochastic_round(v, 3, u, scale)
     out = stochastic_dequantize(idx, 3, scale)
     assert idx.dtype == np.int64 and np.all((idx >= 0) & (idx <= 6))
     assert np.all(np.abs(out - v) <= 2.0 * scale / 6 + 1e-12)   # a neighbouring level
@@ -568,12 +571,14 @@ def test_stochastic_rows_match_per_row_calls(widths, d, zero_rows, seed):
     V = rng.standard_normal((len(widths), d)) * 10.0 ** rng.integers(-5, 5, (len(widths), 1))
     V[[i for i in zero_rows if i < len(widths)]] = 0.0
     U = rng.random(V.shape)
-    idx, scales = stochastic_quantize_indices(V, np.array(widths), U)
+    scales = np.max(np.abs(V), axis=1)
+    idx = stochastic_round(V, np.array(widths), U, scales)
     out = stochastic_dequantize(idx, np.array(widths), scales)
     assert idx.shape == V.shape and idx.dtype == np.int64 and scales.shape == (len(widths),)
     for i, b in enumerate(widths):
         want_idx, want_scale, want_out = _ref_stochastic(V[i], b, U[i])
-        row_idx, row_scale = stochastic_quantize_indices(V[i], b, U[i])
+        row_scale = float(np.max(np.abs(V[i])))
+        row_idx = stochastic_round(V[i], b, U[i], row_scale)
         assert type(row_scale) is float
         for got_idx, got_scale in ((idx[i], scales[i]), (row_idx, row_scale)):
             assert np.array_equal(got_idx, want_idx) and got_scale == want_scale

@@ -141,7 +141,7 @@ def test_to_unit_matches_two_sided_clip_at_extreme_words():
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
     assert want[0] == 2.0**-64 and want[-1] == np.nextafter(1.0, 0.0)
     for word, w in zip(words, want):
-        one = _to_unit(word)  # a numpy scalar takes the array-free path
+        one = _to_unit(word)  # a numpy scalar comes back a numpy float64
         assert type(one) is np.float64 and one == w
 
 

@@ -119,7 +119,7 @@ def test_two_thread_split_joins_its_worker_and_reraises(monkeypatch):
     with pytest.raises(ValueError, match="^2-5$"):
         training._on_two_threads(work, 5, 1)
     assert done == [True]
-    assert training._on_two_threads(lambda lo, hi: (lo, hi), 1, 1) == [(0, 1)]
+    assert training._on_two_threads(lambda lo, hi: (lo, hi), 1, 1) == [(0, 0), (0, 1)]
 
 
 def test_synth_shards_are_one_read_only_tensor():
