@@ -20,5 +20,5 @@ class ConfigError(ValueError):
 
 
 class DivergedError(RuntimeError):
-    """A round cannot go on: a model's norm exceeded the configured divergence
-    ceiling, or a median-clipped sigma left the codec's domain."""
+    """A round cannot go on: a model's norm exceeded the configured divergence ceiling, or
+    its median clip bound, median-clipped sigma or a float32 upload left its domain."""

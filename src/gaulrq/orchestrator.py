@@ -171,7 +171,11 @@ def parse_message(data: bytes) -> WireMessage:
 # in schedule order (None unless replayed). Layer functions are module globals to them.
 
 def _encode_float(V, sigma, rows):
-    return [(FLOAT_BITS, row.tobytes(), 0.0, 0) for row in V.astype("<f4")]
+    with np.errstate(over="ignore"):
+        V = V.astype("<f4")
+    if not np.isfinite(V).all():
+        raise DivergedError("an upload exceeds float32's range")
+    return [(FLOAT_BITS, row.tobytes(), 0.0, 0) for row in V]
 
 
 def _decode_float(msgs, sigma, rows):
@@ -397,7 +401,10 @@ class Simulation:
         if p.private:
             sigma, eps_cum = float(self._sigmas[k]), float(self._eps_cum[k])
             if cfg.clip_mode == "median_adaptive":
-                s2 = max(median_clip_bound(l2_norms(updates)), 1e-12)
+                with np.errstate(over="ignore"):  # squares past float64: an inf median
+                    s2 = max(median_clip_bound(l2_norms(updates)), 1e-12)
+                if not math.isfinite(s2):
+                    raise DivergedError(f"round {k}'s median clip bound {s2} is not finite")
                 sigma *= s2
                 if p.quantized and sigma > MAX_SIGMA:
                     raise DivergedError(f"median-clipped sigma {sigma:.6g} exceeds the "
@@ -409,7 +416,8 @@ class Simulation:
                 inf_norms = np.max(np.abs(updates), axis=1).tolist()
 
         if p.noisy:
-            updates = updates + sigma * noise
+            with np.errstate(over="ignore"):  # past float32's range: the encode's error
+                updates = updates + sigma * noise
         coded = p.encode(updates, sigma, code)  # (width, payload, scale, clamps) a row
         if coded_norms:  # encode took each row's inf-norm as its scale: not taken twice
             inf_norms = [scale for _, _, scale, _ in coded]

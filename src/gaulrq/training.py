@@ -143,6 +143,7 @@ class Objective:
         resid = _residual(self.kind, z, self._y)
         return loss, np.dot(self._X.T, self._w * resid) + self.ridge * theta  # np.dot: see _loss
 
+    @np.errstate(over="ignore", invalid="ignore")
     def _loss(self, theta):
         """(F(theta), z = X theta); F is inf, without a warning, past float64's range."""
         # np.dot, not @, here and below: matmul holds the GIL through a small-output BLAS call.
@@ -207,6 +208,7 @@ class Objective:
         lam = float(np.linalg.eigvalsh(self._weighted_gram())[-1])
         return (1.0 if self.kind == "least_squares" else 0.25) * lam + self.ridge
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite F_gap is BoundInputs' error
     def optimum(self):
         """(theta*, F(theta*)); analytic for least squares, converged otherwise.
 
@@ -368,6 +370,7 @@ def _residual(kind: str, z, y, out=None):
     return np.subtract(z if kind == "least_squares" else expit(z, out=out), y, out=out)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # an inf norm gives inf or NaN, unwarned
 def weighted_error(grad_sq_norms, tau: float) -> float:
     """Late-round-weighted mean: sum tau^{-k} g_k / sum tau^{-k}.
 

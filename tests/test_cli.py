@@ -3,22 +3,18 @@ import dataclasses
 import io
 import json
 import math
-import os
-import subprocess
-import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaulrq import training
 from gaulrq.analysis import MAX_BOUND_ROUNDS, BoundInputs
-from gaulrq.cli import main
-from gaulrq.config import MAX_FLOATS, ExperimentConfig, load_config
-from gaulrq.errors import ConfigError
+from gaulrq.cli import _bound_report, main
+from gaulrq.config import MAX_FLOATS, ExperimentConfig, build_simulation, load_config
+from gaulrq.errors import ConfigError, DivergedError, InvalidParameterError
 from gaulrq.quantizers import MAX_BITS, MAX_SIGMA, lrq_quantize_vector
 from gaulrq.streams import SeedMaterial, uniform_pair_block
 
@@ -276,82 +272,6 @@ def _reject_constant(name):
     raise ValueError(f"{name} is not strict JSON")
 
 
-def _run_strict(cfg, out):
-    """`gaulrq run` in a fresh interpreter that turns every warning into an error."""
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-W", "error", "-m", "gaulrq.cli", "run",
-                           "--config", cfg, "--out-dir", str(out)],
-                          env=env, capture_output=True, text=True, timeout=120)
-
-
-def test_cmd_run_tiny_epsilon_stops_before_theta_overflows(tmp_path):
-    # sigma ~ 4e160: round 0's decoded noise would put theta near 1e160, and
-    # round 1's loss would overflow. The server step stops the run first.
-    cfg = _write_config(tmp_path, {"epsilon": 1e-160})
-    out = tmp_path / "out"
-    proc = _run_strict(cfg, out)
-    assert proc.returncode == 1
-    lines = proc.stderr.splitlines()
-    assert [line for line in lines if line.startswith("run error:")] == \
-        ["run error: global model norm exceeded ceiling 1e+06"]
-    # The only other line: the bound report also overflows at this epsilon.
-    assert len(lines) == 2 and lines[1].startswith("bound error:")
-    summary = json.loads((out / "cli-test_summary.json").read_text(),
-                         parse_constant=_reject_constant)
-    assert summary["stop_reason"] == "diverged in round 0"
-    assert summary["rounds_run"] == 0 and math.isfinite(summary["final_loss"])
-
-
-@pytest.mark.parametrize("overrides, ceiling", [
-    ({"eta": 1e250}, None), ({"eta": 1e250}, 1e300),
-    ({"K": 2, "d": 5, "epsilon": 1.0, "s2": 1e280, "eta": 1e60}, 1e300)],
-    ids=["default", "1e300", "loss-overflow"])
-def test_cmd_run_huge_step_stops_before_the_norm_overflows(tmp_path, overrides, ceiling):
-    # eta = 1e250 puts the local model near 1e251 after one step; the squares
-    # of an L2 norm would overflow, so the local guard takes the inf-norm first.
-    # Under a 1e300 ceiling the second step overflows to inf before the guard.
-    # With eta = 1e60 and s2 = 1e280, round 1 starts from a model whose loss
-    # overflows: it reads inf, and the summary's final_loss is null.
-    extra = {} if ceiling is None else {"divergence_ceiling": ceiling}
-    out = tmp_path / "out"
-    proc = _run_strict(_write_config(tmp_path, {**overrides, **extra}), out)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
-    assert [line for line in proc.stderr.splitlines() if line.startswith("run error:")] == \
-        [f"run error: local model norm exceeded ceiling {ceiling or 1e6:g}"]
-    summary = json.loads((out / "cli-test_summary.json").read_text(),
-                         parse_constant=_reject_constant)
-    assert summary["stop_reason"].startswith("diverged in round ")
-    assert (summary["final_loss"] is None) == ("s2" in overrides)  # only there is it inf
-
-
-@pytest.mark.parametrize("field", ["label_noise", "heterogeneity"])
-def test_cmd_run_overflowing_variance_bound_is_a_bound_error(tmp_path, field):
-    # Targets near 1e200 square past float64 in the gradient-variance bound: its inf makes
-    # F_gap NaN, which BoundInputs rejects. The run keeps its trace and summary, unwarned.
-    out = tmp_path / "out"
-    proc = _run_strict(_write_config(tmp_path, {field: 1e200}), out)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr and "RuntimeWarning" not in proc.stderr
-    assert "bound error: F_gap must be a finite number, got nan; " \
-        f"{out / 'cli-test_bounds.json'} not written" in proc.stderr.splitlines()
-    assert sorted(p.name for p in out.iterdir()) == ["cli-test_summary.json",
-                                                     "cli-test_trace.csv"]
-
-
-@pytest.mark.parametrize("field", ["label_noise", "heterogeneity"])
-def test_cmd_run_data_past_float_max_is_a_config_error(tmp_path, field):
-    # 1.7e308 times a normal draw overflows the targets (or the shifted planted vectors):
-    # Objective rejects the non-finite data before anything is written, with no warning.
-    out = tmp_path / "never"
-    proc = _run_strict(_write_config(tmp_path, {field: 1.7e308}), out)
-    assert proc.returncode == 2
-    assert proc.stderr == "config error: dataset entries must be finite\n"
-    assert not out.exists()
-
-
 # sigma overflows float64 in privacy.noise_schedule; sigma = 2.77e300 is finite
 # but above the codec's MAX_SIGMA. Both are rejected before any round runs.
 @pytest.mark.parametrize("overrides, text", [
@@ -371,39 +291,153 @@ def test_cmd_run_sigma_outside_the_codec_is_a_config_error(tmp_path, capsys, ove
     assert captured.err.count("\n") == 1
 
 
-# Finite sigma where s2 * s2 and (N * epsilon)^2, or sum_i tau^{-i/2} (sigma_0 ~
-# 1.8e226 at K = 3000, tau = 0.5), used to overflow. Both configs pass validation;
-# their noise then diverges the model in round 0.
-@pytest.mark.parametrize("overrides", [
-    {"s2": 1e200, "epsilon": 1e10, "tau": 0.9},
-    {"K": 3000, "s2": 1.0, "epsilon": 1.0, "tau": 0.5}], ids=["big-s2", "long-decay"])
-def test_cmd_run_finite_sigma_past_the_old_overflow_diverges(tmp_path, overrides):
-    cfg = _write_config(tmp_path, {"algorithm": "dynamic_gau_lrq_sgd", "K": 2, "d": 5,
-                                   **overrides})
-    proc = _run_strict(cfg, tmp_path / "out")
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
-    assert [line for line in proc.stderr.splitlines() if line.startswith("run error:")] == \
-        ["run error: global model norm exceeded ceiling 1e+06"]
+_WRITTEN = ["cli-test_bounds.json", "cli-test_summary.json", "cli-test_trace.csv"]
+_NO_BOUNDS = _WRITTEN[1:]
+_GLOBAL = "run error: global model norm exceeded ceiling 1e+06"
+_LOCAL = "run error: local model norm exceeded ceiling 1e+06"
+_FLOAT32 = "run error: an upload exceeds float32's range"
+_MEDIAN = "run error: round 0's median clip bound inf is not finite"
+_ZERO = ("bound error: a bound overflows at these inputs (float division by zero); "
+         "<out>/cli-test_bounds.json not written")
+_RANGE = "bound error: a bound overflows at these inputs (..."  # then libm's errno message
+_GAP = "bound error: F_gap must be a finite number, got nan; <out>/cli-test_bounds.json not written"
+_ROUND0 = "diverged in round 0"
+
+# `gaulrq run` at the edges of float64 and float32. A row: overrides to MINIMAL, the exit
+# status, stderr's lines (one ending in "..." is a prefix), and then the files written with
+# the summary's stop_reason, rounds_run and whether final_loss is finite, or None: no out-dir.
+_EDGES = [
+    # sigma ~ 4e160: round 0's decoded noise would put theta near 1e160, and round 1's loss
+    # would overflow. The server step stops the run first; the bound report overflows too.
+    pytest.param({"epsilon": 1e-160}, 1, [_GLOBAL, _ZERO], (_NO_BOUNDS, _ROUND0, 0, True),
+                 id="tiny-epsilon"),
+    # eta = 1e250 puts the local model near 1e251 after one step; the squares of an L2 norm
+    # would overflow, so the local guard takes the inf-norm first.
+    pytest.param({"eta": 1e250}, 1, [_LOCAL, _RANGE], (_NO_BOUNDS, _ROUND0, 0, True),
+                 id="huge-step-default"),
+    # Under a 1e300 ceiling the second step overflows to inf before the guard.
+    pytest.param({"eta": 1e250, "divergence_ceiling": 1e300}, 1,
+                 ["run error: local model norm exceeded ceiling 1e+300", _RANGE],
+                 (_NO_BOUNDS, _ROUND0, 0, True), id="huge-step-1e300"),
+    # With eta = 1e60 and s2 = 1e280, round 1 starts from a model whose loss overflows: it
+    # reads inf, and the summary's final_loss is null.
+    pytest.param({"K": 2, "d": 5, "epsilon": 1.0, "s2": 1e280, "eta": 1e60,
+                  "divergence_ceiling": 1e300}, 1,
+                 ["run error: local model norm exceeded ceiling 1e+300", _RANGE],
+                 (_NO_BOUNDS, "diverged in round 1", 1, False), id="huge-step-loss-overflow"),
+    # Targets near 1e200 square past float64 in the gradient-variance bound: its inf makes
+    # F_gap NaN, which BoundInputs rejects. The run keeps its trace and summary.
+    *(pytest.param({field: 1e200}, 1, [_LOCAL, _GAP], (_NO_BOUNDS, _ROUND0, 0, False),
+                   id=f"variance-bound-{field}") for field in ("label_noise", "heterogeneity")),
+    # 1.7e308 times a normal draw overflows the targets (or the shifted planted vectors):
+    # Objective rejects the non-finite data before anything is written.
+    *(pytest.param({field: 1.7e308}, 2, ["config error: dataset entries must be finite"], None,
+                   id=f"data-past-float-max-{field}") for field in ("label_noise", "heterogeneity")),
+    # Finite sigma where s2 * s2 and (N * epsilon)^2 used to overflow: its noise diverges the
+    # model in round 0.
+    pytest.param({"algorithm": "dynamic_gau_lrq_sgd", "K": 2, "d": 5, "s2": 1e200,
+                  "epsilon": 1e10}, 1, [_GLOBAL, _RANGE], (_NO_BOUNDS, _ROUND0, 0, True),
+                 id="finite-sigma-big-s2"),
+    # Finite sigma where sum_i tau^{-i/2} (sigma_0 ~ 1.8e226 at K = 3000, tau = 0.5) used to
+    # overflow: its noise diverges the model in round 0.
+    pytest.param({"algorithm": "dynamic_gau_lrq_sgd", "K": 3000, "d": 5, "epsilon": 1.0,
+                  "tau": 0.5}, 1, [_GLOBAL], (_WRITTEN, _ROUND0, 0, True),
+                 id="finite-sigma-long-decay"),
+    # sigma_k at S2 = 1 is 3.4e296 and round 0's median clip bound scales it to 7.5e295 >
+    # MAX_SIGMA. Only the round knows the median, so the run stops there like a divergence.
+    pytest.param({"K": 3, "d": 5, "epsilon": 1e-296, "clip_mode": "median_adaptive"}, 1,
+                 ["run error: median-clipped sigma 7.45839e+295 exceeds the codec's "
+                  f"MAX_SIGMA {MAX_SIGMA:.6g}", _ZERO], (_NO_BOUNDS, _ROUND0, 0, True),
+                 id="median-sigma-above-max"),
+    # gau_sgd's noise at that sigma ~ 4e160, and local_sgd's 1e30 step, leave float32's
+    # range: the round stops before its uploads would be sent as inf.
+    pytest.param({"algorithm": "gau_sgd", "epsilon": 1e-160}, 1, [_FLOAT32, _ZERO],
+                 (_NO_BOUNDS, _ROUND0, 0, True), id="float32-upload-gau_sgd"),
+    pytest.param({"algorithm": "local_sgd", "eta": 1e30, "divergence_ceiling": 1e300}, 1,
+                 [_FLOAT32], (_WRITTEN, _ROUND0, 0, True), id="float32-upload-local_sgd"),
+    # Targets near 1e160 put the ridge term of F(theta*) past float64: F is inf, F_gap NaN.
+    pytest.param({"ridge": 1.0, "label_noise": 1e160}, 1, [_LOCAL, _GAP],
+                 (_NO_BOUNDS, _ROUND0, 0, False), id="ridge-loss-overflow"),
+    # Targets near 1e170: round 0's update norms square past float64, and their median is
+    # inf. gau_sgd's clip rejected that s2 as a config error.
+    *(pytest.param({"algorithm": algorithm, "clip_mode": "median_adaptive",
+                    "label_noise": 1e170, "divergence_ceiling": 1e300}, 1, [_MEDIAN, _GAP],
+                   (_NO_BOUNDS, _ROUND0, 0, False), id=f"median-bound-overflow-{algorithm}")
+      for algorithm in ("gau_lrq_sgd", "gau_sgd")),
+]
 
 
-def test_cmd_run_median_sigma_above_max_is_a_run_error(tmp_path):
-    # sigma_k at S2 = 1 is 3.4e296 and round 0's median clip bound (about 0.3)
-    # scales it to 1.0e296 > MAX_SIGMA. Only the round knows the median, so the
-    # run stops there like a divergence and keeps the rounds before it.
-    cfg = _write_config(tmp_path, {"K": 3, "d": 5, "epsilon": 1e-296,
-                                   "clip_mode": "median_adaptive"})
+@pytest.mark.parametrize("overrides, status, stderr, written", _EDGES)
+def test_cmd_run_numeric_edges(tmp_path, fresh, overrides, status, stderr, written):
     out = tmp_path / "out"
-    proc = _run_strict(cfg, out)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
-    errors = [line for line in proc.stderr.splitlines() if line.startswith("run error:")]
-    assert len(errors) == 1 and "median-clipped sigma" in errors[0]
-    assert f"MAX_SIGMA {MAX_SIGMA:.6g}" in errors[0]
+    proc = fresh("-m", "gaulrq.cli", "run", "--config", _write_config(tmp_path, overrides),
+                 "--out-dir", str(out))
+    assert proc.returncode == status
+    assert "Warning" not in proc.stderr and "Traceback" not in proc.stderr
+    lines = proc.stderr.replace(str(out), "<out>").splitlines()
+    assert len(lines) == len(stderr), lines
+    for line, want in zip(lines, stderr):
+        assert line.startswith(want[:-3]) if want.endswith("...") else line == want
+    if written is None:
+        assert not out.exists()
+        return
+    files, stop_reason, rounds_run, finite_loss = written
+    assert sorted(p.name for p in out.iterdir()) == files
     summary = json.loads((out / "cli-test_summary.json").read_text(),
                          parse_constant=_reject_constant)
-    assert summary["stop_reason"] == "diverged in round 0" and summary["rounds_run"] == 0
-    assert (out / "cli-test_trace.csv").read_text().count("\n") == 1
+    assert (summary["stop_reason"], summary["rounds_run"], summary["final_loss"] is not None) \
+        == (stop_reason, rounds_run, finite_loss)
+    assert (out / "cli-test_trace.csv").read_text().count("\n") == 1 + rounds_run
+
+
+_MAGNITUDE = st.integers(-323, 308).map(lambda e: float(f"1e{e}"))
+_UP_TO_ONE = st.integers(-323, 0).map(lambda e: float(f"1e{e}"))
+
+
+@st.composite
+def _configs(draw):
+    """Small configs of every algorithm, clip mode and objective, their real-valued knobs
+    10^e from float64's smallest subnormal to its top decade (delta and tau up to 1)."""
+    N, n = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    return dict(
+        algorithm=draw(st.sampled_from(["local_sgd", "gau_sgd", "qg_sgd", "gau_lrq_sgd",
+                                        "dynamic_gau_lrq_sgd"])),
+        clip_mode=draw(st.sampled_from(["fixed", "median_adaptive"])),
+        objective=draw(st.sampled_from(["least_squares", "logistic"])), N=N,
+        B=draw(st.integers(1, N)), Q=draw(st.integers(1, 3)), K=draw(st.integers(0, 5)),
+        d=draw(st.integers(1, 8)), n_per_client=n, batch_size=draw(st.integers(0, n)),
+        seed=draw(st.integers(0, 2**16)), delta=draw(_UP_TO_ONE), tau=draw(_UP_TO_ONE),
+        **{name: draw(_MAGNITUDE) for name in ("eta", "epsilon", "s2", "divergence_ceiling")},
+        **{name: draw(st.just(0.0) | _MAGNITUDE)
+           for name in ("label_noise", "ridge", "heterogeneity")})
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_configs())
+@example(dict(MINIMAL, algorithm="gau_sgd", epsilon=1e-160))
+@example(dict(MINIMAL, algorithm="local_sgd", eta=1e30, divergence_ceiling=1e300))
+@example(dict(MINIMAL, ridge=1.0, label_noise=1e160))
+@example(dict(MINIMAL, clip_mode="median_adaptive", label_noise=1e170, divergence_ceiling=1e300))
+@example(dict(MINIMAL, algorithm="gau_sgd", clip_mode="median_adaptive", label_noise=1e170,
+              divergence_ceiling=1e300))
+@example(dict(MINIMAL, algorithm="gau_sgd", epsilon=3e-308))  # sigma * noise past float64
+@example(dict(MINIMAL, algorithm="local_sgd", N=1, B=1, d=7, n_per_client=6, seed=65536,
+              label_noise=1e307))  # the thin-side optimum X^T (G^-1 w y) past float64
+def test_every_config_ends_in_a_typed_outcome(data):
+    """cmd_run's steps in-process: a config error, a completed or diverged run, or a run
+    error, then a bound report or a bound error. A RuntimeWarning anywhere is an error."""
+    try:
+        config = ExperimentConfig.from_dict(data)
+        sim = build_simulation(config)
+        sim.run()
+    except (ConfigError, InvalidParameterError):
+        return
+    except DivergedError:
+        sim.trace("diverged")
+    try:
+        _bound_report(config, sim)
+    except InvalidParameterError:
+        pass
 
 
 @pytest.mark.parametrize("algorithm", ["gau_lrq_sgd", "qg_sgd"])

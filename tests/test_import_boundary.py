@@ -6,15 +6,6 @@ imports it. Each check runs in a new interpreter, since this one has
 imported everything already.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
-
-import gaulrq
-
-SRC = str(Path(gaulrq.__file__).resolve().parents[1])
-
 LEAST_SQUARES = r"""
 import sys
 
@@ -64,17 +55,11 @@ assert f_star == objective.full_loss(res.x)
 """
 
 
-def _fresh(script, *args):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run([sys.executable, "-c", script, *args], env=env,
-                          capture_output=True, text=True, timeout=120)
+def test_least_squares_run_never_loads_scipy_optimize(tmp_path, fresh):
+    proc = fresh("-c", LEAST_SQUARES, str(tmp_path / "trace.csv"))
     assert proc.returncode == 0, proc.stderr
 
 
-def test_least_squares_run_never_loads_scipy_optimize(tmp_path):
-    _fresh(LEAST_SQUARES, str(tmp_path / "trace.csv"))
-
-
-def test_logistic_optimum_loads_scipy_optimize():
-    _fresh(LOGISTIC)
+def test_logistic_optimum_loads_scipy_optimize(fresh):
+    proc = fresh("-c", LOGISTIC)
+    assert proc.returncode == 0, proc.stderr

@@ -2,10 +2,7 @@ import dataclasses
 import functools
 import json
 import math
-import os
 import re
-import subprocess
-import sys
 import threading
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
@@ -912,13 +909,13 @@ for name, config in json.loads(sys.argv[1]).items():
 """
 
 
-def test_replay_across_blas_threads(tmp_path):
-    # Three experiments whose products run in BLAS. Criterion 9 evaluates its trace in blocks
+def test_replay_across_blas_threads(tmp_path, fresh):
+    # Four experiments whose products run in BLAS. Criterion 9 evaluates its trace in blocks
     # of 8 thetas, two GEMMs each. A local-heavy one (20000 x 100) evaluates one theta a round
     # on run()'s worker, beside the clients' stacked steps, summing X^T r over blocks of 3
     # shards. A golden d = 5e4 config evaluates over one block and takes the norm of 5e4 values.
-    # The BLAS thread count changes no byte of any trace, summary or final model, and two runs
-    # at one count agree.
+    # "local" is perfbench's local-heavy data (seed 0) at K = 3. The BLAS thread count changes
+    # no byte of any trace, summary or final model, and two runs at one count agree.
     configs = {
         "criterion9": dict(_ENGINE_CASES["criterion9"], algorithm="gau_lrq_sgd"),
         "local-heavy": dict(algorithm="dynamic_gau_lrq_sgd", clip_mode="median_adaptive",
@@ -927,15 +924,15 @@ def test_replay_across_blas_threads(tmp_path):
                             seed=3, run_id="local"),
         "wide": dict(algorithm="gau_lrq_sgd", objective="least_squares", N=4, B=1, Q=2, K=2,
                      eta=1e-4, epsilon=2.0, delta=1e-5, tau=0.9, s2=1.0, d=50_000,
-                     n_per_client=4, batch_size=0, seed=3, run_id="wide")}
-    src = str(Path(orchestrator.__file__).resolve().parents[1])
+                     n_per_client=4, batch_size=0, seed=3, run_id="wide"),
+        "local": dict(algorithm="gau_lrq_sgd", clip_mode="fixed", objective="logistic", N=50,
+                      B=10, Q=20, K=3, eta=0.5, epsilon=4.0, delta=1e-5, tau=0.9, s2=1.0, d=100,
+                      n_per_client=400, label_noise=0.0, batch_size=0, seed=0, run_id="local")}
     runs = []  # each experiment's (trace CSV, summary, final theta) bytes at 1, 2 and again 2
-    for i, threads in enumerate(("1", "2", "2")):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    for i, threads in enumerate((1, 2, 2)):
         stem = tmp_path / f"run{i}"
-        subprocess.run([sys.executable, "-c", _REPLAY, json.dumps(configs), str(stem)],
-                       env=env, check=True, timeout=120)
+        proc = fresh("-c", _REPLAY, json.dumps(configs), str(stem), threads=threads)
+        assert proc.returncode == 0, proc.stderr
         runs.append({name: [Path(f"{stem}-{name}{ext}").read_bytes()
                             for ext in (".csv", ".json", ".theta")] for name in configs})
     assert runs[0] == runs[1] == runs[2]

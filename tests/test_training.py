@@ -1,6 +1,3 @@
-import os
-import subprocess
-import sys
 import threading
 import time
 import tracemalloc
@@ -741,16 +738,15 @@ print(spec.smoothness.hex(), spec.grad_variance.hex(), spec.optimum_gap.hex())
 """
 
 
-def test_spec_bits_of_the_local_heavy_benchmark():
+def test_spec_bits_of_the_local_heavy_benchmark(fresh):
     # The bound report's constants on perfbench's local-heavy data (seed 0; every
     # variant shares the data and theta0), L-BFGS optimum included, pinned to the
-    # bit at one BLAS thread; two runs at two threads agree with each other.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(training.__file__)))
+    # bit at one BLAS thread. nu moves with the thread count (OpenBLAS splits the
+    # Gram's X^T X), so two runs at two threads agree only with each other.
     specs = []
-    for threads in ("1", "2", "2"):
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
-                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-        specs.append(subprocess.run([sys.executable, "-c", _SPEC_HEX], env=env, check=True,
-                                    capture_output=True, text=True, timeout=120).stdout.split())
+    for threads in (1, 2, 2):
+        proc = fresh("-c", _SPEC_HEX, threads=threads)
+        assert proc.returncode == 0, proc.stderr
+        specs.append(proc.stdout.split())
     assert specs[0] == ["0x1.227c55b35a65cp-2", "0x1.b509593b2ec8ep+5", "0x1.0fa0b8c838485p+2"]
     assert len(specs[1]) == 3 and specs[1] == specs[2]
