@@ -9,7 +9,6 @@ import os
 import sys
 
 import numpy as np
-from scipy.special import erfc
 
 from .analysis import BoundInputs, bound_bq, bound_dynamic, bound_gau_lrq, \
     bound_lsgd, bound_qg, ks_statistic
@@ -36,8 +35,8 @@ def _bound_values(inp: BoundInputs) -> dict:
         with np.errstate(all="ignore"):  # an overflow fails the finiteness check below
             values = {f.__name__: f(inp) for _, f in _BOUNDS}
             step_size_ok = inp.step_size_ok()
-    except ArithmeticError as exc:
-        raise InvalidParameterError(f"a bound overflows at these inputs ({exc})") from None
+    except ArithmeticError as exc:  # its message: an OverflowError's args lead with errno
+        raise InvalidParameterError(f"a bound overflows at these inputs ({exc.args[-1]})") from None
     if not all(np.isfinite(value) for value in values.values()):
         raise InvalidParameterError("a bound overflows at these inputs")
     return dict(values, step_size_ok=step_size_ok)
@@ -123,6 +122,7 @@ def noise_checks(sigma: float, n: int, seed: int, value: float = 0.25):
     quantizer draws should be centered, have variance sigma^2, and pass a
     KS test against N(0, sigma^2) at significance 0.01.
     """
+    from scipy.special import erfc  # here, its only caller: scipy.special takes ~0.1 s to load
     bit_width(value, sigma)  # raises outside the codec's sigma domain
     if not 100 <= n <= MAX_NOISE_DRAWS:
         raise InvalidParameterError(f"need 100 to {MAX_NOISE_DRAWS} draws, got {n}")

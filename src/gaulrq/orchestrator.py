@@ -348,6 +348,13 @@ class Simulation:
             top = self._sigmas.max()  # the codec's sigma, unless a median clip rescales it
             if self._pipeline.quantized and config.clip_mode == "fixed" and top > MAX_SIGMA:
                 raise ConfigError(f"epsilon: sigma {top:.6g} exceeds the codec's {MAX_SIGMA:.6g}")
+            # At the widest sigma an update at the clip bound needs over MAX_BITS: no round can
+            # code one. A later round's narrower sigma is that round's DivergedError.
+            if self._pipeline.quantized and top <= MAX_SIGMA:
+                try:
+                    bit_width(s2, top)
+                except InvalidParameterError as exc:
+                    raise ConfigError(f"epsilon: {exc}") from None
 
     def _draw_chunk(self, evaluate):
         """What the rounds from self.round on consume, one stream call per lane, the server's
@@ -418,7 +425,10 @@ class Simulation:
         if p.noisy:
             with np.errstate(over="ignore"):  # past float32's range: the encode's error
                 updates = updates + sigma * noise
-        coded = p.encode(updates, sigma, code)  # (width, payload, scale, clamps) a row
+        try:
+            coded = p.encode(updates, sigma, code)  # (width, payload, scale, clamps) a row
+        except InvalidParameterError as exc:  # a width past MAX_BITS: the round's range did it
+            raise DivergedError(f"round {k}: {exc}") from None
         if coded_norms:  # encode took each row's inf-norm as its scale: not taken twice
             inf_norms = [scale for _, _, scale, _ in coded]
         parsed = [parse_message(serialize_message(

@@ -18,9 +18,9 @@ import contextlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidParameterError
+from .normal import inv_norm_cdf
 
 # Minimum step of the layered quantizer, in units of sigma.
 MIN_STEP_FACTOR = 2.0 * np.sqrt(2.0 * np.log(2.0))
@@ -90,30 +90,37 @@ def sample_layer(sigma: float, uniforms) -> LayerSample:
     x = sigma * Phi^-1(u1); the layer height is drawn uniformly under the
     density at x and flipped to the complementary height when x < 0, which
     keeps the marginal of x Gaussian while bounding the step away from zero.
-    Accepts scalar or array uniforms (one layer per element) and sigmas.
+    Accepts scalar or array uniforms of one shape (one layer per element), and
+    a sigma or array of sigmas that broadcasts to that shape.
     """
     _check_sigma(sigma)
-    u1 = np.asarray(uniforms[0], dtype=np.float64)
     u2 = np.asarray(uniforms[1], dtype=np.float64)
-    for u in (u1, u2):
-        if not ((u > 0.0) & (u < 1.0)).all():  # also false for NaN
-            raise InvalidParameterError("uniforms must lie strictly inside (0, 1)")
-
-    x = sigma * ndtri(u1)  # u1 is range-checked above
-    y0 = np.exp(-0.5 * (x / sigma) ** 2) * u2
-    y = np.where(x >= 0.0, y0, 1.0 - y0)
+    try:  # u1's check is the quantile's
+        if not (u2.min(initial=0.5) > 0.0 and u2.max(initial=0.5) < 1.0):  # NaN fails both
+            raise InvalidParameterError
+        t = np.atleast_1d(inv_norm_cdf(uniforms[0]))
+    except InvalidParameterError:
+        raise InvalidParameterError("uniforms must lie strictly inside (0, 1)") from None
+    y0 = np.square(t)  # in place from here on: at large d a fresh array faults its pages
+    y0 *= -0.5
+    np.exp(y0, out=y0)
+    y0 *= u2
+    y = np.subtract(1.0, y0)
+    np.copyto(y, y0, where=t >= 0.0)
     with np.errstate(divide="ignore"):  # y rounded to 0 or 1: mended below
-        L = -sigma * np.sqrt(-2.0 * np.log1p(-y))
-        R = sigma * np.sqrt(-2.0 * np.log(y))
+        L = np.log1p(np.negative(y, out=y0), out=y0)
+        L = np.multiply(np.sqrt(np.multiply(L, -2.0, out=L), out=L), -sigma, out=L)
+        R = np.log(y)
+        R = np.multiply(np.sqrt(np.multiply(R, -2.0, out=R), out=R), sigma, out=R)
         q_step = R - L
         if not np.isfinite(q_step).all():
             # That end is sigma * sqrt(-2 ln y0) in the log domain: y = 1 - y0
             # rounded to 1 (x < 0) or y = y0 underflowed (x >= 0) to 0.
-            ln_y0 = np.where(y0 > 0.0, np.log(y0), -0.5 * (x / sigma) ** 2 + np.log(u2))
-            end = sigma * np.sqrt(-2.0 * ln_y0)
+            end = sigma * np.sqrt(t * t - 2.0 * np.log(u2))  # ln y0 = -t^2/2 + ln u2
             L, R = np.where(np.isinf(L), -end, L), np.where(np.isinf(R), end, R)
             q_step = R - L
-    return LayerSample(x=x, y=y, L=L, R=R, q_step=q_step)
+    fields = (np.multiply(t, sigma, out=t), y, L, R, q_step)
+    return LayerSample(*(a[0] for a in fields) if np.ndim(uniforms[0]) == 0 else fields)
 
 
 def lrq_encode(u, layer: LayerSample):

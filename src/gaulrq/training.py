@@ -17,7 +17,6 @@ from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import DivergedError, InvalidParameterError
 
@@ -367,7 +366,12 @@ def _check_divergence(w, ceiling: float, scope: str):
 
 def _residual(kind: str, z, y, out=None):
     """dLoss/dz per sample: z - y for least squares, sigmoid(z) - y for logistic; into out."""
-    return np.subtract(z if kind == "least_squares" else expit(z, out=out), y, out=out)
+    return np.subtract(z if kind == "least_squares" else _sigmoid(z, out), y, out=out)
+
+
+@np.errstate(over="ignore")  # exp(-z) overflows below z = -709.78: the sigmoid is 0 there
+def _sigmoid(z, out=None):  # 1 / (1 + exp(-z)), scipy's expit formula, into out if given
+    return np.divide(1.0, np.add(np.exp(np.negative(z, out=out), out=out), 1.0, out=out), out=out)
 
 
 @np.errstate(over="ignore", invalid="ignore")  # an inf norm gives inf or NaN, unwarned
@@ -421,6 +425,6 @@ def synth_partition(global_seed: int, N: int, d: int, n_per_client: int,
         if kind == "least_squares":
             targets = z + noise_std * rng.standard_normal(z.shape)
         else:
-            targets = (rng.random(z.shape) < expit(z)).astype(np.float64)
+            targets = (rng.random(z.shape) < _sigmoid(z)).astype(np.float64)
     features.flags.writeable = targets.flags.writeable = False
     return features, targets

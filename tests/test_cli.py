@@ -299,7 +299,9 @@ _FLOAT32 = "run error: an upload exceeds float32's range"
 _MEDIAN = "run error: round 0's median clip bound inf is not finite"
 _ZERO = ("bound error: a bound overflows at these inputs (float division by zero); "
          "<out>/cli-test_bounds.json not written")
-_RANGE = "bound error: a bound overflows at these inputs (..."  # then libm's errno message
+# An OverflowError's message alone: its args lead with errno 34, and the text is glibc's strerror.
+_RANGE = ("bound error: a bound overflows at these inputs (Numerical result out of range); "
+          "<out>/cli-test_bounds.json not written")
 _GAP = "bound error: F_gap must be a finite number, got nan; <out>/cli-test_bounds.json not written"
 _ROUND0 = "diverged in round 0"
 
@@ -349,6 +351,13 @@ _EDGES = [
                  ["run error: median-clipped sigma 7.45839e+295 exceeds the codec's "
                   f"MAX_SIGMA {MAX_SIGMA:.6g}", _ZERO], (_NO_BOUNDS, _ROUND0, 0, True),
                  id="median-sigma-above-max"),
+    # sigma_k shrinks by tau^(1/2) a round: round 3's 1.99e-13 needs 41 bits for its range of
+    # 0.76. The three completed rounds are kept, as for any round that stops the run.
+    pytest.param({"algorithm": "dynamic_gau_lrq_sgd", "epsilon": 1e13, "tau": 0.001}, 1,
+                 ["run error: round 3: range 0.764636 at sigma=1.99072e-13 needs 41 bits per "
+                  f"element, above the {MAX_BITS}-bit cap"],
+                 (_WRITTEN, "diverged in round 3", 3, True),
+                 id="width-past-max-bits-in-round-3"),
     # gau_sgd's noise at that sigma ~ 4e160, and local_sgd's 1e30 step, leave float32's
     # range: the round stops before its uploads would be sent as inf.
     pytest.param({"algorithm": "gau_sgd", "epsilon": 1e-160}, 1, [_FLOAT32, _ZERO],

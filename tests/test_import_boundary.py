@@ -1,9 +1,10 @@
-"""What a fresh process loads: least squares never needs scipy.optimize.
+"""What a fresh process loads: no scipy module until the logistic optimum or verify-noise.
 
-scipy.optimize (with the scipy.linalg and scipy.sparse it pulls in) adds
-about a quarter second to a process's start, so only the logistic optimum
-imports it. Each check runs in a new interpreter, since this one has
-imported everything already.
+scipy.special takes about 0.1 s to load, and scipy.optimize (with the
+scipy.linalg and scipy.sparse it pulls in) about a quarter second more, so
+the package imports scipy only inside the two functions that need it. Each
+check runs in a new interpreter, since this one has imported everything
+already.
 """
 
 LEAST_SQUARES = r"""
@@ -13,9 +14,10 @@ import gaulrq
 from gaulrq import cli
 
 def check(stage):
-    assert "scipy.optimize" not in sys.modules, f"scipy.optimize loaded by {stage}"
+    loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+    assert not loaded, f"{stage} loaded {loaded}"
 
-check("import gaulrq")
+check("import gaulrq and gaulrq.cli")
 config = gaulrq.ExperimentConfig.from_dict(dict(
     algorithm="gau_lrq_sgd", N=100, B=10, Q=5, K=50, eta=0.05, epsilon=2.0,
     delta=1e-5, tau=0.9, s2=1.0, objective="least_squares", d=20,
@@ -38,10 +40,14 @@ import numpy as np
 
 import gaulrq
 
+sim = gaulrq.build_simulation(gaulrq.ExperimentConfig.from_dict(dict(
+    algorithm="gau_lrq_sgd", N=6, B=3, Q=2, K=3, eta=0.5, epsilon=4.0, delta=1e-5, tau=0.9,
+    s2=1.0, objective="logistic", d=5, n_per_client=30, seed=3)))
+sim.run()
 shards = gaulrq.synth_partition(3, N=6, d=5, n_per_client=30, noise_std=0.0,
                                 kind="logistic")
 objective = gaulrq.Objective(*shards, kind="logistic")
-assert "scipy.optimize" not in sys.modules
+assert not [m for m in sys.modules if m.partition(".")[0] == "scipy"]
 theta, f_star = objective.optimum()
 assert "scipy.optimize" in sys.modules
 
@@ -62,4 +68,20 @@ def test_least_squares_run_never_loads_scipy_optimize(tmp_path, fresh):
 
 def test_logistic_optimum_loads_scipy_optimize(fresh):
     proc = fresh("-c", LOGISTIC)
+    assert proc.returncode == 0, proc.stderr
+
+
+VERIFY_NOISE = r"""
+import sys
+
+from gaulrq import cli
+
+assert "scipy.special" not in sys.modules
+assert all(passed for _, passed, _ in cli.noise_checks(0.5, 10**4, 0))
+assert "scipy.special" in sys.modules
+"""
+
+
+def test_verify_noise_loads_scipy_special_when_called(fresh):
+    proc = fresh("-c", VERIFY_NOISE)
     assert proc.returncode == 0, proc.stderr

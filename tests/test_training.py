@@ -1,6 +1,7 @@
 import threading
 import time
 import tracemalloc
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -184,6 +185,27 @@ def test_logistic_optimum_meets_gradient_tolerance(seed):
     assert np.linalg.norm(obj.loss_and_gradient(theta_star)[1]) <= 1e-8
 
 
+@pytest.mark.parametrize("z, want", [(710.0, 1.0), (-710.0, 0.0), (1e308, 1.0), (-1e308, 0.0),
+                                     (np.inf, 1.0), (-np.inf, 0.0), (0.0, 0.5)])
+def test_sigmoid_at_the_ends_of_float64(z, want):
+    # exp(-z) overflows for z < -709.78: the sigmoid is then 0, without a warning.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert training._sigmoid(z) == want
+        assert training._sigmoid(np.array([z, -z]), out=np.empty(2)).tolist() == [want, 1 - want]
+        assert np.isnan(training._sigmoid(np.nan))
+        assert np.isnan(training._sigmoid(np.array([np.nan]))).all()
+
+
+def test_sigmoid_is_expit_to_two_ulps():
+    # 1 / (1 + exp(-z)) is scipy's own formula; numpy's exp and libm's differ in the last bit,
+    # which the division can round to a second (98% of these values are equal).
+    z = np.concatenate([np.random.default_rng(5).normal(0.0, 10.0, 10**5),
+                        np.linspace(-745.0, 40.0, 10**4)])
+    s = training._sigmoid(z)
+    assert np.all(np.abs(s - expit(z)) <= 2 * np.spacing(np.maximum(s, expit(z))))
+
+
 def _matmul_evaluation(obj, theta):
     """(loss, gradient) written with @ throughout: the bits loss_and_gradient must give."""
     X, y = obj.shards[0].reshape(-1, obj.dimension), obj.shards[1].reshape(-1)
@@ -192,7 +214,7 @@ def _matmul_evaluation(obj, theta):
         data = 0.5 * np.sum(w * (z - y) ** 2)
     else:
         data = np.sum(w * (np.logaddexp(0.0, z) - y * z))
-    resid = z - y if obj.kind == "least_squares" else expit(z) - y
+    resid = z - y if obj.kind == "least_squares" else training._sigmoid(z) - y
     return float(data + 0.5 * obj.ridge * theta @ theta), X.T @ (w * resid) + obj.ridge * theta
 
 
