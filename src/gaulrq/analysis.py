@@ -9,6 +9,7 @@ also lives here.
 
 from __future__ import annotations
 
+import math
 import numbers
 import sys
 from dataclasses import dataclass, fields
@@ -19,7 +20,6 @@ from .errors import InvalidParameterError
 from .quantizers import bit_width
 
 LN2 = np.log(2.0)
-MAX_BOUND_ROUNDS = 10**7  # the tau-weight sums hold K floats
 
 
 @dataclass(frozen=True)
@@ -28,7 +28,8 @@ class BoundInputs:
 
     delta_inf_norm is a representative inf-norm of the clipped update, used
     by the bit-count and coupling-error terms; take it from an actual run
-    when one is available. Values are finite, counts integers, K <= MAX_BOUND_ROUNDS.
+    when one is available. Values are finite and counts integers; K has no cap,
+    since every sum over rounds is a closed form.
     """
 
     F_gap: float
@@ -70,8 +71,6 @@ class BoundInputs:
             raise InvalidParameterError("tau must lie in (0, 1]")
         if self.B > self.N:
             raise InvalidParameterError("B cannot exceed N")
-        if self.K > MAX_BOUND_ROUNDS:
-            raise InvalidParameterError(f"K must be <= {MAX_BOUND_ROUNDS}")
 
     def step_size_ok(self) -> bool:
         """The step-size condition under which the bounds are derived."""
@@ -81,18 +80,17 @@ class BoundInputs:
                 + 0.5 * self.nu**2 * self.eta**2 * q * (q - 1.0) <= 1.0)
 
 
-def _tau_weight_sum(tau, K):
-    """tau^{K-1} * sum_k tau^{-k}: weights renormalized to tau^{K-1-k} <= 1, as
-    weighted_error does, so that small tau and large K cannot overflow."""
-    k = np.arange(K, dtype=np.float64)
-    return float(np.sum(tau ** (K - 1 - k)))
+def _geometric_sum(log_ratio: float, K: int) -> float:
+    """sum_{j<K} e^{j log_ratio}, K at 0. At ln tau it sums the bounds' weights tau^{-k}
+    renormalized to tau^{K-1-k} <= 1, so small tau and large K cannot overflow it."""
+    return math.expm1(K * log_ratio) / math.expm1(log_ratio) if log_ratio else float(K)
 
 
 def bound_lsgd(inp: BoundInputs) -> float:
     """Baseline local-SGD error: optimality-gap decay plus sampling variance."""
     q = float(inp.Q)
     gap_term = (2.0 * inp.F_gap * inp.tau ** (inp.K - 1)  # underflows quietly to 0
-                / (q * inp.eta * _tau_weight_sum(inp.tau, inp.K)))
+                / (q * inp.eta * _geometric_sum(math.log(inp.tau), inp.K)))
     var_term = (q * inp.alpha2 / inp.B) * ((2.0 * q - 1.0) * (q - 1.0) / (6.0 * q) + 1.0)
     return gap_term + var_term
 
@@ -108,17 +106,17 @@ def bound_gau_lrq(inp: BoundInputs) -> float:
 
 
 def am_qm_factor(tau: float, K: int) -> float:
-    """AM^2/QM^2 of the weights tau^{-k/2}; in (0, 1], and 1 iff tau=1 or K=1.
-    Scale-free, so computed from tau^{(K-1-k)/2} <= 1; clamped against rounding."""
-    if not (0.0 < tau <= 1.0):
-        raise InvalidParameterError("tau must lie in (0, 1]")
-    if K < 1:
-        raise InvalidParameterError("K must be >= 1")
-    k = np.arange(K, dtype=np.float64)
-    terms = tau ** ((K - 1 - k) / 2.0)
-    am = np.mean(terms)
-    qm_sq = np.mean(terms**2)
-    return min(float(am * am / qm_sq), 1.0)
+    """AM^2/QM^2 of the weights tau^{-k/2}; in (0, 1], and 1 iff tau=1 or K=1. Scale-free,
+    so (sum_j r^j)^2 / (K sum_j tau^j) over j < K with r = sqrt(tau); clamped against rounding."""
+    if not isinstance(tau, numbers.Real) or isinstance(tau, bool) or not 0.0 < tau <= 1.0:
+        raise InvalidParameterError(f"tau must lie in (0, 1], got {tau!r}")
+    if not isinstance(K, numbers.Integral) or isinstance(K, bool):
+        raise InvalidParameterError(f"K must be an integer, got {K!r}")
+    if not 1 <= K <= sys.float_info.max:
+        raise InvalidParameterError("K must be >= 1 and within float64's range")
+    log_tau = math.log(tau)
+    half_sum = _geometric_sum(log_tau / 2.0, K)  # in [1, K]: the quotients cannot overflow
+    return min(half_sum / K * (half_sum / _geometric_sum(log_tau, K)), 1.0)
 
 
 def bound_dynamic(inp: BoundInputs) -> float:

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analysis import MAX_BOUND_ROUNDS
 from .errors import ConfigError
 from .orchestrator import PIPELINES, RunTrace, Simulation
 from .training import OBJECTIVE_KINDS
@@ -21,6 +20,8 @@ from .training import OBJECTIVE_KINDS
 # max(batch_size, 1) rows of d values a round's local steps read: an allocation past
 # memory becomes a config error. A config near them can still need several GiB.
 MAX_FLOATS = 2**28
+# Cap on K: a run keeps a record of each round (~1.3 KB at B = 10) that MAX_FLOATS does not count.
+MAX_ROUNDS = 10**7
 
 
 @dataclass
@@ -77,8 +78,8 @@ class ExperimentConfig:
                 break
         if self.K < 0:
             errors.append("K: must be >= 0")
-        elif self.K > MAX_BOUND_ROUNDS:  # the bound report sums one term per round
-            errors.append(f"K: must be <= {MAX_BOUND_ROUNDS}")
+        elif self.K > MAX_ROUNDS:
+            errors.append(f"K: must be <= {MAX_ROUNDS}")
         elif self.K == 0 and (pipeline is None or pipeline.private):
             errors.append("K: must be >= 1 for private algorithms")
         for name in ("eta", "epsilon", "s2", "label_noise", "ridge", "heterogeneity"):

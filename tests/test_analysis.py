@@ -1,11 +1,13 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.stats import norm
 
+from gaulrq import analysis
 from gaulrq.analysis import (BoundInputs, am_qm_factor, bound_bq,
                              bound_dynamic, bound_gau_lrq, bound_lsgd,
                              bound_qg, comm_cost, full_precision_cost,
@@ -110,6 +112,43 @@ def test_tau_weights_do_not_overflow_at_small_tau_and_large_k():
         assert bound_lsgd(inp) == bound_lsgd(_inputs(tau=0.5, K=5000, F_gap=0.0))
         assert all(math.isfinite(f(inp)) for f in (bound_lsgd, bound_gau_lrq,
                                                     bound_dynamic, bound_qg, bound_bq))
+
+
+def _tau_weights_reference(tau, K):
+    """sum_{j<K} tau^j and (sum_j r^j)^2 / (K sum_j tau^j), r = sqrt(tau), at 60 digits."""
+    with mpmath.workdps(60):
+        t = mpmath.mpf(tau)
+        if t == 1:
+            return float(K), 1.0
+        r = mpmath.sqrt(t)
+        weight_sum = (1 - t**K) / (1 - t)
+        half_sum = (1 - r**K) / (1 - r)
+        return float(weight_sum), float(half_sum**2 / (K * weight_sum))
+
+
+def test_tau_weight_closed_forms_match_mpmath():
+    # Random tau with 1 - tau from 1e-16 to 1 and K from 1 to 1e7, and tau at the
+    # ends of (0, 1] (1 - 2^-53 is the float below 1) at the shortest and longest K.
+    rng = np.random.default_rng(20)
+    cases = [(float(1.0 - 10.0 ** rng.uniform(-16, 0)), int(10.0 ** rng.uniform(0, 7)))
+             for _ in range(300)]
+    cases += [(tau, K) for tau in (1e-300, 5e-324, 1.0 - 2.0**-53, 1.0)
+              for K in (1, 2, 3, 10**7)]
+    for tau, K in cases:
+        want_sum, want_factor = _tau_weights_reference(tau, K)
+        assert analysis._geometric_sum(math.log(tau), K) == pytest.approx(
+            want_sum, rel=2e-15, abs=0.0), (tau, K)
+        assert am_qm_factor(tau, K) == pytest.approx(want_factor, rel=2e-15, abs=0.0), (tau, K)
+
+
+@pytest.mark.parametrize("tau, K", [
+    (0.25, 2.5), (0.25, 2.0), (0.25, float("nan")), (0.25, "3"), (0.25, True), (0.25, None),
+    (0.25, 0), (0.25, -3), pytest.param(0.25, 10**400, id="0.25-10**400"), ("0.5", 3),
+    (True, 3), (1j, 3), (None, 3), (float("nan"), 3), (0.0, 3), (1.5, 3)])
+def test_am_qm_factor_rejects_what_it_cannot_mean(tau, K):
+    # A round count is an integer in [1, float64's range]; tau is a real number in (0, 1].
+    with pytest.raises(InvalidParameterError, match="^(tau|K) must "):
+        am_qm_factor(tau, K)
 
 
 def test_dynamic_bound_relations():

@@ -3,6 +3,7 @@ import dataclasses
 import io
 import json
 import math
+import time
 import warnings
 
 import numpy as np
@@ -11,9 +12,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gaulrq import training
-from gaulrq.analysis import MAX_BOUND_ROUNDS, BoundInputs
+from gaulrq.analysis import BoundInputs
 from gaulrq.cli import _bound_report, main
-from gaulrq.config import MAX_FLOATS, ExperimentConfig, build_simulation, load_config
+from gaulrq.config import MAX_FLOATS, MAX_ROUNDS, ExperimentConfig, build_simulation, load_config
 from gaulrq.errors import ConfigError, DivergedError, InvalidParameterError
 from gaulrq.quantizers import MAX_BITS, MAX_SIGMA, lrq_quantize_vector
 from gaulrq.streams import SeedMaterial, uniform_pair_block
@@ -125,11 +126,11 @@ def test_config_size_caps_are_inclusive(sizes):
 
 def test_cmd_run_parameter_errors_exit_status(tmp_path, capsys):
     # K=0 leaves a private algorithm no rounds to spread the budget over; a K
-    # past MAX_BOUND_ROUNDS would run every round before its bound report
-    # failed, or run out of memory first; epsilon=1e30 makes sigma so small
-    # that indices would need > MAX_BITS bits.
+    # past MAX_ROUNDS would hold more round records than memory does, after
+    # hours of rounds; epsilon=1e30 makes sigma so small that indices would
+    # need > MAX_BITS bits.
     for overrides, text in (({"K": 0}, "config error: K: must be >= 1 for private algorithms"),
-                            ({"K": 10**12}, f"config error: K: must be <= {MAX_BOUND_ROUNDS}"),
+                            ({"K": 10**12}, f"config error: K: must be <= {MAX_ROUNDS}"),
                             ({"epsilon": 1e30}, f"{MAX_BITS}-bit cap")):
         cfg = _write_config(tmp_path, overrides)
         out = tmp_path / "never"
@@ -662,8 +663,10 @@ def _compare_bounds(path):
     ('{"F_gap": NaN}', "F_gap must be a finite number, got nan"),
     ('{"epsilon": Infinity}', "epsilon must be a finite number, got inf"),
     ('{"K": 1.5}', "K must be an integer, got 1.5"),
-    ('{"K": 100000000000}', "K must be <= 10000000"),
     ('{"eta": 1e-300}', "a bound overflows at these inputs"),
+    pytest.param('{"K": 1%s}' % ("0" * 400),
+                 "a bound overflows at these inputs (int too large to convert to float)",
+                 id="K-10**400"),
 ])
 def test_compare_bounds_rejects_bad_inputs(tmp_path, text, message):
     path = tmp_path / "inputs.json"
@@ -682,6 +685,20 @@ def test_compare_bounds_small_tau_large_k(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         status, out, err = _compare_bounds(path)
+    assert status == 0 and err == ""
+    values = [float(line.split()[1]) for line in out.splitlines()[:5]]
+    assert len(values) == 5 and all(math.isfinite(v) for v in values)
+
+
+@pytest.mark.parametrize("K", [10**7, 10**9, 100000000000])
+def test_compare_bounds_at_large_k(tmp_path, K):
+    # Every sum over rounds is a closed form, so the report (cli._bound_values)
+    # takes microseconds at any K; only a run caps K, at MAX_ROUNDS, for its records.
+    path = tmp_path / "inputs.json"
+    path.write_text(json.dumps({"K": K}))
+    start = time.perf_counter()
+    status, out, err = _compare_bounds(path)
+    assert time.perf_counter() - start < 0.1
     assert status == 0 and err == ""
     values = [float(line.split()[1]) for line in out.splitlines()[:5]]
     assert len(values) == 5 and all(math.isfinite(v) for v in values)
