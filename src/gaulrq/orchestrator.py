@@ -84,6 +84,14 @@ class WireMessage(NamedTuple):
         return self.dim * self.bits_per_element
 
 
+def _word(widths: list) -> np.dtype:
+    """The narrowest little-endian unsigned word holding every width, each in [1, 62]:
+    past 62 bits a signed field's sign extension overflows int64."""
+    if not 1 <= min(widths, default=0) <= max(widths) <= 62:
+        raise InvalidParameterError(f"index widths must lie in [1, 62], got {widths}")
+    return np.min_scalar_type((1 << max(widths)) - 1).newbyteorder("<")
+
+
 def pack_indices(indices, bits):
     """Pack signed integers into ``bits``-wide two's-complement fields.
 
@@ -93,8 +101,8 @@ def pack_indices(indices, bits):
     rows, as the narrowest unsigned word holding every width, then one pack per width.
     """
     widths = np.reshape(bits, -1)
+    word = _word(ws := widths.tolist())
     words = np.ascontiguousarray(indices, dtype="<i8").reshape(widths.size, -1)
-    word = np.min_scalar_type((1 << max(ws := widths.tolist())) - 1).newbyteorder("<")
     planes = np.unpackbits(words.astype(word).view(np.uint8), bitorder="little").reshape(
         *words.shape, 8 * word.itemsize)
     payloads = [b""] * widths.size
@@ -116,7 +124,7 @@ def unpack_indices(payload, dim: int, bits, signed: bool = True) -> np.ndarray:
     """
     widths = np.reshape(bits, -1)
     payloads = [payload] if np.ndim(bits) == 0 else payload
-    word = np.min_scalar_type((1 << max(ws := widths.tolist())) - 1).newbyteorder("<")
+    word = _word(ws := widths.tolist())
     planes = np.zeros((widths.size, dim, 8 * word.itemsize), dtype=np.uint8)
     for b in set(ws):
         rows = np.flatnonzero(widths == b)
@@ -205,7 +213,7 @@ def _draw_layered(seed, ids, rnd, d, sigma):
     if sigma is None:
         return list(zip(*uniforms))
     layer = sample_layer(sigma, uniforms)
-    return [LayerSample(x, None, None, r, q) for x, r, q in zip(layer.x, layer.R, layer.q_step)]
+    return [LayerSample(x, None, r, q) for x, r, q in zip(layer.x, layer.R, layer.q_step)]
 
 
 def _encode_layered(V, sigma, layer):

@@ -27,6 +27,7 @@ its header, so no sampling amplification applies against it.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -51,8 +52,9 @@ def noise_schedule(s2: float, K: int, B: int, N: int, epsilon: float, delta: flo
     [1e-300, 1e300]. InvalidParameterError on invalid inputs, or when a
     sigma_k overflows float64 or underflows to 0.
     """
-    if K < 1 or B < 1 or N < 1:
-        raise InvalidParameterError("K, B, N must be positive integers")
+    if any(not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1
+           for n in (K, B, N)):
+        raise InvalidParameterError(f"K, B, N must be positive integers, got {K!r}, {B!r}, {N!r}")
     if B > N:
         raise InvalidParameterError(f"participants B={B} cannot exceed clients N={N}")
     if not (np.isfinite(s2) and s2 > 0.0):

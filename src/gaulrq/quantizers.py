@@ -31,8 +31,8 @@ MAX_BITS = 40
 # Bound on the step R - L of any layer, in units of sigma. |x| <= 38.5 sigma,
 # as |Phi^-1(u)| <= 38.5 for every double u in (0, 1). So the end taken from
 # ln y0 = -(x/sigma)^2/2 + ln u2 is at most sigma * sqrt(38.5^2 - 2 ln u2) for
-# the least double u2 > 0 (54.5 sigma), and the other end, from a height of at
-# least 2^-53 away from 0 and 1, at most sigma * sqrt(-2 ln 2^-53) (8.6 sigma).
+# the least double u2 > 0 (54.5 sigma), and the other end, sigma * sqrt(-2 ln(1 - y0))
+# with ln y0 <= ln(1 - 2^-53), at most sigma * sqrt(-2 ln 2^-53) (8.6 sigma).
 _MAX_STEP_FACTOR = (np.sqrt(38.5**2 - 2.0 * np.log(np.nextafter(0.0, 1.0)))
                     + np.sqrt(-2.0 * np.log(2.0**-53)))
 # Widest sigma the codec takes (about 2.6e294). Below it x, L and R are
@@ -47,13 +47,12 @@ MAX_SIGMA = float(np.finfo(np.float64).max / (2.0**MAX_BITS * _MAX_STEP_FACTOR))
 class LayerSample:
     """One draw of the layered coupler.
 
-    ``x`` is the dither coordinate, ``y`` in (0, 1) the layer height, and
-    [L, R] the rectangle the point (x, y) fell into; q_step = R - L.
+    ``x`` is the dither coordinate and [L, R] the layer: e^(-(end/sigma)^2/2) is the
+    drawn height y0 at its end on x's side and 1 - y0 at the other; q_step = R - L.
     Fields may be scalars or aligned arrays (one layer per element).
     """
 
     x: np.ndarray
-    y: np.ndarray
     L: np.ndarray
     R: np.ndarray
     q_step: np.ndarray
@@ -85,41 +84,47 @@ def _check_sigma(sigma):
 
 
 def sample_layer(sigma: float, uniforms) -> LayerSample:
-    """Draw a layer of the flipped-Gaussian region from two uniforms.
+    """Draw a layer of the flipped-Gaussian region from two uniforms (u1, u2).
 
-    x = sigma * Phi^-1(u1); the layer height is drawn uniformly under the
-    density at x and flipped to the complementary height when x < 0, which
-    keeps the marginal of x Gaussian while bounding the step away from zero.
+    x = sigma * t with t = Phi^-1(u1); the height y0 = u2 * exp(-t^2/2), uniform
+    under the density at x, is flipped to 1 - y0 when x < 0, which keeps x Gaussian
+    while bounding the step away from zero. From h = ln y0 < 0, the end on x's side
+    is sigma * sqrt(-2h) and the other sigma * sqrt(-2 ln(1 - y0)). Where y0 is
+    subnormal or 0 (h < -708: only uniforms below the PRF's least, 2^-64, reach it),
+    that other end, below 2.2e-154 * sigma, loses digits or is 0.
+
     Accepts scalar or array uniforms of one shape (one layer per element), and
     a sigma or array of sigmas that broadcasts to that shape.
     """
     _check_sigma(sigma)
     u2 = np.asarray(uniforms[1], dtype=np.float64)
+    shape, s_shape = u2.shape, np.shape(sigma)
+    if np.shape(uniforms[0]) != shape or len(s_shape) > len(shape) or any(
+            s not in (1, n) for s, n in zip(s_shape[::-1], shape[::-1])):
+        raise InvalidParameterError(f"uniforms of shapes {np.shape(uniforms[0])} and {shape} "
+                                    f"need one shape that sigma's {s_shape} broadcasts to")
     try:  # u1's check is the quantile's
         if not (u2.min(initial=0.5) > 0.0 and u2.max(initial=0.5) < 1.0):  # NaN fails both
             raise InvalidParameterError
         t = np.atleast_1d(inv_norm_cdf(uniforms[0]))
     except InvalidParameterError:
         raise InvalidParameterError("uniforms must lie strictly inside (0, 1)") from None
-    y0 = np.square(t)  # in place from here on: at large d a fresh array faults its pages
-    y0 *= -0.5
-    np.exp(y0, out=y0)
-    y0 *= u2
-    y = np.subtract(1.0, y0)
-    np.copyto(y, y0, where=t >= 0.0)
-    with np.errstate(divide="ignore"):  # y rounded to 0 or 1: mended below
-        L = np.log1p(np.negative(y, out=y0), out=y0)
-        L = np.multiply(np.sqrt(np.multiply(L, -2.0, out=L), out=L), -sigma, out=L)
-        R = np.log(y)
-        R = np.multiply(np.sqrt(np.multiply(R, -2.0, out=R), out=R), sigma, out=R)
-        q_step = R - L
-        if not np.isfinite(q_step).all():
-            # That end is sigma * sqrt(-2 ln y0) in the log domain: y = 1 - y0
-            # rounded to 1 (x < 0) or y = y0 underflowed (x >= 0) to 0.
-            end = sigma * np.sqrt(t * t - 2.0 * np.log(u2))  # ln y0 = -t^2/2 + ln u2
-            L, R = np.where(np.isinf(L), -end, L), np.where(np.isinf(R), end, R)
-            q_step = R - L
-    fields = (np.multiply(t, sigma, out=t), y, L, R, q_step)
+    h = np.square(t)  # in place from here on: at large d a fresh array faults its pages
+    h *= -0.5
+    near = np.exp(h)
+    near *= u2  # y0, within (t^2/4 + 1) ulps: exp(h) would scale h's rounding by |h|
+    h += np.log(u2)  # ln y0
+    np.log1p(np.negative(near, out=near), out=near)
+    top = h > -1.0 / 16.0  # there log1p loses digits to y0's rounding: Maechler's log1mexp
+    near[top] = np.log(np.negative(np.expm1(h[top])))
+    for end in (h, near):  # sigma * sqrt(-2 ln y0) and sigma * sqrt(-2 ln(1 - y0))
+        end *= -2.0
+        np.multiply(np.sqrt(end, out=end), sigma, out=end)
+    far = np.copysign(h, t, out=h)  # the sign of t puts far on x's side, near on the other
+    near = np.negative(np.copysign(near, t, out=near), out=near)
+    R = np.maximum(far, near)
+    L = np.minimum(far, near, out=far)
+    fields = (np.multiply(t, sigma, out=t), L, R, np.subtract(R, L, out=near))
     return LayerSample(*(a[0] for a in fields) if np.ndim(uniforms[0]) == 0 else fields)
 
 

@@ -112,6 +112,16 @@ def test_pack_unpack_match_reference_at_every_width(signed):
             assert np.array_equal(out, idx)
 
 
+@pytest.mark.parametrize("bits", [0, -1, 63, 64, 65, [1, 63], [0, 5], []])
+def test_pack_unpack_reject_widths_outside_1_62(bits):
+    # Past 62 bits a signed field's sign extension overflows int64; below 1 a field is empty.
+    with pytest.raises(InvalidParameterError, match=r"widths must lie in \[1, 62\]"):
+        pack_indices(np.zeros((np.size(bits), 3), dtype=np.int64), bits)
+    payload = [b"\0" * 24] * np.size(bits) if np.ndim(bits) else b"\0" * 24
+    with pytest.raises(InvalidParameterError, match=r"widths must lie in \[1, 62\]"):
+        unpack_indices(payload, 3, bits)
+
+
 def test_pack_matches_reference_at_d1e5():
     idx = np.random.default_rng(4).integers(-4, 4, size=100_000)
     payload = pack_indices(idx, 3)

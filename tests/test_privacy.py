@@ -51,6 +51,11 @@ def test_noise_schedule_validation():
         noise_schedule(1.0, 10, 5, 10, EPS, 1.0)
     with pytest.raises(InvalidParameterError):
         noise_schedule(1.0, 0, 5, 10, EPS, DELTA)
+    # Round, participant and client counts are integers, not floats or bools.
+    for K, B, N in ((2.5, 1, 2), (True, 1, 2), (10, 1.5, 10), (10, 2, 2.5), (10, True, 2),
+                    (10.0, 5, 10)):
+        with pytest.raises(InvalidParameterError, match="must be positive integers"):
+            noise_schedule(1.0, K, B, N, EPS, DELTA)
 
 
 # -- dynamic schedule -------------------------------------------------------

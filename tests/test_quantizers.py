@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 
@@ -6,11 +7,13 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 from scipy.special import erfc, ndtri
 
 from gaulrq.analysis import ks_statistic
 
 from gaulrq.errors import InvalidParameterError
+from gaulrq.normal import inv_norm_cdf
 from gaulrq.quantizers import (MAX_BITS, MAX_SIGMA, MIN_STEP_FACTOR, LayerSample,
                                bit_width, dithered_decode, dithered_encode,
                                lrq_decode, lrq_encode, lrq_quantize_rows,
@@ -22,9 +25,19 @@ from gaulrq.streams import SeedMaterial, element_pairs, uniform_pair_block
 SEED = SeedMaterial(7, "quantizer-tests")
 
 
+def _pairs(n, client=0, rnd=0):
+    return uniform_pair_block(SEED, client, rnd, np.arange(n, dtype=np.uint64), 0)
+
+
 def _layers(n, sigma, client=0, rnd=0):
-    u = uniform_pair_block(SEED, client, rnd, np.arange(n, dtype=np.uint64), 0)
-    return sample_layer(sigma, u)
+    return sample_layer(sigma, _pairs(n, client, rnd))
+
+
+def _height(u):
+    """The layer height of uniforms u by scipy's quantile: u2 * exp(-x^2/2), flipped if x < 0."""
+    t = ndtri(u[0])
+    y0 = u[1] * np.exp(-0.5 * t * t)
+    return np.where(t >= 0.0, y0, 1.0 - y0)
 
 
 # -- sample_layer -----------------------------------------------------------
@@ -34,7 +47,7 @@ def test_minimum_step_at_center():
     layer = sample_layer(1.0, (0.5, 0.5))
     root = math.sqrt(2.0 * math.log(2.0))
     assert layer.x == pytest.approx(0.0, abs=1e-9)
-    assert layer.y == pytest.approx(0.5)
+    assert layer.R == pytest.approx(-layer.L, rel=1e-15)  # both ends at height 1/2
     assert layer.L == pytest.approx(-root, abs=1e-9)
     assert layer.R == pytest.approx(root, abs=1e-9)
     assert layer.q_step == pytest.approx(2.0 * root, abs=1e-9)
@@ -48,19 +61,21 @@ def test_layer_formulas_against_reference():
     x = sigma * ndtri(0.75)
     y = math.exp(-0.5 * (x / sigma) ** 2) * 0.5
     assert layer.x == pytest.approx(x, abs=1e-9)
-    assert layer.y == pytest.approx(y, abs=1e-12)
+    assert layer.q_step == pytest.approx(
+        sigma * (math.sqrt(-2.0 * math.log(y)) + math.sqrt(-2.0 * math.log1p(-y))), rel=1e-12)
     assert layer.L == pytest.approx(-sigma * math.sqrt(-2.0 * math.log(1.0 - y)), abs=1e-9)
     assert layer.R == pytest.approx(sigma * math.sqrt(-2.0 * math.log(y)), abs=1e-9)
 
 
 def test_layer_invariants_bulk():
     for sigma in (0.5, 1.0, 3.0):
-        layer = _layers(100000, sigma)
+        u = _pairs(100000)
+        layer, y = sample_layer(sigma, u), _height(u)
         assert np.all(layer.L < 0) and np.all(layer.R > 0)
         assert np.all(layer.x >= layer.L) and np.all(layer.x <= layer.R)
         assert np.all(layer.q_step >= MIN_STEP_FACTOR * sigma - 1e-12)
-        assert np.allclose(layer.L, -sigma * np.sqrt(-2.0 * np.log1p(-layer.y)))
-        assert np.allclose(layer.R, sigma * np.sqrt(-2.0 * np.log(layer.y)))
+        assert np.allclose(layer.L, -sigma * np.sqrt(-2.0 * np.log1p(-y)))
+        assert np.allclose(layer.R, sigma * np.sqrt(-2.0 * np.log(y)))
 
 
 def test_x_marginal_is_gaussian():
@@ -80,6 +95,19 @@ def test_sample_layer_rejects_bad_sigma(sigma):
 def test_sample_layer_rejects_boundary_uniforms(u):
     with pytest.raises(InvalidParameterError):
         sample_layer(1.0, u)
+
+
+@pytest.mark.parametrize("sigma,u", [
+    (1.0, (np.full(3, 0.3), np.full((2, 3), 0.4))),
+    (1.0, (0.3, np.full(3, 0.4))),
+    (np.array([1.0, 2.0]), (0.3, 0.4)),
+    (np.ones((2, 1)), (np.full(3, 0.3), np.full(3, 0.4))),
+    (np.ones((1, 1, 3)), (np.full((2, 3), 0.3), np.full((2, 3), 0.4))),
+    (np.ones(2), (np.full((2, 3), 0.3), np.full((2, 3), 0.4)))])
+def test_sample_layer_rejects_mismatched_shapes(sigma, u):
+    # The uniforms share one shape, and sigma broadcasts to it.
+    with pytest.raises(InvalidParameterError, match="shape"):
+        sample_layer(sigma, u)
 
 
 def test_sample_layer_rejects_sigma_above_ceiling():
@@ -109,18 +137,72 @@ def test_layer_and_decode_stay_finite_at_sigma_ceiling():
 
 
 def test_layer_ends_where_y_rounds_to_0_or_1():
-    # x < 0 with 1 - y0 rounding to 1, and x >= 0 with y0 underflowing to 0:
-    # the end that was infinite is sigma * sqrt(-2 ln y0) in the log domain.
+    # x < 0 with 1 - y0 rounding to 1, and x >= 0 with y0 underflowing to 0: the end
+    # on x's side is sigma * sqrt(-2 ln y0), and the other sigma * sqrt(-2 ln(1 - y0)).
     flipped = sample_layer(1.0, (0.3, 1e-17))
     x = float(ndtri(0.3))
     y0 = math.exp(-0.5 * x * x) * 1e-17
-    assert flipped.y == 1.0 and flipped.L == pytest.approx(-math.sqrt(-2.0 * math.log(y0)))
+    assert flipped.L == pytest.approx(-math.sqrt(-2.0 * math.log(y0)))
+    assert flipped.R == pytest.approx(math.sqrt(-2.0 * math.log1p(-y0)), rel=1e-12)
     assert lrq_decode(lrq_encode(0.1, flipped), flipped) == pytest.approx(x)
     tiny = float(np.nextafter(0.0, 1.0))
     upper = sample_layer(2.0, (0.9, tiny))
     x = float(ndtri(0.9))
-    assert upper.y == 0.0
+    # y0 is subnormal, which only uniforms below 2^-64 make: the end across from x is
+    # below 2.2e-154 sigma.
+    assert -2.2e-154 * 2.0 < upper.L <= 0.0 and upper.q_step == upper.R
     assert upper.R == pytest.approx(2.0 * math.sqrt(x * x - 2.0 * math.log(tiny)))
+
+
+def _relative_errors(u1, u2, sigma):
+    """(n, 3) relative errors of sample_layer's L, R and q_step against 50-digit ends
+    taken from its own t = Phi^-1(u1) and u2."""
+    layer = sample_layer(sigma, (u1, u2))
+    errors = []
+    with mp.workdps(50):
+        for t, v, *got in zip(inv_norm_cdf(u1).tolist(), u2.tolist(), layer.L.tolist(),
+                              layer.R.tolist(), layer.q_step.tolist()):
+            h = mp.log(v) - mp.mpf(t) ** 2 / 2
+            far, near = sigma * mp.sqrt(-2 * h), sigma * mp.sqrt(-2 * mp.log1p(-mp.exp(h)))
+            want = (-near, far, far + near) if t >= 0 else (-far, near, far + near)
+            errors.append([float(abs(g - w) / abs(w)) for g, w in zip(got, want)])
+    return np.array(errors)
+
+
+def test_layer_ends_match_mpmath():
+    # Both tails and a random sample of one PRF draw, and 1 - y0 in [1e-15, 1e-9]:
+    # each end and the step within 2e-15 relative.
+    u1, u2 = element_pairs(SeedMaterial(3, "layer-ends"), 0, 0, 2_000_000)
+    order = np.argsort(np.log(u2) - 0.5 * inv_norm_cdf(u1) ** 2)
+    picks = np.concatenate([order[:500], order[-500:],
+                            np.random.default_rng(5).choice(u1.size, 500, replace=False)])
+    assert _relative_errors(u1[picks], u2[picks], 1.0).max() <= 2e-15
+    gap = np.logspace(-15, -9, 500)  # at t = +-2.5e-9, whose t^2/2 is below 4e-18
+    assert _relative_errors(np.resize([0.5 - 1e-9, 0.5 + 1e-9], gap.size), 1.0 - gap,
+                            1.0).max() <= 2e-15
+    # The sigma ceiling's extreme doubles, wherever y0 is a normal double. Past the PRF's
+    # |t| <= 9.1 (u1 = 1e-300 gives |t| = 37), the double t^2 alone moves y0 = u2 e^(-t^2/2)
+    # by up to t^2 eps / 4, and the end on the other side of x by half that.
+    tiny, top = np.nextafter(0.0, 1.0), np.nextafter(1.0, 0.0)
+    g1, g2 = (a.ravel() for a in np.meshgrid([tiny, 1e-300, 0.5, top], [tiny, 1e-300, 0.5, top]))
+    t = inv_norm_cdf(g1)
+    normal = np.log(g2) - 0.5 * t * t > np.log(np.finfo(float).tiny)
+    t, err = t[normal], _relative_errors(g1[normal], g2[normal], MAX_SIGMA)
+    near, rows = (t < 0.0).astype(int), np.arange(t.size)  # column of the end across from x
+    assert np.all(err[rows, 1 - near] <= 2e-15) and np.all(err[:, 2] <= 2e-15)
+    assert np.all(err[rows, near] <= 2e-15 + t * t * np.finfo(float).eps / 8)
+
+
+def test_sample_layer_peak_memory():
+    # x, L, R and q_step are the result; the work fits in half a float64 an element more.
+    u = element_pairs(SeedMaterial(1, "layer-memory"), 0, 0, 10**6)
+    tracemalloc.start()
+    try:
+        sample_layer(1.0, u)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.5 * 8 * 10**6
 
 
 _OPEN_UNIT = st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True)
@@ -146,18 +228,18 @@ def test_layer_finite_for_any_uniform_pair(u1, u2, values):
 def test_determinism():
     a = sample_layer(0.7, (0.123, 0.456))
     b = sample_layer(0.7, (0.123, 0.456))
-    assert (a.x, a.y, a.L, a.R, a.q_step) == (b.x, b.y, b.L, b.R, b.q_step)
+    assert (a.x, a.L, a.R, a.q_step) == (b.x, b.L, b.R, b.q_step)
 
 
 # -- encode / decode --------------------------------------------------------
 
-_MANUAL = LayerSample(x=0.3, y=0.5, L=-1.0, R=1.0, q_step=2.0)
+_MANUAL = LayerSample(x=0.3, L=-1.0, R=1.0, q_step=2.0)
 
 
 def test_encode_examples():
     assert lrq_encode(0.0, _MANUAL) == 0      # floor(0.35)
     assert lrq_encode(5.0, _MANUAL) == 2      # floor(5.7/2)
-    zero_x = LayerSample(x=0.0, y=0.5, L=-1.0, R=1.0, q_step=2.0)
+    zero_x = LayerSample(x=0.0, L=-1.0, R=1.0, q_step=2.0)
     assert lrq_encode(-0.9999, zero_x) == 0   # floor(0.00005)
 
 
@@ -183,9 +265,9 @@ def test_round_trip_error_in_layer_interval():
 
 
 def test_step_equality_only_at_half():
-    layer = _layers(100000, 1.0, rnd=2)
-    gap = layer.q_step - MIN_STEP_FACTOR
-    assert np.all(gap[np.abs(layer.y - 0.5) > 1e-3] > 0)
+    u = _pairs(100000, rnd=2)
+    gap = sample_layer(1.0, u).q_step - MIN_STEP_FACTOR
+    assert np.all(gap[np.abs(_height(u) - 0.5) > 1e-3] > 0)
 
 
 # -- bit_width --------------------------------------------------------------
