@@ -35,8 +35,8 @@ from .privacy import clip_ceiling, clip_update, l2_norms, median_clip_bound, noi
 from .quantizers import (MAX_BITS, MAX_SIGMA, LayerSample, bit_width, lrq_quantize_rows,
                          lrq_reconstruct_rows, sample_layer, stochastic_dequantize,
                          stochastic_round)
-from .streams import SeedMaterial, element_pairs, uniform_block
-from .training import (Objective, _check_divergence, _Now, stacked_local_rounds, synth_partition,
+from .streams import SeedMaterial, _count, element_pairs, uniform_block
+from .training import (Objective, _check_divergence, _now, stacked_local_rounds, synth_partition,
                        weighted_error)
 
 FLOAT_BITS = 32
@@ -122,7 +122,7 @@ def unpack_indices(payload, dim: int, bits, signed: bool = True) -> np.ndarray:
     zero-padded, so callers check its length first (parse_message does). B
     payloads with one width each give (B, dim): one bit split per width.
     """
-    widths = np.reshape(bits, -1)
+    widths, dim = np.reshape(bits, -1), _count(dim, "dim")
     payloads = [payload] if np.ndim(bits) == 0 else payload
     word = _word(ws := widths.tolist())
     planes = np.zeros((widths.size, dim, 8 * word.itemsize), dtype=np.uint8)
@@ -342,7 +342,7 @@ class Simulation:
         self.round = 0
         self.records: list[RoundRecord] = []
         self._pipeline = PIPELINES[self.algorithm]
-        self._chunk = (0, [], None)  # (first round, per-round draws, replay), drawn by run_round
+        self._chunk = (0, [], None)  # (first round, per-round draws, replay rows), by run_round
         self._defer = None  # run()'s deferral, fn(*args) -> .result(); None outside run()
         self._queue, self._evaluated = [], 0  # thetas of the records from _evaluated on
         if self._pipeline.private:  # median-adaptive rounds rescale the S2=1 schedule
@@ -364,11 +364,9 @@ class Simulation:
                 except InvalidParameterError as exc:
                     raise ConfigError(f"epsilon: {exc}") from None
 
-    def _draw_chunk(self, evaluate):
-        """What the rounds from self.round on consume, one stream call per lane, the server's
-        replay included: as many rounds as it fits in training._BLOCK_BYTES, and at least
-        one. Each equals its own round's draw; the replay's rounds are deferred, in .result(),
-        then evaluate(), whose value is returned, before the clients' draws."""
+    def _draw_chunk(self):
+        """One stream call per lane, the server's replay first, for the rounds from self.round on
+        that fit in training._BLOCK_BYTES (at least one): each round's rows its own draw's."""
         cfg, p, n, d = self.config, self._pipeline, self.config.n_per_client, self.config.d
         steps = cfg.Q * self.batch_size if self.batch_size < n else 0
         fit = max(1, training._BLOCK_BYTES // (8 * cfg.B * (1 + steps + (p.noisy + p.held) * d)))
@@ -379,8 +377,7 @@ class Simulation:
         rnd, replay = rounds[:, None], None
         sigma = self._sigmas[rounds, None, None] if p.draw and cfg.clip_mode == "fixed" else None
         if p.replayed:  # the server's own draw, first: decoding never reads a client's array
-            replay = (self._defer or _Now)(p.draw, self.seed, clients, rnd, d, sigma)
-        evaluation = evaluate()
+            replay = p.draw(self.seed, clients, rnd, d, sigma)
         if steps:
             u_batch = uniform_block(self.seed.lane("batch"), clients, rnd, 0,
                                     np.arange(steps, dtype=np.uint64))
@@ -391,7 +388,6 @@ class Simulation:
         if p.draw is not None:
             code = p.draw(self.seed, clients, rnd, d, sigma)
         self._chunk = (self.round, list(zip(clients.tolist(), batch, noise, code)), replay)
-        return evaluation
 
     def run_round(self) -> RoundRecord:
         """One round. objective.trace_terms takes the queue of theta_k once trace_width rounds,
@@ -402,9 +398,10 @@ class Simulation:
         # theta_k joins the queue; a theta left there by a failed round is dropped.
         queue = self._queue = self._queue[:k - self._evaluated] + [self.theta]
         due = len(queue) == self.objective.trace_width or k == cfg.K - 1 or not self._defer
-        evaluate = lambda: (self._defer or _Now)(self.objective.trace_terms, queue) if due else None
-        fresh = not 0 <= k - self._chunk[0] < len(self._chunk[1])
-        evaluation = self._draw_chunk(evaluate) if fresh else evaluate()
+        # Submitted before a chunk's draw, so run()'s worker evaluates while the caller draws.
+        evaluation = (self._defer or _now)(self.objective.trace_terms, queue) if due else None
+        if not 0 <= k - self._chunk[0] < len(self._chunk[1]):
+            self._draw_chunk()
         # Row i of every (B, ...) array below belongs to clients[i], ascending.
         i = k - self._chunk[0]
         clients, batch, noise, code = self._chunk[1][i]
@@ -458,7 +455,7 @@ class Simulation:
             if got != fit:
                 bad = next(g for g, f in zip(got, fit) if g != f)
                 raise InvalidParameterError(f"message {name} {bad} is outside round {k}'s schedule")
-        replay = self._chunk[2].result()[i] if p.replayed else None  # read where it is decoded
+        replay = self._chunk[2][i] if p.replayed else None
         if p.replayed and cfg.clip_mode == "median_adaptive":  # at this round's sigma, as code
             replay = sample_layer(sigma, replay)
         # Rows added in turn to +0.0, as B separate decodes would give: np.add.reduce sums them
@@ -489,7 +486,7 @@ class Simulation:
         self._queue, self._evaluated = self._queue[len(terms):], self._evaluated + len(terms)
 
     def run(self) -> RunTrace:
-        """Every round, each evaluation and replay draw submitted through training.beside (past
+        """Every round, each evaluation submitted through training.beside (past
         training._BLOCK_BYTES of data, to a held worker beside the clients, joined), and the
         records completed, however the run ends."""
         try:

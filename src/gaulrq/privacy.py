@@ -34,6 +34,18 @@ import numpy as np
 from .errors import InvalidParameterError
 
 
+def _check_round(s2, delta, **counts):
+    """noise_schedule's and round_epsilons' checks of the counts (K, B, N), s2 and delta."""
+    if not all(isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 1
+               for n in counts.values()) or counts["B"] > counts["N"]:
+        raise InvalidParameterError(f"{', '.join(counts)} must be positive integers with "
+                                    f"B <= N, got {', '.join(map(repr, counts.values()))}")
+    if not (np.isfinite(s2) and s2 > 0.0):
+        raise InvalidParameterError("s2 must be finite and > 0")
+    if not (0.0 < delta < 1.0):
+        raise InvalidParameterError("delta must lie in (0, 1)")
+
+
 def noise_schedule(s2: float, K: int, B: int, N: int, epsilon: float, delta: float,
                    tau: float = 1.0):
     """(sigmas, eps_cum): the noise scales sigma_0..sigma_{K-1} of a run, in
@@ -52,17 +64,9 @@ def noise_schedule(s2: float, K: int, B: int, N: int, epsilon: float, delta: flo
     [1e-300, 1e300]. InvalidParameterError on invalid inputs, or when a
     sigma_k overflows float64 or underflows to 0.
     """
-    if any(not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < 1
-           for n in (K, B, N)):
-        raise InvalidParameterError(f"K, B, N must be positive integers, got {K!r}, {B!r}, {N!r}")
-    if B > N:
-        raise InvalidParameterError(f"participants B={B} cannot exceed clients N={N}")
-    if not (np.isfinite(s2) and s2 > 0.0):
-        raise InvalidParameterError("s2 must be finite and > 0")
+    _check_round(s2, delta, K=K, B=B, N=N)
     if not (np.isfinite(epsilon) and epsilon > 0.0):
         raise InvalidParameterError("epsilon must be finite and > 0")
-    if not (0.0 < delta < 1.0):
-        raise InvalidParameterError("delta must lie in (0, 1)")
     if not (0.0 < tau <= 1.0):
         raise InvalidParameterError("tau must lie in (0, 1]")
     after = np.arange(K - 1, -1, -1, dtype=np.float64)  # rounds after round k
@@ -81,14 +85,13 @@ def noise_schedule(s2: float, K: int, B: int, N: int, epsilon: float, delta: flo
 
 
 def round_epsilons(s2: float, B: int, N: int, delta: float, sigmas) -> np.ndarray:
-    """Budget each round of a noise schedule spends (moments accountant):
-    eps_k = 2*S2*sqrt(B*ln(1/delta))/(N*sigma_k). Rounds compose as the root
-    of the sum of squares, so sqrt(cumsum(eps_k^2)) is the spend so far."""
+    """Budget each round of a noise schedule spends (moments accountant), on inputs checked as
+    noise_schedule's and each sigma_k finite and > 0: eps_k = 2*S2*sqrt(B*ln(1/delta))/(N*sigma_k).
+    Rounds compose as the root of the sum of squares: sqrt(cumsum(eps_k^2)) is the spend so far."""
+    _check_round(s2, delta, B=B, N=N)
     sig = np.asarray(sigmas, dtype=np.float64)
-    if sig.size == 0:
-        raise InvalidParameterError("schedule must contain at least one sigma")
-    if np.any(sig <= 0.0):
-        raise InvalidParameterError("all sigma_k must be > 0")
+    if sig.size == 0 or not np.all(np.isfinite(sig) & (sig > 0.0)):
+        raise InvalidParameterError("schedule needs at least one sigma_k, each finite and > 0")
     return 2.0 * s2 * np.sqrt(B * np.log(1.0 / delta)) / (N * sig)
 
 

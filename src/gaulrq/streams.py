@@ -59,6 +59,13 @@ def _to_unit(v):
     return np.minimum(u, _INTERIOR_HI, out=u)[()]
 
 
+def _count(n, what: str) -> int:
+    """n, a seed or count: an integer >= 0 (numpy's too) and not a bool, as an int."""
+    if not (isinstance(n, numbers.Integral) and not isinstance(n, bool) and n >= 0):
+        raise InvalidParameterError(f"{what} must be an integer >= 0, got {n!r}")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class SeedMaterial:
     """Root key for a run: a 64-bit seed plus a textual run label."""
@@ -67,7 +74,7 @@ class SeedMaterial:
     run_id: str = ""
 
     def __post_init__(self):
-        if not (0 <= int(self.root_seed) <= _U64_MAX):
+        if _count(self.root_seed, "root_seed") > _U64_MAX:
             raise InvalidParameterError("root_seed must fit in 64 unsigned bits")
 
     def key(self) -> np.uint64:
@@ -146,6 +153,7 @@ def element_pairs(seed: SeedMaterial, client_id, rnd, dim: int):
     array of client ids gives (B, dim) arrays; an (R, B) table of them with
     (R, 1) rounds gives (R, B, dim).
     """
+    dim = _count(dim, "dim")
     return uniform_pair_block(seed, client_id, rnd, np.arange(dim, dtype=np.uint64), 0)
 
 
@@ -163,7 +171,7 @@ class DrawStream:
         self._counter = 0
 
     def next(self, n: int) -> np.ndarray:
-        """n uniforms in (0, 1)."""
-        ctr = np.arange(self._counter, self._counter + n, dtype=np.uint64)
+        """n uniforms in (0, 1): the next n counters, none handed out twice."""
+        ctr = np.arange(self._counter, self._counter + _count(n, "n"), dtype=np.uint64)
         self._counter += n
         return uniform_block(self._seed, self._client_id, self._round, 0, ctr)

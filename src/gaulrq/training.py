@@ -10,7 +10,7 @@ are defined over N equal client shards, one (N, n, d) features tensor and
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cached_property
@@ -28,32 +28,22 @@ _SLAB = 1 << 20  # values per seeded slab of synth_partition's features: defines
 _EVAL_BYTES, _EVAL_WIDTH = 1 << 20, 8
 
 
-class _Now:  # beside's inline submit: fn(*args) at once, read back by .result()
-    def __init__(self, fn, *args):
-        self._value = fn(*args)
-
-    def result(self):
-        return self._value
+def _now(fn, *args):  # beside's inline submit: fn(*args) at once, read back by .result()
+    (done := Future()).set_result(fn(*args))
+    return done
 
 
 @contextmanager
 def beside(nbytes):
     """The package's one gate for a second thread: yields submit(fn, *args) -> .result(). Past
     _BLOCK_BYTES of data, a ThreadPoolExecutor(1)'s, shut down and joined on exit (an error
-    left unread there is dropped); else _Now, which runs fn on the caller at once."""
+    left unread there is dropped); else _now, on the caller at once. Its three callers, where
+    the overlap measured its worth: synth_partition's slabs, spec's optimum, run()'s rounds."""
     if nbytes <= _BLOCK_BYTES:
-        yield _Now
+        yield _now
     else:
         with ThreadPoolExecutor(1) as pool:
             yield pool.submit
-
-
-def _on_two_threads(work, count, nbytes):
-    """[work(0, h), work(h, count)] for h = count // 2, the second submitted beside ``nbytes``
-    (one item stays on the caller): its error re-raised, or lost to the first half's."""
-    with beside(nbytes if count > 1 else 0) as submit:
-        upper = submit(work, count // 2, count)
-        return [work(0, count // 2), upper.result()]
 
 
 class LocalDataset(NamedTuple):
@@ -114,9 +104,8 @@ class Objective:
         N, n, self.dimension = X.shape
         self._X, self._y = X.reshape(N * n, -1), y.reshape(N * n)
         rows = max(1, _BLOCK_BYTES // X[0, 0].nbytes)  # row blocks: no (N, n, d) bool array
-        finite = _on_two_threads(lambda lo, hi: all(np.isfinite(self._X[i:i + rows]).all()
-                                                    for i in range(lo, hi, rows)), N * n, X.nbytes)
-        if not (all(finite) and np.isfinite(y).all()):
+        if not (all(np.isfinite(self._X[i:i + rows]).all() for i in range(0, N * n, rows))
+                and np.isfinite(y).all()):
             raise InvalidParameterError("dataset entries must be finite")
         self.kind = kind
         self.ridge = float(ridge)
@@ -234,24 +223,21 @@ class Objective:
             theta = res.x
         return theta, self.full_loss(theta)
 
+    @np.errstate(over="ignore", invalid="ignore")  # a non-finite bound is BoundInputs' error
     def grad_variance_bound(self, theta0):
         """Max over clients of the empirical single-sample gradient variance: the steps of
         sample_gradients on a whole shard, less the ridge term centring cancels, in blocks of
-        ~_BLOCK_BYTES of shards on _on_two_threads' halves (one thread if a shard is bigger)."""
+        ~_BLOCK_BYTES of shards (one shard if a shard is bigger)."""
         X, y = self.shards
         theta0, clients = np.asarray(theta0, dtype=np.float64), max(1, _BLOCK_BYTES // X[0].nbytes)
-
-        @np.errstate(over="ignore", invalid="ignore")  # a non-finite bound is BoundInputs' error
-        def worst(lo, hi):
-            top, buf = 0.0, np.empty((min(clients, hi - lo), *X.shape[1:]))
-            for i in range(lo, hi, clients):
-                s = slice(i, min(i + clients, hi))
-                grads = np.multiply(X[s], _residual(self.kind, np.matmul(X[s], theta0), y[s])
-                                    [:, :, None], out=buf[:s.stop - i])
-                grads -= grads.mean(1, keepdims=True)
-                top = max(top, float(np.square(grads, out=grads).sum(2).mean(1).max()))
-            return top
-        return max(_on_two_threads(worst, len(X), X.nbytes if X[0].nbytes <= _BLOCK_BYTES else 0))
+        top, buf = 0.0, np.empty((min(clients, len(X)), *X.shape[1:]))
+        for i in range(0, len(X), clients):
+            s = slice(i, i + clients)
+            grads = np.multiply(X[s], _residual(self.kind, np.matmul(X[s], theta0), y[s])
+                                [:, :, None], out=buf[:len(X) - i])
+            grads -= grads.mean(1, keepdims=True)
+            top = max(top, float(np.square(grads, out=grads).sum(2).mean(1).max()))
+        return top
 
     def spec(self, theta0) -> ObjectiveSpec:
         """The constants at theta0. The optimum is submitted beside the data's bytes: past
@@ -402,9 +388,9 @@ def synth_partition(global_seed: int, N: int, d: int, n_per_client: int,
     planted vector independently; zero gives iid shards.
 
     Features fill the flat tensor in slabs of _SLAB values, slab s from child s of
-    SeedSequence(global_seed), on _on_two_threads' halves; the next child draws the
-    shifts, if any, the root stream the planted vector, then all label noise or sigmoid
-    uniforms. So the data depend on _SLAB (a declared data change), never on threads.
+    SeedSequence(global_seed), the upper half's beside the features' bytes; the next child
+    draws the shifts, if any, the root stream the planted vector, then all label noise or
+    sigmoid uniforms. So the data depend on _SLAB (a declared data change), never on threads.
 
     Returns (features, targets): one read-only (N, n, d) tensor and (N, n)
     array, which Objective adopts as its shards without a copy.
@@ -417,8 +403,12 @@ def synth_partition(global_seed: int, N: int, d: int, n_per_client: int,
     w, features = rng.standard_normal(d), np.empty((N, n_per_client, d))
     flat, slabs = features.reshape(-1), -(-features.size // _SLAB)
     streams = rng.spawn(slabs + 1)
-    _on_two_threads(lambda lo, hi: [streams[s].standard_normal(out=flat[s * _SLAB:(s + 1) * _SLAB])
-                                    for s in range(lo, hi)], slabs, features.nbytes)
+    fill = lambda lo, hi: [streams[s].standard_normal(out=flat[s * _SLAB:(s + 1) * _SLAB])
+                           for s in range(lo, hi)]
+    with beside(features.nbytes if slabs > 1 else 0) as submit:  # one slab: no thread
+        upper = submit(fill, slabs // 2, slabs)
+        fill(0, slabs // 2)
+        upper.result()
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite data is Objective's error
         w = w + heterogeneity * streams[slabs].standard_normal((N, d)) if heterogeneity else w
         z = np.matmul(features, w[..., None])[..., 0]

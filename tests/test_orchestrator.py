@@ -4,6 +4,7 @@ import json
 import math
 import re
 import threading
+import traceback
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -120,6 +121,15 @@ def test_pack_unpack_reject_widths_outside_1_62(bits):
     payload = [b"\0" * 24] * np.size(bits) if np.ndim(bits) else b"\0" * 24
     with pytest.raises(InvalidParameterError, match=r"widths must lie in \[1, 62\]"):
         unpack_indices(payload, 3, bits)
+
+
+@pytest.mark.parametrize("dim", [-1, 2.5, True, np.float64(3.0), None])
+def test_unpack_rejects_dims_it_cannot_mean(dim):
+    # -1 raised numpy's bare "negative dimensions are not allowed".
+    with pytest.raises(InvalidParameterError, match="dim must be an integer >= 0"):
+        unpack_indices(b"\0", dim, 3)
+    with pytest.raises(InvalidParameterError, match="dim must be an integer >= 0"):
+        unpack_indices([b"\0", b"\0"], dim, [3, 4])
 
 
 def test_pack_matches_reference_at_d1e5():
@@ -449,7 +459,7 @@ def test_round_engine_matches_per_client_oracle(case, algo, monkeypatch):
     assert sim.theta.tobytes() == (theta + total / cfg.B).tobytes()
     # The server decoded the chunk's own replay layers, uncopied, not the clients' layers.
     _, _, _, code = sim._chunk[1][k]
-    replay = sim._chunk[2].result()[k] if sim._chunk[2] else None
+    replay = sim._chunk[2][k] if sim._chunk[2] is not None else None
     if algo == "gau_lrq_sgd":
         assert len(server) == 1 and server[0] is replay
         fields = [(layer.x, layer.R, layer.q_step) for layer in (replay, code)]
@@ -553,13 +563,14 @@ def _run_in_chunks(monkeypatch, tmp_path, block_bytes, **kw):
     trace.to_csv(tmp_path / "trace.csv", cfg.algorithm)
     trace.to_summary_json(tmp_path / "summary.json")
     artifacts = [(tmp_path / name).read_bytes() for name in ("trace.csv", "summary.json")]
-    # The "init" lane's draw at round 0, then each chunk's, all with a rounds axis: the
-    # replay may run on the worker, so the lanes are compared as a multiset.
+    # The "init" lane's draw at round 0, then each chunk's, all with a rounds axis, in call
+    # order: the round's clients, the server's replay of the layers, then the clients' lanes.
     pipeline = PIPELINES[AlgorithmKind[cfg.algorithm.upper()]]
-    codec = {orchestrator._draw_stochastic: ["sq"], orchestrator._draw_layered: ["quant"] * 2}
-    chunk = ["sample"] + ["batch"] * (0 < cfg.batch_size < cfg.n_per_client)
-    chunk += ["noise"] * pipeline.noisy + codec.get(pipeline.draw, [])
-    assert sorted(lane for lane, _ in draws) == sorted(["init"] + chunk * len(chunks))
+    chunk = ["sample"] + ["quant"] * pipeline.replayed
+    chunk += ["batch"] * (0 < cfg.batch_size < cfg.n_per_client) + ["noise"] * pipeline.noisy
+    chunk += {orchestrator._draw_stochastic: ["sq"], orchestrator._draw_layered: ["quant"]}.get(
+        pipeline.draw, [])
+    assert [lane for lane, _ in draws] == ["init"] + chunk * len(chunks)
     assert draws[0] == ("init", 0) and all(np.ndim(rounds) == 1 + (lane != "sample")
                                            for lane, rounds in draws[1:])
     fixed = cfg.clip_mode == "fixed"
@@ -602,7 +613,8 @@ def test_run_diverging_mid_chunk_stops_where_a_chunked_one_does(kw, monkeypatch,
 
 def _spy_threads(monkeypatch, sim):
     """Record the thread of each evaluation, codec draw and layer sample of ``sim``, each
-    such stage and its thread in call order, and the size of each pool that run() makes."""
+    such stage and each submit to a pool, with its thread, in call order, and the size of
+    each pool that run() makes."""
     seen = {"evaluation": [], "draw": [], "layer": [], "pools": [], "order": []}
     evaluate, draw = sim.objective.trace_terms, sim._pipeline.draw
 
@@ -613,19 +625,24 @@ def _spy_threads(monkeypatch, sim):
             return fn(*args)
         return call
 
+    class Pool(ThreadPoolExecutor):
+        def submit(self, fn, *args):
+            seen["order"].append(("submit", threading.get_ident()))
+            return super().submit(fn, *args)
+
     monkeypatch.setattr(sim.objective, "trace_terms", spy("evaluation", evaluate))
     if draw is not None:
         sim._pipeline = sim._pipeline._replace(draw=spy("draw", draw))
     monkeypatch.setattr(orchestrator, "sample_layer", spy("layer", _SAMPLE_LAYER))
     monkeypatch.setattr(training, "ThreadPoolExecutor",
-                        lambda n: seen["pools"].append(n) or ThreadPoolExecutor(n))
+                        lambda n: seen["pools"].append(n) or Pool(n))
     return seen
 
 
 @pytest.mark.parametrize("clip_mode", ["fixed", "median_adaptive"])
-def test_evaluation_and_replay_draw_run_on_the_worker_past_a_block(clip_mode, monkeypatch):
+def test_evaluation_runs_on_the_worker_past_a_block(clip_mode, monkeypatch):
     # Data past _BLOCK_BYTES = 1 (a chunk a round): run() holds one worker thread for
-    # each round's evaluation and each chunk's replay draw; the clients' draw and every
+    # each round's evaluation; both codec draws, the server's replay first, and every
     # layer sample (a median-clipped round's too) stay on the caller's. Joined at the end.
     # Past _EVAL_BYTES = 1 the evaluation takes one theta, so each round makes one.
     monkeypatch.setattr(training, "_BLOCK_BYTES", 1)
@@ -638,15 +655,11 @@ def test_evaluation_and_replay_draw_run_on_the_worker_past_a_block(clip_mode, mo
     assert seen["pools"] == [1] and threading.active_count() == before
     (worker,) = set(seen["evaluation"]) - {caller}
     assert seen["evaluation"] == [worker] * 4
-    # Each round draws a chunk: the server's replay draw goes to the worker ahead of the
-    # round's evaluation.
-    assert [stage for stage, t in seen["order"] if t == worker and stage != "layer"] == [
-        "draw", "evaluation"] * 4
-    assert sorted(seen["draw"]) == sorted([worker, caller] * 4)
-    # Under fixed clipping the replay draw samples the server's layers; a median-clipped
-    # round samples both sides' at its own sigma, on the caller's thread.
-    assert sorted(seen["layer"]) == sorted([worker, caller] * 4 if clip_mode == "fixed"
-                                           else [caller] * 8)
+    assert seen["draw"] == [caller] * 8 and seen["layer"] == [caller] * 8
+    # Each round submits its evaluation before it draws its chunk, so the worker evaluates
+    # while the caller draws.
+    assert [stage for stage, t in seen["order"] if t == caller and stage != "layer"] == [
+        "submit", "draw", "draw"] * 4
 
 
 def test_no_thread_starts_under_a_block(monkeypatch):
@@ -667,6 +680,40 @@ def test_no_thread_starts_under_a_block(monkeypatch):
     assert {t for stage in ("evaluation", "draw", "layer") for t in seen[stage] + bare_seen[stage]
             } == {caller}
     assert len(seen["evaluation"]) == 1 and len(bare_seen["evaluation"]) == 1
+
+
+@pytest.mark.parametrize("clip_mode", ["fixed", "median_adaptive"])
+def test_thread_census_of_gaulrq_run(clip_mode, monkeypatch, tmp_path):
+    # gaulrq run on 2800 bytes of data in 4 slabs, with 280-byte client shards. Past a
+    # _BLOCK_BYTES of 1000 exactly three pools of one thread each start, in this order:
+    # synth_partition's upper slabs, run()'s evaluations and Objective.spec's optimum.
+    # The finiteness scan, the variance bound (whose blocks hold 3 shards) and the replay
+    # draw stay on the caller. Under the gate none starts. Either way no thread outlives
+    # the call, and the artifacts are the same bytes.
+    monkeypatch.setattr(training, "_SLAB", 100)
+    package, pools = Path(training.__file__).parent, []
+
+    def pool(n):  # named by the package function that entered training.beside
+        frames = [f.name for f in traceback.extract_stack() if Path(f.filename).parent == package]
+        pools.append((frames[-2], n))
+        return ThreadPoolExecutor(n)
+
+    monkeypatch.setattr(training, "ThreadPoolExecutor", pool)
+    config = tmp_path / "census.json"
+    config.write_text(json.dumps(dataclasses.asdict(_config(
+        algorithm="gau_lrq_sgd", clip_mode=clip_mode, N=10, B=3, K=4, d=5, n_per_client=7,
+        tau=0.9, s2=1.0))))
+    runs = []
+    for block, want in ((1000, [("synth_partition", 1), ("run", 1), ("spec", 1)]),
+                        (1 << 20, [])):
+        monkeypatch.setattr(training, "_BLOCK_BYTES", block)
+        out, before = tmp_path / str(block), threading.enumerate()
+        assert main(["run", "--config", str(config), "--out-dir", str(out)]) == 0
+        assert pools == want and threading.enumerate() == before
+        runs.append([(out / f"t_{kind}").read_bytes()
+                     for kind in ("trace.csv", "summary.json", "bounds.json")])
+        pools.clear()
+    assert runs[0] == runs[1]
 
 
 @pytest.mark.parametrize("kw", [
@@ -699,9 +746,10 @@ def test_divergence_with_the_worker_on_is_the_error_seen(kw, monkeypatch, tmp_pa
 
 @pytest.mark.parametrize("stage", ["evaluation", "replay"])
 def test_worker_error_is_raised_on_the_caller(stage, monkeypatch):
-    # An error on the worker is raised where its stage is read, the worker is joined, and
-    # the failed round leaves no record and the model where it was. Past _EVAL_BYTES = 1
-    # round 0 evaluates its own theta.
+    # An error on the worker is raised where its stage is read; the server's replay draw,
+    # made on the caller while the worker holds the round's evaluation, raises at once.
+    # Either way the worker is joined, and the failed round leaves no record and the model
+    # where it was. Past _EVAL_BYTES = 1 round 0 evaluates its own theta.
     monkeypatch.setattr(training, "_BLOCK_BYTES", 1)
     monkeypatch.setattr(training, "_EVAL_BYTES", 1)
     sim = build_simulation(_config(algorithm="gau_lrq_sgd", N=10, B=3, K=4, d=4, s2=1.0))
@@ -709,10 +757,10 @@ def test_worker_error_is_raised_on_the_caller(stage, monkeypatch):
     original = sim.objective.trace_terms if stage == "evaluation" else sim._pipeline.draw
 
     def fail(*args):
-        if threading.get_ident() == caller:  # the clients' draw
+        if stage == "evaluation" and threading.get_ident() == caller:
             return original(*args)
-        failed.append(threading.get_ident())
-        raise RuntimeError(f"{stage} failed")
+        failed.append(threading.get_ident() != caller)
+        raise RuntimeError(f"{stage} failed")  # the replay: a chunk's first draw
 
     if stage == "evaluation":
         monkeypatch.setattr(sim.objective, "trace_terms", fail)
@@ -721,7 +769,7 @@ def test_worker_error_is_raised_on_the_caller(stage, monkeypatch):
     theta, before = sim.theta.tobytes(), threading.active_count()
     with pytest.raises(RuntimeError, match=f"^{stage} failed$"):
         sim.run()
-    assert threading.active_count() == before and len(failed) == 1
+    assert threading.active_count() == before and failed == [stage == "evaluation"]
     assert sim.round == 0 and sim.records == [] and sim.theta.tobytes() == theta
 
 

@@ -128,6 +128,23 @@ def test_round_epsilons_validation():
         round_epsilons(1.0, 5, 10, 1e-5, [])
     with pytest.raises(InvalidParameterError):
         round_epsilons(1.0, 5, 10, 1e-5, [1.0, 0.0])
+    # noise_schedule's checks: each input it rejects, round_epsilons rejects too.
+    for s2, B, N, delta, sigmas, match in (
+            (1.0, 5, 2, 1e-5, [1.0], "with B <= N"),
+            (1.0, 0, 2, 1e-5, [1.0], "positive integers"),
+            (1.0, 1.5, 2, 1e-5, [1.0], "positive integers"),
+            (1.0, True, 2, 1e-5, [1.0], "positive integers"),
+            (1.0, 1, 2.0, 1e-5, [1.0], "positive integers"),
+            (math.nan, 1, 2, 1e-5, [1.0], "s2 must be finite"),
+            (math.inf, 1, 2, 1e-5, [1.0], "s2 must be finite"),
+            (-1.0, 1, 2, 1e-5, [1.0], "s2 must be finite"),
+            (1.0, 1, 2, 2.0, [1.0], "delta must lie"),
+            (1.0, 1, 2, 0.0, [1.0], "delta must lie"),
+            (1.0, 1, 2, math.nan, [1.0], "delta must lie"),
+            (1.0, 1, 2, 1e-5, [1.0, math.inf], "finite and > 0"),
+            (1.0, 1, 2, 1e-5, [math.nan], "finite and > 0")):
+        with pytest.raises(InvalidParameterError, match=match):
+            round_epsilons(s2, B, N, delta, sigmas)
 
 
 def _log_sigmas(s2, K, B, N, eps, delta, tau):

@@ -80,6 +80,14 @@ def test_element_pairs_contract():
         assert (u1[j], u2[j]) == _pair(SEED, 2, 3, j, 0)
 
 
+@pytest.mark.parametrize("dim", [2.5, True, -1, np.float64(3.0), "3", None])
+def test_element_pairs_rejects_counts_it_cannot_mean(dim):
+    # A dim of 2.5 would give 3 pairs, True 1.
+    with pytest.raises(InvalidParameterError, match="dim must be an integer >= 0"):
+        element_pairs(SEED, 0, 0, dim)
+    assert element_pairs(SEED, 0, 0, np.int64(2))[0].shape == (2,)
+
+
 def test_draw_stream_advances():
     s = DrawStream(SEED, 4, 5)
     first = s.next(10)
@@ -93,10 +101,25 @@ def test_draw_stream_advances():
     assert np.concatenate([first, second]).tobytes() == want.tobytes()
 
 
+@pytest.mark.parametrize("n", [-2, 1.5, True, np.float64(2.0), None])
+def test_draw_stream_rejects_counts_it_cannot_mean(n):
+    # A negative count would move the counter back and hand out the same uniforms twice.
+    s = DrawStream(SEED, 4, 5)
+    first = s.next(3)
+    with pytest.raises(InvalidParameterError, match="n must be an integer >= 0"):
+        s.next(n)
+    assert s.next(0).size == 0
+    want = uniform_pair_block(SEED, 4, 5, 0, np.arange(5, dtype=np.uint64))[0]
+    assert np.concatenate([first, s.next(np.int64(2))]).tobytes() == want.tobytes()
+
+
 def test_seed_material_bounds():
     SeedMaterial(2**64 - 1)  # boundary accepted
-    with pytest.raises(InvalidParameterError):
-        SeedMaterial(2**64)
+    assert SeedMaterial(np.uint64(7)).key() == SeedMaterial(7).key()
+    # Each non-integer would silently draw its truncated int's streams.
+    for bad in (2**64, -1, 1.5, True, False, "3", np.float64(2.7), None):
+        with pytest.raises(InvalidParameterError, match="root_seed must"):
+            SeedMaterial(bad)
 
 
 # -- reference formula ------------------------------------------------------

@@ -76,10 +76,10 @@ def test_synth_matches_per_client_draws(kind, monkeypatch):
 @pytest.mark.parametrize("slab", [1 << 20, 10], ids=["one-slab", "slabs-cut-clients"])
 @pytest.mark.parametrize("kind", ["least_squares", "logistic"])
 def test_no_result_depends_on_the_thread_split(kind, slab, monkeypatch):
-    # A byte bound of 1 splits every draw and scan over two threads but the variance
-    # bound's, whose blocks would each be smaller than a shard; one shard's bytes split
-    # that too, in blocks of one shard; 1 TiB splits nothing. The data, the constants
-    # and the finiteness check must be the same.
+    # A byte bound of 1 or of one shard's bytes puts the slabs' upper half (when there are
+    # two or more) and spec's optimum on a second thread, and cuts the finiteness scan and
+    # the variance bound, which stay on the caller, into blocks of a row or a shard; 1 TiB
+    # cuts nothing. The data, the constants and the finiteness check must be the same.
     monkeypatch.setattr(training, "_SLAB", slab)
     pools = []
     monkeypatch.setattr(training, "ThreadPoolExecutor",
@@ -98,26 +98,50 @@ def test_no_result_depends_on_the_thread_split(kind, slab, monkeypatch):
         splits.append(len(pools))
         pools.clear()
     assert got[0] == got[1] == got[2]
-    # Split: the slabs (when there are two or more), three finiteness scans, spec's
-    # side constants, and the variance bound when a block holds a shard.
-    assert splits == [4 + (slab == 10), 5 + (slab == 10), 0]
+    assert splits == [1 + (slab == 10)] * 2 + [0]
 
 
 def test_two_thread_split_joins_its_worker_and_reraises(monkeypatch):
+    # synth_partition's upper slabs fail on the worker, after the caller's half: the
+    # worker's error is raised on the caller, and the worker is joined. One slab starts
+    # no thread.
+    monkeypatch.setattr(training, "_SLAB", 10)
     monkeypatch.setattr(training, "_BLOCK_BYTES", 0)
-    done = []
+    default_rng, done = np.random.default_rng, []
 
-    def work(lo, hi):
-        if lo:  # the worker's half, slower than the caller's
-            time.sleep(0.05)
-            done.append(threading.current_thread() is not threading.main_thread())
-            raise ValueError(f"{lo}-{hi}")
-        return lo, hi
+    class Slab:
+        def __init__(self, rng, s):
+            self.rng, self.s = rng, s
 
-    with pytest.raises(ValueError, match="^2-5$"):
-        training._on_two_threads(work, 5, 1)
-    assert done == [True]
-    assert training._on_two_threads(lambda lo, hi: (lo, hi), 1, 1) == [(0, 0), (0, 1)]
+        def standard_normal(self, *args, **kw):
+            if self.s >= 2:  # the worker's half of 5 slabs, slower than the caller's
+                time.sleep(0.05)
+                done.append(threading.current_thread() is not threading.main_thread())
+                raise ValueError(f"slab {self.s}")
+            return self.rng.standard_normal(*args, **kw)
+
+    class Root:
+        def __init__(self, seed):
+            self.rng = default_rng(seed)
+
+        def standard_normal(self, *args):
+            return self.rng.standard_normal(*args)
+
+        def spawn(self, n):
+            return [Slab(rng, s) for s, rng in enumerate(self.rng.spawn(n))]
+
+    monkeypatch.setattr(np.random, "default_rng", Root)
+    before = threading.active_count()
+    with pytest.raises(ValueError, match="^slab 2$"):
+        synth_partition(0, 5, 2, 5, 0.1)  # 50 values: 5 slabs, slabs 2-4 on the worker
+    assert done == [True] and threading.active_count() == before
+    pools = []
+    monkeypatch.setattr(training, "ThreadPoolExecutor",
+                        lambda n: pools.append(n) or ThreadPoolExecutor(n))
+    monkeypatch.setattr(training, "_SLAB", 1 << 20)
+    monkeypatch.setattr(np.random, "default_rng", default_rng)
+    synth_partition(0, 5, 2, 5, 0.1)
+    assert pools == []
 
 
 def test_synth_shards_are_one_read_only_tensor():
