@@ -10,8 +10,8 @@ A round runs its B clients as one (B, d) pipeline, from the batch rows to
 the server's sum; its PIPELINES row says what the algorithm does and sends. A
 chunk of rounds draws first, one stream call per lane with a rounds and a client
 axis, the server's replay of the codec lane included, and keeps what they consume:
-batch rows, noise normals and, where sigma_k is fixed, the layers (a median-clipped
-round sets sigma from its norms, so samples its own). The parsed headers must be the
+batch rows, noise normals and the layers at sigma = 1, which a round's encode and
+decode scale by its sigma, fixed or set from its norms. The parsed headers must be the
 round's schedule in order, with the widths and scales the server can recompute or
 bound. Norms, clipping, scales, widths, codecs and bit packing are row-wise (packing
 one per distinct width); the wire carries one message a client.
@@ -32,7 +32,7 @@ from . import training
 from .errors import ConfigError, DivergedError, InvalidParameterError
 from .normal import inv_norm_cdf
 from .privacy import clip_ceiling, clip_update, l2_norms, median_clip_bound, noise_schedule
-from .quantizers import (MAX_BITS, MAX_SIGMA, LayerSample, bit_width, lrq_quantize_rows,
+from .quantizers import (MAX_BITS, MAX_SIGMA, _layer_at, bit_width, lrq_quantize_rows,
                          lrq_reconstruct_rows, sample_layer, stochastic_dequantize,
                          stochastic_round)
 from .streams import SeedMaterial, _count, element_pairs, uniform_block
@@ -171,12 +171,12 @@ def parse_message(data: bytes) -> WireMessage:
     return WireMessage(client_id, rnd, dim, bits, algorithm, data[offset:], scale)
 
 
-# -- codecs: draw(seed, client_ids, rounds, d, sigma) -> per round, the rows of the codec's
-# lane that encode reads; the layered draw samples them at sigma, the (R, 1, 1) column of the
-# rounds' sigmas, and keeps x, R and q_step, or keeps the pairs where sigma is None (set by
-# each round). encode(V, sigma, rows) -> one (width, payload, scale, clamps) per row of V;
-# decode(messages, sigma, rows) -> (B, d), its mirror, from the server's own draw of the rows
-# in schedule order (None unless replayed). Layer functions are module globals to them.
+# -- codecs: draw(seed, client_ids, rounds, d) -> per round, the rows of the codec's lane
+# that encode reads; the layered draw samples its layers at sigma = 1 and keeps x, L and R.
+# encode(V, sigma, rows) -> one (width, payload, scale, clamps) per row of V; decode(messages,
+# sigma, rows) -> (B, d), its mirror, from the server's own draw of the rows in schedule order
+# (None unless replayed). The layered pair scales its rows by the round's sigma, each into
+# arrays of its own. Layer functions are module globals to them.
 
 def _encode_float(V, sigma, rows):
     with np.errstate(over="ignore"):
@@ -190,7 +190,7 @@ def _decode_float(msgs, sigma, rows):
     return np.stack([np.frombuffer(m.payload, "<f4") for m in msgs]).astype(np.float64)
 
 
-def _draw_stochastic(seed, ids, rnd, d, sigma):
+def _draw_stochastic(seed, ids, rnd, d):
     return uniform_block(seed.lane("sq"), ids, rnd, 0, np.arange(d, dtype=np.uint64))
 
 
@@ -208,23 +208,20 @@ def _decode_stochastic(msgs, sigma, uniforms):
                                  [m.scale for m in msgs])
 
 
-def _draw_layered(seed, ids, rnd, d, sigma):
-    uniforms = element_pairs(seed.lane("quant"), ids, rnd, d)
-    if sigma is None:
-        return list(zip(*uniforms))
-    layer = sample_layer(sigma, uniforms)
-    return [LayerSample(x, None, r, q) for x, r, q in zip(layer.x, layer.R, layer.q_step)]
+def _draw_layered(seed, ids, rnd, d):
+    layer = sample_layer(1.0, element_pairs(seed.lane("quant"), ids, rnd, d))
+    return list(zip(layer.x, layer.L, layer.R))
 
 
-def _encode_layered(V, sigma, layer):
-    idx, widths, scales, clamps = lrq_quantize_rows(V, sigma, layer)
+def _encode_layered(V, sigma, unit):
+    idx, widths, scales, clamps = lrq_quantize_rows(V, sigma, _layer_at(sigma, unit))
     return list(zip(widths, pack_indices(idx, widths), scales, clamps.tolist()))
 
 
-def _decode_layered(msgs, sigma, layer):
+def _decode_layered(msgs, sigma, unit):
     idx = unpack_indices([m.payload for m in msgs], msgs[0].dim,
                          [m.bits_per_element for m in msgs], signed=False)
-    return lrq_reconstruct_rows(idx, [m.scale for m in msgs], layer)
+    return lrq_reconstruct_rows(idx, [m.scale for m in msgs], _layer_at(sigma, unit))
 
 
 class Pipeline(NamedTuple):
@@ -237,7 +234,7 @@ class Pipeline(NamedTuple):
     encode: Callable
     decode: Callable
     replayed: bool   # decode reads the server's own draw of the codec lane
-    held: int        # at most this many float64s the draws keep per element, both sides
+    held: int        # float64s an element the draws keep, both sides (layered: x, L, R at sigma 1)
 
 
 _FLOAT = (False, None, _encode_float, _decode_float, False, 0)  # quantized, ..., held
@@ -342,7 +339,7 @@ class Simulation:
         self.round = 0
         self.records: list[RoundRecord] = []
         self._pipeline = PIPELINES[self.algorithm]
-        self._chunk = (0, [], None)  # (first round, per-round draws, replay rows), by run_round
+        self._chunk = (0, [])  # (first round, per-round draws), by run_round
         self._defer = None  # run()'s deferral, fn(*args) -> .result(); None outside run()
         self._queue, self._evaluated = [], 0  # thetas of the records from _evaluated on
         if self._pipeline.private:  # median-adaptive rounds rescale the S2=1 schedule
@@ -373,11 +370,10 @@ class Simulation:
         rounds = np.arange(self.round, min(cfg.K, self.round + fit), dtype=np.uint64)
         clients = sample_clients(cfg.N, cfg.B, uniform_block(self.seed.lane("sample"), 0,
                                                              rounds, 0, 0))
-        batch = noise = code = [None] * rounds.size
-        rnd, replay = rounds[:, None], None
-        sigma = self._sigmas[rounds, None, None] if p.draw and cfg.clip_mode == "fixed" else None
+        batch = noise = code = replay = [None] * rounds.size
+        rnd = rounds[:, None]
         if p.replayed:  # the server's own draw, first: decoding never reads a client's array
-            replay = p.draw(self.seed, clients, rnd, d, sigma)
+            replay = p.draw(self.seed, clients, rnd, d)
         if steps:
             u_batch = uniform_block(self.seed.lane("batch"), clients, rnd, 0,
                                     np.arange(steps, dtype=np.uint64))
@@ -386,8 +382,8 @@ class Simulation:
             noise = inv_norm_cdf(uniform_block(self.seed.lane("noise"), clients, rnd,
                                                np.arange(d, dtype=np.uint64), 0))
         if p.draw is not None:
-            code = p.draw(self.seed, clients, rnd, d, sigma)
-        self._chunk = (self.round, list(zip(clients.tolist(), batch, noise, code)), replay)
+            code = p.draw(self.seed, clients, rnd, d)
+        self._chunk = (self.round, list(zip(clients.tolist(), batch, noise, code, replay)))
 
     def run_round(self) -> RoundRecord:
         """One round. objective.trace_terms takes the queue of theta_k once trace_width rounds,
@@ -404,7 +400,7 @@ class Simulation:
             self._draw_chunk()
         # Row i of every (B, ...) array below belongs to clients[i], ascending.
         i = k - self._chunk[0]
-        clients, batch, noise, code = self._chunk[1][i]
+        clients, batch, noise, code, replay = self._chunk[1][i]
         updates = stacked_local_rounds(self.objective, self.theta, clients, cfg.Q,
                                        cfg.eta, batch, cfg.divergence_ceiling)
 
@@ -421,8 +417,6 @@ class Simulation:
                 if p.quantized and sigma > MAX_SIGMA:
                     raise DivergedError(f"median-clipped sigma {sigma:.6g} exceeds the "
                                         f"codec's MAX_SIGMA {MAX_SIGMA:.6g}")
-                if p.replayed:  # sigma is this round's, so are the layers: both sides'
-                    code = sample_layer(sigma, code)
             updates = clip_update(updates, s2)
             if not coded_norms:
                 inf_norms = np.max(np.abs(updates), axis=1).tolist()
@@ -440,7 +434,7 @@ class Simulation:
             WireMessage(cid, k, cfg.d, bits, self.algorithm, payload, scale)))
             for cid, (bits, payload, scale, _) in zip(clients, coded)]
         # The headers must be the round's schedule in order (the decode reads the chunk's
-        # replay rows as they are), each width the one its scale needs, a clipped scale in the clip.
+        # replay rows in it), each width the one its scale needs, a clipped scale in the clip.
         ids, rnds, dims, widths, algos, _, scales = zip(*parsed)
         want = [("client_id", ids, tuple(clients)), ("round", rnds, (k,) * cfg.B),
                 ("dim", dims, (cfg.d,) * cfg.B), ("algorithm", algos, (self.algorithm,) * cfg.B)]
@@ -455,9 +449,6 @@ class Simulation:
             if got != fit:
                 bad = next(g for g, f in zip(got, fit) if g != f)
                 raise InvalidParameterError(f"message {name} {bad} is outside round {k}'s schedule")
-        replay = self._chunk[2][i] if p.replayed else None
-        if p.replayed and cfg.clip_mode == "median_adaptive":  # at this round's sigma, as code
-            replay = sample_layer(sigma, replay)
         # Rows added in turn to +0.0, as B separate decodes would give: np.add.reduce sums them
         # pairwise where d = 1, and np.add.accumulate steps column by column (slow at large d).
         total = sum(p.decode(parsed, sigma, replay), 0.0)
@@ -493,8 +484,8 @@ class Simulation:
             with training.beside(self.objective.shards[0].nbytes) as self._defer:
                 for _ in range(self.config.K):
                     self.run_round()
-        finally:
-            self._defer = None
+        finally:  # nothing reads the last chunk's draws once the run ends
+            self._defer, self._chunk = None, (0, [])
             self._evaluate()
         return self.trace()
 

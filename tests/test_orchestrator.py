@@ -1,11 +1,13 @@
 import dataclasses
 import functools
+import gc
 import json
 import math
 import re
 import threading
 import traceback
 import tracemalloc
+import weakref
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -24,8 +26,8 @@ from gaulrq.orchestrator import (PIPELINES, AlgorithmKind, WireMessage,
                                  pack_indices, parse_message, sample_clients,
                                  serialize_message, unpack_indices)
 from gaulrq.privacy import clip_ceiling, clip_update
-from gaulrq.quantizers import (MAX_BITS, MIN_STEP_FACTOR, bit_width, lrq_quantize_vector,
-                               sample_layer, stochastic_round)
+from gaulrq.quantizers import (MAX_BITS, MIN_STEP_FACTOR, _layer_at, bit_width,
+                               lrq_quantize_vector, sample_layer, stochastic_round)
 from gaulrq.streams import DrawStream, SeedMaterial, element_pairs, uniform_pair_block
 from gaulrq.training import ModelState, local_rounds, weighted_error
 
@@ -243,8 +245,8 @@ def test_parsed_scale_is_the_inf_norm_bit_for_bit(algo, c):
     # Rows of thirds: no float32 holds their inf-norms, at any magnitude c.
     pipeline = orchestrator.PIPELINES[algo]
     V = c * np.random.default_rng(3).standard_normal((5, 7)) / 3.0
-    # A chunk of one round at sigma c: its rows, as encode reads them.
-    (rows,) = pipeline.draw(SeedMaterial(0, "scale"), np.arange(5)[None], [[2]], 7, c)
+    # A chunk of one round: its rows, as encode reads them and scales by sigma c.
+    (rows,) = pipeline.draw(SeedMaterial(0, "scale"), np.arange(5)[None], [[2]], 7)
     for i, (bits, payload, scale, _) in enumerate(pipeline.encode(V, c, rows)):
         raw = serialize_message(WireMessage(i, 2, 7, bits, algo, payload, scale=scale))
         got = parse_message(raw).scale
@@ -450,20 +452,27 @@ def test_round_engine_matches_per_client_oracle(case, algo, monkeypatch):
         msg = _one_client_upload(algo, seed, cid, k, clip_update(row, cfg.s2),
                                  record.sigma_used)
         assert raw == serialize_message(msg)
-        # The oracle's own fresh draw of this client's layers.
-        layer = (sample_layer(record.sigma_used, tuple(
-            u[None] for u in element_pairs(seed.lane("quant"), cid, k, cfg.d)))
-            if algo == "gau_lrq_sgd" else None)
-        total = total + orchestrator.PIPELINES[msg.algorithm].decode(
-            [parse_message(raw)], record.sigma_used, layer)[0]
+        got = parse_message(raw)
+        if algo == "gau_lrq_sgd":  # decoded on the oracle's own fresh draw of its layers at sigma
+            layer = sample_layer(record.sigma_used, tuple(
+                u[None] for u in element_pairs(seed.lane("quant"), cid, k, cfg.d)))
+            idx = unpack_indices(got.payload, cfg.d, got.bits_per_element, signed=False)
+            total = total + _RECONSTRUCT(idx[None], [got.scale], layer)[0]
+        else:
+            total = total + orchestrator.PIPELINES[msg.algorithm].decode(
+                [got], record.sigma_used, None)[0]
     assert sim.theta.tobytes() == (theta + total / cfg.B).tobytes()
-    # The server decoded the chunk's own replay layers, uncopied, not the clients' layers.
-    _, _, _, code = sim._chunk[1][k]
-    replay = sim._chunk[2][k] if sim._chunk[2] is not None else None
+    # The server decoded the chunk's own replay rows, not the clients' rows, scaled by the
+    # round's sigma into fresh arrays; the two sides' rows share no memory.
+    _, _, _, code, replay = sim._chunk[1][k]
     if algo == "gau_lrq_sgd":
-        assert len(server) == 1 and server[0] is replay
-        fields = [(layer.x, layer.R, layer.q_step) for layer in (replay, code)]
-        assert not any(np.shares_memory(a, b) for a in fields[0] for b in fields[1])
+        (layer,) = server
+        fields = (layer.x, layer.L, layer.R, layer.q_step)
+        want = _layer_at(record.sigma_used, replay)
+        assert [a.tobytes() for a in fields] == [
+            a.tobytes() for a in (want.x, want.L, want.R, want.q_step)]
+        assert not any(np.shares_memory(a, b) for a in replay for b in code)
+        assert not any(np.shares_memory(a, b) for a in fields for b in (*replay, *code))
     else:
         assert server == [] and replay is None
 
@@ -538,8 +547,8 @@ def _run_in_chunks(monkeypatch, tmp_path, block_bytes, **kw):
     error it stopped on. Checks that every draw but the "init" lane's, the
     server's included, is made by a chunk, one call per lane; that a chunk maps its
     noise uniforms to normals in one call; and that the layered codecs sample
-    their layers twice, the clients' and the server's, in each chunk under
-    fixed clipping and in each round under median clipping."""
+    their layers twice in each chunk, the clients' and the server's, at sigma 1
+    in both clip modes, and never in a round."""
     monkeypatch.setattr(training, "_BLOCK_BYTES", block_bytes)
     wire, chunks, draws, layers, normals = [], [], [], [], []
     monkeypatch.setattr(orchestrator, "serialize_message",
@@ -573,9 +582,7 @@ def _run_in_chunks(monkeypatch, tmp_path, block_bytes, **kw):
     assert [lane for lane, _ in draws] == ["init"] + chunk * len(chunks)
     assert draws[0] == ("init", 0) and all(np.ndim(rounds) == 1 + (lane != "sample")
                                            for lane, rounds in draws[1:])
-    fixed = cfg.clip_mode == "fixed"
-    assert len(layers) == 2 * pipeline.replayed * (len(chunks) if fixed else len(trace.records))
-    assert all(np.ndim(sigma) == (3 if fixed else 0) for sigma in layers)  # chunk: a column
+    assert layers == [1.0] * (2 * pipeline.replayed * len(chunks))
     assert len(normals) == 1 + pipeline.noisy * len(chunks)
     return artifacts + [trace.final_theta.tobytes(), wire, error], chunks
 
@@ -607,6 +614,37 @@ def test_run_diverging_mid_chunk_stops_where_a_chunked_one_does(kw, monkeypatch,
     assert 0 < rounds < kw["K"] - 1 and whole_chunks == [0]
     assert one[4] is not None and one[0].count(b"\n") == 1 + rounds
     assert one == whole
+
+
+def _arrays(item):
+    """Every array in a chunk's rows, with the arrays each views."""
+    if isinstance(item, (list, tuple)):
+        for part in item:
+            yield from _arrays(part)
+    while isinstance(item, np.ndarray):
+        yield item
+        item = item.base
+
+
+@pytest.mark.parametrize("kw", [
+    dict(K=4, batch_size=3),  # completes
+    dict(K=20, epsilon=4.0, divergence_ceiling=10.0)],  # diverges mid-run
+    ids=["completed", "diverged"])
+@pytest.mark.parametrize("algo", ["gau_sgd", "qg_sgd", "gau_lrq_sgd"])
+def test_run_drops_its_last_chunk(algo, kw, monkeypatch):
+    # Nothing reads a chunk's draws after the last round: once run() returns or raises,
+    # no array a chunk drew, nor any it views, is still referenced.
+    refs = []
+    monkeypatch.setattr(orchestrator.Simulation, "_draw_chunk", lambda sim: _DRAW_CHUNK(sim) or
+                        refs.extend(weakref.ref(a) for a in _arrays(sim._chunk[1])))
+    sim = build_simulation(_config(algorithm=algo, s2=1.0, **kw))
+    try:
+        sim.run()
+    except DivergedError:
+        pass
+    gc.collect()
+    assert (len(sim.records) == kw["K"]) == ("batch_size" in kw) and refs
+    assert [ref for ref in refs if ref() is not None] == []
 
 
 # -- run()'s held worker -------------------------------------------------------
@@ -643,7 +681,7 @@ def _spy_threads(monkeypatch, sim):
 def test_evaluation_runs_on_the_worker_past_a_block(clip_mode, monkeypatch):
     # Data past _BLOCK_BYTES = 1 (a chunk a round): run() holds one worker thread for
     # each round's evaluation; both codec draws, the server's replay first, and every
-    # layer sample (a median-clipped round's too) stay on the caller's. Joined at the end.
+    # layer sample, one in each draw in both clip modes, stay on the caller's. Joined at the end.
     # Past _EVAL_BYTES = 1 the evaluation takes one theta, so each round makes one.
     monkeypatch.setattr(training, "_BLOCK_BYTES", 1)
     monkeypatch.setattr(training, "_EVAL_BYTES", 1)
@@ -658,8 +696,8 @@ def test_evaluation_runs_on_the_worker_past_a_block(clip_mode, monkeypatch):
     assert seen["draw"] == [caller] * 8 and seen["layer"] == [caller] * 8
     # Each round submits its evaluation before it draws its chunk, so the worker evaluates
     # while the caller draws.
-    assert [stage for stage, t in seen["order"] if t == caller and stage != "layer"] == [
-        "submit", "draw", "draw"] * 4
+    assert [stage for stage, t in seen["order"] if t == caller] == [
+        "submit", "draw", "layer", "draw", "layer"] * 4
 
 
 def test_no_thread_starts_under_a_block(monkeypatch):

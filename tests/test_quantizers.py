@@ -14,7 +14,7 @@ from gaulrq.analysis import ks_statistic
 
 from gaulrq.errors import InvalidParameterError
 from gaulrq.normal import inv_norm_cdf
-from gaulrq.quantizers import (MAX_BITS, MAX_SIGMA, MIN_STEP_FACTOR, LayerSample,
+from gaulrq.quantizers import (MAX_BITS, MAX_SIGMA, MIN_STEP_FACTOR, LayerSample, _layer_at,
                                bit_width, dithered_decode, dithered_encode,
                                lrq_decode, lrq_encode, lrq_quantize_rows,
                                lrq_quantize_vector, lrq_reconstruct_rows,
@@ -85,10 +85,17 @@ def test_x_marginal_is_gaussian():
     assert abs(float(np.var(layer.x)) / sigma**2 - 1.0) < 0.01
 
 
-@pytest.mark.parametrize("sigma", [0.0, -1.0, np.inf, np.nan])
+@pytest.mark.parametrize("sigma", [
+    0.0, -1.0, np.inf, np.nan,
+    # One real number and nothing else: not a 0-d, 1-element or longer array, a nested list,
+    # a string, None or a bool.
+    np.array(1.0), np.ones(1), np.array([1.0, 2.0]), [[1.0]], "1.0", None, True],
+    ids=repr)
 def test_sample_layer_rejects_bad_sigma(sigma):
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match="sigma must lie in"):
         sample_layer(sigma, (0.5, 0.5))
+    with pytest.raises(InvalidParameterError, match="sigma must lie in"):
+        bit_width(0.25, sigma)
 
 
 @pytest.mark.parametrize("u", [(0.0, 0.5), (1.0, 0.5), (0.5, 0.0), (0.5, 1.0)])
@@ -105,9 +112,36 @@ def test_sample_layer_rejects_boundary_uniforms(u):
     (np.ones((1, 1, 3)), (np.full((2, 3), 0.3), np.full((2, 3), 0.4))),
     (np.ones(2), (np.full((2, 3), 0.3), np.full((2, 3), 0.4)))])
 def test_sample_layer_rejects_mismatched_shapes(sigma, u):
-    # The uniforms share one shape, and sigma broadcasts to it.
-    with pytest.raises(InvalidParameterError, match="shape"):
+    # The uniforms share one shape. sigma is one number: an array of any shape is refused
+    # as a sigma before the shapes are compared.
+    with pytest.raises(InvalidParameterError,
+                       match="shape" if np.ndim(sigma) == 0 else "sigma must lie in"):
         sample_layer(sigma, u)
+
+
+# Uniforms at the PRF's least (2^-64), the least double and the greatest double below 1.
+_EDGE_UNIFORMS = (2.0**-64, 5e-324, 1.0 - 2.0**-53, 0.5)
+_LOG2_SIGMA = (-1074.0, math.log2(MAX_SIGMA))  # 5e-324 = 2^-1074
+
+
+@settings(max_examples=150, deadline=None)
+@given(e=st.floats(*_LOG2_SIGMA),
+       u=st.lists(st.tuples(*[st.one_of(st.sampled_from(_EDGE_UNIFORMS),
+                                          st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+                              ] * 2), min_size=1, max_size=8))
+@example(e=_LOG2_SIGMA[0], u=[(0.5, 0.5)])
+@example(e=_LOG2_SIGMA[1], u=[(0.5, 0.5)])
+def test_layer_at_sigma_is_the_unit_layer_scaled(e, u):
+    # sigma log-uniform over [5e-324, MAX_SIGMA], with both ends; every example also takes
+    # the grid of edge uniforms. x, L, R and q_step are compared byte for byte, so -0.0
+    # and +0.0 differ.
+    sigma = min(max(2.0**e, 5e-324), MAX_SIGMA)
+    grid = [(a, b) for a in _EDGE_UNIFORMS for b in _EDGE_UNIFORMS]
+    u1, u2 = (np.array(col) for col in zip(*(u + grid)))
+    unit, want = sample_layer(1.0, (u1, u2)), sample_layer(sigma, (u1, u2))
+    got = _layer_at(sigma, (unit.x, unit.L, unit.R))
+    for name in ("x", "L", "R", "q_step"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
 
 
 def test_sample_layer_rejects_sigma_above_ceiling():
