@@ -104,6 +104,8 @@ class ExperimentConfig:
         for name in ("label_noise", "ridge", "heterogeneity"):
             if getattr(self, name) < 0:
                 errors.append(f"{name}: must be >= 0")
+        if self.objective == "logistic" and self.label_noise > 0:  # Bernoulli labels: no noise
+            errors.append("label_noise: must be 0 for the logistic objective (it has no effect)")
         if self.batch_size < 0:
             errors.append("batch_size: must be >= 0 (0 = full batch)")
         elif self.batch_size > self.n_per_client:

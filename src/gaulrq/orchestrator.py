@@ -9,12 +9,12 @@ each client's dither draws without transmission.
 A round runs its B clients as one (B, d) pipeline, from the batch rows to
 the server's sum; its PIPELINES row says what the algorithm does and sends. A
 chunk of rounds draws first, one stream call per lane with a rounds and a client
-axis, the server's replay of the codec lane included, and keeps what they consume:
-batch rows, noise normals and the layers at sigma = 1, which a round's encode and
-decode scale by its sigma, fixed or set from its norms. The parsed headers must be the
-round's schedule in order, with the widths and scales the server can recompute or
-bound. Norms, clipping, scales, widths, codecs and bit packing are row-wise (packing
-one per distinct width); the wire carries one message a client.
+axis, and keeps what they consume: batch rows, noise normals and the layers at
+sigma = 1, read-only, which a round's encode and decode both read and scale by its
+sigma, fixed or set from its norms. The parsed headers must be the round's schedule
+in order, with the widths and scales the server can recompute or bound. Norms, clipping,
+scales, widths, codecs and bit packing are row-wise (packing one per distinct width);
+the wire carries one message a client.
 """
 
 from __future__ import annotations
@@ -172,11 +172,11 @@ def parse_message(data: bytes) -> WireMessage:
 
 
 # -- codecs: draw(seed, client_ids, rounds, d) -> per round, the rows of the codec's lane
-# that encode reads; the layered draw samples its layers at sigma = 1 and keeps x, L and R.
-# encode(V, sigma, rows) -> one (width, payload, scale, clamps) per row of V; decode(messages,
-# sigma, rows) -> (B, d), its mirror, from the server's own draw of the rows in schedule order
-# (None unless replayed). The layered pair scales its rows by the round's sigma, each into
-# arrays of its own. Layer functions are module globals to them.
+# that encode and decode read; the layered draw samples its layers at sigma = 1 and keeps x, L
+# and R read-only. encode(V, sigma, rows) -> one (width, payload, scale, clamps) per row of V;
+# decode(messages, sigma, rows) -> (B, d), its mirror, from the same rows in schedule order
+# (the float and stochastic decodes ignore them). The layered pair scales its rows by the
+# round's sigma, each into arrays of its own. Layer functions are module globals to them.
 
 def _encode_float(V, sigma, rows):
     with np.errstate(over="ignore"):
@@ -210,6 +210,7 @@ def _decode_stochastic(msgs, sigma, uniforms):
 
 def _draw_layered(seed, ids, rnd, d):
     layer = sample_layer(1.0, element_pairs(seed.lane("quant"), ids, rnd, d))
+    layer.x.flags.writeable = layer.L.flags.writeable = layer.R.flags.writeable = False
     return list(zip(layer.x, layer.L, layer.R))
 
 
@@ -233,13 +234,12 @@ class Pipeline(NamedTuple):
     draw: Callable | None  # None: the codec draws nothing
     encode: Callable
     decode: Callable
-    replayed: bool   # decode reads the server's own draw of the codec lane
-    held: int        # float64s an element the draws keep, both sides (layered: x, L, R at sigma 1)
+    held: int        # float64s an element the codec draw keeps (layered: x, L, R at sigma 1)
 
 
-_FLOAT = (False, None, _encode_float, _decode_float, False, 0)  # quantized, ..., held
-_STOCHASTIC = (True, _draw_stochastic, _encode_stochastic, _decode_stochastic, False, 1)
-_LAYERED = (True, _draw_layered, _encode_layered, _decode_layered, True, 6)
+_FLOAT = (False, None, _encode_float, _decode_float, 0)  # quantized, ..., held
+_STOCHASTIC = (True, _draw_stochastic, _encode_stochastic, _decode_stochastic, 1)
+_LAYERED = (True, _draw_layered, _encode_layered, _decode_layered, 3)
 PIPELINES = {  # private, noisy, decaying, then the codec
     AlgorithmKind.LOCAL_SGD: Pipeline(False, False, False, *_FLOAT),
     AlgorithmKind.GAU_SGD: Pipeline(True, True, False, *_FLOAT),
@@ -362,18 +362,16 @@ class Simulation:
                     raise ConfigError(f"epsilon: {exc}") from None
 
     def _draw_chunk(self):
-        """One stream call per lane, the server's replay first, for the rounds from self.round on
-        that fit in training._BLOCK_BYTES (at least one): each round's rows its own draw's."""
+        """One stream call per lane for the rounds from self.round on that fit in
+        training._BLOCK_BYTES (at least one): each round's rows, read by its encode and decode."""
         cfg, p, n, d = self.config, self._pipeline, self.config.n_per_client, self.config.d
         steps = cfg.Q * self.batch_size if self.batch_size < n else 0
         fit = max(1, training._BLOCK_BYTES // (8 * cfg.B * (1 + steps + (p.noisy + p.held) * d)))
         rounds = np.arange(self.round, min(cfg.K, self.round + fit), dtype=np.uint64)
         clients = sample_clients(cfg.N, cfg.B, uniform_block(self.seed.lane("sample"), 0,
                                                              rounds, 0, 0))
-        batch = noise = code = replay = [None] * rounds.size
+        batch = noise = code = [None] * rounds.size
         rnd = rounds[:, None]
-        if p.replayed:  # the server's own draw, first: decoding never reads a client's array
-            replay = p.draw(self.seed, clients, rnd, d)
         if steps:
             u_batch = uniform_block(self.seed.lane("batch"), clients, rnd, 0,
                                     np.arange(steps, dtype=np.uint64))
@@ -383,7 +381,7 @@ class Simulation:
                                                np.arange(d, dtype=np.uint64), 0))
         if p.draw is not None:
             code = p.draw(self.seed, clients, rnd, d)
-        self._chunk = (self.round, list(zip(clients.tolist(), batch, noise, code, replay)))
+        self._chunk = (self.round, list(zip(clients.tolist(), batch, noise, code)))
 
     def run_round(self) -> RoundRecord:
         """One round. objective.trace_terms takes the queue of theta_k once trace_width rounds,
@@ -399,8 +397,7 @@ class Simulation:
         if not 0 <= k - self._chunk[0] < len(self._chunk[1]):
             self._draw_chunk()
         # Row i of every (B, ...) array below belongs to clients[i], ascending.
-        i = k - self._chunk[0]
-        clients, batch, noise, code, replay = self._chunk[1][i]
+        clients, batch, noise, code = self._chunk[1][k - self._chunk[0]]
         updates = stacked_local_rounds(self.objective, self.theta, clients, cfg.Q,
                                        cfg.eta, batch, cfg.divergence_ceiling)
 
@@ -434,7 +431,7 @@ class Simulation:
             WireMessage(cid, k, cfg.d, bits, self.algorithm, payload, scale)))
             for cid, (bits, payload, scale, _) in zip(clients, coded)]
         # The headers must be the round's schedule in order (the decode reads the chunk's
-        # replay rows in it), each width the one its scale needs, a clipped scale in the clip.
+        # rows in it), each width the one its scale needs, a clipped scale in the clip.
         ids, rnds, dims, widths, algos, _, scales = zip(*parsed)
         want = [("client_id", ids, tuple(clients)), ("round", rnds, (k,) * cfg.B),
                 ("dim", dims, (cfg.d,) * cfg.B), ("algorithm", algos, (self.algorithm,) * cfg.B)]
@@ -451,7 +448,7 @@ class Simulation:
                 raise InvalidParameterError(f"message {name} {bad} is outside round {k}'s schedule")
         # Rows added in turn to +0.0, as B separate decodes would give: np.add.reduce sums them
         # pairwise where d = 1, and np.add.accumulate steps column by column (slow at large d).
-        total = sum(p.decode(parsed, sigma, replay), 0.0)
+        total = sum(p.decode(parsed, sigma, code), 0.0)
         theta = self.theta + total / len(parsed)
         _check_divergence(theta[None], cfg.divergence_ceiling, "global")
         terms = evaluation.result() if evaluation else []  # a failed round changes nothing
@@ -482,7 +479,7 @@ class Simulation:
         records completed, however the run ends."""
         try:
             with training.beside(self.objective.shards[0].nbytes) as self._defer:
-                for _ in range(self.config.K):
+                for _ in range(self.round, self.config.K):
                     self.run_round()
         finally:  # nothing reads the last chunk's draws once the run ends
             self._defer, self._chunk = None, (0, [])

@@ -230,6 +230,18 @@ def test_cmd_run_rejects_negative_data_knobs(tmp_path, capsys, field):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("label_noise, ok", [(0.0, True), (0.1, False), (5.0, False)])
+def test_cmd_run_rejects_label_noise_on_logistic(tmp_path, capsys, label_noise, ok):
+    # Logistic labels are Bernoulli draws through a sigmoid: label_noise would change no byte.
+    cfg = _write_config(tmp_path, {"objective": "logistic", "label_noise": label_noise})
+    out = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == (0 if ok else 2)
+    if not ok:
+        assert capsys.readouterr().err == \
+            "config error: label_noise: must be 0 for the logistic objective (it has no effect)\n"
+        assert not out.exists()
+
+
 @pytest.mark.parametrize("batch_size, ok", [(0, True), (8, True), (9, False), (10**6, False)])
 def test_cmd_run_batch_size_at_most_the_shard(tmp_path, capsys, batch_size, ok):
     # 0 and n_per_client (8) both run full batch; a larger batch would too, silently.
@@ -407,9 +419,10 @@ _UP_TO_ONE = st.integers(-323, 0).map(lambda e: float(f"1e{e}"))
 @st.composite
 def _configs(draw):
     """Small configs of every algorithm, clip mode and objective, their real-valued knobs
-    10^e from float64's smallest subnormal to its top decade (delta and tau up to 1)."""
+    10^e from float64's smallest subnormal to its top decade (delta and tau up to 1), but
+    label_noise 0 on logistic data, which validate() rejects any other value for."""
     N, n = draw(st.integers(1, 12)), draw(st.integers(1, 6))
-    return dict(
+    data = dict(
         algorithm=draw(st.sampled_from(["local_sgd", "gau_sgd", "qg_sgd", "gau_lrq_sgd",
                                         "dynamic_gau_lrq_sgd"])),
         clip_mode=draw(st.sampled_from(["fixed", "median_adaptive"])),
@@ -420,6 +433,9 @@ def _configs(draw):
         **{name: draw(_MAGNITUDE) for name in ("eta", "epsilon", "s2", "divergence_ceiling")},
         **{name: draw(st.just(0.0) | _MAGNITUDE)
            for name in ("label_noise", "ridge", "heterogeneity")})
+    if data["objective"] == "logistic":
+        data["label_noise"] = 0.0
+    return data
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)

@@ -44,13 +44,13 @@ CASES = {f"criterion9_{algo}": dict(_CRITERION_9, algorithm=algo)
          for algo in ("local_sgd", "gau_sgd", "qg_sgd", "gau_lrq_sgd",
                       "dynamic_gau_lrq_sgd")}
 CASES["logistic_dynamic_gau_lrq_sgd_median"] = _LOGISTIC
-# Minibatch logistic with ridge, heterogeneity and label noise, through the
-# median-clipped stochastic quantizer.
+# Minibatch logistic with ridge and heterogeneity, through the median-clipped
+# stochastic quantizer. Logistic labels are Bernoulli draws, so label_noise stays 0.
 CASES["mix_qg_sgd_median"] = dict(
     algorithm="qg_sgd", clip_mode="median_adaptive", objective="logistic",
     N=20, B=7, Q=3, K=15, eta=0.1, epsilon=3.0, delta=1e-5, tau=0.8, s2=0.7,
     d=13, n_per_client=9, batch_size=4, ridge=0.01, heterogeneity=0.5,
-    label_noise=0.1, seed=5, run_id="mix")
+    label_noise=0.0, seed=5, run_id="mix")
 # Full-batch least squares with ridge and heterogeneity: the ridge term of the
 # full-batch local step and of the per-round evaluation.
 CASES["ridge_gau_lrq_sgd_full_batch"] = dict(
@@ -100,10 +100,10 @@ def test_trace_matches_golden(name, tmp_path):
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_worker_writes_the_inline_bytes(name, tmp_path, monkeypatch):
-    # _BLOCK_BYTES = 1 puts each round's evaluation and replay draw on run()'s worker;
-    # 1 TiB keeps the run inline, on one thread. Their bytes must be equal, and so the
-    # fixture's wherever the inline run writes them: only the BLAS thread count moves
-    # grad_sq_norm's last bits (the logistic case's at one thread).
+    # _BLOCK_BYTES = 1 puts each round's evaluation on run()'s worker; 1 TiB keeps the run
+    # inline, on one thread. Their bytes must be equal, and so the fixture's wherever the
+    # inline run writes them: only the BLAS thread count moves grad_sq_norm's last bits
+    # (the logistic case's at one thread).
     traces = []
     for block in (1, 1 << 40):
         monkeypatch.setattr(training, "_BLOCK_BYTES", block)

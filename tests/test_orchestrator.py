@@ -436,11 +436,10 @@ def test_round_engine_matches_per_client_oracle(case, algo, monkeypatch):
                         spy(orchestrator.stacked_local_rounds, stacked))
     monkeypatch.setattr(orchestrator, "serialize_message",
                         spy(orchestrator.serialize_message, wire))
-    replays = []
+    server = []
     monkeypatch.setattr(orchestrator, "lrq_reconstruct_rows",
-                        lambda *args: replays.append(args[2]) or _RECONSTRUCT(*args))
+                        lambda *args: server.append(args[2]) or _RECONSTRUCT(*args))
     record = sim.run_round()
-    server = replays[:]
     (updates,) = stacked
     assert updates.shape == (cfg.B, cfg.d) and len(wire) == cfg.B
     total = 0.0
@@ -462,19 +461,19 @@ def test_round_engine_matches_per_client_oracle(case, algo, monkeypatch):
             total = total + orchestrator.PIPELINES[msg.algorithm].decode(
                 [got], record.sigma_used, None)[0]
     assert sim.theta.tobytes() == (theta + total / cfg.B).tobytes()
-    # The server decoded the chunk's own replay rows, not the clients' rows, scaled by the
-    # round's sigma into fresh arrays; the two sides' rows share no memory.
-    _, _, _, code, replay = sim._chunk[1][k]
+    # The server decoded the chunk's read-only rows, the ones the clients encoded on, scaled
+    # by the round's sigma into fresh arrays that share no memory with them.
+    _, _, _, code = sim._chunk[1][k]
     if algo == "gau_lrq_sgd":
         (layer,) = server
         fields = (layer.x, layer.L, layer.R, layer.q_step)
-        want = _layer_at(record.sigma_used, replay)
+        want = _layer_at(record.sigma_used, code)
         assert [a.tobytes() for a in fields] == [
             a.tobytes() for a in (want.x, want.L, want.R, want.q_step)]
-        assert not any(np.shares_memory(a, b) for a in replay for b in code)
-        assert not any(np.shares_memory(a, b) for a in fields for b in (*replay, *code))
+        assert not any(a.flags.writeable for a in code)
+        assert not any(np.shares_memory(a, b) for a in fields for b in code)
     else:
-        assert server == [] and replay is None
+        assert server == []
 
 
 @pytest.mark.parametrize("algo", ["gau_sgd", "qg_sgd", "gau_lrq_sgd", "dynamic_gau_lrq_sgd"])
@@ -507,6 +506,27 @@ def test_simulation_holds_its_features_once():
     finally:
         tracemalloc.stop()
     assert held <= 1.25 * sim.objective.shards[0].nbytes
+
+
+def test_layered_run_peak_memory():
+    # d = 2^18 passes _EVAL_BYTES, so the evaluation takes one theta. A fixed-clip layered run
+    # at N = n = B = Q = K = 1 peaks at 11.04 float64s an element above what is live before
+    # run(), in the round: the chunk's three unit rows (x, L, R) and the round's 8.0 (update,
+    # layer at sigma, encode temporaries). The bound of 12 leaves 0.96 for numpy's small
+    # temporaries and bookkeeping (0.04 here), less than one more d-long float64 array: a
+    # second draw of the codec lane, kept beside the first, read 14.04.
+    d = 1 << 18
+    sim = build_simulation(_config(algorithm="gau_lrq_sgd", N=1, B=1, Q=1, K=1,
+                                   n_per_client=1, d=d, s2=1.0))
+    tracemalloc.start()
+    try:
+        live = tracemalloc.get_traced_memory()[0]
+        sim.run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sim.objective.shards[0].nbytes > training._EVAL_BYTES and len(sim.records) == 1
+    assert peak - live < 12 * 8 * d
 
 
 def test_local_sgd_converges_on_noiseless_problem():
@@ -544,11 +564,10 @@ _INV_NORM_CDF, _UNIFORM_BLOCK = orchestrator.inv_norm_cdf, orchestrator.uniform_
 def _run_in_chunks(monkeypatch, tmp_path, block_bytes, **kw):
     """One run under a byte bound on the stepper's blocks and the chunks of
     rounds: its artifacts' bytes, the first round of each chunk, and the
-    error it stopped on. Checks that every draw but the "init" lane's, the
-    server's included, is made by a chunk, one call per lane; that a chunk maps its
-    noise uniforms to normals in one call; and that the layered codecs sample
-    their layers twice in each chunk, the clients' and the server's, at sigma 1
-    in both clip modes, and never in a round."""
+    error it stopped on. Checks that every draw but the "init" lane's is made by
+    a chunk, one call per lane; that a chunk maps its noise uniforms to normals in
+    one call; and that the layered codecs sample their layers once in each chunk,
+    at sigma 1 in both clip modes, and never in a round."""
     monkeypatch.setattr(training, "_BLOCK_BYTES", block_bytes)
     wire, chunks, draws, layers, normals = [], [], [], [], []
     monkeypatch.setattr(orchestrator, "serialize_message",
@@ -573,16 +592,16 @@ def _run_in_chunks(monkeypatch, tmp_path, block_bytes, **kw):
     trace.to_summary_json(tmp_path / "summary.json")
     artifacts = [(tmp_path / name).read_bytes() for name in ("trace.csv", "summary.json")]
     # The "init" lane's draw at round 0, then each chunk's, all with a rounds axis, in call
-    # order: the round's clients, the server's replay of the layers, then the clients' lanes.
+    # order: the round's clients, then the lanes they draw.
     pipeline = PIPELINES[AlgorithmKind[cfg.algorithm.upper()]]
-    chunk = ["sample"] + ["quant"] * pipeline.replayed
-    chunk += ["batch"] * (0 < cfg.batch_size < cfg.n_per_client) + ["noise"] * pipeline.noisy
+    chunk = ["sample"] + ["batch"] * (0 < cfg.batch_size < cfg.n_per_client)
+    chunk += ["noise"] * pipeline.noisy
     chunk += {orchestrator._draw_stochastic: ["sq"], orchestrator._draw_layered: ["quant"]}.get(
         pipeline.draw, [])
     assert [lane for lane, _ in draws] == ["init"] + chunk * len(chunks)
     assert draws[0] == ("init", 0) and all(np.ndim(rounds) == 1 + (lane != "sample")
                                            for lane, rounds in draws[1:])
-    assert layers == [1.0] * (2 * pipeline.replayed * len(chunks))
+    assert layers == [1.0] * ((pipeline.draw is orchestrator._draw_layered) * len(chunks))
     assert len(normals) == 1 + pipeline.noisy * len(chunks)
     return artifacts + [trace.final_theta.tobytes(), wire, error], chunks
 
@@ -647,6 +666,27 @@ def test_run_drops_its_last_chunk(algo, kw, monkeypatch):
     assert [ref for ref in refs if ref() is not None] == []
 
 
+@pytest.mark.parametrize("side", ["encode", "decode"])
+def test_layered_rows_are_read_only(side):
+    # The clients' encode and the server's decode read the same unit rows of a chunk: a write
+    # into them by either side raises ValueError, and the failed round changes nothing.
+    sim = build_simulation(_config(algorithm="gau_lrq_sgd", N=10, B=3, K=4, d=4, s2=1.0))
+    sim.run_round()
+    code = sim._chunk[1][1][3]
+    assert len(code) == 3 and not any(a.flags.writeable for a in code)
+    theta, records = sim.theta.tobytes(), list(sim.records)
+    codec = getattr(sim._pipeline, side)
+
+    def scribble(msgs_or_V, sigma, unit):
+        unit[0][0, 0] = 0.0
+        return codec(msgs_or_V, sigma, unit)
+
+    sim._pipeline = sim._pipeline._replace(**{side: scribble})
+    with pytest.raises(ValueError, match="read-only"):
+        sim.run_round()
+    assert sim.theta.tobytes() == theta and sim.records == records and sim.round == 1
+
+
 # -- run()'s held worker -------------------------------------------------------
 
 def _spy_threads(monkeypatch, sim):
@@ -680,8 +720,8 @@ def _spy_threads(monkeypatch, sim):
 @pytest.mark.parametrize("clip_mode", ["fixed", "median_adaptive"])
 def test_evaluation_runs_on_the_worker_past_a_block(clip_mode, monkeypatch):
     # Data past _BLOCK_BYTES = 1 (a chunk a round): run() holds one worker thread for
-    # each round's evaluation; both codec draws, the server's replay first, and every
-    # layer sample, one in each draw in both clip modes, stay on the caller's. Joined at the end.
+    # each round's evaluation; the codec draw and its layer sample, one a chunk in both clip
+    # modes, stay on the caller's. Joined at the end.
     # Past _EVAL_BYTES = 1 the evaluation takes one theta, so each round makes one.
     monkeypatch.setattr(training, "_BLOCK_BYTES", 1)
     monkeypatch.setattr(training, "_EVAL_BYTES", 1)
@@ -693,11 +733,11 @@ def test_evaluation_runs_on_the_worker_past_a_block(clip_mode, monkeypatch):
     assert seen["pools"] == [1] and threading.active_count() == before
     (worker,) = set(seen["evaluation"]) - {caller}
     assert seen["evaluation"] == [worker] * 4
-    assert seen["draw"] == [caller] * 8 and seen["layer"] == [caller] * 8
+    assert seen["draw"] == [caller] * 4 and seen["layer"] == [caller] * 4
     # Each round submits its evaluation before it draws its chunk, so the worker evaluates
     # while the caller draws.
     assert [stage for stage, t in seen["order"] if t == caller] == [
-        "submit", "draw", "layer", "draw", "layer"] * 4
+        "submit", "draw", "layer"] * 4
 
 
 def test_no_thread_starts_under_a_block(monkeypatch):
@@ -725,7 +765,7 @@ def test_thread_census_of_gaulrq_run(clip_mode, monkeypatch, tmp_path):
     # gaulrq run on 2800 bytes of data in 4 slabs, with 280-byte client shards. Past a
     # _BLOCK_BYTES of 1000 exactly three pools of one thread each start, in this order:
     # synth_partition's upper slabs, run()'s evaluations and Objective.spec's optimum.
-    # The finiteness scan, the variance bound (whose blocks hold 3 shards) and the replay
+    # The finiteness scan, the variance bound (whose blocks hold 3 shards) and the codec
     # draw stay on the caller. Under the gate none starts. Either way no thread outlives
     # the call, and the artifacts are the same bytes.
     monkeypatch.setattr(training, "_SLAB", 100)
@@ -782,10 +822,10 @@ def test_divergence_with_the_worker_on_is_the_error_seen(kw, monkeypatch, tmp_pa
     assert (tmp_path / "out" / "t_trace.csv").read_bytes() == runs[0][0]
 
 
-@pytest.mark.parametrize("stage", ["evaluation", "replay"])
+@pytest.mark.parametrize("stage", ["evaluation", "draw"])
 def test_worker_error_is_raised_on_the_caller(stage, monkeypatch):
-    # An error on the worker is raised where its stage is read; the server's replay draw,
-    # made on the caller while the worker holds the round's evaluation, raises at once.
+    # An error on the worker is raised where its stage is read; the codec draw, made on
+    # the caller while the worker holds the round's evaluation, raises at once.
     # Either way the worker is joined, and the failed round leaves no record and the model
     # where it was. Past _EVAL_BYTES = 1 round 0 evaluates its own theta.
     monkeypatch.setattr(training, "_BLOCK_BYTES", 1)
@@ -798,7 +838,7 @@ def test_worker_error_is_raised_on_the_caller(stage, monkeypatch):
         if stage == "evaluation" and threading.get_ident() == caller:
             return original(*args)
         failed.append(threading.get_ident() != caller)
-        raise RuntimeError(f"{stage} failed")  # the replay: a chunk's first draw
+        raise RuntimeError(f"{stage} failed")  # the draw: a chunk's codec lane
 
     if stage == "evaluation":
         monkeypatch.setattr(sim.objective, "trace_terms", fail)
@@ -847,7 +887,7 @@ def test_header_outside_the_round_schedule_is_rejected(algo, field, value, monke
 @pytest.mark.parametrize("case", ["duplicate", "swap"])
 @pytest.mark.parametrize("algo", ["gau_sgd", "qg_sgd", "gau_lrq_sgd"])
 def test_headers_out_of_schedule_order_are_rejected(algo, case, monkeypatch):
-    # The server decodes the chunk's replay rows in schedule order, so header i
+    # The server decodes the chunk's rows in schedule order, so header i
     # must name client i: a repeated client or two swapped uploads are rejected.
     sim = build_simulation(_config(algorithm=algo, N=10, B=3, K=4, s2=1.0))
     sim.run_round()
@@ -1061,6 +1101,24 @@ def test_a_bare_round_returns_the_runs_record(algo):
     got = [sim.run_round() for _ in range(13)]
     assert all(math.isfinite(r.loss) and math.isfinite(r.grad_sq_norm) for r in got + want)
     assert got == want[:13] and sim.records == got
+
+
+@pytest.mark.parametrize("bare", [1, 13, 20])
+def test_run_after_bare_rounds_runs_the_rest(bare, tmp_path):
+    # run() after some bare run_round() calls runs the rounds left, none if none is: the
+    # records, trace CSV and theta are one run()'s, byte for byte.
+    cfg = ExperimentConfig.from_dict(dict(_ENGINE_CASES["criterion9"], algorithm="gau_lrq_sgd",
+                                          K=20))
+    runs = []
+    for rounds in (0, bare):
+        sim = build_simulation(cfg)
+        for _ in range(rounds):
+            sim.run_round()
+        trace = sim.run()
+        trace.to_csv(tmp_path / "trace.csv", cfg.algorithm)
+        runs.append((trace.records, (tmp_path / "trace.csv").read_bytes(),
+                     trace.final_theta.tobytes()))
+    assert len(runs[1][0]) == 20 and runs[1] == runs[0]
 
 
 def test_a_diverged_run_keeps_each_completed_rounds_terms(tmp_path):
