@@ -56,7 +56,14 @@ def _bound_report(config: ExperimentConfig, sim) -> dict:
     return dict(_bound_values(inp), inputs=dataclasses.asdict(inp))
 
 
+def _reason(exc: Exception) -> str:
+    """The error's message; numpy's MemoryError names only the array it could not allocate."""
+    oom = isinstance(exc, MemoryError)
+    return f"out of memory ({str(exc) or 'no detail'})" if oom else str(exc)
+
+
 def cmd_run(args) -> int:
+    sim = None
     try:
         flags = {k: v for k, v in (("seed", args.seed), ("algorithm", args.algo)) if v is not None}
         config = ExperimentConfig.from_dict({**load_json_object(args.config, "config"), **flags})
@@ -68,6 +75,12 @@ def cmd_run(args) -> int:
         for line in getattr(exc, "errors", None) or [str(exc)]:
             print(f"config error: {line}", file=sys.stderr)
         return 2
+    except MemoryError as exc:  # past the build, keep the rounds that completed before it
+        if sim is None:
+            print(f"config error: {_reason(exc)}", file=sys.stderr)
+            return 2
+        print(f"run error: round {sim.round}: {_reason(exc)}", file=sys.stderr)
+        trace = sim.trace(f"out of memory in round {sim.round}")
     except DivergedError as exc:  # keep the rounds that completed before it
         print(f"run error: {exc}", file=sys.stderr)
         trace = sim.trace(f"diverged in round {sim.round}")
@@ -84,7 +97,10 @@ def _artifact(out: str, config: ExperimentConfig, kind: str) -> str:
 
 
 def _check_out_dir(out: str, config: ExperimentConfig):
-    """ConfigError if ``out`` holds this stem's summary of another run (or an unreadable one)."""
+    """ConfigError if ``out`` is not a directory, or holds this stem's summary of another run
+    (or an unreadable one)."""
+    if os.path.lexists(out) and not os.path.isdir(out):
+        raise ConfigError(f"out-dir: {out} is not a directory")
     path = _artifact(out, config, "summary.json")
     if os.path.lexists(path):
         try:
@@ -105,8 +121,8 @@ def _write_artifacts(out: str, config: ExperimentConfig, sim, trace) -> int:
     print(f"wrote {summary_path}")
     try:  # built before the file opens, so a failed report leaves no partial file
         report = _bound_report(config, sim)
-    except InvalidParameterError as exc:
-        print(f"bound error: {exc}; {bounds_path} not written", file=sys.stderr)
+    except (InvalidParameterError, MemoryError) as exc:
+        print(f"bound error: {_reason(exc)}; {bounds_path} not written", file=sys.stderr)
         return 1
     with open(bounds_path, "w", encoding="utf-8") as fh:
         json.dump(report, fh, indent=2, sort_keys=True)

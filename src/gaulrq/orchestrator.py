@@ -10,11 +10,11 @@ A round runs its B clients as one (B, d) pipeline, from the batch rows to
 the server's sum; its PIPELINES row says what the algorithm does and sends. A
 chunk of rounds draws first, one stream call per lane with a rounds and a client
 axis, and keeps what they consume: batch rows, noise normals and the layers at
-sigma = 1, read-only, which a round's encode and decode both read and scale by its
-sigma, fixed or set from its norms. The parsed headers must be the round's schedule
-in order, with the widths and scales the server can recompute or bound. Norms, clipping,
-scales, widths, codecs and bit packing are row-wise (packing one per distinct width);
-the wire carries one message a client.
+sigma = 1, read-only. A round puts them at its sigma, fixed or set from its norms, once:
+its encode and decode both read that one read-only layer. The parsed headers must be the
+round's schedule in order, with the widths and scales the server can recompute or bound.
+Norms, clipping, scales, widths, codecs and bit packing are row-wise (packing one per
+distinct width); the wire carries one message a client.
 """
 
 from __future__ import annotations
@@ -171,12 +171,12 @@ def parse_message(data: bytes) -> WireMessage:
     return WireMessage(client_id, rnd, dim, bits, algorithm, data[offset:], scale)
 
 
-# -- codecs: draw(seed, client_ids, rounds, d) -> per round, the rows of the codec's lane
-# that encode and decode read; the layered draw samples its layers at sigma = 1 and keeps x, L
-# and R read-only. encode(V, sigma, rows) -> one (width, payload, scale, clamps) per row of V;
-# decode(messages, sigma, rows) -> (B, d), its mirror, from the same rows in schedule order
-# (the float and stochastic decodes ignore them). The layered pair scales its rows by the
-# round's sigma, each into arrays of its own. Layer functions are module globals to them.
+# -- codecs: draw(seed, client_ids, rounds, d) -> per round, the rows of the codec's lane;
+# the layered draw keeps its layers at sigma = 1, x, L and R, read-only. at(sigma, rows), once a
+# round, puts them at sigma: one read-only layer of x, R and q_step. encode(V, sigma, rows) ->
+# one (width, payload, scale, clamps) per row of V, and decode(messages, rows) -> (B, d), its
+# mirror, read the same rows (the float and stochastic decodes ignore them), in schedule order.
+# Layer functions are module globals to them.
 
 def _encode_float(V, sigma, rows):
     with np.errstate(over="ignore"):
@@ -186,7 +186,7 @@ def _encode_float(V, sigma, rows):
     return [(FLOAT_BITS, row.tobytes(), 0.0, 0) for row in V]
 
 
-def _decode_float(msgs, sigma, rows):
+def _decode_float(msgs, rows):
     return np.stack([np.frombuffer(m.payload, "<f4") for m in msgs]).astype(np.float64)
 
 
@@ -201,7 +201,7 @@ def _encode_stochastic(V, sigma, uniforms):
     return list(zip(widths.tolist(), pack_indices(idx, widths), scales.tolist(), [0] * len(V)))
 
 
-def _decode_stochastic(msgs, sigma, uniforms):
+def _decode_stochastic(msgs, uniforms):
     widths = np.array([m.bits_per_element for m in msgs])
     idx = unpack_indices([m.payload for m in msgs], msgs[0].dim, widths)
     return stochastic_dequantize(idx + np.left_shift(1, widths - 1)[:, None], widths,
@@ -214,15 +214,15 @@ def _draw_layered(seed, ids, rnd, d):
     return list(zip(layer.x, layer.L, layer.R))
 
 
-def _encode_layered(V, sigma, unit):
-    idx, widths, scales, clamps = lrq_quantize_rows(V, sigma, _layer_at(sigma, unit))
+def _encode_layered(V, sigma, layer):
+    idx, widths, scales, clamps = lrq_quantize_rows(V, sigma, layer)
     return list(zip(widths, pack_indices(idx, widths), scales, clamps.tolist()))
 
 
-def _decode_layered(msgs, sigma, unit):
+def _decode_layered(msgs, layer):
     idx = unpack_indices([m.payload for m in msgs], msgs[0].dim,
                          [m.bits_per_element for m in msgs], signed=False)
-    return lrq_reconstruct_rows(idx, [m.scale for m in msgs], _layer_at(sigma, unit))
+    return lrq_reconstruct_rows(idx, [m.scale for m in msgs], layer)
 
 
 class Pipeline(NamedTuple):
@@ -232,14 +232,15 @@ class Pipeline(NamedTuple):
     decaying: bool   # sigma_k follows the tau^{k/4} schedule, not the even split
     quantized: bool  # sends integer indices and a float64 scale, not float32
     draw: Callable | None  # None: the codec draws nothing
+    at: Callable | None    # (sigma, rows) -> the round's rows at sigma; None: the draw's rows
     encode: Callable
     decode: Callable
     held: int        # float64s an element the codec draw keeps (layered: x, L, R at sigma 1)
 
 
-_FLOAT = (False, None, _encode_float, _decode_float, 0)  # quantized, ..., held
-_STOCHASTIC = (True, _draw_stochastic, _encode_stochastic, _decode_stochastic, 1)
-_LAYERED = (True, _draw_layered, _encode_layered, _decode_layered, 3)
+_FLOAT = (False, None, None, _encode_float, _decode_float, 0)  # quantized, ..., held
+_STOCHASTIC = (True, _draw_stochastic, None, _encode_stochastic, _decode_stochastic, 1)
+_LAYERED = (True, _draw_layered, _layer_at, _encode_layered, _decode_layered, 3)
 PIPELINES = {  # private, noisy, decaying, then the codec
     AlgorithmKind.LOCAL_SGD: Pipeline(False, False, False, *_FLOAT),
     AlgorithmKind.GAU_SGD: Pipeline(True, True, False, *_FLOAT),
@@ -363,7 +364,7 @@ class Simulation:
 
     def _draw_chunk(self):
         """One stream call per lane for the rounds from self.round on that fit in
-        training._BLOCK_BYTES (at least one): each round's rows, read by its encode and decode."""
+        training._BLOCK_BYTES (at least one): each round's rows, for its encode and decode."""
         cfg, p, n, d = self.config, self._pipeline, self.config.n_per_client, self.config.d
         steps = cfg.Q * self.batch_size if self.batch_size < n else 0
         fit = max(1, training._BLOCK_BYTES // (8 * cfg.B * (1 + steps + (p.noisy + p.held) * d)))
@@ -421,6 +422,7 @@ class Simulation:
         if p.noisy:
             with np.errstate(over="ignore"):  # past float32's range: the encode's error
                 updates = updates + sigma * noise
+        code = p.at(sigma, code) if p.at else code  # one read-only layer both sides read
         try:
             coded = p.encode(updates, sigma, code)  # (width, payload, scale, clamps) a row
         except InvalidParameterError as exc:  # a width past MAX_BITS: the round's range did it
@@ -430,7 +432,7 @@ class Simulation:
         parsed = [parse_message(serialize_message(
             WireMessage(cid, k, cfg.d, bits, self.algorithm, payload, scale)))
             for cid, (bits, payload, scale, _) in zip(clients, coded)]
-        # The headers must be the round's schedule in order (the decode reads the chunk's
+        # The headers must be the round's schedule in order (the decode reads the round's
         # rows in it), each width the one its scale needs, a clipped scale in the clip.
         ids, rnds, dims, widths, algos, _, scales = zip(*parsed)
         want = [("client_id", ids, tuple(clients)), ("round", rnds, (k,) * cfg.B),
@@ -448,7 +450,7 @@ class Simulation:
                 raise InvalidParameterError(f"message {name} {bad} is outside round {k}'s schedule")
         # Rows added in turn to +0.0, as B separate decodes would give: np.add.reduce sums them
         # pairwise where d = 1, and np.add.accumulate steps column by column (slow at large d).
-        total = sum(p.decode(parsed, sigma, code), 0.0)
+        total = sum(p.decode(parsed, code), 0.0)
         theta = self.theta + total / len(parsed)
         _check_divergence(theta[None], cfg.divergence_ceiling, "global")
         terms = evaluation.result() if evaluation else []  # a failed round changes nothing

@@ -49,11 +49,12 @@ class LayerSample:
 
     ``x`` is the dither coordinate and [L, R] the layer: e^(-(end/sigma)^2/2) is the
     drawn height y0 at its end on x's side and 1 - y0 at the other; q_step = R - L.
-    Fields may be scalars or aligned arrays (one layer per element).
+    Fields may be scalars or aligned arrays (one layer per element). A round's layer
+    (_layer_at) has no L: the codec reads x, R and q_step alone.
     """
 
     x: np.ndarray
-    L: np.ndarray
+    L: np.ndarray | None
     R: np.ndarray
     q_step: np.ndarray
 
@@ -128,12 +129,14 @@ def sample_layer(sigma: float, uniforms) -> LayerSample:
 
 
 def _layer_at(sigma: float, unit) -> LayerSample:
-    """In fresh arrays, sample_layer(sigma, u) from the (x, L, R) of sample_layer(1.0, u), bit for
-    bit: it scales last, and copysign, negation, max and min commute with a product by sigma > 0."""
-    x, L, R, q_step = out = np.empty((4, *np.shape(unit[0])))  # 1 block: 4 cost ~2 ms at d=1e5
-    for a, b in zip(unit, out):
+    """sample_layer(sigma, u) from sample_layer(1.0, u)'s (x, L, R), bit for bit, in one read-only
+    block with no L: it scales last, and copysign, negation, max and min commute with * sigma."""
+    out = np.empty((3, *np.shape(unit[0])))  # x, R and q_step in one allocation
+    for a, b in zip((unit[0], unit[2], unit[1]), out):  # L * sigma goes in q_step's slot
         np.multiply(a, sigma, out=b)
-    return LayerSample(x, L, R, np.subtract(R, L, out=q_step))
+    np.subtract(out[1], out[2], out=out[2])  # R - L, as sample_layer forms it
+    out.flags.writeable = False
+    return LayerSample(out[0], None, *out[1:])
 
 
 def lrq_encode(u, layer: LayerSample):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaulrq import training
+from gaulrq import cli, orchestrator, training
 from gaulrq.analysis import BoundInputs
 from gaulrq.cli import _bound_report, main
 from gaulrq.config import MAX_FLOATS, MAX_ROUNDS, ExperimentConfig, build_simulation, load_config
@@ -563,14 +563,75 @@ def test_cmd_run_run_id_at_the_name_limit_runs(tmp_path):
     assert (tmp_path / "out" / ("x" * 242 + "_summary.json")).exists()
 
 
-def test_cmd_run_out_dir_that_is_a_file_is_one_error_line(tmp_path, capsys):
+def test_cmd_run_out_dir_that_is_a_file_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # Rejected before the build, so no run is made only to be lost.
     cfg = _write_config(tmp_path)
     out = tmp_path / "taken"
     out.write_text("")
+    monkeypatch.setattr(cli, "build_simulation", lambda config: pytest.fail("built"))
     assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
     err = capsys.readouterr().err
-    assert err == f"error: cannot write {out}: File exists\n"
+    assert err == f"config error: out-dir: {out} is not a directory\n"
     assert out.read_text() == ""
+
+
+def test_cmd_run_unwritable_out_dir_is_one_error_line(tmp_path, capsys):
+    # A parent that is a file: the directory cannot be made, which shows only when it is.
+    cfg = _write_config(tmp_path)
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: cannot write {out}: Not a directory\n"
+
+
+_NO_MEMORY = "Unable to allocate 8.00 GiB for an array with shape (1073741824,) and data type float64"
+
+
+def _run_out_of_memory(tmp_path, monkeypatch, target, name, after=0):
+    """cmd_run on MINIMAL with ``target.name`` raising MemoryError from its call after + 1 on:
+    the exit status and the out-dir."""
+    calls, fn = [], getattr(target, name)
+
+    def short(*args, **kwargs):
+        calls.append(None)
+        if len(calls) > after:
+            raise MemoryError(_NO_MEMORY)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(target, name, short)
+    out = tmp_path / "out"
+    status = main(["run", "--config", _write_config(tmp_path), "--out-dir", str(out)])
+    return status, out
+
+
+def test_cmd_run_out_of_memory_in_a_round_keeps_the_completed_rounds(tmp_path, capsys,
+                                                                      monkeypatch):
+    status, out = _run_out_of_memory(tmp_path, monkeypatch, orchestrator,
+                                     "stacked_local_rounds", after=2)
+    assert status == 1
+    assert capsys.readouterr().err == f"run error: round 2: out of memory ({_NO_MEMORY})\n"
+    assert sorted(p.name for p in out.iterdir()) == [
+        "cli-test_bounds.json", "cli-test_summary.json", "cli-test_trace.csv"]
+    summary = json.loads((out / "cli-test_summary.json").read_text())
+    assert summary["stop_reason"] == "out of memory in round 2" and summary["rounds_run"] == 2
+    assert len((out / "cli-test_trace.csv").read_text().splitlines()) == 3
+
+
+def test_cmd_run_out_of_memory_in_the_bound_report(tmp_path, capsys, monkeypatch):
+    status, out = _run_out_of_memory(tmp_path, monkeypatch, training.Objective, "spec")
+    assert status == 1
+    assert capsys.readouterr().err == (f"bound error: out of memory ({_NO_MEMORY}); "
+                                       f"{out / 'cli-test_bounds.json'} not written\n")
+    assert sorted(p.name for p in out.iterdir()) == ["cli-test_summary.json",
+                                                     "cli-test_trace.csv"]
+    summary = json.loads((out / "cli-test_summary.json").read_text())
+    assert summary["stop_reason"] == "completed" and summary["rounds_run"] == 4
+
+
+def test_cmd_run_out_of_memory_in_the_build(tmp_path, capsys, monkeypatch):
+    status, out = _run_out_of_memory(tmp_path, monkeypatch, cli, "build_simulation")
+    assert status == 2 and not out.exists()
+    assert capsys.readouterr().err == f"config error: out of memory ({_NO_MEMORY})\n"
 
 
 def test_out_dir_env_default(tmp_path, monkeypatch):

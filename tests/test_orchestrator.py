@@ -245,8 +245,9 @@ def test_parsed_scale_is_the_inf_norm_bit_for_bit(algo, c):
     # Rows of thirds: no float32 holds their inf-norms, at any magnitude c.
     pipeline = orchestrator.PIPELINES[algo]
     V = c * np.random.default_rng(3).standard_normal((5, 7)) / 3.0
-    # A chunk of one round: its rows, as encode reads them and scales by sigma c.
+    # A chunk of one round: its rows, put at sigma c as the round puts them before encode.
     (rows,) = pipeline.draw(SeedMaterial(0, "scale"), np.arange(5)[None], [[2]], 7)
+    rows = pipeline.at(c, rows) if pipeline.at else rows
     for i, (bits, payload, scale, _) in enumerate(pipeline.encode(V, c, rows)):
         raw = serialize_message(WireMessage(i, 2, 7, bits, algo, payload, scale=scale))
         got = parse_message(raw).scale
@@ -383,7 +384,7 @@ def test_local_sgd_is_gradient_descent_step():
     assert np.allclose(sim.theta, theta0 - cfg.eta * grad, atol=1e-6)
 
 
-_RECONSTRUCT = orchestrator.lrq_reconstruct_rows
+_QUANTIZE, _RECONSTRUCT = orchestrator.lrq_quantize_rows, orchestrator.lrq_reconstruct_rows
 _ENGINE_CASES = {
     # Criterion 9: minibatch least squares.
     "criterion9": dict(N=100, B=10, Q=5, K=50, eta=0.05, epsilon=2.0, delta=1e-5,
@@ -436,7 +437,9 @@ def test_round_engine_matches_per_client_oracle(case, algo, monkeypatch):
                         spy(orchestrator.stacked_local_rounds, stacked))
     monkeypatch.setattr(orchestrator, "serialize_message",
                         spy(orchestrator.serialize_message, wire))
-    server = []
+    encoded, server = [], []  # the layers the clients encoded on and the server decoded on
+    monkeypatch.setattr(orchestrator, "lrq_quantize_rows",
+                        lambda *args: encoded.append(args[2]) or _QUANTIZE(*args))
     monkeypatch.setattr(orchestrator, "lrq_reconstruct_rows",
                         lambda *args: server.append(args[2]) or _RECONSTRUCT(*args))
     record = sim.run_round()
@@ -458,22 +461,21 @@ def test_round_engine_matches_per_client_oracle(case, algo, monkeypatch):
             idx = unpack_indices(got.payload, cfg.d, got.bits_per_element, signed=False)
             total = total + _RECONSTRUCT(idx[None], [got.scale], layer)[0]
         else:
-            total = total + orchestrator.PIPELINES[msg.algorithm].decode(
-                [got], record.sigma_used, None)[0]
+            total = total + orchestrator.PIPELINES[msg.algorithm].decode([got], None)[0]
     assert sim.theta.tobytes() == (theta + total / cfg.B).tobytes()
-    # The server decoded the chunk's read-only rows, the ones the clients encoded on, scaled
-    # by the round's sigma into fresh arrays that share no memory with them.
+    # The server decoded the layer the clients encoded on: the chunk's read-only rows put at
+    # the round's sigma once, read-only, in arrays that share no memory with the rows.
     _, _, _, code = sim._chunk[1][k]
     if algo == "gau_lrq_sgd":
         (layer,) = server
-        fields = (layer.x, layer.L, layer.R, layer.q_step)
+        assert len(encoded) == 1 and encoded[0] is layer
+        fields = (layer.x, layer.R, layer.q_step)
         want = _layer_at(record.sigma_used, code)
-        assert [a.tobytes() for a in fields] == [
-            a.tobytes() for a in (want.x, want.L, want.R, want.q_step)]
-        assert not any(a.flags.writeable for a in code)
+        assert [a.tobytes() for a in fields] == [a.tobytes() for a in (want.x, want.R, want.q_step)]
+        assert not any(a.flags.writeable for a in (*code, *fields))
         assert not any(np.shares_memory(a, b) for a in fields for b in code)
     else:
-        assert server == []
+        assert encoded == server == []
 
 
 @pytest.mark.parametrize("algo", ["gau_sgd", "qg_sgd", "gau_lrq_sgd", "dynamic_gau_lrq_sgd"])
@@ -508,16 +510,19 @@ def test_simulation_holds_its_features_once():
     assert held <= 1.25 * sim.objective.shards[0].nbytes
 
 
-def test_layered_run_peak_memory():
-    # d = 2^18 passes _EVAL_BYTES, so the evaluation takes one theta. A fixed-clip layered run
-    # at N = n = B = Q = K = 1 peaks at 11.04 float64s an element above what is live before
-    # run(), in the round: the chunk's three unit rows (x, L, R) and the round's 8.0 (update,
-    # layer at sigma, encode temporaries). The bound of 12 leaves 0.96 for numpy's small
-    # temporaries and bookkeeping (0.04 here), less than one more d-long float64 array: a
-    # second draw of the codec lane, kept beside the first, read 14.04.
+@pytest.mark.parametrize("clip_mode, eta", [("fixed", 0.05), ("median_adaptive", 1e-4)],
+                         ids=["fixed", "median_adaptive"])
+def test_layered_run_peak_memory(clip_mode, eta):
+    # d = 2^18 passes _EVAL_BYTES, so the evaluation takes one theta. A layered run at
+    # N = n = B = Q = K = 1 peaks at 10.04 float64s an element above what is live before
+    # run(), in either clip mode, in the round: the chunk's three unit rows (x, L, R) and the
+    # round's 7.0 (update, its one layer of x, R and q_step at sigma, encode temporaries).
+    # The bound of 11 leaves 0.96 for numpy's small temporaries and bookkeeping (0.04 here),
+    # less than one more d-long float64 array: a layer at sigma per side, or one holding
+    # L * sigma, read 11.04. (At eta = 0.05 a median-clipped run diverges at this d.)
     d = 1 << 18
-    sim = build_simulation(_config(algorithm="gau_lrq_sgd", N=1, B=1, Q=1, K=1,
-                                   n_per_client=1, d=d, s2=1.0))
+    sim = build_simulation(_config(algorithm="gau_lrq_sgd", clip_mode=clip_mode, eta=eta, N=1,
+                                   B=1, Q=1, K=1, n_per_client=1, d=d, s2=1.0))
     tracemalloc.start()
     try:
         live = tracemalloc.get_traced_memory()[0]
@@ -526,7 +531,7 @@ def test_layered_run_peak_memory():
     finally:
         tracemalloc.stop()
     assert sim.objective.shards[0].nbytes > training._EVAL_BYTES and len(sim.records) == 1
-    assert peak - live < 12 * 8 * d
+    assert peak - live < 11 * 8 * d
 
 
 def test_local_sgd_converges_on_noiseless_problem():
@@ -668,23 +673,47 @@ def test_run_drops_its_last_chunk(algo, kw, monkeypatch):
 
 @pytest.mark.parametrize("side", ["encode", "decode"])
 def test_layered_rows_are_read_only(side):
-    # The clients' encode and the server's decode read the same unit rows of a chunk: a write
-    # into them by either side raises ValueError, and the failed round changes nothing.
+    # The chunk's unit rows are read-only, and so is the round's layer that the clients' encode
+    # and the server's decode both read: a write into any of its arrays by either side raises
+    # ValueError, and the failed round changes nothing.
     sim = build_simulation(_config(algorithm="gau_lrq_sgd", N=10, B=3, K=4, d=4, s2=1.0))
     sim.run_round()
     code = sim._chunk[1][1][3]
     assert len(code) == 3 and not any(a.flags.writeable for a in code)
     theta, records = sim.theta.tobytes(), list(sim.records)
     codec = getattr(sim._pipeline, side)
+    for name in ("x", "R", "q_step"):
 
-    def scribble(msgs_or_V, sigma, unit):
-        unit[0][0, 0] = 0.0
-        return codec(msgs_or_V, sigma, unit)
+        def scribble(*args):
+            getattr(args[-1], name)[0, 0] = 0.0
+            return codec(*args)
 
-    sim._pipeline = sim._pipeline._replace(**{side: scribble})
-    with pytest.raises(ValueError, match="read-only"):
-        sim.run_round()
-    assert sim.theta.tobytes() == theta and sim.records == records and sim.round == 1
+        sim._pipeline = sim._pipeline._replace(**{side: scribble})
+        with pytest.raises(ValueError, match="read-only"):
+            sim.run_round()
+        assert sim.theta.tobytes() == theta and sim.records == records and sim.round == 1
+
+
+@pytest.mark.parametrize("algo, clip_mode", [("gau_lrq_sgd", "fixed"),
+                                             ("dynamic_gau_lrq_sgd", "median_adaptive")])
+def test_one_layer_a_round(algo, clip_mode):
+    # Each round puts its unit rows at its sigma once: encode and decode get that one
+    # read-only (3, B, d) block of x, R and q_step.
+    sim = build_simulation(_config(algorithm=algo, clip_mode=clip_mode, N=10, B=3, K=5, d=4,
+                                   s2=1.0))
+    p, layers, read = sim._pipeline, [], []  # what at returned; what encode and decode read
+
+    def reader(codec):
+        return lambda *args: read.append(args[-1]) or codec(*args)
+
+    sim._pipeline = p._replace(at=lambda *args: layers.append(p.at(*args)) or layers[-1],
+                               encode=reader(p.encode), decode=reader(p.decode))
+    sim.run()
+    assert len(sim.records) == len(layers) == 5 and len(read) == 10
+    for layer, enc, dec in zip(layers, read[::2], read[1::2]):
+        assert enc is layer and dec is layer and layer.L is None
+        assert layer.x.base.shape == (3, 3, 4) and not layer.x.base.flags.writeable
+        assert all(a.base is layer.x.base for a in (layer.R, layer.q_step))
 
 
 # -- run()'s held worker -------------------------------------------------------

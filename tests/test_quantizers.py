@@ -133,15 +133,17 @@ _LOG2_SIGMA = (-1074.0, math.log2(MAX_SIGMA))  # 5e-324 = 2^-1074
 @example(e=_LOG2_SIGMA[1], u=[(0.5, 0.5)])
 def test_layer_at_sigma_is_the_unit_layer_scaled(e, u):
     # sigma log-uniform over [5e-324, MAX_SIGMA], with both ends; every example also takes
-    # the grid of edge uniforms. x, L, R and q_step are compared byte for byte, so -0.0
-    # and +0.0 differ.
+    # the grid of edge uniforms. x, R and q_step, all the round's layer holds, are compared
+    # byte for byte, so -0.0 and +0.0 differ, and are read-only.
     sigma = min(max(2.0**e, 5e-324), MAX_SIGMA)
     grid = [(a, b) for a in _EDGE_UNIFORMS for b in _EDGE_UNIFORMS]
     u1, u2 = (np.array(col) for col in zip(*(u + grid)))
     unit, want = sample_layer(1.0, (u1, u2)), sample_layer(sigma, (u1, u2))
     got = _layer_at(sigma, (unit.x, unit.L, unit.R))
-    for name in ("x", "L", "R", "q_step"):
+    assert got.L is None
+    for name in ("x", "R", "q_step"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+        assert not getattr(got, name).flags.writeable, name
 
 
 def test_sample_layer_rejects_sigma_above_ceiling():
