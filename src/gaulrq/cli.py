@@ -97,10 +97,13 @@ def _artifact(out: str, config: ExperimentConfig, kind: str) -> str:
 
 
 def _check_out_dir(out: str, config: ExperimentConfig):
-    """ConfigError if ``out`` is not a directory, or holds this stem's summary of another run
-    (or an unreadable one)."""
-    if os.path.lexists(out) and not os.path.isdir(out):
-        raise ConfigError(f"out-dir: {out} is not a directory")
+    """ConfigError if ``out``, or the nearest of its ancestors that exists, is not a directory,
+    or if ``out`` holds this stem's summary of another run (or an unreadable one)."""
+    existing = out
+    while existing and not os.path.lexists(existing):  # "": a relative path's working directory
+        existing = os.path.dirname(existing)
+    if existing and not os.path.isdir(existing):
+        raise ConfigError(f"out-dir: {existing} is not a directory")
     path = _artifact(out, config, "summary.json")
     if os.path.lexists(path):
         try:

@@ -1,8 +1,9 @@
-"""Experiment configuration and the end-to-end experiment runner."""
+"""Experiment configuration, the one gate for what can run, and the end-to-end runner."""
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import numbers
@@ -12,8 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
-from .orchestrator import PIPELINES, RunTrace, Simulation
+from .errors import ConfigError, InvalidParameterError
+from .orchestrator import PIPELINES, AlgorithmKind, RunTrace, Simulation
+from .privacy import noise_schedule
+from .quantizers import MAX_SIGMA, bit_width
 from .training import OBJECTIVE_KINDS
 
 # Caps, in float64 values (2 GiB each), on the (N, n, d) shards and on the B * Q *
@@ -24,9 +27,9 @@ MAX_FLOATS = 2**28
 MAX_ROUNDS = 10**7
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
-    """One experiment, fully determined together with the seed."""
+    """One experiment, fully determined with the seed: checked when made, schedule included."""
 
     algorithm: str = "gau_lrq_sgd"
     N: int = 100
@@ -50,15 +53,36 @@ class ExperimentConfig:
     run_id: str = ""
     divergence_ceiling: float = 1e6
 
+    def __post_init__(self):
+        self.validate()
+
     @classmethod
     def from_dict(cls, data: dict) -> "ExperimentConfig":
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:
             raise ConfigError([f"{key}: unknown configuration key" for key in unknown])
-        cfg = cls(**data)
-        cfg.validate()
-        return cfg
+        return cls(**data)
+
+    @functools.cached_property
+    def schedule(self):
+        """(sigmas, eps_cum) of noise_schedule, None for local_sgd (S2: s2 under fixed clipping,
+        1 under median; tau on the decaying pipelines only); ConfigError if no round can code it."""
+        p = PIPELINES[AlgorithmKind[self.algorithm.upper()]]
+        if not p.private:
+            return None
+        s2 = self.s2 if self.clip_mode == "fixed" else 1.0  # a round's median rescales S2 = 1
+        try:
+            sigmas, eps_cum = noise_schedule(s2, self.K, self.B, self.N, self.epsilon,
+                                             self.delta, self.tau if p.decaying else 1.0)
+            top = sigmas.max()  # a later, narrower sigma past MAX_BITS is its round's DivergedError
+            if p.quantized and self.clip_mode == "fixed" and top > MAX_SIGMA:
+                raise ConfigError(f"epsilon: sigma {top:.6g} exceeds the codec's {MAX_SIGMA:.6g}")
+            if p.quantized and top <= MAX_SIGMA:  # else a median clip rescales it, in its round
+                bit_width(s2, top)  # over MAX_BITS at the clip bound: no round can code one
+        except InvalidParameterError as exc:  # the field checks leave only these
+            raise ConfigError(f"epsilon: {exc}") from None
+        return sigmas, eps_cum
 
     def validate(self):
         errors = self._type_errors()
@@ -97,8 +121,8 @@ class ExperimentConfig:
             errors.append("tau: must lie in (0, 1]")
         if self.clip_mode not in ("fixed", "median_adaptive"):
             errors.append("clip_mode: must be 'fixed' or 'median_adaptive'")
-        elif self.clip_mode == "fixed" and self.s2 <= 0:
-            errors.append("s2: must be > 0 for fixed clipping")
+        if self.s2 <= 0:  # the clip bound, and the bound report's S2 in either mode
+            errors.append("s2: must be > 0")
         if self.objective not in OBJECTIVE_KINDS:
             errors.append(f"objective: must be one of {OBJECTIVE_KINDS}")
         for name in ("label_noise", "ridge", "heterogeneity"):
@@ -125,6 +149,7 @@ class ExperimentConfig:
             errors.append("run_id: must encode, with no NUL, to file names of at most 255 bytes")
         if errors:
             raise ConfigError(errors)
+        self.schedule  # its checks read fields that passed theirs
 
     def _type_errors(self) -> list[str]:
         """One message per field whose value is not of its default's type
@@ -162,8 +187,7 @@ def load_config(path: str) -> ExperimentConfig:
 
 
 def build_simulation(config: ExperimentConfig) -> Simulation:
-    """Validate ``config`` and build its Simulation (data, start point, schedule)."""
-    config.validate()
+    """``config``'s Simulation: its data and start point, and the schedule the config checked."""
     return Simulation(config)
 
 

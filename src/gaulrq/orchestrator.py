@@ -29,9 +29,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import training
-from .errors import ConfigError, DivergedError, InvalidParameterError
+from .errors import DivergedError, InvalidParameterError
 from .normal import inv_norm_cdf
-from .privacy import clip_ceiling, clip_update, l2_norms, median_clip_bound, noise_schedule
+from .privacy import clip_ceiling, clip_update, l2_norms, median_clip_bound
 from .quantizers import (MAX_BITS, MAX_SIGMA, _layer_at, bit_width, lrq_quantize_rows,
                          lrq_reconstruct_rows, sample_layer, stochastic_dequantize,
                          stochastic_round)
@@ -320,8 +320,8 @@ class RunTrace:
 
 
 class Simulation:
-    """One experiment, built from its validated ExperimentConfig: the seed, the
-    synthetic shards' Objective, the "init"-lane start point, the sigma
+    """One experiment, built from an ExperimentConfig, which checked itself when made: the
+    seed, the synthetic shards' Objective, the "init"-lane start point, the config's sigma
     schedule with its cumulative-epsilon ledger, and the server state per round."""
 
     def __init__(self, config):
@@ -343,24 +343,8 @@ class Simulation:
         self._chunk = (0, [])  # (first round, per-round draws), by run_round
         self._defer = None  # run()'s deferral, fn(*args) -> .result(); None outside run()
         self._queue, self._evaluated = [], 0  # thetas of the records from _evaluated on
-        if self._pipeline.private:  # median-adaptive rounds rescale the S2=1 schedule
-            s2 = config.s2 if config.clip_mode == "fixed" else 1.0
-            try:
-                self._sigmas, self._eps_cum = noise_schedule(
-                    s2, config.K, config.B, config.N, config.epsilon, config.delta,
-                    config.tau if self._pipeline.decaying else 1.0)
-            except InvalidParameterError as exc:  # validate() leaves only over/underflow
-                raise ConfigError(f"epsilon: {exc}") from None
-            top = self._sigmas.max()  # the codec's sigma, unless a median clip rescales it
-            if self._pipeline.quantized and config.clip_mode == "fixed" and top > MAX_SIGMA:
-                raise ConfigError(f"epsilon: sigma {top:.6g} exceeds the codec's {MAX_SIGMA:.6g}")
-            # At the widest sigma an update at the clip bound needs over MAX_BITS: no round can
-            # code one. A later round's narrower sigma is that round's DivergedError.
-            if self._pipeline.quantized and top <= MAX_SIGMA:
-                try:
-                    bit_width(s2, top)
-                except InvalidParameterError as exc:
-                    raise ConfigError(f"epsilon: {exc}") from None
+        if self._pipeline.private:
+            self._sigmas, self._eps_cum = config.schedule
 
     def _draw_chunk(self):
         """One stream call per lane for the rounds from self.round on that fit in

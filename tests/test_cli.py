@@ -210,14 +210,19 @@ def test_cmd_run_rejects_non_finite_knobs(tmp_path, capsys, overrides):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("field, value, message", [
-    ("clip_mode", "percentile", "must be 'fixed' or 'median_adaptive'"),
-    ("s2", 0, "must be > 0 for fixed clipping")], ids=["clip_mode-percentile", "s2-0"])
-def test_cmd_run_rejects_bad_clip_settings(tmp_path, capsys, field, value, message):
-    cfg = _write_config(tmp_path, {field: value})
+# s2 is the clip bound under fixed clipping, and the bound report's S2 in both modes: a median
+# run with s2 = 0 used to run to the end and then fail its bound report.
+@pytest.mark.parametrize("overrides, message", [
+    ({"clip_mode": "percentile"}, "clip_mode: must be 'fixed' or 'median_adaptive'"),
+    ({"s2": 0}, "s2: must be > 0"),
+    ({"clip_mode": "median_adaptive", "s2": 0.0}, "s2: must be > 0")],
+    ids=["clip_mode-percentile", "s2-0", "median-s2-0"])
+def test_cmd_run_rejects_bad_clip_settings(tmp_path, capsys, monkeypatch, overrides, message):
+    monkeypatch.setattr(cli, "build_simulation", lambda config: pytest.fail("built"))
+    cfg = _write_config(tmp_path, overrides)
     out = tmp_path / "never"
     assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == f"config error: {field}: {message}\n"
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not out.exists()
 
 
@@ -302,6 +307,38 @@ def test_cmd_run_sigma_outside_the_codec_is_a_config_error(tmp_path, capsys, ove
     assert captured.out == "" and not out.exists()
     assert captured.err.startswith("config error: epsilon: ") and text in captured.err
     assert captured.err.count("\n") == 1
+
+
+def test_config_the_schedule_refuses_builds_no_data(tmp_path, capsys, monkeypatch):
+    # Refused when made, before the shards (64 MB of them at this d) are built.
+    monkeypatch.setattr(orchestrator, "synth_partition", lambda *a, **k: pytest.fail("built"))
+    overflow = dict(MINIMAL, algorithm="qg_sgd", s2=1e300, epsilon=1e-300, K=2, N=10,
+                    d=10**5)
+    with pytest.raises(ConfigError, match="^epsilon: computing sigma_k overflows float64$"):
+        ExperimentConfig.from_dict(overflow)
+    out = tmp_path / "never"
+    assert main(["run", "--config", _write_config(tmp_path, overflow), "--out-dir", str(out)]) == 2
+    assert capsys.readouterr().err == "config error: epsilon: computing sigma_k overflows float64\n"
+    assert not out.exists()
+
+
+def test_config_is_checked_when_made_and_frozen():
+    with pytest.raises(ConfigError, match="^epsilon: must be > 0$"):
+        ExperimentConfig(epsilon=-1.0)
+    cfg = ExperimentConfig()
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        cfg.epsilon = -1.0
+    assert cfg.epsilon == 1.0
+
+
+@pytest.mark.parametrize("algorithm", ["local_sgd", "gau_sgd", "dynamic_gau_lrq_sgd"])
+def test_simulation_reads_the_schedule_the_config_checked(algorithm):
+    cfg = ExperimentConfig.from_dict(dict(MINIMAL, algorithm=algorithm))
+    sim = build_simulation(cfg)
+    if algorithm == "local_sgd":
+        assert cfg.schedule is None and not hasattr(sim, "_sigmas")
+    else:
+        assert sim._sigmas is cfg.schedule[0] and sim._eps_cum is cfg.schedule[1]
 
 
 _WRITTEN = ["cli-test_bounds.json", "cli-test_summary.json", "cli-test_trace.csv"]
@@ -575,13 +612,30 @@ def test_cmd_run_out_dir_that_is_a_file_is_one_error_line(tmp_path, capsys, monk
     assert out.read_text() == ""
 
 
-def test_cmd_run_unwritable_out_dir_is_one_error_line(tmp_path, capsys):
-    # A parent that is a file: the directory cannot be made, which shows only when it is.
+def test_cmd_run_out_dir_under_a_file_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # The nearest ancestor that exists is a file: the directory could never be made.
     cfg = _write_config(tmp_path)
     (tmp_path / "taken").write_text("")
-    out = tmp_path / "taken" / "out"
+    monkeypatch.setattr(cli, "build_simulation", lambda config: pytest.fail("built"))
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "taken" / "out")]) == 2
+    assert capsys.readouterr().err == \
+        f"config error: out-dir: {tmp_path / 'taken'} is not a directory\n"
+    assert (tmp_path / "taken").read_text() == ""
+
+
+def test_cmd_run_unwritable_out_dir_is_one_error_line(tmp_path, capsys, monkeypatch):
+    # A directory the check passes but the write cannot make, which shows only after the run.
+    cfg = _write_config(tmp_path)
+    out = tmp_path / "out"
+
+    def refuse(path, exist_ok=False):
+        raise PermissionError(13, "Permission denied", str(path))
+
+    monkeypatch.setattr(cli.os, "makedirs", refuse)
     assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
-    assert capsys.readouterr().err == f"error: cannot write {out}: Not a directory\n"
+    captured = capsys.readouterr()
+    assert captured.err == f"error: cannot write {out}: Permission denied\n"
+    assert captured.out == "" and not out.exists()
 
 
 _NO_MEMORY = "Unable to allocate 8.00 GiB for an array with shape (1073741824,) and data type float64"
