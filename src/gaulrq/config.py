@@ -5,26 +5,23 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
-import math
 import numbers
 import os
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 
 import numpy as np
 
 from .errors import ConfigError, InvalidParameterError
-from .orchestrator import PIPELINES, AlgorithmKind, RunTrace, Simulation
+from .orchestrator import PIPELINES, AlgorithmKind, RunTrace, Simulation, peak_floats
 from .privacy import noise_schedule
 from .quantizers import MAX_SIGMA, bit_width
 from .training import OBJECTIVE_KINDS
 
-# Caps, in float64 values (2 GiB each), on the (N, n, d) shards and on the B * Q *
-# max(batch_size, 1) rows of d values a round's local steps read: an allocation past
-# memory becomes a config error. A config near them can still need several GiB.
-MAX_FLOATS = 2**28
-# Cap on K: a run keeps a record of each round (~1.3 KB at B = 10) that MAX_FLOATS does not count.
-MAX_ROUNDS = 10**7
+# The budget of a run, in float64 values (4 GiB): a config whose peak_floats exceeds it is a
+# config error, on every machine alike.
+MAX_FLOATS = 2**29
 
 
 @dataclass(frozen=True)
@@ -94,16 +91,8 @@ class ExperimentConfig:
         for name in ("N", "B", "Q", "n_per_client", "d"):
             if int(getattr(self, name)) < 1:
                 errors.append(f"{name}: must be >= 1")
-        for names in (("N", "n_per_client", "d"), ("B", "Q", "batch_size", "d")):
-            sizes = [max(int(getattr(self, name)), 1) for name in names]
-            if math.prod(sizes) > MAX_FLOATS:  # reported on its largest factor
-                errors.append(f"{names[sizes.index(max(sizes))]}: {' * '.join(names)} = "
-                              f"{math.prod(sizes):.3g} exceeds {MAX_FLOATS} float64 values")
-                break
         if self.K < 0:
             errors.append("K: must be >= 0")
-        elif self.K > MAX_ROUNDS:
-            errors.append(f"K: must be <= {MAX_ROUNDS}")
         elif self.K == 0 and (pipeline is None or pipeline.private):
             errors.append("K: must be >= 1 for private algorithms")
         for name in ("eta", "epsilon", "s2", "label_noise", "ridge", "heterogeneity"):
@@ -149,6 +138,10 @@ class ExperimentConfig:
             errors.append("run_id: must encode, with no NUL, to file names of at most 255 bytes")
         if errors:
             raise ConfigError(errors)
+        peak, field = peak_floats(self)  # before the schedule, whose K values it counts
+        if peak > MAX_FLOATS:
+            raise ConfigError(f"{field}: a run of this config peaks at {Decimal(peak):.2g} float64 "
+                              f"values, over the budget of {MAX_FLOATS}")
         self.schedule  # its checks read fields that passed theirs
 
     def _type_errors(self) -> list[str]:

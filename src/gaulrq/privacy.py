@@ -69,19 +69,23 @@ def noise_schedule(s2: float, K: int, B: int, N: int, epsilon: float, delta: flo
         raise InvalidParameterError("epsilon must be finite and > 0")
     if not (0.0 < tau <= 1.0):
         raise InvalidParameterError("tau must lie in (0, 1]")
+    # In place, so it holds three K-long arrays at most: each call is its expression's ufunc.
     after = np.arange(K - 1, -1, -1, dtype=np.float64)  # rounds after round k
-    spent = np.cumsum(tau ** (after / 2.0))  # w_0 + ... + w_k; spent[-1] is S
+    spent = np.divide(after, 2.0)
+    spent = np.cumsum(np.power(tau, spent, out=spent), out=spent)  # w_0 + ... + w_k; S last
     (m_s2, e_s2), (m_eps, e_eps) = np.frexp(s2), np.frexp(epsilon)
     with np.errstate(over="ignore", invalid="ignore"):  # the result is checked below
         last = np.ldexp(2.0 * m_s2 * np.sqrt(spent[-1] * B * np.log(1.0 / delta))
                         / (N * m_eps), e_s2 - e_eps)
-        f = tau ** (-after / 8.0)
-        sigmas = last * f * f
+        f = np.power(tau, np.divide(np.negative(after, out=after), 8.0, out=after), out=after)
+        sigmas = np.multiply(last, f)
+        sigmas *= f
     if not np.all(np.isfinite(sigmas)):
         raise InvalidParameterError("computing sigma_k overflows float64")
     if not np.all(sigmas > 0.0):
         raise InvalidParameterError("computing sigma_k underflows to 0")
-    return sigmas, epsilon * np.sqrt(spent / spent[-1])
+    eps_cum = np.sqrt(np.divide(spent, spent[-1], out=f), out=f)  # in f's buffer, now read
+    return sigmas, np.multiply(epsilon, eps_cum, out=eps_cum)
 
 
 def round_epsilons(s2: float, B: int, N: int, delta: float, sigmas) -> np.ndarray:

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import time
+import types
 import warnings
 
 import numpy as np
@@ -11,10 +12,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gaulrq import cli, orchestrator, training
+from gaulrq import cli, config as config_module, orchestrator, training
 from gaulrq.analysis import BoundInputs
 from gaulrq.cli import _bound_report, main
-from gaulrq.config import MAX_FLOATS, MAX_ROUNDS, ExperimentConfig, build_simulation, load_config
+from gaulrq.config import MAX_FLOATS, ExperimentConfig, build_simulation, load_config
 from gaulrq.errors import ConfigError, DivergedError, InvalidParameterError
 from gaulrq.quantizers import MAX_BITS, MAX_SIGMA, lrq_quantize_vector
 from gaulrq.streams import SeedMaterial, uniform_pair_block
@@ -99,11 +100,13 @@ def test_cmd_run_invalid_config_exit_status(tmp_path, capsys):
 
 
 # Each asks for far more memory than a machine has: the shards (7.28 TiB, 1.46 TiB
-# and 7.11 PiB) or a round's 10^12 local steps. They used to end in a MemoryError.
+# and 7.11 PiB) or a round's 10^12 local steps. They used to end in a MemoryError. At
+# d = 10^400 the peak's count is past float64's range: it must still format.
 @pytest.mark.parametrize("field, overrides", [("d", {"d": 10**12}),
                                               ("N", {"N": 10**9, "B": 10}),
                                               ("n_per_client", {"n_per_client": 10**12}),
-                                              ("Q", {"Q": 10**12})])
+                                              ("Q", {"Q": 10**12}),
+                                              pytest.param("d", {"d": 10**400}, id="d-10**400")])
 def test_cmd_run_oversized_config_is_one_config_error(tmp_path, capsys, field, overrides):
     cfg = _write_config(tmp_path, overrides)
     out = tmp_path / "never"
@@ -115,29 +118,49 @@ def test_cmd_run_oversized_config_is_one_config_error(tmp_path, capsys, field, o
     assert out_text == "" and not out.exists()
 
 
-@pytest.mark.parametrize("sizes", [dict(N=2**10, n_per_client=2**8, d=2**10),
-                                   dict(N=16, B=16, Q=2**14, batch_size=2**4, n_per_client=32,
-                                        d=2**6)])
-def test_config_size_caps_are_inclusive(sizes):
-    ExperimentConfig.from_dict(dict(MINIMAL, **sizes))  # exactly MAX_FLOATS values
-    with pytest.raises(ConfigError, match=f"^[a-z_QBN]+: .* exceeds {MAX_FLOATS} float64 values$"):
-        ExperimentConfig.from_dict(dict(MINIMAL, **dict(sizes, d=sizes["d"] + 1)))
+# Each config's largest term grows with its field: a layered round's (B, d) work, the round
+# records, the (N n)-long products of the bound report, the full-batch steps' Q offsets.
+@pytest.mark.parametrize("field, base", [("d", dict(N=1, B=1, n_per_client=1)), ("K", {}),
+                                         ("N", dict(d=3)), ("Q", {})])
+def test_memory_budget_is_inclusive(field, base):
+    data = dict(MINIMAL, **base)
+    fields = dataclasses.asdict(ExperimentConfig.from_dict(data))
+
+    def peak(value):  # of the fields at value, which a config past the budget cannot hold
+        return orchestrator.peak_floats(types.SimpleNamespace(**dict(fields, **{field: value})))[0]
+
+    lo, hi = 1, 2
+    while peak(hi) <= MAX_FLOATS:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:  # peak(lo) <= MAX_FLOATS < peak(hi)
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if peak(mid) <= MAX_FLOATS else (lo, mid)
+    ExperimentConfig.from_dict(dict(data, **{field: lo}))  # at the budget
+    with pytest.raises(ConfigError, match=f"^{field}: a run of this config peaks at [0-9.e+]+ "
+                                          f"float64 values, over the budget of {MAX_FLOATS}$"):
+        ExperimentConfig.from_dict(dict(data, **{field: lo + 1}))
 
 
-def test_cmd_run_parameter_errors_exit_status(tmp_path, capsys):
-    # K=0 leaves a private algorithm no rounds to spread the budget over; a K
-    # past MAX_ROUNDS would hold more round records than memory does, after
-    # hours of rounds; epsilon=1e30 makes sigma so small that indices would
-    # need > MAX_BITS bits.
+def test_cmd_run_parameter_errors_exit_status(tmp_path, capsys, monkeypatch):
+    # K=0 leaves a private algorithm no rounds to spread the budget over; at K=10^12 the
+    # round records alone pass the memory budget, refused before the schedule's K values are
+    # computed; epsilon=1e30 makes sigma so small that indices would need > MAX_BITS bits.
     for overrides, text in (({"K": 0}, "config error: K: must be >= 1 for private algorithms"),
-                            ({"K": 10**12}, f"config error: K: must be <= {MAX_ROUNDS}"),
+                            ({"K": 10**12}, "config error: K: a run of this config peaks at "),
                             ({"epsilon": 1e30}, f"{MAX_BITS}-bit cap")):
         cfg = _write_config(tmp_path, overrides)
         out = tmp_path / "never"
-        assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
+        with monkeypatch.context() as patch:
+            if overrides == {"K": 10**12}:
+                patch.setattr(config_module, "noise_schedule", _never)
+            assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 2
         err = capsys.readouterr().err
         assert err.startswith("config error: ") and text in err
         assert not out.exists()
+
+
+def _never(*args):
+    raise AssertionError("noise_schedule ran on a config past the memory budget")
 
 
 @pytest.mark.parametrize("field, value", [("N", "ten"), ("eta", "fast"), ("seed", None)])
@@ -824,7 +847,7 @@ def test_compare_bounds_small_tau_large_k(tmp_path):
 @pytest.mark.parametrize("K", [10**7, 10**9, 100000000000])
 def test_compare_bounds_at_large_k(tmp_path, K):
     # Every sum over rounds is a closed form, so the report (cli._bound_values)
-    # takes microseconds at any K; only a run caps K, at MAX_ROUNDS, for its records.
+    # takes microseconds at any K; only a run's memory budget bounds K, for its records.
     path = tmp_path / "inputs.json"
     path.write_text(json.dumps({"K": K}))
     start = time.perf_counter()

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from gaulrq import orchestrator, training
 from gaulrq.analysis import comm_cost
-from gaulrq.cli import main
+from gaulrq.cli import _bound_report, main
 from gaulrq.config import ExperimentConfig, build_simulation, run_experiment
 from gaulrq.errors import ConfigError, DivergedError, InvalidParameterError
 from gaulrq.normal import inv_norm_cdf
@@ -510,28 +510,56 @@ def test_simulation_holds_its_features_once():
     assert held <= 1.25 * sim.objective.shards[0].nbytes
 
 
-@pytest.mark.parametrize("clip_mode, eta", [("fixed", 0.05), ("median_adaptive", 1e-4)],
-                         ids=["fixed", "median_adaptive"])
-def test_layered_run_peak_memory(clip_mode, eta):
-    # d = 2^18 passes _EVAL_BYTES, so the evaluation takes one theta. A layered run at
-    # N = n = B = Q = K = 1 peaks at 10.04 float64s an element above what is live before
-    # run(), in either clip mode, in the round: the chunk's three unit rows (x, L, R) and the
-    # round's 7.0 (update, its one layer of x, R and q_step at sigma, encode temporaries).
-    # The bound of 11 leaves 0.96 for numpy's small temporaries and bookkeeping (0.04 here),
-    # less than one more d-long float64 array: a layer at sigma per side, or one holding
-    # L * sigma, read 11.04. (At eta = 0.05 a median-clipped run diverges at this d.)
-    d = 1 << 18
-    sim = build_simulation(_config(algorithm="gau_lrq_sgd", clip_mode=clip_mode, eta=eta, N=1,
-                                   B=1, Q=1, K=1, n_per_client=1, d=d, s2=1.0))
+_ALGORITHMS = ["local_sgd", "gau_sgd", "qg_sgd", "gau_lrq_sgd", "dynamic_gau_lrq_sgd"]
+# Shapes at which each term of peak_floats is the largest in turn: the shards, a round's
+# (B, d) work, the bound report's Gram (m = 1024) and the round records.
+_SHAPES = {"data": dict(N=8, B=1, n_per_client=64, d=1 << 13, K=1),
+           "round": dict(N=4, B=4, n_per_client=1, d=1 << 16, K=1),
+           "report": dict(N=4, B=1, n_per_client=256, d=1 << 10, K=1),
+           "records": dict(N=1000, B=10, n_per_client=1, d=1, K=300)}
+
+
+@pytest.mark.parametrize("overrides, round_cap", [
+    pytest.param(dict(algorithm="gau_lrq_sgd", eta=0.05), 11, id="fixed"),
+    pytest.param(dict(algorithm="gau_lrq_sgd", clip_mode="median_adaptive", eta=1e-4), 11,
+                 id="median_adaptive"),
+    *(pytest.param(dict(shape, algorithm=algo, eta=1e-4, tau=0.99), None, id=f"{term}-{algo}")
+      for term, shape in _SHAPES.items() for algo in _ALGORITHMS)])
+def test_layered_run_peak_memory(overrides, round_cap, tmp_path):
+    # The traced peak of a run, from its config to its bound report, lies under peak_floats's
+    # count of its config, and that count within 1.5x of it, so that the budget refuses
+    # nothing that fits. The count is an upper bound: it adds the worker's evaluation to the
+    # round it overlaps, and LAPACK's untraced copy of the Gram to the bound report.
+    # Rows with a round_cap also pin a layered round at N = n = B = Q = K = 1, d = 2^18 (past
+    # _EVAL_BYTES, so the evaluation takes one theta): it peaks at 10.04 float64s an element
+    # above what is live before run(), in either clip mode: the chunk's three unit rows (x, L,
+    # R) and the round's 7.0 (update, its one layer of x, R and q_step at sigma, encode
+    # temporaries). The cap of 11 leaves 0.96 for numpy's small temporaries and bookkeeping
+    # (0.04 here), less than one more d-long float64 array: a layer at sigma per side, or one
+    # holding L * sigma, read 11.04. (At eta = 0.05 a median-clipped run diverges at this d.)
+    fields = dict(dict(N=1, B=1, Q=1, K=1, n_per_client=1, d=1 << 18, s2=1.0), **overrides)
+    small = _config(**dict(fields, N=2, B=1, n_per_client=2, d=2, K=2))
+    _bound_report(small, build_simulation(small))  # untraced: the modules a run imports late
+    run_experiment(small).to_csv(tmp_path / "trace.csv", small.algorithm)
     tracemalloc.start()
     try:
+        cfg = _config(**fields)
+        sim = build_simulation(cfg)
         live = tracemalloc.get_traced_memory()[0]
-        sim.run()
-        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        trace = sim.run()
+        round_peak = tracemalloc.get_traced_memory()[1] - live
+        trace.to_csv(tmp_path / "trace.csv", cfg.algorithm)
+        _bound_report(cfg, sim)
+        peak = tracemalloc.get_traced_memory()[1]  # the largest since the reset or before it
     finally:
         tracemalloc.stop()
-    assert sim.objective.shards[0].nbytes > training._EVAL_BYTES and len(sim.records) == 1
-    assert peak - live < 11 * 8 * d
+    assert trace.summary["stop_reason"] == "completed" and len(sim.records) == cfg.K
+    counted = 8 * orchestrator.peak_floats(cfg)[0]
+    assert peak <= counted <= 1.5 * peak
+    if round_cap:
+        assert sim.objective.shards[0].nbytes > training._EVAL_BYTES
+        assert round_peak < round_cap * 8 * cfg.d
 
 
 def test_local_sgd_converges_on_noiseless_problem():
