@@ -6,6 +6,7 @@ import argparse
 import dataclasses
 import json
 import os
+import statistics
 import sys
 
 import numpy as np
@@ -46,7 +47,7 @@ def _bound_report(config: ExperimentConfig, sim) -> dict:
     """Evaluate every closed-form bound at this run's measured constants."""
     spec = sim.objective.spec(sim.theta0)
     inf_norms = [n for r in sim.records for n in r.inf_norms if n > 0]
-    rep_inf = float(np.median(inf_norms)) if inf_norms else 1.0
+    rep_inf = statistics.median(inf_norms) if inf_norms else 1.0  # np.median loads numpy.ma
     inp = BoundInputs(F_gap=max(spec.optimum_gap, 1e-12), eta=config.eta,
                       Q=config.Q, K=max(config.K, 1), B=config.B, N=config.N,
                       d=config.d, alpha2=spec.grad_variance,

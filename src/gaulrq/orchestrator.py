@@ -251,49 +251,40 @@ PIPELINES = {  # private, noisy, decaying, then the codec
 }
 
 
-def _chunk_size(config, p: Pipeline):
+def _chunk_size(p: Pipeline, B, Q, n, d, b):
     """(steps, values, rounds) of a chunk: a client's batch rows a round (0: full batch), the
     values a round's draws keep, and the rounds one chunk draws, in training._BLOCK_BYTES (>= 1)."""
-    B, Q, n, d, b = (int(v) for v in (config.B, config.Q, config.n_per_client, config.d,
-                                      config.batch_size or config.n_per_client))
-    steps = Q * b if b < n else 0  # Python ints: no sizes wrap
+    steps = Q * b if b < n else 0
     values = B * (1 + steps + (p.noisy + p.held) * d)
     return steps, values, max(1, training._BLOCK_BYTES // (8 * values))
 
 
 def peak_floats(config) -> tuple[int, str]:
     """(values, field): an upper bound, from the fields alone, on the float64 values a run of
-    ``config`` holds at once, and the largest factor of its largest term. Always held: the
+    ``config`` holds at once, and the largest factor of its largest term. Held throughout: the
     shards, theta0 and theta, the schedule (3 K while noise_schedule makes it) and each round's
-    record (a base with its CSV line, and 1 to 5 a client for each B-long list). On top, the
-    largest of the build; a round: its evaluation beside it, then its chunk's redraw or its
-    chunk, the pipeline's work per element of the (B, d) uploads and the local steps' gather
-    (full batch: the Q offsets); and the bound report: the Gram at m = min(N n, d) with the
-    optimum's sum and LAPACK's untraced copy, the (N n)-long products, the variance bound's
-    block of shards and, for logistic data, L-BFGS's history."""
+    record (a base with its CSV line, 1 to 5 a client for each B-long list). On top, the largest
+    of the build, the bound report and a round: its chunk, the larger of the next chunk's draw
+    and its work, and its evaluation beside them, or before them where beside runs it inline."""
     p = PIPELINES[AlgorithmKind[config.algorithm.upper()]]
-    N, n, d, B, Q, K, b = (int(getattr(config, name)) for name in (
+    N, n, d, B, Q, K, b = (int(getattr(config, name)) for name in (  # Python ints: none wrap
         "N", "n_per_client", "d", "B", "Q", "K", "batch_size"))
-    steps, values, fit = _chunk_size(config, p)
-    rows, b, block, chunk = N * n, b or n, training._BLOCK_BYTES // 8, min(fit, K)
-    width = training._EVAL_WIDTH if 8 * rows * d <= training._EVAL_BYTES else 1
-    data, logistic = ("N", "n_per_client", "d"), config.objective == "logistic"
-    terms = [(rows * (d + 1) + 2 * d, data), (3 * K * p.private, ("K",)),
-             (K * (100 + B * (1 + 4 * (N > 256) + 4 * (p.private + p.quantized))), ("K", "B"))]
-    kept = chunk * (values + 14 * (p.held + p.noisy + (steps > 0)))  # with its row views
-    drawn = (1 + (fit < K)) * kept + chunk * B * max(3 * steps, 5 * p.noisy * d, (p.held + 1) * d)
-    local = (min(B, max(1, block // (Q * b * d))) * Q * b * d, ("Q", "batch_size", "d"))
-    total = lambda group: sum(v for v, _ in group)  # noqa: E731
-    terms += max([(6 * d + rows + 2 * N * d * (config.heterogeneity > 0), data)],
-                 [(width * 4 * (rows + d), data)] + max(
-                     [(drawn, ("B", "d"))],  # a redraw: the old chunk, the new one, its draw's
-                     [(kept, ("B", "d")), ((p.work + p.noisy) * B * d, ("B", "d")),
-                      local if steps else (Q, ("Q",))], key=total),
-                 [((3 - logistic) * min(rows, d) ** 2, ("d",) if d <= rows else ("N", "n_per_client")),
-                  (8 * rows + 4 * d + min(N, max(1, block // (n * d))) * n * d, data),
-                  (44 * d * logistic, ("d",))], key=total)
-    top = max(terms, key=lambda term: term[0])[1]
-    return sum(v for v, _ in terms), max(top, key=lambda name: getattr(config, name))
+    rows, data = N * n, ("N", "n_per_client", "d")
+    width, evaluation = Objective.trace_floats(rows, d, config.objective)
+    steps, values, fit = _chunk_size(p, B, Q, n, d, b or n)
+    # Across rounds: the chunk with its row views, and the thetas queued for the evaluation.
+    kept = min(fit, K) * (values + 14 * (p.held + p.noisy + (steps > 0))) + min(width, K) * d
+    rnd = max(min(fit, K) * B * max(3 * steps, 5 * p.noisy * d, (p.held + (p.held > 0)) * d),
+              (p.work + p.noisy) * B * d + training.local_floats(B, Q, b or n, d, not steps))
+    if 8 * rows * d <= training._BLOCK_BYTES:  # beside runs it inline, before the round's draw
+        evaluation, rnd = 0, max(evaluation, rnd)
+    # The shards, theta0 and theta, and 32 KiB of the Python objects any run makes (~25 KiB).
+    terms = [(rows * (d + 1) + 2 * d + 4096, data), (3 * K * p.private, ("K",)),
+             (K * (100 + B * (1 + 4 * (N > 256) + 4 * (p.private + p.quantized))), ("K", "B")),
+             max((training.synth_floats(N, n, d, config.heterogeneity), data),
+                 (Objective.spec_floats(N, n, d, config.objective), data),
+                 (kept + evaluation + rnd, data + ("B", "Q", "batch_size")))]
+    return sum(v for v, _ in terms), max(max(terms)[1], key=lambda name: getattr(config, name))
 
 
 def sample_clients(N: int, B: int, u):
@@ -396,7 +387,8 @@ class Simulation:
         """One stream call per lane for the rounds from self.round on that fit in
         training._BLOCK_BYTES (at least one): each round's rows, for its encode and decode."""
         cfg, p, n, d = self.config, self._pipeline, self.config.n_per_client, self.config.d
-        steps, _, fit = _chunk_size(cfg, p)
+        self._chunk = (0, [])  # the old chunk goes first: a redraw never holds two
+        steps, _, fit = _chunk_size(p, cfg.B, cfg.Q, n, d, self.batch_size)
         rounds = np.arange(self.round, min(cfg.K, self.round + fit), dtype=np.uint64)
         clients = sample_clients(cfg.N, cfg.B, uniform_block(self.seed.lane("sample"), 0,
                                                              rounds, 0, 0))

@@ -113,7 +113,7 @@ class Objective:
         self._w = 1.0 / (N * n)
         self.shards = (X, y)
         self._gram = None
-        self.trace_width = _EVAL_WIDTH if X.nbytes <= _EVAL_BYTES else 1  # trace_terms' block
+        self.trace_width = self.trace_floats(N * n, self.dimension, kind)[0]
 
     datasets = cached_property(lambda self: [LocalDataset(*s) for s in zip(*self.shards)])
 
@@ -168,6 +168,13 @@ class Objective:
                 loss += np.sum(0.5 * ridge * T * T, axis=1)
             terms += zip(loss.tolist(), np.square(G, out=G).sum(axis=1).tolist())
         return terms[:len(thetas)]
+
+    @staticmethod
+    def trace_floats(rows, d, kind):
+        """(width, values): the thetas a block of trace_terms takes on rows x d data (it sets bits,
+        as _SLAB does) and the float64s it peaks at: T, G's sum, ridge terms; Z, R, the loss's."""
+        width = _EVAL_WIDTH if 8 * rows * d <= _EVAL_BYTES else 1
+        return width, width * (4 * d + (4 + (kind == "logistic")) * rows)
 
     def sample_gradients(self, theta, dataset, indices):
         """Per-sample gradients (len(indices) x d) of one client's loss."""
@@ -257,6 +264,14 @@ class Objective:
         return ObjectiveSpec(kind=self.kind, dimension=self.dimension, smoothness=nu,
                              grad_variance=alpha2, optimum_gap=f0 - f_star)
 
+    @staticmethod
+    def spec_floats(N, n, d, kind):
+        """Float64s spec peaks at beside the shards: the Gram with the optimum's sum and LAPACK's
+        untraced copy, (N n)-long products, a block of shards with its mean, L-BFGS's history."""
+        rows, logistic = N * n, kind == "logistic"
+        return ((3 - logistic) * min(rows, d) ** 2 + 8 * rows + 4 * d + 44 * d * logistic
+                + min(N, max(1, _BLOCK_BYTES // (8 * n * d))) * (n + 1) * d)
+
 
 @dataclass
 class ModelState:
@@ -332,7 +347,14 @@ def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, 
                 gw += ridge * w
             w -= np.multiply(gw, eta, out=gw)
             _check_divergence(w, divergence_ceiling, "local")
+        del Xg, yg, Xb, yb  # before the next block's gather: one gather alive
     return local - theta
+
+
+def local_floats(B, Q, b, d, full):  # float64s the gather above holds (full batch: b = n)
+    cols = b if full else Q * b  # a block's Q batches a client, or its shards: a view if one
+    step = min(B, max(1, _BLOCK_BYTES // (8 * cols * d)))
+    return (step > 1 or not full) * step * cols * (d + 1) + Q * full  # and the Q offsets
 
 
 def _check_divergence(w, ceiling: float, scope: str):
@@ -418,3 +440,7 @@ def synth_partition(global_seed: int, N: int, d: int, n_per_client: int,
             targets = (rng.random(z.shape) < _sigmoid(z)).astype(np.float64)
     features.flags.writeable = targets.flags.writeable = False
     return features, targets
+
+
+def synth_floats(N, n, d, heterogeneity):  # float64s the build peaks at beside the shards
+    return 6 * d + N * n + 2 * N * d * (heterogeneity > 0)  # w, z, theta0; (N, d) shifts twice

@@ -1,4 +1,5 @@
-"""What a fresh process loads: no scipy module until the logistic optimum or verify-noise.
+"""What a fresh process loads: no scipy module until the logistic optimum or verify-noise, and
+no numpy.ma in a least-squares run, its bound report included.
 
 scipy.special takes about 0.1 s to load, and scipy.optimize (with the
 scipy.linalg and scipy.sparse it pulls in) about a quarter second more, so
@@ -13,8 +14,8 @@ import sys
 import gaulrq
 from gaulrq import cli
 
-def check(stage):
-    loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+def check(stage):  # numpy.ma, which np.median imports, adds ~1.2 MB to a run's traced peak
+    loaded = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy" or m == "numpy.ma")
     assert not loaded, f"{stage} loaded {loaded}"
 
 check("import gaulrq and gaulrq.cli")

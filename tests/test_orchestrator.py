@@ -1,8 +1,10 @@
 import dataclasses
 import functools
 import gc
+import itertools
 import json
 import math
+import os
 import re
 import threading
 import traceback
@@ -512,35 +514,27 @@ def test_simulation_holds_its_features_once():
 
 _ALGORITHMS = ["local_sgd", "gau_sgd", "qg_sgd", "gau_lrq_sgd", "dynamic_gau_lrq_sgd"]
 # Shapes at which each term of peak_floats is the largest in turn: the shards, a round's
-# (B, d) work, the bound report's Gram (m = 1024) and the round records.
-_SHAPES = {"data": dict(N=8, B=1, n_per_client=64, d=1 << 13, K=1),
+# (B, d) work, the bound report's Gram (m = 512) and the round records.
+_SHAPES = {"data": dict(N=8, B=1, n_per_client=64, d=1 << 12, K=1),
            "round": dict(N=4, B=4, n_per_client=1, d=1 << 16, K=1),
-           "report": dict(N=4, B=1, n_per_client=256, d=1 << 10, K=1),
-           "records": dict(N=1000, B=10, n_per_client=1, d=1, K=300)}
+           "report": dict(N=4, B=1, n_per_client=128, d=1 << 10, K=1),
+           "records": dict(N=1000, B=10, n_per_client=1, d=1, K=150)}
 
 
-@pytest.mark.parametrize("overrides, round_cap", [
-    pytest.param(dict(algorithm="gau_lrq_sgd", eta=0.05), 11, id="fixed"),
-    pytest.param(dict(algorithm="gau_lrq_sgd", clip_mode="median_adaptive", eta=1e-4), 11,
-                 id="median_adaptive"),
-    *(pytest.param(dict(shape, algorithm=algo, eta=1e-4, tau=0.99), None, id=f"{term}-{algo}")
-      for term, shape in _SHAPES.items() for algo in _ALGORITHMS)])
-def test_layered_run_peak_memory(overrides, round_cap, tmp_path):
-    # The traced peak of a run, from its config to its bound report, lies under peak_floats's
-    # count of its config, and that count within 1.5x of it, so that the budget refuses
-    # nothing that fits. The count is an upper bound: it adds the worker's evaluation to the
-    # round it overlaps, and LAPACK's untraced copy of the Gram to the bound report.
-    # Rows with a round_cap also pin a layered round at N = n = B = Q = K = 1, d = 2^18 (past
-    # _EVAL_BYTES, so the evaluation takes one theta): it peaks at 10.04 float64s an element
-    # above what is live before run(), in either clip mode: the chunk's three unit rows (x, L,
-    # R) and the round's 7.0 (update, its one layer of x, R and q_step at sigma, encode
-    # temporaries). The cap of 11 leaves 0.96 for numpy's small temporaries and bookkeeping
-    # (0.04 here), less than one more d-long float64 array: a layer at sigma per side, or one
-    # holding L * sigma, read 11.04. (At eta = 0.05 a median-clipped run diverges at this d.)
-    fields = dict(dict(N=1, B=1, Q=1, K=1, n_per_client=1, d=1 << 18, s2=1.0), **overrides)
-    small = _config(**dict(fields, N=2, B=1, n_per_client=2, d=2, K=2))
-    _bound_report(small, build_simulation(small))  # untraced: the modules a run imports late
-    run_experiment(small).to_csv(tmp_path / "trace.csv", small.algorithm)
+@functools.cache
+def _imported_late():
+    """Runs each algorithm and objective once, untraced: the modules a run imports late."""
+    for algo, objective in itertools.product(_ALGORITHMS, ("least_squares", "logistic")):
+        small = _config(algorithm=algo, objective=objective, N=2, B=1, n_per_client=2, d=2, K=2)
+        _bound_report(small, build_simulation(small))
+        run_experiment(small).to_csv(os.devnull, algo)
+
+
+def _traced_run(fields):
+    """(run, its peak above what is live before run()) of _config(**fields), asserting that the
+    traced peak from its config to its bound report lies under peak_floats's count of the
+    config, and that count within 1.5x of it, so that the budget refuses nothing that fits."""
+    _imported_late()
     tracemalloc.start()
     try:
         cfg = _config(**fields)
@@ -549,17 +543,71 @@ def test_layered_run_peak_memory(overrides, round_cap, tmp_path):
         tracemalloc.reset_peak()
         trace = sim.run()
         round_peak = tracemalloc.get_traced_memory()[1] - live
-        trace.to_csv(tmp_path / "trace.csv", cfg.algorithm)
+        trace.to_csv(os.devnull, cfg.algorithm)
         _bound_report(cfg, sim)
         peak = tracemalloc.get_traced_memory()[1]  # the largest since the reset or before it
     finally:
         tracemalloc.stop()
     assert trace.summary["stop_reason"] == "completed" and len(sim.records) == cfg.K
-    counted = 8 * orchestrator.peak_floats(cfg)[0]
-    assert peak <= counted <= 1.5 * peak
+    assert peak <= 8 * orchestrator.peak_floats(cfg)[0] <= 1.5 * peak
+    return sim, round_peak
+
+
+@pytest.mark.parametrize("overrides, round_cap", [
+    pytest.param(dict(algorithm="gau_lrq_sgd", eta=0.05), 11, id="fixed"),
+    pytest.param(dict(algorithm="gau_lrq_sgd", clip_mode="median_adaptive", eta=1e-4), 11,
+                 id="median_adaptive"),
+    *(pytest.param(dict(shape, algorithm=algo, eta=1e-4, tau=0.99), None, id=f"{term}-{algo}")
+      for term, shape in _SHAPES.items() for algo in _ALGORITHMS)])
+def test_layered_run_peak_memory(overrides, round_cap):
+    # Rows with a round_cap also pin a layered round at N = n = B = Q = K = 1, d = 2^18 (past
+    # _EVAL_BYTES, so the evaluation takes one theta): it peaks at 10.04 float64s an element
+    # above what is live before run(), in either clip mode: the chunk's three unit rows (x, L,
+    # R) and the round's 7.0 (update, its one layer of x, R and q_step at sigma, encode
+    # temporaries). The cap of 11 leaves 0.96 for numpy's small temporaries and bookkeeping
+    # (0.04 here), less than one more d-long float64 array: a layer at sigma per side, or one
+    # holding L * sigma, read 11.04. (At eta = 0.05 a median-clipped run diverges at this d.)
+    fields = dict(dict(N=1, B=1, Q=1, K=1, n_per_client=1, d=1 << 18, s2=1.0), **overrides)
+    sim, round_peak = _traced_run(fields)
     if round_cap:
         assert sim.objective.shards[0].nbytes > training._EVAL_BYTES
-        assert round_peak < round_cap * 8 * cfg.d
+        assert round_peak < round_cap * 8 * sim.config.d
+
+
+# Every term's shape, with every algorithm, objective and clip mode, iid or heterogeneous
+# shards. Capped: each example is a traced run of ~0.1 s.
+@settings(max_examples=10, deadline=None)
+@given(st.sampled_from(sorted(_SHAPES)), st.sampled_from(_ALGORITHMS),
+       st.sampled_from(["least_squares", "logistic"]),
+       st.sampled_from(["fixed", "median_adaptive"]), st.sampled_from([0.0, 0.5]))
+def test_peak_floats_bounds_every_run(term, algorithm, objective, clip_mode, heterogeneity):
+    _traced_run(dict(_SHAPES[term], algorithm=algorithm, objective=objective,
+                     clip_mode=clip_mode, heterogeneity=heterogeneity, eta=1e-4, tau=0.99,
+                     Q=1, s2=1.0))
+
+
+@pytest.mark.parametrize("algo", ["qg_sgd", "gau_lrq_sgd"])
+def test_a_redraw_holds_one_chunk(algo, monkeypatch):
+    # One round a chunk (_BLOCK_BYTES = 1): every draw starts with the last chunk and the arrays
+    # its rows view already gone, so a run never holds two chunks.
+    monkeypatch.setattr(training, "_BLOCK_BYTES", 1)
+    sim = build_simulation(_config(algorithm=algo, K=5, tau=0.9, s2=1.0, batch_size=2))
+    sample, draw, drawn, seen = orchestrator.sample_clients, sim._draw_chunk, [], []
+
+    def watched_sample(*args):  # the draw's first call
+        seen.append((sim._chunk, [ref() for ref in drawn]))
+        return sample(*args)
+
+    def watched_draw():
+        draw()
+        _, batch, noise, code = sim._chunk[1][0]
+        rows = [batch, noise, *(code if isinstance(code, tuple) else [code])]
+        drawn[:] = [weakref.ref(row.base) for row in rows if row is not None]
+    monkeypatch.setattr(orchestrator, "sample_clients", watched_sample)
+    monkeypatch.setattr(sim, "_draw_chunk", watched_draw)
+    sim.run()
+    assert len(drawn) == 3 + (algo == "gau_lrq_sgd")  # batch, and noise and uniforms or x, L, R
+    assert seen == [((0, []), [])] + [((0, []), [None] * len(drawn))] * 4
 
 
 def test_local_sgd_converges_on_noiseless_problem():
