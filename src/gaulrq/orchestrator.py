@@ -256,7 +256,7 @@ def _chunk_size(p: Pipeline, B, Q, n, d, b):
     values a round's draws keep, and the rounds one chunk draws, in training._BLOCK_BYTES (>= 1)."""
     steps = Q * b if b < n else 0
     values = B * (1 + steps + (p.noisy + p.held) * d)
-    return steps, values, max(1, training._BLOCK_BYTES // (8 * values))
+    return steps, values, training._block_rows(8 * values)
 
 
 def peak_floats(config) -> tuple[int, str]:
@@ -275,8 +275,8 @@ def peak_floats(config) -> tuple[int, str]:
     # Across rounds: the chunk with its row views, and the thetas queued for the evaluation.
     kept = min(fit, K) * (values + 14 * (p.held + p.noisy + (steps > 0))) + min(width, K) * d
     rnd = max(min(fit, K) * B * max(3 * steps, 5 * p.noisy * d, (p.held + (p.held > 0)) * d),
-              (p.work + p.noisy) * B * d + training.local_floats(B, Q, b or n, d, not steps))
-    if 8 * rows * d <= training._BLOCK_BYTES:  # beside runs it inline, before the round's draw
+              (p.work + p.noisy) * B * d + training.local_gather(B, Q, b or n, d, not steps)[1])
+    if training.inline(8 * rows * d):  # beside runs the evaluation before the round's draw
         evaluation, rnd = 0, max(evaluation, rnd)
     # The shards, theta0 and theta, and 32 KiB of the Python objects any run makes (~25 KiB).
     terms = [(rows * (d + 1) + 2 * d + 4096, data), (3 * K * p.private, ("K",)),

@@ -22,7 +22,10 @@ from .errors import DivergedError, InvalidParameterError
 
 OBJECTIVE_KINDS = ("least_squares", "logistic")
 # Bytes per block of stacked_local_rounds and the build's scans: half a 2 MiB per-core L2.
+# Each block rule, and peak_floats's count of it, takes its rows from _block_rows.
 _BLOCK_BYTES = 1 << 20
+_block_rows = lambda unit_bytes: max(1, _BLOCK_BYTES // unit_bytes)  # noqa: E731  at least 1
+inline = lambda nbytes: nbytes <= _BLOCK_BYTES  # noqa: E731  beside's gate: no second thread
 _SLAB = 1 << 20  # values per seeded slab of synth_partition's features: defines the data
 # The trace evaluation's block of data and width of thetas: like _SLAB they define bits.
 _EVAL_BYTES, _EVAL_WIDTH = 1 << 20, 8
@@ -39,7 +42,7 @@ def beside(nbytes):
     _BLOCK_BYTES of data, a ThreadPoolExecutor(1)'s, shut down and joined on exit (an error
     left unread there is dropped); else _now, on the caller at once. Its three callers, where
     the overlap measured its worth: synth_partition's slabs, spec's optimum, run()'s rounds."""
-    if nbytes <= _BLOCK_BYTES:
+    if inline(nbytes):
         yield _now
     else:
         with ThreadPoolExecutor(1) as pool:
@@ -103,7 +106,7 @@ class Objective:
                                         f"targets, got {X.shape} and {y.shape}")
         N, n, self.dimension = X.shape
         self._X, self._y = X.reshape(N * n, -1), y.reshape(N * n)
-        rows = max(1, _BLOCK_BYTES // X[0, 0].nbytes)  # row blocks: no (N, n, d) bool array
+        rows = _block_rows(X[0, 0].nbytes)  # row blocks: no (N, n, d) bool array
         if not (all(np.isfinite(self._X[i:i + rows]).all() for i in range(0, N * n, rows))
                 and np.isfinite(y).all()):
             raise InvalidParameterError("dataset entries must be finite")
@@ -236,7 +239,7 @@ class Objective:
         sample_gradients on a whole shard, less the ridge term centring cancels, in blocks of
         ~_BLOCK_BYTES of shards (one shard if a shard is bigger)."""
         X, y = self.shards
-        theta0, clients = np.asarray(theta0, dtype=np.float64), max(1, _BLOCK_BYTES // X[0].nbytes)
+        theta0, clients = np.asarray(theta0, dtype=np.float64), _block_rows(X[0].nbytes)
         top, buf = 0.0, np.empty((min(clients, len(X)), *X.shape[1:]))
         for i in range(0, len(X), clients):
             s = slice(i, i + clients)
@@ -270,7 +273,7 @@ class Objective:
         untraced copy, (N n)-long products, a block of shards with its mean, L-BFGS's history."""
         rows, logistic = N * n, kind == "logistic"
         return ((3 - logistic) * min(rows, d) ** 2 + 8 * rows + 4 * d + 44 * d * logistic
-                + min(N, max(1, _BLOCK_BYTES // (8 * n * d))) * (n + 1) * d)
+                + min(N, _block_rows(8 * n * d)) * (n + 1) * d)
 
 
 @dataclass
@@ -330,7 +333,7 @@ def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, 
     rows, (n, d), ridge = np.asarray(rows), X.shape[1:], objective.ridge
     b = n if batch is None else batch.shape[1] // Q
     offsets = [0] * Q if batch is None else range(0, Q * b, b)  # step q's columns of a gather
-    step = max(1, _BLOCK_BYTES // ((offsets[-1] + b) * d * 8))
+    step = local_gather(rows.size, Q, b, d, batch is None)[0]
     local = np.full((rows.size, d), theta, dtype=np.float64)
     for lo in range(0, rows.size, step):
         part, w = rows[lo:lo + step], local[lo:lo + step]  # w: a view, stepped in place
@@ -351,10 +354,14 @@ def stacked_local_rounds(objective: Objective, theta, rows, Q: int, eta: float, 
     return local - theta
 
 
-def local_floats(B, Q, b, d, full):  # float64s the gather above holds (full batch: b = n)
-    cols = b if full else Q * b  # a block's Q batches a client, or its shards: a view if one
-    step = min(B, max(1, _BLOCK_BYTES // (8 * cols * d)))
-    return (step > 1 or not full) * step * cols * (d + 1) + Q * full  # and the Q offsets
+def local_gather(B, Q, b, d, full):
+    """(clients a block, float64s its gather holds) of stacked_local_rounds on B clients: a
+    block's Q batches a client, or its whole shards (full batch; in place if one), and the
+    full-batch steps' Q offsets."""
+    cols = b if full else Q * b
+    step = _block_rows(8 * cols * d)
+    rows = min(B, step)
+    return step, (rows > 1 or not full) * rows * cols * (d + 1) + Q * full
 
 
 def _check_divergence(w, ceiling: float, scope: str):

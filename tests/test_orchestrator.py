@@ -514,11 +514,15 @@ def test_simulation_holds_its_features_once():
 
 _ALGORITHMS = ["local_sgd", "gau_sgd", "qg_sgd", "gau_lrq_sgd", "dynamic_gau_lrq_sgd"]
 # Shapes at which each term of peak_floats is the largest in turn: the shards, a round's
-# (B, d) work, the bound report's Gram (m = 512) and the round records.
-_SHAPES = {"data": dict(N=8, B=1, n_per_client=64, d=1 << 12, K=1),
+# (B, d) work, the bound report's d x d Gram (m = N n = d = 1024) and the round records; then
+# minibatch rounds (Q = 5) whose chunks a run draws up to three times, each once the last is
+# gone, and full-batch steps (Q = 5) whose gather takes two blocks of 16 shards, one at a time.
+_SHAPES = {"data": dict(N=8, B=1, n_per_client=64, d=1 << 13, K=1),
            "round": dict(N=4, B=4, n_per_client=1, d=1 << 16, K=1),
-           "report": dict(N=4, B=1, n_per_client=128, d=1 << 10, K=1),
-           "records": dict(N=1000, B=10, n_per_client=1, d=1, K=150)}
+           "report": dict(N=4, B=1, n_per_client=256, d=1 << 10, K=1),
+           "records": dict(N=1000, B=10, n_per_client=1, d=1, K=300),
+           "redraw": dict(N=20, B=10, Q=5, n_per_client=4, d=1000, K=12, batch_size=2),
+           "gather": dict(N=32, B=32, Q=5, n_per_client=128, d=64, K=2)}
 
 
 @functools.cache
@@ -574,16 +578,16 @@ def test_layered_run_peak_memory(overrides, round_cap):
         assert round_peak < round_cap * 8 * sim.config.d
 
 
-# Every term's shape, with every algorithm, objective and clip mode, iid or heterogeneous
-# shards. Capped: each example is a traced run of ~0.1 s.
-@settings(max_examples=10, deadline=None)
+# Every shape above, with every algorithm, objective and clip mode, iid or heterogeneous
+# shards. Capped: each example is a traced run of up to ~0.5 s.
+@settings(max_examples=3, deadline=None)
 @given(st.sampled_from(sorted(_SHAPES)), st.sampled_from(_ALGORITHMS),
        st.sampled_from(["least_squares", "logistic"]),
        st.sampled_from(["fixed", "median_adaptive"]), st.sampled_from([0.0, 0.5]))
 def test_peak_floats_bounds_every_run(term, algorithm, objective, clip_mode, heterogeneity):
     _traced_run(dict(_SHAPES[term], algorithm=algorithm, objective=objective,
                      clip_mode=clip_mode, heterogeneity=heterogeneity, eta=1e-4, tau=0.99,
-                     Q=1, s2=1.0))
+                     s2=1.0))
 
 
 @pytest.mark.parametrize("algo", ["qg_sgd", "gau_lrq_sgd"])
